@@ -9,6 +9,7 @@ from fairpace import (
     ItemSequence,
     MarketInstance,
     dual_objective,
+    eg,
     equilibrium_utilities,
     hindsight_solution,
     market_problem,
@@ -124,6 +125,104 @@ class TestSolveDual:
         # still no worse than the starting point
         assert sol.objective <= dual_objective(np.full(4, prob.hi), prob) + 1e-12
 
+    def test_zero_weight_columns_dropped(self, rng):
+        inst = random_instance(rng, 6, 12)
+        weights = rng.random(12)
+        weights[[1, 4, 5, 10]] = 0.0
+        weights /= weights.sum()
+        keep = weights > 0
+        full = solve_dual(market_problem(inst, weights))
+        cut = solve_dual(market_problem(MarketInstance(inst.valuations[:, keep]), weights[keep]))
+        assert full.converged and cut.converged
+        assert np.max(np.abs(full.beta_hat - cut.beta_hat)) <= 1e-12
+
+    def test_zero_weighted_value_rejected_before_columns_dropped(self):
+        # agent 1 values only the zero-weight items; dropping those columns
+        # first would leave an all-zero row instead of the error
+        v = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], [0.5, 1.0, 0.0, 1.0]])
+        prob = market_problem(MarketInstance(v), np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ZeroExpectedValue, match=r"\[1\]"):
+            solve_dual(prob)
+
+    def test_evaluations_counted(self, monkeypatch):
+        # objective evaluations the earlier two-loop line search made here
+        parent_evaluations = 336
+        rng = np.random.default_rng(7)
+        v = rng.random((20, 60)) + 0.05
+        w = rng.random(60)
+        w /= w.sum()
+        prob = market_problem(MarketInstance(v), w)
+        calls = []
+        value = eg._smoothed_value
+
+        def counted(*args):
+            calls.append(1)
+            return value(*args)
+
+        monkeypatch.setattr(eg, "_smoothed_value", counted)
+        sol = solve_dual(prob)
+        assert sol.converged
+        assert sol.evaluations == len(calls)
+        assert sol.evaluations < parent_evaluations
+
+    def test_stage_temperatures_spaced(self, monkeypatch):
+        # a bid scale of 1.0016 used to end with stages at 1.0016e-8 and 1e-8
+        stage = eg._newton_stage
+        for scale in (1.0016, 1.0, 0.37, 2.5e-7):
+            seen = []
+
+            def recorded(beta, prob, mu, gtol, max_steps):
+                seen.append(mu)
+                return stage(beta, prob, mu, gtol, max_steps)
+
+            monkeypatch.setattr(eg, "_newton_stage", recorded)
+            prob = market_problem(MarketInstance(np.full((1, 2), scale)), np.array([0.5, 0.5]))
+            solve_dual(prob, tol=1e-8)
+            assert seen[-1] == 1e-8
+            for higher, lower in zip(seen, seen[1:]):
+                assert higher >= 2.0 * lower
+        for start, end in ((0.10016, 1e-8), (1e-3, 1e-8), (1.5e-8, 1e-8), (3e-9, 1e-8)):
+            mus = eg._temperatures(start, end)
+            assert mus[-1] == min(start, end)
+            assert all(a >= 2.0 * b for a, b in zip(mus, mus[1:]))
+
+
+class TestSmoothedState:
+    @staticmethod
+    def plain_exp(beta, prob, mu):
+        """Shares and objective with exp taken of every entry."""
+        bids = beta[:, None] * prob.valuations
+        top = bids.max(axis=0)
+        weights_exp = np.exp((bids - top) / mu)
+        mass = weights_exp.sum(axis=0)
+        prices = mu * np.log(mass) + top
+        obj = float(prices @ prob.weights - np.log(beta).sum() / prob.n)
+        return obj, weights_exp / mass
+
+    def test_masked_exp_matches_plain_exp(self, rng):
+        # exponents (bid - top) / mu of exactly 0, around -745 where exp
+        # underflows to 0, and below -746 where exp is skipped
+        gaps = np.array(
+            [
+                [0.0, 0.0, 744.4, 0.0],
+                [745.0, 0.0, 0.0, 745.13],
+                [745.2, 745.9, 746.0, 745.14],
+                [746.5, 800.0, 1e4, 3.0],
+            ]
+        )
+        beta = 0.5 + rng.random(4)
+        cases = [(np.ones(4), 1000.0 - gaps, 1.0)]
+        cases += [(beta, (1.0 - mu * gaps) / beta[:, None], mu) for mu in (1e-5, 1e-8)]
+        gaps = rng.uniform(0.0, 800.0, size=(8, 50))
+        beta = 0.5 + rng.random(8)
+        cases.append((beta, (1.0 - 1e-6 * gaps) / beta[:, None], 1e-6))
+        for beta, v, mu in cases:
+            prob = DualProblem(v, np.full(v.shape[1], 1.0 / v.shape[1]), 0.1, 2.0)
+            obj, _, _, shares = eg._smoothed_state(beta, prob, mu)
+            ref_obj, ref_shares = self.plain_exp(beta, prob, mu)
+            assert obj == ref_obj
+            assert np.array_equal(shares, ref_shares)
+
 
 class TestEquilibriumUtilities:
     def test_examples(self):
@@ -169,6 +268,9 @@ def test_solution_json_round_trip(rng):
     back = solution_from_dict(doc)
     assert np.allclose(back.beta_hat, sol.beta_hat)
     assert back.objective == pytest.approx(sol.objective)
+    assert back.evaluations == sol.evaluations > 0
+    del doc["evaluations"]
+    assert solution_from_dict(doc).evaluations == 0
 
 
 def test_dual_problem_validation():
