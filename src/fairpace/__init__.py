@@ -52,16 +52,10 @@ from .dual_averaging import (
 )
 from .pace import (
     PaceTrace,
-    PacingState,
-    StepOutcome,
-    auction_step,
     equivalence_with_da,
-    initial_pacing_state,
-    pace_update,
     pacing_box,
     regret_diagnostic,
     run_pace,
-    write_trace_csv,
 )
 from .eg import (
     DualProblem,

@@ -131,13 +131,7 @@ def _cmd_sample(args) -> int:
 def _cmd_summarize(args) -> int:
     series_list = read_paths_csv(args.paths_csv)
     report = summarize(series_list)
-    model_kind = "unknown"
-    with open(args.paths_csv, newline="") as fh:
-        fh.readline()
-        first = fh.readline().split(",")
-        if first and first[0]:
-            model_kind = first[0]
-    write_aggregate_csv(args.out, model_kind, report)
+    write_aggregate_csv(args.out, series_list[0].metadata["model"] or "unknown", report)
     return 0
 
 

@@ -7,7 +7,6 @@ coordinatewise reciprocal clamp(1 / (n g_bar_i)), with a zero average
 mapping to the upper bound. No stepsize parameter exists anywhere.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,20 +137,3 @@ def regret_bound_check(
     return RegretBoundResult(
         lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack), regret=regret, grad_term=grad_term
     )
-
-
-def write_da_trajectory_csv(path, ws, gs) -> None:
-    """Debug dump of a run: one row per step with the pre-step iterate."""
-    ws = np.asarray(ws)
-    gs = np.asarray(gs)
-    n = ws.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["tau"] + [f"w_{i + 1}" for i in range(n)] + [f"g_{i + 1}" for i in range(n)]
-        )
-        for tau in range(gs.shape[0]):
-            row = [tau + 1]
-            row.extend(repr(float(x)) for x in ws[tau])
-            row.extend(repr(float(x)) for x in gs[tau])
-            writer.writerow(row)

@@ -64,6 +64,15 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
+def _convert(kind, section: dict, key: str, default=None):
+    """section[key] (or the default when it is absent) as an int or a float."""
+    value = section[key] if default is None else section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -72,27 +81,36 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     try:
         market = doc["market"]
         model = doc["model"]
-        t = int(doc["t"])
-        paths = int(doc["paths"])
+        t = _convert(int, doc, "t")
+        paths = _convert(int, doc, "paths")
     except KeyError as exc:
         raise ConfigError(f"config missing required field {exc}") from exc
     if t < 1 or paths < 1:
         raise ConfigError("t and paths must be positive")
-    if "path" in market and base_dir is not None:
+    delta0 = _convert(float, doc, "delta0", 1.0)
+    if not 0.0 < delta0 < np.inf:
+        raise ConfigError(f"delta0 must be positive and finite, got {delta0!r}")
+    grid = doc.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must be an object")
+    dense_until = _convert(int, grid, "dense_until", 100)
+    grid_factor = _convert(float, grid, "factor", 1.1)
+    if dense_until < 1 or not np.isfinite(grid_factor):
+        raise ConfigError("grid.dense_until must be positive and grid.factor finite")
+    if isinstance(market, dict) and "path" in market and base_dir is not None:
         resolved = (base_dir / market["path"]).resolve()
         if not resolved.exists():
             raise ConfigError(f"market file not found: {resolved}")
         market = {**market, "path": str(resolved)}
-    grid = doc.get("grid", {})
     return ExperimentConfig(
         market=market,
         model=model,
         t=t,
         paths=paths,
-        delta0=float(doc.get("delta0", 1.0)),
-        base_seed=int(doc.get("base_seed", 0)),
-        dense_until=int(grid.get("dense_until", 100)),
-        grid_factor=float(grid.get("factor", 1.1)),
+        delta0=delta0,
+        base_seed=_convert(int, doc, "base_seed", 0),
+        dense_until=dense_until,
+        grid_factor=grid_factor,
         out_dir=doc.get("out"),
         raw=doc,
     )
@@ -159,25 +177,27 @@ def resolve_model(config: ExperimentConfig) -> InputModel:
     kind = doc["kind"]
     if "random" in doc:
         directive = doc["random"]
+        c = doc.get("corruption", {"kind": "decaying"})
+        if not isinstance(directive, dict) or not isinstance(c, dict):
+            raise ConfigError("model 'random' and 'corruption' must be objects")
         try:
             m = int(directive["m"])
             seed = int(directive.get("seed", 0))
+            if kind == "iid":
+                return random_iid_model(m, seed)
+            if kind == "corrupted":
+                schedule = CorruptionSchedule(
+                    kind=c.get("kind", "decaying"),
+                    scale=float(c.get("scale", 1.0)),
+                    target=float(c.get("target", 0.0)),
+                )
+                return random_corrupted_model(m, schedule, seed)
+            if kind == "markov":
+                return random_markov_model(m, seed)
+            if kind == "periodic":
+                return random_periodic_model(m, int(directive["q"]), seed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad random model directive: {exc}") from exc
-        if kind == "iid":
-            return random_iid_model(m, seed)
-        if kind == "corrupted":
-            c = doc.get("corruption", {"kind": "decaying"})
-            schedule = CorruptionSchedule(
-                kind=c.get("kind", "decaying"),
-                scale=float(c.get("scale", 1.0)),
-                target=float(c.get("target", 0.0)),
-            )
-            return random_corrupted_model(m, schedule, seed)
-        if kind == "markov":
-            return random_markov_model(m, seed)
-        if kind == "periodic":
-            return random_periodic_model(m, int(directive["q"]), seed)
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
         return model_from_dict(doc)
@@ -201,9 +221,14 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     if "generator" in doc:
         g = doc["generator"]
         try:
+            m = int(g["m"])
+            if m != ref.m:
+                raise ConfigError(
+                    f"market generator has m={m} items but the input model has m={ref.m}"
+                )
             return generate_market(
                 n=int(g["n"]),
-                m=int(g["m"]),
+                m=m,
                 rank=int(g.get("rank", 10)),
                 noise=float(g.get("noise", 0.1)),
                 seed=int(g.get("seed", 0)),
@@ -402,12 +427,12 @@ def write_outputs(
 def read_paths_csv(path) -> List[MetricSeries]:
     """Parse a per-path CSV back into one series per path."""
     rows: Dict[int, Dict[str, Dict[int, float]]] = {}
-    model_kinds = set()
+    model_kinds: Dict[int, str] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            model_kinds.add(row["model"])
             pid = int(row["path_id"])
+            model_kinds.setdefault(pid, row["model"])
             rows.setdefault(pid, {}).setdefault(row["metric"], {})[int(row["t"])] = float(
                 row["value"]
             )
@@ -421,7 +446,11 @@ def read_paths_csv(path) -> List[MetricSeries]:
                 raise GridMismatch(f"path {pid} metric {name} has a different grid")
             values[name] = np.asarray([by_t[int(tau)] for tau in times])
         series_list.append(
-            MetricSeries(times=times, values=values, metadata={"path_id": pid})
+            MetricSeries(
+                times=times,
+                values=values,
+                metadata={"model": model_kinds[pid], "path_id": pid},
+            )
         )
     if not series_list:
         raise ConfigError(f"no rows found in {path}")

@@ -185,11 +185,15 @@ def corruption_step_distributions(model: InputModel, t: int) -> np.ndarray:
     return dists
 
 
-def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
-    """Draw a length-t item sequence from the model using the path stream."""
+def _horizon(t) -> int:
     if not isinstance(t, (int, np.integer)) or t < 1:
         raise InvalidHorizon(f"horizon must be a positive integer, got {t!r}")
-    t = int(t)
+    return int(t)
+
+
+def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
+    """Draw a length-t item sequence from the model using the path stream."""
+    t = _horizon(t)
     rng = make_generator(path_seed)
     if model.kind == "iid":
         items = sample_categorical(categorical_cdf(model.base.probs), rng.random(t))
@@ -280,9 +284,7 @@ def average_marginal(model: InputModel, t: int) -> ReferenceDistribution:
     marginal equal to the per-period average, so the result is that average
     for every horizon, including horizons that truncate the final block.
     """
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise InvalidHorizon(f"horizon must be a positive integer, got {t!r}")
-    t = int(t)
+    t = _horizon(t)
     if model.kind == "iid":
         return model.base
     if model.kind == "corrupted":
@@ -321,9 +323,7 @@ class NonstationarityReport:
 
 def nonstationarity_report(model: InputModel, t: int, iota_grid=()) -> NonstationarityReport:
     """Exact nonstationarity measures of the model's first t marginals."""
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise InvalidHorizon(f"horizon must be a positive integer, got {t!r}")
-    t = int(t)
+    t = _horizon(t)
     if model.kind == "iid":
         return NonstationarityReport(delta_avg=0.0)
     if model.kind == "corrupted":

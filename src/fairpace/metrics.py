@@ -150,16 +150,18 @@ def build_metric_series(
     values["mse_expenditure"] = ((trace.spend_avg_at - 1.0 / n) ** 2).sum(axis=1)
     values["regret_max"] = times * np.max(hs_u - trace.u_bar_at, axis=1)
 
-    # prefix walks shared by the envy and baseline curves
-    step_values = instance.valuations.T[seq.items]  # (t, n)
+    # prefix walks shared by the envy and baseline curves, one grid chunk
+    # of (steps, n) item values at a time
+    VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
     S = np.zeros((n, n))
     value_totals = np.zeros(n)
     envy_max = np.empty(times.size)
     baseline = np.empty(times.size)
     start = 0
     for k, stop in enumerate(times):
-        np.add.at(S, trace.winners[start:stop], step_values[start:stop])
-        value_totals += step_values[start:stop].sum(axis=0)
+        chunk = VT[seq.items[start:stop]]
+        np.add.at(S, trace.winners[start:stop], chunk)
+        value_totals += chunk.sum(axis=0)
         envy_max[k] = np.max(S.max(axis=0) - np.diag(S))
         baseline_u = instance.budgets * value_totals / stop
         baseline[k] = np.max(np.abs(baseline_u - hs_u) / hs_u)

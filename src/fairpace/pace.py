@@ -4,12 +4,14 @@ Every arriving item is sold in a first-price auction where agent i bids
 beta_i times their value, ties going to the smallest index. The winner's
 realized value feeds a running average utility, and each multiplier is the
 clamped reciprocal beta_i = clamp(1 / (n u_bar_i)) over the box
-[1 / ((1 + delta0) n), 1 + delta0]. The update is exactly composite dual
-averaging with the log-barrier regularizer, which `equivalence_with_da`
-verifies step by step.
+[1 / ((1 + delta0) n), 1 + delta0].
+
+`run_pace` is the one implementation of the auction and the update. The
+update is exactly composite dual averaging with the log-barrier
+regularizer, and `equivalence_with_da` checks it step by step against the
+generic `dual_averaging.da_step`, the independent reference.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -31,78 +33,6 @@ def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
     return 1.0 / ((1.0 + delta0) * n), 1.0 + delta0
-
-
-@dataclass(frozen=True)
-class PacingState:
-    """Multipliers, running average utilities, spend totals, step counter."""
-
-    beta: np.ndarray
-    u_bar: np.ndarray
-    tau: int
-    cumulative_spend: np.ndarray
-    delta0: float
-
-
-def initial_pacing_state(n: int, delta0: float = 1.0) -> PacingState:
-    lo, hi = pacing_box(n, delta0)
-    return PacingState(
-        beta=np.full(n, hi),
-        u_bar=np.zeros(n),
-        tau=0,
-        cumulative_spend=np.zeros(n),
-        delta0=delta0,
-    )
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """One auction: the winner, their bid, and the utility/spend vectors."""
-
-    winner: int
-    winning_bid: float
-    utilities: np.ndarray
-    expenditures: np.ndarray
-
-
-def auction_step(beta, item_values) -> StepOutcome:
-    """First-price auction for one item; ties go to the smallest index.
-
-    A winner whose value is zero still wins (with zero utility and spend).
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    values = np.asarray(item_values, dtype=np.float64)
-    bids = beta * values
-    winner = int(np.argmax(bids))
-    utilities = np.zeros(beta.size)
-    expenditures = np.zeros(beta.size)
-    utilities[winner] = values[winner]
-    expenditures[winner] = bids[winner]
-    return StepOutcome(
-        winner=winner,
-        winning_bid=float(bids[winner]),
-        utilities=utilities,
-        expenditures=expenditures,
-    )
-
-
-def pace_update(state: PacingState, item_values) -> Tuple[PacingState, StepOutcome]:
-    """Run one auction and refresh the multipliers from the new averages."""
-    n = state.beta.size
-    lo, hi = pacing_box(n, state.delta0)
-    outcome = auction_step(state.beta, item_values)
-    tau = state.tau + 1
-    u_bar = ((tau - 1.0) * state.u_bar + outcome.utilities) / tau
-    with np.errstate(divide="ignore"):
-        beta = np.clip(1.0 / (n * u_bar), lo, hi)
-    new_state = PacingState(
-        beta=beta,
-        u_bar=u_bar,
-        tau=tau,
-        cumulative_spend=state.cumulative_spend + outcome.expenditures,
-        delta0=state.delta0,
-    )
-    return new_state, outcome
 
 
 @dataclass(frozen=True)
@@ -139,7 +69,6 @@ def run_pace(
     record_betas: bool = False,
 ) -> PaceTrace:
     """Run the dynamics over a full sequence; deterministic in its inputs."""
-    V = instance.valuations
     n = instance.n
     items = seq.items
     if items.max() >= instance.m:
@@ -154,7 +83,7 @@ def run_pace(
         ):
             raise ValueError("record_times must be strictly increasing within [1, t]")
     lo, hi = pacing_box(n, delta0)
-    step_values = V.T[items]  # (t, n) row per arriving item
+    VT = np.ascontiguousarray(instance.valuations.T)  # (m, n) row per item
 
     beta = np.full(n, hi)
     u_bar = np.zeros(n)
@@ -173,8 +102,8 @@ def run_pace(
     next_rec = 0
 
     with np.errstate(divide="ignore"):
-        for s in range(t):
-            values = step_values[s]
+        for s, item in enumerate(items.tolist()):
+            values = VT[item]
             bids = beta * values
             w = int(np.argmax(bids))
             winners[s] = w
@@ -241,13 +170,6 @@ def equivalence_with_da(
     return bool(np.max(np.abs(state.w - trace.betas[seq.t])) <= tol)
 
 
-def trace_subgradients(trace: PaceTrace) -> np.ndarray:
-    """Dense (t, n) matrix of the run's auction subgradients."""
-    gs = np.zeros((trace.t, trace.n))
-    gs[np.arange(trace.t), trace.winners] = trace.winner_values
-    return gs
-
-
 def regret_diagnostic(
     trace: PaceTrace,
     instance: MarketInstance,
@@ -271,44 +193,14 @@ def regret_diagnostic(
     step_values = instance.valuations.T[seq.items]  # (t, n)
     ref_barrier = -float(np.log(w_ref).sum()) / n
     ref_objective_values = (step_values * w_ref).max(axis=1) + ref_barrier
+    # the auction subgradient: the winner's value on the winner's coordinate
+    subgradients = np.zeros((trace.t, n))
+    subgradients[np.arange(trace.t), trace.winners] = trace.winner_values
     return regret_bound_check(
         trace.betas,
-        trace_subgradients(trace),
+        subgradients,
         objective_values,
         ref_objective_values,
         w_ref,
         sigma,
     )
-
-
-def write_trace_csv(
-    trace: PaceTrace, path, include_beta: bool = False, include_ubar: bool = False
-) -> None:
-    """Export one row per auction step, optionally with the state vectors.
-
-    State columns are replayed from the recorded winners and values with the
-    same arithmetic as the run itself, so no full trajectory is needed.
-    """
-    n = trace.n
-    header = ["tau", "winner", "winning_bid"]
-    if include_beta:
-        header += [f"beta_{i + 1}" for i in range(n)]
-    if include_ubar:
-        header += [f"ubar_{i + 1}" for i in range(n)]
-    lo, hi = pacing_box(n, trace.delta0)
-    u_bar = np.zeros(n)
-    with open(path, "w", newline="") as fh, np.errstate(divide="ignore"):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in range(trace.t):
-            tau = s + 1
-            scaled = (tau - 1.0) * u_bar
-            scaled[trace.winners[s]] += trace.winner_values[s]
-            u_bar = scaled / tau
-            row = [tau, int(trace.winners[s]), repr(float(trace.winning_bids[s]))]
-            if include_beta:
-                beta = np.clip(1.0 / (n * u_bar), lo, hi)
-                row.extend(repr(float(x)) for x in beta)
-            if include_ubar:
-                row.extend(repr(float(x)) for x in u_bar)
-            writer.writerow(row)

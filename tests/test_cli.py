@@ -106,6 +106,52 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(no_schema)]) == 2
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"t": "abc"}, "t must be int"),
+        ({"t": None}, "t must be int"),
+        ({"paths": "x"}, "paths must be int"),
+        ({"base_seed": "s"}, "base_seed must be int"),
+        ({"delta0": "x"}, "delta0 must be float"),
+        ({"delta0": -1}, "delta0 must be positive"),
+        ({"delta0": 0}, "delta0 must be positive"),
+        ({"grid": {"dense_until": "a"}}, "dense_until must be int"),
+        ({"grid": {"dense_until": 0}}, "grid.dense_until must be positive"),
+        ({"grid": {"factor": "f"}}, "factor must be float"),
+        ({"grid": {"factor": "nan"}}, "grid.factor finite"),
+        ({"grid": 3}, "grid must be an object"),
+        ({"market": "path"}, "market spec must be an object"),
+        ({"model": {"kind": "corrupted", "random": {"m": 3}, "corruption": "x"}}, "must be objects"),
+        (
+            {"model": {"kind": "corrupted", "random": {"m": 3}, "corruption": {"scale": "z"}}},
+            "bad random model directive",
+        ),
+        ({"model": {"kind": "periodic", "random": {"m": 3}}}, "bad random model directive"),
+        ({"model": {"kind": "periodic", "random": {"m": 3, "q": "a"}}}, "bad random model directive"),
+        (
+            {"model": {"kind": "iid", "random": {"m": 4, "seed": 4}}},
+            "market generator has m=3 items but the input model has m=4",
+        ),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, override, message):
+    config = {
+        "schema": 1,
+        "market": {"generator": {"n": 2, "m": 3, "rank": 1, "noise": 0.1, "seed": 2}},
+        "model": {"kind": "iid", "random": {"m": 3, "seed": 4}},
+        "t": 150,
+        "paths": 1,
+        "base_seed": 5,
+    }
+    config.update(override)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 def test_solve_missing_file_exit_code(tmp_path, market_file):
     assert main(["solve", "--market", str(market_file), "--sequence", str(tmp_path / "no.json")]) == 2
 

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from fairpace import (
     iterate_da,
     regret_bound_check,
 )
-from fairpace.dual_averaging import write_da_trajectory_csv
 
 BOX = LogBarrierRegularizer(n=2, lo=0.25, hi=2.0)
 
@@ -147,16 +144,3 @@ def test_one_step_stability_bound(rng):
     taus = np.arange(1, len(data) + 1)
     bound = 2 * G / (taus * reg.modulus)
     assert np.all(diffs[1:] <= bound[1:] + 1e-12)
-
-
-def test_trajectory_csv_round_trip(tmp_path, rng):
-    ws = rng.random((4, 2)) + 0.5
-    gs = rng.random((3, 2))
-    path = tmp_path / "traj.csv"
-    write_da_trajectory_csv(path, ws, gs)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["tau", "w_1", "w_2", "g_1", "g_2"]
-    assert len(rows) == 4
-    parsed = np.array([[float(x) for x in row[1:3]] for row in rows[1:]])
-    assert np.array_equal(parsed, ws[:3])

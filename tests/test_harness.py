@@ -209,6 +209,7 @@ class TestCsvRoundTrip:
         report = run_experiment(cfg, out_dir=str(tmp_path))
         series_list = read_paths_csv(tmp_path / "paths.csv")
         assert len(series_list) == 2
+        assert [s.metadata["model"] for s in series_list] == ["iid", "iid"]
         again = summarize(series_list)
         for name in report.means:
             assert np.allclose(again.means[name], report.means[name])

@@ -1,107 +1,92 @@
-import csv
-
 import numpy as np
 import pytest
 
 from fairpace import (
     ItemSequence,
     MarketInstance,
-    auction_step,
     equivalence_with_da,
     hindsight_solution,
-    initial_pacing_state,
-    pace_update,
     pacing_box,
     regret_diagnostic,
     run_pace,
     sample_sequence,
-    write_trace_csv,
 )
 from fairpace.errors import DimensionMismatch
 from fairpace.inputs import random_iid_model, random_markov_model
 from tests.conftest import random_instance, tie_free_run
 
 
+def each_item_once(values):
+    """Market with one item per column of `values` and a sequence visiting each in order."""
+    values = np.asarray(values, dtype=np.float64)
+    return MarketInstance(values), ItemSequence(np.arange(values.shape[1]))
+
+
 class TestAuctionStep:
     def test_highest_bid_wins(self):
-        out = auction_step([2.0, 2.0], [0.5, 1.0])
-        assert out.winner == 1
-        assert np.allclose(out.utilities, [0.0, 1.0])
-        assert np.allclose(out.expenditures, [0.0, 2.0])
-        assert out.winning_bid == 2.0
+        inst, seq = each_item_once([[0.5], [1.0]])
+        trace = run_pace(inst, seq, delta0=1.0)
+        assert trace.winners.tolist() == [1]
+        assert trace.winning_bids[0] == 2.0
+        assert np.allclose(trace.u_bar_final, [0.0, 1.0])
+        assert np.allclose(trace.spend_avg_final, [0.0, 2.0])
 
     def test_tie_breaks_to_smallest_index(self):
-        out = auction_step([1.0, 1.0], [1.0, 1.0])
-        assert out.winner == 0
+        inst, seq = each_item_once([[1.0], [1.0]])
+        assert run_pace(inst, seq).winners.tolist() == [0]
 
     def test_single_agent(self):
-        out = auction_step([1.5], [0.7])
-        assert out.winner == 0
-        assert out.winning_bid == pytest.approx(1.05)
+        inst, seq = each_item_once([[0.7]])
+        trace = run_pace(inst, seq, delta0=0.5)
+        assert trace.winners.tolist() == [0]
+        assert trace.winning_bids[0] == pytest.approx(1.05)
 
     def test_spend_identity(self, rng):
-        for _ in range(50):
-            beta = rng.random(5) + 0.1
-            values = rng.random(5)
-            out = auction_step(beta, values)
-            assert out.expenditures.sum() == out.winning_bid
-            assert (out.utilities != 0).sum() <= 1
-
-    def test_winner_scale_invariance(self, rng):
-        for _ in range(50):
-            beta = rng.random(4) + 0.1
-            values = rng.random(4)
-            c = float(rng.random() * 10 + 0.1)
-            assert auction_step(beta, values).winner == auction_step(beta, c * values).winner
+        # 50 auctions on fresh random value vectors, each won by the highest bid
+        inst, seq = each_item_once(rng.random((5, 50)))
+        trace = run_pace(inst, seq, record_betas=True)
+        V = inst.valuations
+        for s in range(seq.t):
+            bids = trace.betas[s] * V[:, s]
+            w = trace.winners[s]
+            assert w == int(np.argmax(bids))
+            assert trace.winning_bids[s] == bids[w]
+            assert trace.winner_values[s] == V[w, s]
+        per_agent = np.bincount(trace.winners, weights=trace.winning_bids, minlength=5)
+        assert np.allclose(trace.spend_avg_final * seq.t, per_agent, rtol=1e-12, atol=0)
 
 
 class TestPaceUpdate:
     def test_hand_executed_two_steps(self):
-        state = initial_pacing_state(n=2, delta0=1.0)
-        assert np.allclose(state.beta, 2.0)
-
-        state, out = pace_update(state, np.array([0.5, 1.0]))
-        assert out.winner == 1
-        assert np.allclose(state.u_bar, [0.0, 1.0])
-        assert np.allclose(state.beta, [2.0, 0.5])
-
-        state, out = pace_update(state, np.array([1.0, 0.2]))
-        assert out.winner == 0
-        assert np.allclose(state.u_bar, [0.5, 0.5])
-        assert np.allclose(state.beta, [1.0, 1.0])
-        assert np.allclose(state.cumulative_spend, [2.0, 2.0])
+        # step 1 values [0.5, 1.0], step 2 values [1.0, 0.2]
+        inst, seq = each_item_once([[0.5, 1.0], [1.0, 0.2]])
+        trace = run_pace(inst, seq, delta0=1.0, record_times=[1, 2], record_betas=True)
+        assert np.allclose(trace.betas[0], 2.0)
+        assert trace.winners.tolist() == [1, 0]
+        assert np.allclose(trace.u_bar_at[0], [0.0, 1.0])
+        assert np.allclose(trace.beta_at[0], [2.0, 0.5])
+        assert np.allclose(trace.u_bar_at[1], [0.5, 0.5])
+        assert np.allclose(trace.beta_at[1], [1.0, 1.0])
+        assert np.allclose(trace.spend_avg_final * seq.t, [2.0, 2.0])
 
     def test_single_agent_closed_form(self):
-        state = initial_pacing_state(n=1, delta0=1.0)
         for v in (0.6, 1.7, 2.0):
-            fresh, _ = pace_update(initial_pacing_state(n=1, delta0=1.0), np.array([v]))
-            assert fresh.beta[0] == pytest.approx(1.0 / v)
-        assert state.beta[0] == 2.0
+            inst, seq = each_item_once([[v]])
+            trace = run_pace(inst, seq, delta0=1.0, record_betas=True)
+            assert trace.betas[0, 0] == 2.0
+            assert trace.beta_final[0] == pytest.approx(1.0 / v)
 
     def test_box_invariant(self, rng):
-        state = initial_pacing_state(n=3, delta0=0.5)
+        inst, seq = each_item_once(rng.random((3, 100)) * 3)
         lo, hi = pacing_box(3, 0.5)
-        for _ in range(100):
-            state, _ = pace_update(state, rng.random(3) * 3)
-            assert np.all(state.beta >= lo) and np.all(state.beta <= hi)
-            assert np.all(state.u_bar >= 0)
+        trace = run_pace(
+            inst, seq, delta0=0.5, record_times=np.arange(1, 101), record_betas=True
+        )
+        assert np.all(trace.betas >= lo) and np.all(trace.betas <= hi)
+        assert np.all(trace.u_bar_at >= 0)
 
 
 class TestRunPace:
-    def test_matches_stepwise_updates(self, rng):
-        inst = random_instance(rng, 4, 6)
-        seq = ItemSequence(rng.integers(0, 6, size=120))
-        trace = run_pace(inst, seq, delta0=1.0, record_betas=True)
-        state = initial_pacing_state(4, 1.0)
-        for tau, item in enumerate(seq.items):
-            assert np.array_equal(trace.betas[tau], state.beta)
-            state, out = pace_update(state, inst.valuations[:, item])
-            assert trace.winners[tau] == out.winner
-            assert trace.winning_bids[tau] == out.winning_bid
-        assert np.array_equal(trace.beta_final, state.beta)
-        assert np.array_equal(trace.u_bar_final, state.u_bar)
-        assert np.allclose(trace.spend_avg_final, state.cumulative_spend / seq.t)
-
     def test_two_step_hand_example(self):
         inst = MarketInstance(np.array([[0.5, 1.0], [1.0, 0.2]]).T)
         # items arranged so arrivals replay the hand example values
@@ -200,18 +185,3 @@ class TestRegretDiagnostic:
         trace = run_pace(inst, seq)
         with pytest.raises(ValueError):
             regret_diagnostic(trace, inst, seq, np.array([1.0, 1.0]))
-
-
-def test_trace_csv_export(tmp_path, rng):
-    inst = random_instance(rng, 2, 3)
-    seq = ItemSequence(rng.integers(0, 3, size=12))
-    trace = run_pace(inst, seq, record_betas=True)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, include_beta=True, include_ubar=True)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["tau", "winner", "winning_bid", "beta_1", "beta_2", "ubar_1", "ubar_2"]
-    assert len(rows) == 13
-    # replayed state columns equal the recorded trajectory
-    betas = np.array([[float(x) for x in row[3:5]] for row in rows[1:]])
-    assert np.allclose(betas, trace.betas[1:], atol=0, rtol=0)
