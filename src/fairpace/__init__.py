@@ -56,6 +56,7 @@ from .pace import (
     pacing_box,
     regret_diagnostic,
     run_pace,
+    run_pace_paths,
 )
 from .eg import (
     DualProblem,

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -42,10 +41,15 @@ from .market import (
     normalize_valuations,
 )
 from .metrics import METRIC_NAMES, MetricSeries, build_metric_series, recording_grid
-from .pace import run_pace
+from .pace import run_pace_paths
 from .prng import derive_path_seed, make_generator
 
 CONFIG_SCHEMA = 1
+
+# Most paths one lockstep pacing run holds at once. Pacing cost per path
+# step stops falling much beyond this, and each path's trace stays live
+# until its batch is scored, so the cap bounds memory on many-path runs.
+LOCKSTEP_PATHS = 16
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,21 @@ class ExperimentConfig:
 
 
 def _convert(kind, section: dict, key: str, default=None):
-    """section[key] (or the default when it is absent) as an int or a float."""
+    """section[key] (or the default when it is absent) as an int or a float.
+
+    Booleans, and for ints any float with a fractional part, are refused
+    rather than truncated into a different experiment than the one written.
+    """
     value = section[key] if default is None else section.get(key, default)
+    error = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise error
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error from exc
 
 
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
@@ -181,22 +194,22 @@ def resolve_model(config: ExperimentConfig) -> InputModel:
         if not isinstance(directive, dict) or not isinstance(c, dict):
             raise ConfigError("model 'random' and 'corruption' must be objects")
         try:
-            m = int(directive["m"])
-            seed = int(directive.get("seed", 0))
+            m = _convert(int, directive, "m")
+            seed = _convert(int, directive, "seed", 0)
             if kind == "iid":
                 return random_iid_model(m, seed)
             if kind == "corrupted":
                 schedule = CorruptionSchedule(
                     kind=c.get("kind", "decaying"),
-                    scale=float(c.get("scale", 1.0)),
-                    target=float(c.get("target", 0.0)),
+                    scale=_convert(float, c, "scale", 1.0),
+                    target=_convert(float, c, "target", 0.0),
                 )
                 return random_corrupted_model(m, schedule, seed)
             if kind == "markov":
                 return random_markov_model(m, seed)
             if kind == "periodic":
-                return random_periodic_model(m, int(directive["q"]), seed)
-        except (KeyError, TypeError, ValueError) as exc:
+                return random_periodic_model(m, _convert(int, directive, "q"), seed)
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad random model directive: {exc}") from exc
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
@@ -221,17 +234,17 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     if "generator" in doc:
         g = doc["generator"]
         try:
-            m = int(g["m"])
+            m = _convert(int, g, "m")
             if m != ref.m:
                 raise ConfigError(
                     f"market generator has m={m} items but the input model has m={ref.m}"
                 )
             return generate_market(
-                n=int(g["n"]),
+                n=_convert(int, g, "n"),
                 m=m,
-                rank=int(g.get("rank", 10)),
-                noise=float(g.get("noise", 0.1)),
-                seed=int(g.get("seed", 0)),
+                rank=_convert(int, g, "rank", 10),
+                noise=_convert(float, g, "noise", 0.1),
+                seed=_convert(int, g, "seed", 0),
                 ref=ref,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -280,35 +293,40 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
     return AggregateReport(times=times, means=means, stderrs=stderrs, paths=k)
 
 
-def _run_path(args) -> MetricSeries:
-    (instance, model, t, delta0, grid, path_index, path_seed, hs_tol, star_refs) = args
-    seq = sample_sequence(model, t, path_seed)
-    trace = run_pace(instance, seq, delta0, record_times=grid)
-    hs = hindsight_solution(instance, seq, delta0, tol=hs_tol)
-    if not hs.converged:
-        raise NoConvergence(
-            f"hindsight solve failed on path {path_index} (seed {path_seed}): "
-            f"residual {hs.residual:.3g}"
-        )
-    hs_u = equilibrium_utilities(hs, instance.n)
+def _run_paths(args) -> List[MetricSeries]:
+    """Score one batch of paths, with their pacing runs in lockstep."""
+    (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs) = args
+    seqs = [sample_sequence(model, t, seed) for seed in path_seeds]
+    traces = run_pace_paths(instance, seqs, delta0, record_times=grid)
     star_beta, star_u = star_refs
-    return build_metric_series(
-        trace,
-        instance,
-        seq,
-        hs.beta_hat,
-        hs_u,
-        star_beta,
-        star_u,
-        metadata={
-            "model": model.kind,
-            "path_id": path_index,
-            "path_seed": path_seed,
-            "n": instance.n,
-            "m": instance.m,
-            "delta0": delta0,
-        },
-    )
+    series_list = []
+    for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
+        hs = hindsight_solution(instance, seq, delta0, tol=hs_tol)
+        if not hs.converged:
+            raise NoConvergence(
+                f"hindsight solve failed on path {path_index} (seed {path_seed}): "
+                f"residual {hs.residual:.3g}"
+            )
+        hs_u = equilibrium_utilities(hs, instance.n)
+        series = build_metric_series(
+            trace,
+            instance,
+            seq,
+            hs.beta_hat,
+            hs_u,
+            star_beta,
+            star_u,
+            metadata={
+                "model": model.kind,
+                "path_id": path_index,
+                "path_seed": path_seed,
+                "n": instance.n,
+                "m": instance.m,
+                "delta0": delta0,
+            },
+        )
+        series_list.append(series)
+    return series_list
 
 
 def run_experiment(
@@ -340,6 +358,10 @@ def run_experiment(
         if len(path_seeds) != config.paths:
             raise ConfigError("path_seeds must provide one seed per path")
         seeds = [int(s) for s in path_seeds]
+    # contiguous batches of at most LOCKSTEP_PATHS paths, one per worker when
+    # the pool is used; each batch is paced in lockstep
+    workers = max(1, min(threads, config.paths))
+    size = min(-(-config.paths // workers), LOCKSTEP_PATHS)
     jobs = [
         (
             instance,
@@ -347,18 +369,23 @@ def run_experiment(
             config.t,
             config.delta0,
             grid,
-            p,
-            seeds[p],
+            range(start, min(start + size, config.paths)),
+            seeds[start : start + size],
             solver_tol,
             (star.beta_hat, star_u),
         )
-        for p in range(config.paths)
+        for start in range(0, config.paths, size)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            series_list = list(pool.map(_run_path, jobs))
+    if workers > 1:
+        # imported here: the process pool machinery costs memory and import
+        # time that a serial run does not need
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_run_paths, jobs))
     else:
-        series_list = [_run_path(job) for job in jobs]
+        batches = [_run_paths(job) for job in jobs]
+    series_list = [series for batch in batches for series in batch]
     aggregated = summarize(series_list)
     report = AggregateReport(
         times=aggregated.times,

@@ -19,6 +19,7 @@ horizon-t sequence.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -207,12 +208,18 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
         u = rng.random(t)
         row_cdfs = np.cumsum(model.transition, axis=1)
         row_cdfs[:, -1] = 1.0
+        m = model.m
+        # bisect_left over row `state` of the flat CDF table is searchsorted
+        # with side="left", without a numpy call per step
+        flat = memoryview(row_cdfs.reshape(-1))
         items = np.empty(t, dtype=np.int64)
+        out = memoryview(items)
         state = int(sample_categorical(categorical_cdf(model.base.probs), u[0]))
-        items[0] = state
-        for tau in range(1, t):
-            state = int(np.searchsorted(row_cdfs[state], u[tau], side="left"))
-            items[tau] = state
+        out[0] = state
+        for tau, x in enumerate(memoryview(u[1:]), 1):
+            lo = state * m
+            state = bisect_left(flat, x, lo, lo + m) - lo
+            out[tau] = state
     else:
         q, m = model.period_dists.shape
         blocks = math.ceil(t / q)

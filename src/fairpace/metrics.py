@@ -166,6 +166,7 @@ def build_metric_series(
         baseline_u = instance.budgets * value_totals / stop
         baseline[k] = np.max(np.abs(baseline_u - hs_u) / hs_u)
         start = stop
+        del chunk  # free it before the next chunk is built
     values["envy_max"] = envy_max
     values["baseline_rel_u_hs"] = baseline
 

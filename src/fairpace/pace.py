@@ -6,14 +6,15 @@ realized value feeds a running average utility, and each multiplier is the
 clamped reciprocal beta_i = clamp(1 / (n u_bar_i)) over the box
 [1 / ((1 + delta0) n), 1 + delta0].
 
-`run_pace` is the one implementation of the auction and the update. The
-update is exactly composite dual averaging with the log-barrier
+`run_pace_paths` is the one implementation of the auction and the update;
+it runs many sample paths in lockstep, and `run_pace` is its one-path
+case. The update is exactly composite dual averaging with the log-barrier
 regularizer, and `equivalence_with_da` checks it step by step against the
 generic `dual_averaging.da_step`, the independent reference.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dual_averaging import (
     initial_state,
     regret_bound_check,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, LengthMismatch
 from .market import ItemSequence, MarketInstance
 
 
@@ -61,19 +62,29 @@ class PaceTrace:
     betas: Optional[np.ndarray] = None
 
 
-def run_pace(
+def run_pace_paths(
     instance: MarketInstance,
-    seq: ItemSequence,
+    seqs: Sequence[ItemSequence],
     delta0: float = 1.0,
     record_times: Optional[Sequence[int]] = None,
     record_betas: bool = False,
-) -> PaceTrace:
-    """Run the dynamics over a full sequence; deterministic in its inputs."""
+) -> List[PaceTrace]:
+    """Run the dynamics over P equal-length sequences in lockstep.
+
+    Path p's state is row p of (P, n) arrays, and every step applies the
+    same elementwise operations to each row that a single run would, so
+    each returned trace is bit-identical to running its sequence alone.
+    """
     n = instance.n
-    items = seq.items
+    P = len(seqs)
+    if P == 0:
+        raise ValueError("need at least one sequence")
+    t = seqs[0].t
+    if any(seq.t != t for seq in seqs):
+        raise LengthMismatch("lockstep sequences must have equal lengths")
+    items = np.stack([seq.items for seq in seqs], axis=1)  # (t, P) row per step
     if items.max() >= instance.m:
         raise DimensionMismatch("sequence references items outside the universe")
-    t = items.size
     if record_times is None:
         times = np.array([t], dtype=np.int64)
     else:
@@ -85,60 +96,97 @@ def run_pace(
     lo, hi = pacing_box(n, delta0)
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n) row per item
 
-    beta = np.full(n, hi)
-    u_bar = np.zeros(n)
-    spend = np.zeros(n)
-    winners = np.empty(t, dtype=np.int64)
-    winner_values = np.empty(t)
-    winning_bids = np.empty(t)
+    beta = np.full((P, n), hi)
+    u_bar = np.zeros((P, n))
+    spend = np.zeros((P, n))
+    values = np.empty((P, n))
+    bids = np.empty((P, n))
+    # flat views: row p's winner w sits at p * n + w
+    u_flat, spend_flat = u_bar.reshape(-1), spend.reshape(-1)
+    values_flat, bids_flat = values.reshape(-1), bids.reshape(-1)
+    row_start = np.arange(P) * n
+    flat_w = np.empty(P, dtype=np.intp)
+    # per-step records, one row per step, transposed to one row per path below
+    winners = np.empty((t, P), dtype=np.intp)
+    winning_bids = np.empty((t, P))
     betas = None
     if record_betas:
-        betas = np.empty((t + 1, n))
-        betas[0] = beta
+        betas = np.empty((P, t + 1, n))
+        betas[:, 0] = beta
     k = times.size
-    beta_at = np.empty((k, n))
-    u_bar_at = np.empty((k, n))
-    spend_avg_at = np.empty((k, n))
-    next_rec = 0
+    beta_at = np.empty((P, k, n))
+    u_bar_at = np.empty((P, k, n))
+    spend_avg_at = np.empty((P, k, n))
+    # spend is only read at the recording times and at the end, so it is
+    # summed there: add.at adds each path's winning bids in step order, the
+    # same sums a running total makes
+    stops = times.tolist() + [t]
+    summed = rec = 0
 
     with np.errstate(divide="ignore"):
-        for s, item in enumerate(items.tolist()):
-            values = VT[item]
-            bids = beta * values
-            w = int(np.argmax(bids))
-            winners[s] = w
-            winner_values[s] = values[w]
-            winning_bids[s] = bids[w]
-            spend[w] += bids[w]
+        for s in range(t):
+            # items are checked above; mode="clip" writes `values` unbuffered
+            VT.take(items[s], axis=0, out=values, mode="clip")
+            np.multiply(beta, values, out=bids)
+            np.add(row_start, bids.argmax(axis=1, out=winners[s]), out=flat_w)
+            winning_bids[s] = bids_flat[flat_w]
             tau = s + 1
-            scaled = (tau - 1.0) * u_bar
-            scaled[w] += values[w]
-            u_bar = scaled / tau
-            beta = np.clip(1.0 / (n * u_bar), lo, hi)
+            np.multiply(u_bar, tau - 1.0, out=u_bar)
+            u_flat[flat_w] += values_flat[flat_w]
+            np.divide(u_bar, tau, out=u_bar)
+            np.multiply(u_bar, n, out=beta)
+            np.divide(1.0, beta, out=beta)
+            np.maximum(beta, lo, out=beta)
+            np.minimum(beta, hi, out=beta)
             if record_betas:
-                betas[tau] = beta
-            if next_rec < k and times[next_rec] == tau:
-                beta_at[next_rec] = beta
-                u_bar_at[next_rec] = u_bar
-                spend_avg_at[next_rec] = spend / tau
-                next_rec += 1
+                betas[:, tau] = beta
+            if tau == stops[rec]:
+                np.add.at(
+                    spend_flat,
+                    (winners[summed:tau] + row_start).reshape(-1),
+                    winning_bids[summed:tau].reshape(-1),
+                )
+                summed = tau
+                if rec < k:
+                    beta_at[:, rec] = beta
+                    u_bar_at[:, rec] = u_bar
+                    np.divide(spend, tau, out=spend_avg_at[:, rec])
+                    rec += 1
 
-    return PaceTrace(
-        n=n,
-        t=t,
-        delta0=delta0,
-        winners=winners,
-        winner_values=winner_values,
-        winning_bids=winning_bids,
-        record_times=times,
-        beta_at=beta_at,
-        u_bar_at=u_bar_at,
-        spend_avg_at=spend_avg_at,
-        beta_final=beta,
-        u_bar_final=u_bar,
-        spend_avg_final=spend / t,
-        betas=betas,
-    )
+    winners = np.ascontiguousarray(winners.T, dtype=np.int64)
+    winning_bids = np.ascontiguousarray(winning_bids.T)
+    winner_values = VT[items.T, winners]
+    spend_avg = spend / t
+    return [
+        PaceTrace(
+            n=n,
+            t=t,
+            delta0=delta0,
+            winners=winners[p],
+            winner_values=winner_values[p],
+            winning_bids=winning_bids[p],
+            record_times=times,
+            beta_at=beta_at[p],
+            u_bar_at=u_bar_at[p],
+            spend_avg_at=spend_avg_at[p],
+            beta_final=beta[p],
+            u_bar_final=u_bar[p],
+            spend_avg_final=spend_avg[p],
+            betas=None if betas is None else betas[p],
+        )
+        for p in range(P)
+    ]
+
+
+def run_pace(
+    instance: MarketInstance,
+    seq: ItemSequence,
+    delta0: float = 1.0,
+    record_times: Optional[Sequence[int]] = None,
+    record_betas: bool = False,
+) -> PaceTrace:
+    """Run the dynamics over a full sequence; deterministic in its inputs."""
+    return run_pace_paths(instance, [seq], delta0, record_times, record_betas)[0]
 
 
 def equivalence_with_da(

@@ -361,9 +361,10 @@ def test_criterion_09_baseline_dominance():
         assert star.converged, kind
         star_u = equilibrium_utilities(star, n)
         pace_curves, base_curves = [], []
-        for p in range(10):
-            seq = fp.sample_sequence(model, t, derive_path_seed(47, p))
-            trace = fp.run_pace(inst, seq, delta0=DELTA0, record_times=grid)
+        # the ten paths are paced in lockstep, as `fairpace run` paces them
+        seqs = [fp.sample_sequence(model, t, derive_path_seed(47, p)) for p in range(10)]
+        traces = fp.run_pace_paths(inst, seqs, delta0=DELTA0, record_times=grid)
+        for p, (seq, trace) in enumerate(zip(seqs, traces)):
             hs = fp.hindsight_solution(inst, seq, delta0=DELTA0)
             assert hs.converged, (kind, p)
             hs_u = equilibrium_utilities(hs, n)

@@ -133,6 +133,18 @@ def test_config_error_exit_code(tmp_path):
             {"model": {"kind": "iid", "random": {"m": 4, "seed": 4}}},
             "market generator has m=3 items but the input model has m=4",
         ),
+        # integer fields refuse bools and fractional floats instead of truncating
+        ({"t": 150.7}, "t must be int, got 150.7"),
+        ({"paths": True}, "paths must be int, got True"),
+        ({"base_seed": -3.9}, "base_seed must be int, got -3.9"),
+        ({"delta0": True}, "delta0 must be float, got True"),
+        ({"grid": {"dense_until": 10.5}}, "dense_until must be int, got 10.5"),
+        ({"market": {"generator": {"n": 2.5, "m": 3}}}, "n must be int, got 2.5"),
+        ({"market": {"generator": {"n": 2, "m": 3, "rank": True}}}, "rank must be int"),
+        ({"market": {"generator": {"n": 2, "m": 3, "seed": 2.5}}}, "seed must be int"),
+        ({"model": {"kind": "iid", "random": {"m": 3.5}}}, "bad random model directive: m must be int"),
+        ({"model": {"kind": "iid", "random": {"m": 3, "seed": 4.2}}}, "bad random model directive: seed must be int"),
+        ({"model": {"kind": "periodic", "random": {"m": 3, "q": 2.5}}}, "bad random model directive: q must be int"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):

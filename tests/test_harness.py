@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fairpace import MetricSeries, generate_market, run_experiment, summarize
+from fairpace import MetricSeries, generate_market, harness, run_experiment, summarize
 from fairpace.errors import ConfigError, GridMismatch, InvalidRank
 from fairpace.harness import (
     config_from_dict,
@@ -46,6 +46,11 @@ class TestConfig:
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(ConfigError):
             toy_config(t=0)
+
+    def test_integral_floats_are_integers(self):
+        cfg = toy_config(t=300.0, paths=2.0, base_seed=-3.0)
+        assert (cfg.t, cfg.paths, cfg.base_seed) == (300, 2, -3)
+        assert all(type(v) is int for v in (cfg.t, cfg.paths, cfg.base_seed))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -195,12 +200,24 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
-        cfg = toy_config(paths=3)
-        run_experiment(cfg, threads=1, out_dir=str(tmp_path / "serial"))
-        run_experiment(cfg, threads=2, out_dir=str(tmp_path / "par"))
-        assert (tmp_path / "serial" / "paths.csv").read_bytes() == (
-            tmp_path / "par" / "paths.csv"
-        ).read_bytes()
+        # both counts split unevenly over two workers: 2 + 1 and 3 + 2 paths
+        for paths in (3, 5):
+            cfg = toy_config(paths=paths)
+            serial, par = tmp_path / f"serial{paths}", tmp_path / f"par{paths}"
+            run_experiment(cfg, threads=1, out_dir=str(serial))
+            run_experiment(cfg, threads=2, out_dir=str(par))
+            for name in ("paths.csv", "aggregate.csv"):
+                assert (serial / name).read_bytes() == (par / name).read_bytes()
+
+    def test_batch_cap_matches_one_batch(self, tmp_path, monkeypatch):
+        cfg = toy_config(paths=5)
+        run_experiment(cfg, out_dir=str(tmp_path / "one"))
+        monkeypatch.setattr(harness, "LOCKSTEP_PATHS", 2)
+        run_experiment(cfg, out_dir=str(tmp_path / "capped"))
+        for name in ("paths.csv", "aggregate.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (
+                tmp_path / "capped" / name
+            ).read_bytes()
 
 
 class TestCsvRoundTrip:

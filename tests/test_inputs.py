@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpace import (
     CorruptionSchedule,
@@ -21,6 +23,7 @@ from fairpace import (
 )
 from fairpace.errors import InvalidHorizon, LengthMismatch, NoConvergence
 from fairpace.inputs import corruption_step_distributions
+from fairpace.prng import make_generator
 
 
 def point_mass(m, j):
@@ -267,3 +270,29 @@ def test_model_json_round_trip():
         seq_a = sample_sequence(model, 50, path_seed=3)
         seq_b = sample_sequence(back, 50, path_seed=3)
         assert np.array_equal(seq_a.items, seq_b.items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    model_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    path_seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_markov_sampler_matches_searchsorted(m, model_seed, path_seed):
+    # the sampler's stream: t uniforms, the first drawn from the start
+    # distribution and each next one from the current state's row; about
+    # half the transitions are zero, so rows repeat CDF values
+    rng = np.random.default_rng(model_seed)
+    raw = rng.random((m, m)) * (rng.random((m, m)) < 0.5)
+    raw[np.arange(m), rng.integers(0, m, size=m)] += 0.1
+    model = markov_model(raw / raw.sum(axis=1, keepdims=True), np.full(m, 1.0 / m))
+    t = 300
+    u = make_generator(path_seed).random(t)
+    start = np.cumsum(model.base.probs)
+    start[-1] = 1.0
+    rows = np.cumsum(model.transition, axis=1)
+    rows[:, -1] = 1.0
+    expected = [int(np.searchsorted(start, u[0], side="left"))]
+    for x in u[1:]:
+        expected.append(int(np.searchsorted(rows[expected[-1]], x, side="left")))
+    assert sample_sequence(model, t, path_seed).items.tolist() == expected

@@ -9,11 +9,12 @@ from fairpace import (
     pacing_box,
     regret_diagnostic,
     run_pace,
+    run_pace_paths,
     sample_sequence,
 )
-from fairpace.errors import DimensionMismatch
+from fairpace.errors import DimensionMismatch, LengthMismatch
 from fairpace.inputs import random_iid_model, random_markov_model
-from tests.conftest import random_instance, tie_free_run
+from tests.conftest import has_bid_tie, random_instance, tie_free_run
 
 
 def each_item_once(values):
@@ -137,6 +138,76 @@ class TestRunPace:
         trace = run_pace(inst, seq)
         spend_total = trace.winning_bids.sum()
         assert trace.spend_avg_final.sum() * seq.t == pytest.approx(spend_total, rel=1e-12)
+
+
+class TestLockstep:
+    def assert_same_traces(self, lockstep, single):
+        assert len(lockstep) == len(single)
+        for a, b in zip(lockstep, single):
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(y, np.ndarray):
+                    assert x.dtype == y.dtype and x.shape == y.shape, name
+                    assert x.tobytes() == y.tobytes(), name
+                else:
+                    assert x == y, name
+
+    def run_both(self, inst, seqs, **kwargs):
+        lockstep = run_pace_paths(inst, seqs, **kwargs)
+        self.assert_same_traces(lockstep, [run_pace(inst, seq, **kwargs) for seq in seqs])
+
+    def test_three_paths_match_single_runs(self, rng):
+        inst = random_instance(rng, 6, 9)
+        seqs = [ItemSequence(rng.integers(0, 9, size=400)) for _ in range(3)]
+        self.run_both(inst, seqs, delta0=0.7, record_times=[1, 2, 5, 40, 399, 400])
+        self.run_both(inst, seqs, delta0=1.0, record_betas=True)
+        self.run_both(inst, seqs, record_times=[3, 17], record_betas=True)
+
+    def test_tied_bids(self, rng):
+        # agents 0 and 1 value everything alike, so their bids tie until one wins
+        v = rng.random((4, 5)) + 0.05
+        v[1] = v[0]
+        inst = MarketInstance(v)
+        seqs = [ItemSequence(rng.integers(0, 5, size=200)) for _ in range(3)]
+        assert all(has_bid_tie(inst, seq) for seq in seqs)
+        self.run_both(inst, seqs, record_times=np.arange(1, 201), record_betas=True)
+
+    def test_paths_are_independent(self, rng):
+        inst = random_instance(rng, 3, 4)
+        seqs = [ItemSequence(rng.integers(0, 4, size=60)) for _ in range(3)]
+        alone = run_pace_paths(inst, seqs[1:2], record_betas=True)
+        together = run_pace_paths(inst, seqs, record_betas=True)
+        self.assert_same_traces(together[1:2], alone)
+
+    def test_spend_matches_running_sum(self, rng):
+        # a grid that stops short of t, so the last spend sum runs past it
+        inst = random_instance(rng, 4, 6)
+        seqs = [ItemSequence(rng.integers(0, 6, size=50)) for _ in range(3)]
+        times = [2, 9, 30]
+        for trace in run_pace_paths(inst, seqs, record_times=times):
+            spend = np.zeros(4)
+            for s, (w, bid) in enumerate(zip(trace.winners, trace.winning_bids)):
+                spend[w] += bid
+                if s + 1 in times:
+                    k = times.index(s + 1)
+                    assert trace.spend_avg_at[k].tobytes() == (spend / (s + 1)).tobytes()
+            assert trace.spend_avg_final.tobytes() == (spend / 50).tobytes()
+
+    def test_unequal_lengths(self, rng):
+        inst = random_instance(rng, 2, 3)
+        seqs = [ItemSequence(np.array([0, 1, 2])), ItemSequence(np.array([0, 1]))]
+        with pytest.raises(LengthMismatch):
+            run_pace_paths(inst, seqs)
+
+    def test_needs_a_sequence(self, rng):
+        with pytest.raises(ValueError):
+            run_pace_paths(random_instance(rng, 2, 3), [])
+
+    def test_dimension_mismatch_on_any_path(self, rng):
+        inst = random_instance(rng, 2, 3)
+        seqs = [ItemSequence(np.array([0, 1])), ItemSequence(np.array([0, 3]))]
+        with pytest.raises(DimensionMismatch):
+            run_pace_paths(inst, seqs)
 
 
 class TestDaEquivalence:
