@@ -21,14 +21,13 @@ from .errors import ConfigError, FairpaceError, NoConvergence
 from .harness import (
     config_from_dict,
     generate_market,
-    load_config,
     read_paths_csv,
     run_experiment,
     summarize,
     write_aggregate_csv,
 )
 from .inputs import model_from_dict, sample_sequence
-from .market import market_from_dict, market_to_dict, sequence_from_dict, sequence_to_dict
+from .market import market_from_dict, market_to_dict, read_json, sequence_from_dict, sequence_to_dict
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,25 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path, what: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-
-
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    raw = dict(config.raw)
-    if args.seed is not None:
-        raw["base_seed"] = args.seed
-    if args.paths is not None:
-        raw["paths"] = args.paths
-    if args.seed is not None or args.paths is not None:
-        config = config_from_dict(raw, base_dir=Path(args.config).parent)
+    doc = read_json(args.config, "config")
+    overrides = {"base_seed": args.seed, "paths": args.paths}
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
+    config = config_from_dict(doc, base_dir=Path(args.config).parent)
     report = run_experiment(config, threads=args.threads, out_dir=args.out)
     terminal = report.terminal()
     for name in sorted(terminal):
@@ -100,8 +86,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = market_from_dict(_load_json(args.market, "market"))
-    seq = sequence_from_dict(_load_json(args.sequence, "sequence"))
+    if not (0.0 < args.delta0 < float("inf") and args.tol > 0.0):
+        raise ConfigError("--delta0 must be positive and finite and --tol positive")
+    instance = market_from_dict(read_json(args.market, "market"))
+    seq = sequence_from_dict(read_json(args.sequence, "sequence"))
     solution = hindsight_solution(instance, seq, delta0=args.delta0, tol=args.tol)
     doc = json.dumps(solution_to_dict(solution), indent=2)
     if args.out:
@@ -122,7 +110,7 @@ def _cmd_gen_market(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = model_from_dict(_load_json(args.model, "model"))
+    model = model_from_dict(read_json(args.model, "model"))
     seq = sample_sequence(model, args.t, args.seed)
     Path(args.out).write_text(json.dumps(sequence_to_dict(seq)))
     return 0

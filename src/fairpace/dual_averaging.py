@@ -35,9 +35,6 @@ class LogBarrierRegularizer:
         # the barrier decreases in every coordinate, so its box minimum is at hi
         return np.full(self.n, self.hi)
 
-    def value(self, w) -> float:
-        return -float(np.log(w).sum()) / self.n
-
 
 @dataclass(frozen=True)
 class DaState:

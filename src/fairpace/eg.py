@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveBeta, NoConvergenceWarning, ZeroExpectedValue
+from .errors import DimensionMismatch, NonpositiveBeta, NoConvergenceWarning, ZeroExpectedValue
 from .market import ItemSequence, MarketInstance, ReferenceDistribution
 from .pace import pacing_box
 
@@ -331,6 +331,8 @@ def hindsight_solution(
     max_iters: int = 200_000,
 ) -> DualSolution:
     """Dual optimum of the realized sequence, via its empirical frequencies."""
+    if seq.items.max() >= instance.m:
+        raise DimensionMismatch("sequence references items outside the universe")
     weights = np.bincount(seq.items, minlength=instance.m) / seq.t
     return solve_dual(market_problem(instance, weights, delta0), tol=tol, max_iters=max_iters)
 

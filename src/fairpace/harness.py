@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -23,22 +23,15 @@ import numpy as np
 from . import __version__
 from .eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
 from .errors import ConfigError, GridMismatch, InvalidRank, NoConvergence
-from .inputs import (
-    CorruptionSchedule,
-    InputModel,
-    model_from_dict,
-    random_corrupted_model,
-    random_iid_model,
-    random_markov_model,
-    random_periodic_model,
-    reference_distribution,
-    sample_sequence,
-)
+from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequence
 from .market import (
     MarketInstance,
     ReferenceDistribution,
+    as_config_error,
     market_from_dict,
     normalize_valuations,
+    read_field,
+    read_json,
 )
 from .metrics import METRIC_NAMES, MetricSeries, build_metric_series, recording_grid
 from .pace import run_pace_paths
@@ -68,24 +61,6 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
-def _convert(kind, section: dict, key: str, default=None):
-    """section[key] (or the default when it is absent) as an int or a float.
-
-    Booleans, and for ints any float with a fractional part, are refused
-    rather than truncated into a different experiment than the one written.
-    """
-    value = section[key] if default is None else section.get(key, default)
-    error = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise error
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error from exc
-
-
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -94,50 +69,46 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     try:
         market = doc["market"]
         model = doc["model"]
-        t = _convert(int, doc, "t")
-        paths = _convert(int, doc, "paths")
+        t = read_field(int, doc, "t")
+        paths = read_field(int, doc, "paths")
     except KeyError as exc:
         raise ConfigError(f"config missing required field {exc}") from exc
     if t < 1 or paths < 1:
         raise ConfigError("t and paths must be positive")
-    delta0 = _convert(float, doc, "delta0", 1.0)
+    delta0 = read_field(float, doc, "delta0", 1.0)
     if not 0.0 < delta0 < np.inf:
         raise ConfigError(f"delta0 must be positive and finite, got {delta0!r}")
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
-    dense_until = _convert(int, grid, "dense_until", 100)
-    grid_factor = _convert(float, grid, "factor", 1.1)
+    dense_until = read_field(int, grid, "dense_until", 100)
+    grid_factor = read_field(float, grid, "factor", 1.1)
     if dense_until < 1 or not np.isfinite(grid_factor):
         raise ConfigError("grid.dense_until must be positive and grid.factor finite")
-    if isinstance(market, dict) and "path" in market and base_dir is not None:
-        resolved = (base_dir / market["path"]).resolve()
-        if not resolved.exists():
-            raise ConfigError(f"market file not found: {resolved}")
-        market = {**market, "path": str(resolved)}
+    if isinstance(market, dict) and "path" in market:
+        if not isinstance(market["path"], str):
+            raise ConfigError("market path must be a string")
+        if base_dir is not None:
+            market = {**market, "path": str(base_dir / market["path"])}
+    out_dir = doc.get("out")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError("out must be a string")
     return ExperimentConfig(
         market=market,
         model=model,
         t=t,
         paths=paths,
         delta0=delta0,
-        base_seed=_convert(int, doc, "base_seed", 0),
+        base_seed=read_field(int, doc, "base_seed", 0),
         dense_until=dense_until,
         grid_factor=grid_factor,
-        out_dir=doc.get("out"),
+        out_dir=out_dir,
         raw=doc,
     )
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, base_dir=path.parent)
+    return config_from_dict(read_json(path, "config"), base_dir=Path(path).parent)
 
 
 def config_hash(doc: dict) -> str:
@@ -161,8 +132,8 @@ def generate_market(
     """
     if not 1 <= rank <= min(n, m):
         raise InvalidRank(f"rank must lie in [1, {min(n, m)}]")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError(f"noise must be nonnegative and finite, got {noise!r}")
     if ref is None:
         ref = ReferenceDistribution(np.full(m, 1.0 / m))
     rng = make_generator(seed)
@@ -184,38 +155,7 @@ def generate_market(
 
 def resolve_model(config: ExperimentConfig) -> InputModel:
     """Build the input model: explicit arrays or random generation directives."""
-    doc = config.model
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("model spec must be an object with a 'kind'")
-    kind = doc["kind"]
-    if "random" in doc:
-        directive = doc["random"]
-        c = doc.get("corruption", {"kind": "decaying"})
-        if not isinstance(directive, dict) or not isinstance(c, dict):
-            raise ConfigError("model 'random' and 'corruption' must be objects")
-        try:
-            m = _convert(int, directive, "m")
-            seed = _convert(int, directive, "seed", 0)
-            if kind == "iid":
-                return random_iid_model(m, seed)
-            if kind == "corrupted":
-                schedule = CorruptionSchedule(
-                    kind=c.get("kind", "decaying"),
-                    scale=_convert(float, c, "scale", 1.0),
-                    target=_convert(float, c, "target", 0.0),
-                )
-                return random_corrupted_model(m, schedule, seed)
-            if kind == "markov":
-                return random_markov_model(m, seed)
-            if kind == "periodic":
-                return random_periodic_model(m, _convert(int, directive, "q"), seed)
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad random model directive: {exc}") from exc
-        raise ConfigError(f"unknown model kind {kind!r}")
-    try:
-        return model_from_dict(doc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
+    return model_from_dict(config.model)
 
 
 def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> MarketInstance:
@@ -224,31 +164,26 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     if not isinstance(doc, dict):
         raise ConfigError("market spec must be an object")
     if "path" in doc:
-        path = Path(doc["path"])
-        if not path.exists():
-            raise ConfigError(f"market file not found: {path}")
-        instance = market_from_dict(json.loads(path.read_text()))
+        instance = market_from_dict(read_json(doc["path"], "market"))
         return MarketInstance(
             normalize_valuations(instance.valuations, ref), instance.budgets
         )
     if "generator" in doc:
         g = doc["generator"]
-        try:
-            m = _convert(int, g, "m")
+        with as_config_error("bad market generator spec"):
+            m = read_field(int, g, "m")
             if m != ref.m:
                 raise ConfigError(
                     f"market generator has m={m} items but the input model has m={ref.m}"
                 )
             return generate_market(
-                n=_convert(int, g, "n"),
+                n=read_field(int, g, "n"),
                 m=m,
-                rank=_convert(int, g, "rank", 10),
-                noise=_convert(float, g, "noise", 0.1),
-                seed=_convert(int, g, "seed", 0),
+                rank=read_field(int, g, "rank", 10),
+                noise=read_field(float, g, "noise", 0.1),
+                seed=read_field(int, g, "seed", 0),
                 ref=ref,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad market generator spec: {exc}") from exc
     raise ConfigError("market spec needs either 'path' or 'generator'")
 
 
@@ -386,12 +321,8 @@ def run_experiment(
     else:
         batches = [_run_paths(job) for job in jobs]
     series_list = [series for batch in batches for series in batch]
-    aggregated = summarize(series_list)
-    report = AggregateReport(
-        times=aggregated.times,
-        means=aggregated.means,
-        stderrs=aggregated.stderrs,
-        paths=aggregated.paths,
+    report = replace(
+        summarize(series_list),
         provenance={
             "config": config.raw,
             "config_hash": config_hash(config.raw),
@@ -455,9 +386,8 @@ def read_paths_csv(path) -> List[MetricSeries]:
     """Parse a per-path CSV back into one series per path."""
     rows: Dict[int, Dict[str, Dict[int, float]]] = {}
     model_kinds: Dict[int, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    with as_config_error(f"bad paths CSV {path}"), open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
             pid = int(row["path_id"])
             model_kinds.setdefault(pid, row["model"])
             rows.setdefault(pid, {}).setdefault(row["metric"], {})[int(row["t"])] = float(

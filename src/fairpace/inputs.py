@@ -25,8 +25,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import InvalidHorizon, LengthMismatch, NoConvergence
-from .market import ItemSequence, ReferenceDistribution
+from .errors import ConfigError, InvalidHorizon, LengthMismatch, NoConvergence
+from .market import ItemSequence, ReferenceDistribution, as_config_error, read_field
 from .prng import categorical_cdf, make_generator, sample_categorical
 
 KINDS = ("iid", "corrupted", "markov", "periodic")
@@ -53,8 +53,8 @@ class CorruptionSchedule:
     def __post_init__(self):
         if self.kind not in ("decaying", "budgeted"):
             raise ValueError(f"unknown corruption schedule kind {self.kind!r}")
-        if self.kind == "decaying" and self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+        if self.kind == "decaying" and not 0.0 <= self.scale < np.inf:
+            raise ValueError("scale must be nonnegative and finite")
         if self.kind == "budgeted" and not 0.0 <= self.target < 1.0:
             raise ValueError("target must lie in [0, 1)")
 
@@ -410,20 +410,45 @@ def model_to_dict(model: InputModel) -> dict:
     return doc
 
 
-def model_from_dict(doc: dict) -> InputModel:
-    corruption = None
-    if "corruption" in doc:
-        c = doc["corruption"]
-        corruption = CorruptionSchedule(
-            kind=c["kind"],
-            scale=c.get("scale", 1.0),
-            target=c.get("target", 0.0),
-        )
-    return InputModel(
-        kind=doc["kind"],
-        base=_as_reference(doc["base"]) if "base" in doc else None,
-        transition=doc.get("transition"),
-        period_dists=doc.get("period_dists"),
-        corruption=corruption,
-        seed=int(doc.get("seed", 0)),
+def _corruption(doc: dict) -> CorruptionSchedule:
+    return CorruptionSchedule(
+        kind=doc.get("kind", "decaying"),
+        scale=read_field(float, doc, "scale", 1.0),
+        target=read_field(float, doc, "target", 0.0),
     )
+
+
+def model_from_dict(doc: dict) -> InputModel:
+    """The model a document describes; ConfigError if it is malformed.
+
+    The document holds the model's arrays, as `model_to_dict` writes them,
+    or a `random` directive: `m`, `seed` and, for periodic models, `q`.
+    """
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ConfigError("model spec must be an object with a 'kind'")
+    kind, c = doc["kind"], doc.get("corruption", {})
+    if not isinstance(doc.get("random", {}), dict) or not isinstance(c, dict):
+        raise ConfigError("model 'random' and 'corruption' must be objects")
+    if "random" not in doc:
+        with as_config_error("bad model spec"):
+            return InputModel(
+                kind=kind,
+                base=_as_reference(doc["base"]) if "base" in doc else None,
+                transition=doc.get("transition"),
+                period_dists=doc.get("period_dists"),
+                corruption=_corruption(c) if "corruption" in doc else None,
+                seed=read_field(int, doc, "seed", 0),
+            )
+    directive = doc["random"]
+    with as_config_error("bad random model directive"):
+        m = read_field(int, directive, "m")
+        seed = read_field(int, directive, "seed", 0)
+        if kind == "iid":
+            return random_iid_model(m, seed)
+        if kind == "corrupted":
+            return random_corrupted_model(m, _corruption(c), seed)
+        if kind == "markov":
+            return random_markov_model(m, seed)
+        if kind == "periodic":
+            return random_periodic_model(m, read_field(int, directive, "q"), seed)
+    raise ConfigError(f"unknown model kind {kind!r}")

@@ -2,14 +2,64 @@
 
 All types are immutable value data; the backing arrays are marked read-only
 so instances can be shared freely across worker threads or processes.
+
+`read_json`, `read_field` and `as_config_error` are the one input boundary
+of every JSON document the package reads: configs, markets, sequences and
+input models.
 """
 
+import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroExpectedValue
+from .errors import ConfigError, DimensionMismatch, FairpaceError, ZeroExpectedValue
+
+
+def read_json(path, what: str):
+    """The parsed contents of a JSON file; any failure is a ConfigError."""
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_field(kind, section: dict, key: str, default=None):
+    """section[key] (or the default when it is absent) as an int or a float.
+
+    Booleans, and for ints any float with a fractional part, are refused
+    rather than truncated into a different experiment than the one written.
+    """
+    value = section[key] if default is None else section.get(key, default)
+    error = ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise error
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error from exc
+
+
+@contextmanager
+def as_config_error(what: str):
+    """Re-raise what parsing a bad or unreadable document raises as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing field {exc}") from exc
+    except (FairpaceError, OSError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -94,8 +144,8 @@ class ItemSequence:
             raise ValueError("items must be a nonempty 1-d vector")
         if not np.issubdtype(items.dtype, np.integer):
             raise ValueError("items must be integer indices")
-        if items.min() < 0:
-            raise ValueError("item indices must be nonnegative")
+        if items.min() < 0 or items.max() > np.iinfo(np.int64).max:
+            raise ValueError("item indices must be nonnegative 64-bit integers")
         items = items.astype(np.int64)
         items.setflags(write=False)
         object.__setattr__(self, "items", items)
@@ -141,13 +191,12 @@ def market_to_dict(instance: MarketInstance) -> dict:
 
 
 def market_from_dict(doc: dict) -> MarketInstance:
-    v = np.asarray(doc["valuations"], dtype=np.float64)
-    if v.shape != (doc["n"], doc["m"]):
-        raise DimensionMismatch(
-            f"valuations shape {v.shape} does not match n={doc['n']}, m={doc['m']}"
-        )
-    budgets = np.asarray(doc["budgets"], dtype=np.float64) if "budgets" in doc else None
-    return MarketInstance(v, budgets)
+    with as_config_error("bad market"):
+        n, m = read_field(int, doc, "n"), read_field(int, doc, "m")
+        v = np.asarray(doc["valuations"], dtype=np.float64)
+        if v.shape != (n, m):
+            raise DimensionMismatch(f"valuations shape {v.shape} does not match n={n}, m={m}")
+        return MarketInstance(v, doc.get("budgets"))
 
 
 def sequence_to_dict(seq: ItemSequence) -> dict:
@@ -155,4 +204,5 @@ def sequence_to_dict(seq: ItemSequence) -> dict:
 
 
 def sequence_from_dict(doc: dict) -> ItemSequence:
-    return ItemSequence(np.asarray(doc["items"], dtype=np.int64))
+    with as_config_error("bad sequence"):
+        return ItemSequence(doc["items"])

@@ -50,22 +50,21 @@ def regret(trace: PaceTrace, hindsight_u, t: int) -> np.ndarray:
     return t * hindsight_u - realized_total_utilities(trace)
 
 
-def bundle_values(trace: PaceTrace, instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
-    """Matrix S with S[k, i] = value agent i places on winner k's bundle."""
+def envy(trace: PaceTrace, instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
+    """Each agent's preference for the best other bundle over their own, >= 0.
+
+    S[k, i], the value agent i places on winner k's bundle, comes from the
+    (winner, item) counts, so no (t, n) matrix is built.
+    """
     if trace.t != seq.t:
         raise DimensionMismatch("trace and sequence lengths differ")
     if trace.n != instance.n:
         raise DimensionMismatch("trace and instance agent counts differ")
-    if seq.items.max() >= instance.m:
+    n, m = instance.n, instance.m
+    if seq.items.max() >= m:
         raise DimensionMismatch("sequence references items outside the universe")
-    S = np.zeros((instance.n, instance.n))
-    np.add.at(S, trace.winners, instance.valuations.T[seq.items])
-    return S
-
-
-def envy(trace: PaceTrace, instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
-    """Each agent's preference for the best other bundle over their own, >= 0."""
-    S = bundle_values(trace, instance, seq)
+    counts = np.bincount(trace.winners * m + seq.items, minlength=n * m).reshape(n, m)
+    S = counts @ instance.valuations.T
     return S.max(axis=0) - np.diag(S)
 
 

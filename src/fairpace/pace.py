@@ -238,9 +238,10 @@ def regret_diagnostic(
     w_ref = np.asarray(w_ref, dtype=np.float64)
     barrier = -np.log(trace.betas[:-1]).sum(axis=1) / n
     objective_values = trace.winning_bids + barrier
-    step_values = instance.valuations.T[seq.items]  # (t, n)
     ref_barrier = -float(np.log(w_ref).sum()) / n
-    ref_objective_values = (step_values * w_ref).max(axis=1) + ref_barrier
+    # each item's best bid at w_ref, looked up per step: no (t, n) matrix
+    best_bids = (instance.valuations.T * w_ref).max(axis=1)
+    ref_objective_values = best_bids[seq.items] + ref_barrier
     # the auction subgradient: the winner's value on the winner's coordinate
     subgradients = np.zeros((trace.t, n))
     subgradients[np.arange(trace.t), trace.winners] = trace.winner_values

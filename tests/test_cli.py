@@ -187,3 +187,117 @@ def test_numerical_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+
+
+MARKET_2x3 = {"n": 2, "m": 3, "valuations": [[1.0, 0.5, 0.2], [0.3, 1.0, 0.6]]}
+IID_3 = {"kind": "iid", "base": [0.2, 0.3, 0.5]}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _sample(tmp_path, model):
+    return ["sample", "--model", _write(tmp_path, "model.json", model), "--t", "20",
+            "--out", str(tmp_path / "seq.json")]
+
+
+def _solve(tmp_path, market=MARKET_2x3, items=(0, 1, 2)):
+    seq = items if isinstance(items, str) else {"items": list(items)}
+    return ["solve", "--market", _write(tmp_path, "market.json", market),
+            "--sequence", _write(tmp_path, "seq.json", seq)]
+
+
+def _run(tmp_path, market_file=None, model=None, **fields):
+    config = {
+        "schema": 1,
+        "market": {"path": "market.json"},
+        "model": model or IID_3,
+        "t": 50,
+        "paths": 1,
+        **fields,
+    }
+    if market_file is not None:
+        _write(tmp_path, "market.json", market_file)
+    return ["run", "--config", _write(tmp_path, "config.json", config),
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda p: _sample(p, {"base": [0.5, 0.5]}), "model spec must be an object with a 'kind'"),
+        (
+            lambda p: _sample(p, {"kind": "markov", "base": [0.5, 0.5], "transition": [[0.5, 0.5]]}),
+            "transition matrix must be square",
+        ),
+        (
+            lambda p: _sample(
+                p, {"kind": "corrupted", "base": [0.5, 0.5], "corruption": {"scale": "z"}}
+            ),
+            "scale must be float",
+        ),
+        (lambda p: _sample(p, {**IID_3, "seed": 2.5}), "seed must be int, got 2.5"),
+        (
+            lambda p: _sample(p, {**IID_3, "kind": "corrupted", "corruption": {"scale": "inf"}}),
+            "scale must be nonnegative and finite",
+        ),
+        (lambda p: _sample(p, {"kind": "periodic", "random": {"m": 3}}), "missing field 'q'"),
+        (lambda p: _sample(p, "[1, 2"), "model is not valid JSON"),
+        (lambda p: _solve(p, market={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
+        (lambda p: _solve(p, market={**MARKET_2x3, "n": 3}), "does not match n=3, m=3"),
+        (lambda p: _solve(p, items=(0, -1)), "item indices must be nonnegative"),
+        (lambda p: _solve(p, items=(0.5, 1)), "items must be integer indices"),
+        (lambda p: _solve(p, items=(0, 5)), "sequence references items outside the universe"),
+        (lambda p: _solve(p, items=(2**63, 2**63 + 1)), "nonnegative 64-bit integers"),
+        (lambda p: _solve(p, items="{}"), "bad sequence: missing field 'items'"),
+        (lambda p: _solve(p) + ["--delta0", "-1"], "--delta0 must be positive"),
+        (lambda p: _run(p, market_file="{not json"), "market is not valid JSON"),
+        (lambda p: _run(p, market_file={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
+        (lambda p: _run(p), "market file not found"),
+        (lambda p: _run(p, MARKET_2x3, {**IID_3, "seed": 2.5}), "seed must be int, got 2.5"),
+        (lambda p: _run(p, MARKET_2x3, market={"path": 5}), "market path must be a string"),
+        (lambda p: _run(p, MARKET_2x3, out=5), "out must be a string"),
+        (
+            lambda p: ["gen-market", "--n", "3", "--m", "4", "--rank", "2", "--noise", "-1",
+                       "--out", str(p / "m.json")],
+            "noise must be nonnegative",
+        ),
+        (
+            lambda p: ["summarize", "--paths-csv", _write(p, "paths.csv", "a,b\n1,2\n"),
+                       "--out", str(p / "agg.csv")],
+            "missing field 'path_id'",
+        ),
+        (
+            lambda p: ["summarize", "--paths-csv", str(p / "no.csv"), "--out", str(p / "agg.csv")],
+            "No such file",
+        ),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(("config error: ", "error: ")) and message in err
+
+
+def test_run_reads_market_file_relative_to_config(tmp_path):
+    assert main(_run(tmp_path, MARKET_2x3)) == 0
+    assert (tmp_path / "out" / "paths.csv").exists()
+
+
+def test_sample_accepts_random_directive(tmp_path):
+    model = {"kind": "periodic", "random": {"m": 3, "q": 2, "seed": 1}}
+    assert main(_sample(tmp_path, model)) == 0
+    items = json.loads((tmp_path / "seq.json").read_text())["items"]
+    assert len(items) == 20 and set(items) <= {0, 1, 2}
+
+
+def test_numeric_strings_read_as_numbers_in_every_model_form(tmp_path):
+    # one field reader: "2" is read as 2.0 in the explicit and the random form
+    explicit = {"kind": "corrupted", "base": [0.5, 0.5], "corruption": {"scale": "2"}}
+    directive = {"kind": "corrupted", "random": {"m": 2}, "corruption": {"scale": "2"}}
+    for model in (explicit, directive):
+        assert main(_sample(tmp_path, model)) == 0

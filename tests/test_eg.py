@@ -16,7 +16,12 @@ from fairpace import (
     solve_dual,
 )
 from fairpace.eg import solution_from_dict, solution_to_dict
-from fairpace.errors import NonpositiveBeta, NoConvergenceWarning, ZeroExpectedValue
+from fairpace.errors import (
+    DimensionMismatch,
+    NonpositiveBeta,
+    NoConvergenceWarning,
+    ZeroExpectedValue,
+)
 from tests.conftest import random_instance
 
 
@@ -258,6 +263,11 @@ class TestHindsight:
         weights = np.bincount(seq.items, minlength=4) / seq.t
         direct = solve_dual(market_problem(inst, weights))
         assert np.allclose(sol.beta_hat, direct.beta_hat, atol=1e-12)
+
+    def test_item_outside_universe(self):
+        inst = MarketInstance(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            hindsight_solution(inst, ItemSequence(np.array([0, 5])))
 
 
 def test_solution_json_round_trip(rng):

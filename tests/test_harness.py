@@ -99,6 +99,11 @@ class TestGenerateMarket:
         with pytest.raises(InvalidRank):
             generate_market(3, 4, rank=0)
 
+    def test_negative_or_non_finite_noise(self):
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                generate_market(3, 4, rank=2, noise=noise)
+
     def test_positive_rows_always(self):
         for seed in range(20):
             inst = generate_market(4, 3, rank=1, noise=0.5, seed=seed)

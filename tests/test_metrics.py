@@ -113,6 +113,24 @@ class TestEnvy:
         out = envy(run_pace(inst, seq), inst, seq)
         assert np.allclose(out, 0.0, atol=1e-8)
 
+    def test_matches_dense_bundle_sum(self, rng):
+        # S from (winner, item) counts against S summed over a (t, n) matrix
+        for _ in range(20):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            inst = random_instance(rng, n, m)
+            seq = ItemSequence(rng.integers(0, m, size=200))
+            trace = run_pace(inst, seq)
+            S = np.zeros((n, n))
+            np.add.at(S, trace.winners, inst.valuations.T[seq.items])
+            dense = S.max(axis=0) - np.diag(S)
+            assert np.allclose(envy(trace, inst, seq), dense, rtol=1e-12, atol=1e-12)
+
+    def test_item_outside_universe(self, rng):
+        inst = random_instance(rng, 2, 3)
+        seq = ItemSequence(np.array([0, 1, 2]))
+        with pytest.raises(DimensionMismatch):
+            envy(run_pace(inst, seq), inst, ItemSequence(np.array([0, 1, 3])))
+
     def test_nonnegative(self, rng):
         for _ in range(20):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
