@@ -132,9 +132,19 @@ _COMMANDS = {
 }
 
 
+def _check_out_dir(out) -> None:
+    """Refuse an --out whose directory is missing, before any work is done."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise ConfigError(f"output directory {str(parent)!r} does not exist")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # `run --out` names a directory, which the run creates
+        if args.command != "run" and args.out is not None:
+            _check_out_dir(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -100,7 +100,7 @@ class RegretBoundResult:
 
 def regret_bound_check(
     iterates,
-    subgradients,
+    sq_norms,
     objective_values,
     ref_objective_values,
     w_ref,
@@ -109,24 +109,24 @@ def regret_bound_check(
 ) -> RegretBoundResult:
     """Check ||w_{t+1} - w_ref||^2 <= (2 / (sigma t)) (Delta_t - R_t(w_ref)).
 
-    iterates holds the t+1 points w_1..w_{t+1} and subgradients the t
-    observed g_tau. objective_values[k] is the composite value of the k-th
-    pre-step iterate on the k-th observation (aligned with iterates[:-1]);
+    iterates holds the t+1 points w_1..w_{t+1} and sq_norms the squared
+    Euclidean norms ||g_tau||^2 of the t observed subgradients.
+    objective_values[k] is the composite value of the k-th pre-step iterate
+    on the k-th observation (aligned with iterates[:-1]);
     ref_objective_values holds the composite values of w_ref on the same
-    observations. R_t sums their differences, and Delta_t accumulates
-    squared Euclidean subgradient norms as
+    observations. R_t sums their differences, and Delta_t accumulates the
+    squared norms as
     (5 ||g_1||^2 + sum_{tau >= 1} ||g_{tau+1}||^2 / tau) / (2 sigma).
     """
-    gs = np.asarray(subgradients, dtype=np.float64)
+    sq = np.asarray(sq_norms, dtype=np.float64)
     ws = np.asarray(iterates, dtype=np.float64)
-    t = gs.shape[0]
+    t = sq.shape[0]
     if t < 1:
         raise ValueError("need at least one step")
     if ws.shape[0] != t + 1:
-        raise ValueError("iterates must hold one more point than subgradients")
+        raise ValueError("iterates must hold one more point than squared norms")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    sq = (gs**2).sum(axis=1)
     grad_term = float((5.0 * sq[0] + (sq[1:] / np.arange(1, t)).sum()) / (2.0 * sigma))
     regret = float(np.sum(np.asarray(objective_values) - np.asarray(ref_objective_values)))
     lhs = float(((ws[-1] - np.asarray(w_ref)) ** 2).sum())

@@ -347,13 +347,3 @@ def solution_to_dict(solution: DualSolution) -> dict:
         "evaluations": solution.evaluations,
     }
 
-
-def solution_from_dict(doc: dict) -> DualSolution:
-    return DualSolution(
-        beta_hat=np.asarray(doc["beta"], dtype=np.float64),
-        objective=float(doc["objective"]),
-        residual=float(doc["residual"]),
-        iterations=int(doc.get("iterations", 0)),
-        converged=bool(doc.get("converged", True)),
-        evaluations=int(doc.get("evaluations", 0)),
-    )

@@ -14,7 +14,7 @@ class InvalidHorizon(FairpaceError):
 
 
 class LengthMismatch(FairpaceError):
-    """Probability vectors of different lengths were combined."""
+    """Sequences paced in lockstep have different lengths."""
 
 
 class DimensionMismatch(FairpaceError):

@@ -268,13 +268,12 @@ def run_experiment(
     config: ExperimentConfig,
     threads: int = 1,
     out_dir: Optional[str] = None,
-    path_seeds: Optional[Sequence[int]] = None,
     solver_tol: float = 1e-8,
 ) -> AggregateReport:
     """Run all paths, aggregate, and optionally write CSV and JSON outputs.
 
-    path_seeds overrides the derived per-path seeds (a test hook). A failed
-    path aborts the whole experiment with its path and seed in the message.
+    A failed path aborts the whole experiment with its path and seed in the
+    message.
     """
     started = time.time()
     model = resolve_model(config)
@@ -287,12 +286,7 @@ def run_experiment(
         )
     star_u = equilibrium_utilities(star, instance.n)
     grid = recording_grid(config.t, config.dense_until, config.grid_factor)
-    if path_seeds is None:
-        seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
-    else:
-        if len(path_seeds) != config.paths:
-            raise ConfigError("path_seeds must provide one seed per path")
-        seeds = [int(s) for s in path_seeds]
+    seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
     # contiguous batches of at most LOCKSTEP_PATHS paths, one per worker when
     # the pool is used; each batch is paced in lockstep
     workers = max(1, min(threads, config.paths))

@@ -1,4 +1,4 @@
-"""Item-arrival models and their nonstationarity diagnostics.
+"""Item-arrival models: their sampling, reference distributions and documents.
 
 Four arrival processes over a finite item universe:
 
@@ -21,11 +21,11 @@ horizon-t sequence.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidHorizon, LengthMismatch, NoConvergence
+from .errors import ConfigError, InvalidHorizon, NoConvergence
 from .market import ItemSequence, ReferenceDistribution, as_config_error, read_field
 from .prng import categorical_cdf, make_generator, sample_categorical
 
@@ -113,11 +113,6 @@ class InputModel:
             return self.period_dists.shape[1]
         return self.base.m
 
-    @property
-    def q(self) -> int:
-        """Period length; 1 for the memoryless kinds."""
-        return self.period_dists.shape[0] if self.kind == "periodic" else 1
-
 
 def iid_model(base, seed: int = 0) -> InputModel:
     return InputModel("iid", base=_as_reference(base), seed=seed)
@@ -141,19 +136,16 @@ def _as_reference(dist) -> ReferenceDistribution:
     return ReferenceDistribution(np.asarray(dist, dtype=np.float64))
 
 
-def _as_prob_array(dist) -> np.ndarray:
-    if isinstance(dist, ReferenceDistribution):
-        return dist.probs
-    return np.asarray(dist, dtype=np.float64)
+def _feasible_corners(headroom: np.ndarray, target: float) -> np.ndarray:
+    """Items j whose headroom 1 - base_j reaches a budgeted target.
 
-
-def tv_distance(p, q) -> float:
-    """Total variation distance, half the L1 distance between the vectors."""
-    pa = _as_prob_array(p)
-    qa = _as_prob_array(q)
-    if pa.shape != qa.shape:
-        raise LengthMismatch(f"length {pa.size} vs {qa.size}")
-    return 0.5 * float(np.abs(pa - qa).sum())
+    Only a step mixed toward such a corner sits exactly `target` from the
+    base in total variation. Raises ValueError when no corner qualifies.
+    """
+    feasible = np.flatnonzero(headroom >= target)
+    if feasible.size == 0:
+        raise ValueError(f"corruption target {target} exceeds the headroom of every corner")
+    return feasible
 
 
 def corruption_step_distributions(model: InputModel, t: int) -> np.ndarray:
@@ -173,11 +165,7 @@ def corruption_step_distributions(model: InputModel, t: int) -> np.ndarray:
     if sched.target == 0.0:
         return np.tile(base, (t, 1))
     headroom = 1.0 - base
-    feasible = np.flatnonzero(headroom >= sched.target)
-    if feasible.size == 0:
-        raise ValueError(
-            f"corruption target {sched.target} exceeds the headroom of every corner"
-        )
+    feasible = _feasible_corners(headroom, sched.target)
     corners = feasible[(rng.random(t) * feasible.size).astype(np.int64)]
     # mixing weight per step so that TV(s^tau, base) == target exactly
     eps = sched.target / headroom[corners]
@@ -273,109 +261,18 @@ def reference_distribution(model: InputModel, tol: float = 1e-12) -> ReferenceDi
     return ReferenceDistribution(avg / avg.sum())
 
 
-def _markov_marginals(model: InputModel, t: int) -> np.ndarray:
-    """Rows are the step marginals base @ P^(tau-1) for tau = 1..t."""
-    marginals = np.empty((t, model.m))
-    q = model.base.probs.copy()
-    marginals[0] = q
-    for tau in range(1, t):
-        q = q @ model.transition
-        marginals[tau] = q
-    return marginals
-
-
-def average_marginal(model: InputModel, t: int) -> ReferenceDistribution:
-    """The exact average (1/t) sum of the per-step item marginals.
-
-    For periodic models the within-block shuffle makes every position's
-    marginal equal to the per-period average, so the result is that average
-    for every horizon, including horizons that truncate the final block.
-    """
-    t = _horizon(t)
-    if model.kind == "iid":
-        return model.base
-    if model.kind == "corrupted":
-        avg = corruption_step_distributions(model, t).mean(axis=0)
-    elif model.kind == "markov":
-        avg = _markov_marginals(model, t).mean(axis=0)
-    else:
-        avg = model.period_dists.mean(axis=0)
-    return ReferenceDistribution(avg / avg.sum())
-
-
-@dataclass(frozen=True)
-class NonstationarityReport:
-    """Computable deviation measures of a model over a finite horizon.
-
-    delta_avg is the average per-step total variation between the step
-    marginal and the model reference. epsilon_of_iota maps a step offset to
-    the worst-case distance from stationarity after that many transitions
-    (markov only). delta_block is the length-weighted block-average
-    deviation from the per-period average (periodic only).
-    """
-
-    delta_avg: float
-    epsilon_of_iota: Optional[Dict[int, float]] = None
-    delta_block: Optional[float] = None
-
-    def __post_init__(self):
-        values = [self.delta_avg]
-        if self.epsilon_of_iota:
-            values.extend(self.epsilon_of_iota.values())
-        if self.delta_block is not None:
-            values.append(self.delta_block)
-        if any(not 0.0 <= v <= 1.0 + 1e-12 for v in values):
-            raise ValueError("deviation measures must lie in [0, 1]")
-
-
-def nonstationarity_report(model: InputModel, t: int, iota_grid=()) -> NonstationarityReport:
-    """Exact nonstationarity measures of the model's first t marginals."""
-    t = _horizon(t)
-    if model.kind == "iid":
-        return NonstationarityReport(delta_avg=0.0)
-    if model.kind == "corrupted":
-        dists = corruption_step_distributions(model, t)
-        deltas = 0.5 * np.abs(dists - model.base.probs[None, :]).sum(axis=1)
-        return NonstationarityReport(delta_avg=float(deltas.mean()))
-    if model.kind == "markov":
-        pi = reference_distribution(model).probs
-        marginals = _markov_marginals(model, t)
-        delta_avg = float(0.5 * np.abs(marginals - pi[None, :]).sum(axis=1).mean())
-        eps: Dict[int, float] = {}
-        power = np.eye(model.m)
-        reached = 0
-        for iota in sorted(set(int(i) for i in iota_grid)):
-            if iota < 1:
-                raise ValueError("iota offsets must be >= 1")
-            for _ in range(iota - reached):
-                power = power @ model.transition
-            reached = iota
-            eps[iota] = float(0.5 * np.abs(power - pi[None, :]).sum(axis=1).max())
-        return NonstationarityReport(delta_avg=delta_avg, epsilon_of_iota=eps or None)
-    # periodic: every position's marginal is the per-period average, so both
-    # the per-step and the block-wise deviations evaluate to zero
-    pi = reference_distribution(model).probs
-    q = model.q
-    marginal = model.period_dists.mean(axis=0)
-    step_dev = 0.5 * np.abs(marginal - pi).sum()
-    delta_avg = float(step_dev)
-    blocks = [min(q, t - start) for start in range(0, t, q)]
-    delta_block = float(sum(size * step_dev for size in blocks) / t)
-    return NonstationarityReport(delta_avg=delta_avg, delta_block=delta_block)
-
-
-def random_base(m: int, seed: int = 0) -> ReferenceDistribution:
+def _random_base(m: int, seed: int = 0) -> ReferenceDistribution:
     """Random categorical distribution with uniform [0, 1) weights, normalized."""
     u = make_generator(seed).random(m)
     return ReferenceDistribution(u / u.sum())
 
 
 def random_iid_model(m: int, seed: int = 0) -> InputModel:
-    return iid_model(random_base(m, seed), seed=seed)
+    return iid_model(_random_base(m, seed), seed=seed)
 
 
 def random_corrupted_model(m: int, corruption: CorruptionSchedule, seed: int = 0) -> InputModel:
-    return corrupted_model(random_base(m, seed), corruption, seed=seed)
+    return corrupted_model(_random_base(m, seed), corruption, seed=seed)
 
 
 def random_markov_model(m: int, seed: int = 0) -> InputModel:
@@ -418,11 +315,20 @@ def _corruption(doc: dict) -> CorruptionSchedule:
     )
 
 
+def _reachable(model: InputModel) -> InputModel:
+    """The model, once a budgeted corruption's target is known to be reachable."""
+    sched = model.corruption
+    if model.kind == "corrupted" and sched.kind == "budgeted" and sched.target > 0.0:
+        _feasible_corners(1.0 - model.base.probs, sched.target)
+    return model
+
+
 def model_from_dict(doc: dict) -> InputModel:
     """The model a document describes; ConfigError if it is malformed.
 
     The document holds the model's arrays, as `model_to_dict` writes them,
-    or a `random` directive: `m`, `seed` and, for periodic models, `q`.
+    or a `random` directive: `m`, `seed` and, for periodic models, `q`. A
+    budgeted corruption target above every corner's headroom is malformed.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("model spec must be an object with a 'kind'")
@@ -431,13 +337,15 @@ def model_from_dict(doc: dict) -> InputModel:
         raise ConfigError("model 'random' and 'corruption' must be objects")
     if "random" not in doc:
         with as_config_error("bad model spec"):
-            return InputModel(
-                kind=kind,
-                base=_as_reference(doc["base"]) if "base" in doc else None,
-                transition=doc.get("transition"),
-                period_dists=doc.get("period_dists"),
-                corruption=_corruption(c) if "corruption" in doc else None,
-                seed=read_field(int, doc, "seed", 0),
+            return _reachable(
+                InputModel(
+                    kind=kind,
+                    base=_as_reference(doc["base"]) if "base" in doc else None,
+                    transition=doc.get("transition"),
+                    period_dists=doc.get("period_dists"),
+                    corruption=_corruption(c) if "corruption" in doc else None,
+                    seed=read_field(int, doc, "seed", 0),
+                )
             )
     directive = doc["random"]
     with as_config_error("bad random model directive"):
@@ -446,7 +354,7 @@ def model_from_dict(doc: dict) -> InputModel:
         if kind == "iid":
             return random_iid_model(m, seed)
         if kind == "corrupted":
-            return random_corrupted_model(m, _corruption(c), seed)
+            return _reachable(random_corrupted_model(m, _corruption(c), seed))
         if kind == "markov":
             return random_markov_model(m, seed)
         if kind == "periodic":

@@ -126,11 +126,6 @@ class MarketInstance:
     def m(self) -> int:
         return self.valuations.shape[1]
 
-    @property
-    def v_inf(self) -> float:
-        """Largest valuation entry; the subgradient bound of the dynamics."""
-        return float(self.valuations.max())
-
 
 @dataclass(frozen=True)
 class ItemSequence:
@@ -177,8 +172,8 @@ def proportional_share_utilities(instance: MarketInstance, seq: ItemSequence) ->
     """Average utility when every arriving item is split in proportion to budgets."""
     if seq.items.max() >= instance.m:
         raise DimensionMismatch("sequence references items outside the universe")
-    per_step = instance.valuations[:, seq.items]
-    return instance.budgets * per_step.mean(axis=1)
+    counts = np.bincount(seq.items, minlength=instance.m)
+    return instance.budgets * (instance.valuations @ counts) / seq.t
 
 
 def market_to_dict(instance: MarketInstance) -> dict:

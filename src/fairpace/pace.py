@@ -242,12 +242,11 @@ def regret_diagnostic(
     # each item's best bid at w_ref, looked up per step: no (t, n) matrix
     best_bids = (instance.valuations.T * w_ref).max(axis=1)
     ref_objective_values = best_bids[seq.items] + ref_barrier
-    # the auction subgradient: the winner's value on the winner's coordinate
-    subgradients = np.zeros((trace.t, n))
-    subgradients[np.arange(trace.t), trace.winners] = trace.winner_values
+    # the auction subgradient is the winner's value on the winner's
+    # coordinate, so its squared norm is that value squared
     return regret_bound_check(
         trace.betas,
-        subgradients,
+        trace.winner_values**2,
         objective_values,
         ref_objective_values,
         w_ref,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fairpace import (
+from fairpace.market import (
     ItemSequence,
     MarketInstance,
     ReferenceDistribution,
     normalize_valuations,
-    run_pace,
 )
+from fairpace.pace import run_pace
 
 
 def random_instance(rng, n, m, normalized=True, ref=None):

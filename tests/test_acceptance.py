@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-import fairpace as fp
-from fairpace.eg import equilibrium_utilities, market_problem, solve_dual
+from fairpace.eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
 from fairpace.harness import config_from_dict, generate_market, run_experiment
 from fairpace.inputs import (
     CorruptionSchedule,
@@ -20,9 +19,17 @@ from fairpace.inputs import (
     random_markov_model,
     random_periodic_model,
     reference_distribution,
+    sample_sequence,
 )
-from fairpace.metrics import build_metric_series, recording_grid
-from fairpace.pace import pacing_box, regret_diagnostic
+from fairpace.market import ItemSequence
+from fairpace.metrics import build_metric_series, envy, recording_grid, relative_error_max
+from fairpace.pace import (
+    equivalence_with_da,
+    pacing_box,
+    regret_diagnostic,
+    run_pace,
+    run_pace_paths,
+)
 from fairpace.prng import derive_path_seed
 from tests.conftest import random_instance
 
@@ -60,10 +67,10 @@ def equivalence_battery():
             model = random_markov_model(m, seed=k)
         else:
             model = random_periodic_model(m, q=20, seed=k)
-        seq = fp.sample_sequence(model, t, path_seed=1000 + k)
-        equivalent = fp.equivalence_with_da(inst, seq, delta0=DELTA0, tol=1e-12)
-        trace = fp.run_pace(inst, seq, delta0=DELTA0, record_betas=True)
-        hs = fp.hindsight_solution(inst, seq, delta0=DELTA0)
+        seq = sample_sequence(model, t, path_seed=1000 + k)
+        equivalent = equivalence_with_da(inst, seq, delta0=DELTA0, tol=1e-12)
+        trace = run_pace(inst, seq, delta0=DELTA0, record_betas=True)
+        hs = hindsight_solution(inst, seq, delta0=DELTA0)
         runs.append(
             {"inst": inst, "seq": seq, "trace": trace, "hs": hs, "equivalent": equivalent}
         )
@@ -82,8 +89,8 @@ def iid_trend_runs():
     started = time.time()
     snapshots = []
     for p in range(10):
-        seq = fp.sample_sequence(model, t, derive_path_seed(7, p))
-        trace = fp.run_pace(inst, seq, delta0=DELTA0, record_times=[1000, 20000])
+        seq = sample_sequence(model, t, derive_path_seed(7, p))
+        trace = run_pace(inst, seq, delta0=DELTA0, record_times=[1000, 20000])
         snapshots.append(trace)
     return {
         "inst": inst,
@@ -209,8 +216,8 @@ def test_criterion_03_hindsight_oracle_equivalence():
         n = (k % 3) + 1
         m = int(rng.integers(2, 6))
         inst = random_instance(rng, n, m)
-        seq = fp.ItemSequence(rng.integers(0, m, size=200))
-        sol = fp.hindsight_solution(inst, seq, delta0=DELTA0)
+        seq = ItemSequence(rng.integers(0, m, size=200))
+        sol = hindsight_solution(inst, seq, delta0=DELTA0)
         weights = np.bincount(seq.items, minlength=m) / seq.t
         prob = market_problem(inst, weights, DELTA0)
         if n == 1:
@@ -253,8 +260,8 @@ def test_criterion_05_corruption_monotonicity(iid_trend_runs):
         model = corrupted_model(base, CorruptionSchedule("budgeted", target=target), seed=303)
         vals = []
         for p in range(10):
-            seq = fp.sample_sequence(model, 20000, derive_path_seed(17, p))
-            trace = fp.run_pace(inst, seq, delta0=DELTA0, record_times=[20000])
+            seq = sample_sequence(model, 20000, derive_path_seed(17, p))
+            trace = run_pace(inst, seq, delta0=DELTA0, record_times=[20000])
             vals.append(float(((trace.beta_at[0] - star_beta) ** 2).sum()))
         terminal.append(float(np.mean(vals)))
     elapsed = time.time() - started
@@ -278,9 +285,9 @@ def test_criterion_06_periodic_scaling():
         inst = generate_market(n, m, rank=5, noise=0.1, seed=202, ref=ref)
         at500, at20000 = [], []
         for p in range(10):
-            seq = fp.sample_sequence(model, 20000, derive_path_seed(27, p))
-            trace = fp.run_pace(inst, seq, delta0=DELTA0, record_times=[500, 20000])
-            hs = fp.hindsight_solution(inst, seq, delta0=DELTA0)
+            seq = sample_sequence(model, 20000, derive_path_seed(27, p))
+            trace = run_pace(inst, seq, delta0=DELTA0, record_times=[500, 20000])
+            hs = hindsight_solution(inst, seq, delta0=DELTA0)
             at500.append(float(((trace.beta_at[0] - hs.beta_hat) ** 2).sum()))
             at20000.append(float(((trace.beta_at[1] - hs.beta_hat) ** 2).sum()))
         results[q] = (float(np.mean(at500)), float(np.mean(at20000)))
@@ -307,13 +314,13 @@ def test_criterion_07_markov_convergence():
     rel_beta = {1000: [], 20000: []}
     rel_u = {1000: [], 20000: []}
     for p in range(10):
-        seq = fp.sample_sequence(model, 20000, derive_path_seed(37, p))
-        trace = fp.run_pace(inst, seq, delta0=DELTA0, record_times=[1000, 20000])
-        hs = fp.hindsight_solution(inst, seq, delta0=DELTA0)
+        seq = sample_sequence(model, 20000, derive_path_seed(37, p))
+        trace = run_pace(inst, seq, delta0=DELTA0, record_times=[1000, 20000])
+        hs = hindsight_solution(inst, seq, delta0=DELTA0)
         hs_u = equilibrium_utilities(hs, n)
         for idx, tt in enumerate((1000, 20000)):
-            rel_beta[tt].append(fp.relative_error_max(trace.beta_at[idx], hs.beta_hat))
-            rel_u[tt].append(fp.relative_error_max(trace.u_bar_at[idx], hs_u))
+            rel_beta[tt].append(relative_error_max(trace.beta_at[idx], hs.beta_hat))
+            rel_u[tt].append(relative_error_max(trace.u_bar_at[idx], hs_u))
     beta_ratio = np.mean(rel_beta[20000]) / np.mean(rel_beta[1000])
     u_ratio = np.mean(rel_u[20000]) / np.mean(rel_u[1000])
     elapsed = time.time() - started
@@ -362,10 +369,10 @@ def test_criterion_09_baseline_dominance():
         star_u = equilibrium_utilities(star, n)
         pace_curves, base_curves = [], []
         # the ten paths are paced in lockstep, as `fairpace run` paces them
-        seqs = [fp.sample_sequence(model, t, derive_path_seed(47, p)) for p in range(10)]
-        traces = fp.run_pace_paths(inst, seqs, delta0=DELTA0, record_times=grid)
+        seqs = [sample_sequence(model, t, derive_path_seed(47, p)) for p in range(10)]
+        traces = run_pace_paths(inst, seqs, delta0=DELTA0, record_times=grid)
         for p, (seq, trace) in enumerate(zip(seqs, traces)):
-            hs = fp.hindsight_solution(inst, seq, delta0=DELTA0)
+            hs = hindsight_solution(inst, seq, delta0=DELTA0)
             assert hs.converged, (kind, p)
             hs_u = equilibrium_utilities(hs, n)
             series = build_metric_series(
@@ -417,8 +424,8 @@ def test_criterion_11_invariant_suite():
         t = int(rng.integers(3, 51))
         delta0 = float(rng.choice([0.5, 1.0, 2.0]))
         inst = random_instance(rng, n, m)
-        seq = fp.ItemSequence(rng.integers(0, m, size=t))
-        trace = fp.run_pace(inst, seq, delta0=delta0, record_betas=True)
+        seq = ItemSequence(rng.integers(0, m, size=t))
+        trace = run_pace(inst, seq, delta0=delta0, record_betas=True)
         lo, hi = pacing_box(n, delta0)
 
         # box membership at every step
@@ -434,7 +441,7 @@ def test_criterion_11_invariant_suite():
         totals = np.bincount(trace.winners, weights=trace.winner_values, minlength=n)
         assert np.allclose(trace.u_bar_final, totals / t, atol=1e-12)
         # envy nonnegativity
-        assert np.all(fp.envy(trace, inst, seq) >= 0)
+        assert np.all(envy(trace, inst, seq) >= 0)
         cases += 1
     assert cases >= 1000
     _passline(11, f"box, integrality, spend, averaging, and envy invariants on {cases} cases")

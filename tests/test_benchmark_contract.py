@@ -1,0 +1,60 @@
+"""The library calls the benchmark's probe makes, run end to end on a tiny config.
+
+`perfbench/probe.py` imports harness, inputs, eg, pace, metrics and prng
+functions by name; this runs its `setup` and `trace` modes as the benchmark
+does, so a change that breaks one of those calls fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBE = ROOT / "perfbench" / "probe.py"
+
+CONFIG = {
+    "schema": 1,
+    "market": {"generator": {"n": 5, "m": 10, "rank": 2, "noise": 0.1, "seed": 1}},
+    "model": {
+        "kind": "corrupted",
+        "random": {"m": 10, "seed": 2},
+        "corruption": {"kind": "budgeted", "target": 0.1},
+    },
+    "t": 300,
+    "paths": 2,
+    "base_seed": 5,
+}
+
+
+def _probe(tmp_path, *args):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, str(PROBE), *args, "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_probe_setup_checks_the_claim(tmp_path):
+    result = _probe(tmp_path, "setup", "--seconds", "0", "--repeats", "1")
+    assert len(result["setup_s"]) >= 1
+    assert result["claim"]["equivalence_with_da"] is True
+    assert result["claim"]["beta_in_box"] is True
+
+
+def test_probe_trace_writes_the_run_outputs(tmp_path):
+    out = tmp_path / "out"
+    result = _probe(tmp_path, "trace", "--out", str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "paths.csv", "summary.json"]
+    assert len(result["hindsight"]) == CONFIG["paths"]

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from fairpace.cli import main
@@ -245,6 +244,21 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "scale must be nonnegative and finite",
         ),
         (lambda p: _sample(p, {"kind": "periodic", "random": {"m": 3}}), "missing field 'q'"),
+        # a budgeted target above every corner's headroom, in both model forms
+        (
+            lambda p: _sample(
+                p, {"kind": "corrupted", "base": [0.5, 0.5],
+                    "corruption": {"kind": "budgeted", "target": 0.7}}
+            ),
+            "bad model spec: corruption target 0.7 exceeds the headroom of every corner",
+        ),
+        (
+            lambda p: _sample(
+                p, {"kind": "corrupted", "random": {"m": 1},
+                    "corruption": {"kind": "budgeted", "target": 0.5}}
+            ),
+            "bad random model directive: corruption target 0.5 exceeds the headroom",
+        ),
         (lambda p: _sample(p, "[1, 2"), "model is not valid JSON"),
         (lambda p: _solve(p, market={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _solve(p, market={**MARKET_2x3, "n": 3}), "does not match n=3, m=3"),
@@ -301,3 +315,20 @@ def test_numeric_strings_read_as_numbers_in_every_model_form(tmp_path):
     directive = {"kind": "corrupted", "random": {"m": 2}, "corruption": {"scale": "2"}}
     for model in (explicit, directive):
         assert main(_sample(tmp_path, model)) == 0
+
+
+@pytest.mark.parametrize("command", ["sample", "solve", "gen-market", "summarize"])
+def test_missing_out_directory_exits_2_before_work(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "sample": lambda: _sample(tmp_path, IID_3)[:-1] + [out],
+        "solve": lambda: _solve(tmp_path) + ["--out", out],
+        "gen-market": lambda: ["gen-market", "--n", "3", "--m", "4", "--rank", "2", "--out", out],
+        # the paths CSV does not exist either: the output check comes first
+        "summarize": lambda: ["summarize", "--paths-csv", str(tmp_path / "no.csv"), "--out", out],
+    }[command]()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("config error: output directory ") and "does not exist" in err
+    assert not (tmp_path / "missing").exists()

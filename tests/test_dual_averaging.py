@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairpace import (
+from fairpace.dual_averaging import (
     DaState,
     LogBarrierRegularizer,
     composite_argmin,
@@ -87,7 +87,9 @@ class TestRegretBoundCheck:
         reg = LogBarrierRegularizer(n=1, lo=1.0, hi=1.0 + 1e-15)
         ws = np.array([[reg.hi], [reg.hi]])
         gs = np.array([[0.0]])
-        res = regret_bound_check(ws, gs, [1.0], [1.0], np.array([reg.hi]), sigma=1.0)
+        res = regret_bound_check(
+            ws, (gs**2).sum(axis=1), [1.0], [1.0], np.array([reg.hi]), sigma=1.0
+        )
         assert res.holds
         assert res.lhs == pytest.approx(0.0, abs=1e-20)
         assert res.rhs == pytest.approx(0.0, abs=1e-12)
@@ -99,7 +101,7 @@ class TestRegretBoundCheck:
         f_run = [3.0, 4.0]
         f_ref = [2.5, 3.0]
         sigma = 0.5
-        res = regret_bound_check(ws, gs, f_run, f_ref, np.array([1.0]), sigma)
+        res = regret_bound_check(ws, (gs**2).sum(axis=1), f_run, f_ref, np.array([1.0]), sigma)
         # grad term: (5 * 1 + 4 / 1) / (2 * 0.5) = 9
         assert res.grad_term == pytest.approx(9.0)
         assert res.regret == pytest.approx(1.5)
@@ -108,13 +110,9 @@ class TestRegretBoundCheck:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            regret_bound_check(
-                np.ones((3, 1)), np.ones((1, 1)), [1.0], [1.0], np.array([1.0]), 1.0
-            )
+            regret_bound_check(np.ones((3, 1)), np.ones(1), [1.0], [1.0], np.array([1.0]), 1.0)
         with pytest.raises(ValueError):
-            regret_bound_check(
-                np.ones((2, 1)), np.ones((1, 1)), [1.0], [1.0], np.array([1.0]), -1.0
-            )
+            regret_bound_check(np.ones((2, 1)), np.ones(1), [1.0], [1.0], np.array([1.0]), -1.0)
 
 
 def test_iterate_da_matches_manual_loop(rng):

@@ -1,27 +1,25 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from fairpace import (
+from fairpace import eg
+from fairpace.eg import (
     DualProblem,
-    ItemSequence,
-    MarketInstance,
     dual_objective,
-    eg,
     equilibrium_utilities,
     hindsight_solution,
     market_problem,
+    solution_to_dict,
     solve_dual,
 )
-from fairpace.eg import solution_from_dict, solution_to_dict
 from fairpace.errors import (
     DimensionMismatch,
     NonpositiveBeta,
     NoConvergenceWarning,
     ZeroExpectedValue,
 )
+from fairpace.market import ItemSequence, MarketInstance
 from tests.conftest import random_instance
 
 
@@ -275,12 +273,9 @@ def test_solution_json_round_trip(rng):
     sol = solve_dual(market_problem(inst, np.full(4, 0.25)))
     doc = json.loads(json.dumps(solution_to_dict(sol)))
     assert set(doc) >= {"beta", "objective", "residual"}
-    back = solution_from_dict(doc)
-    assert np.allclose(back.beta_hat, sol.beta_hat)
-    assert back.objective == pytest.approx(sol.objective)
-    assert back.evaluations == sol.evaluations > 0
-    del doc["evaluations"]
-    assert solution_from_dict(doc).evaluations == 0
+    assert doc["beta"] == sol.beta_hat.tolist()
+    assert doc["objective"] == sol.objective
+    assert doc["evaluations"] == sol.evaluations > 0
 
 
 def test_dual_problem_validation():

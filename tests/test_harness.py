@@ -4,20 +4,22 @@ import json
 import numpy as np
 import pytest
 
-from fairpace import MetricSeries, generate_market, harness, run_experiment, summarize
+from fairpace import harness
 from fairpace.errors import ConfigError, GridMismatch, InvalidRank
 from fairpace.harness import (
     config_from_dict,
     config_hash,
+    generate_market,
     load_config,
     read_paths_csv,
     resolve_market,
     resolve_model,
-    write_aggregate_csv,
-    write_paths_csv,
+    run_experiment,
+    summarize,
 )
 from fairpace.inputs import reference_distribution
 from fairpace.market import ReferenceDistribution, market_to_dict
+from fairpace.metrics import MetricSeries
 
 
 def toy_config(**overrides):
@@ -184,12 +186,6 @@ class TestRunExperiment:
         assert summary["provenance"]["config_hash"] == config_hash(cfg.raw)
         assert len(summary["provenance"]["path_seeds"]) == 2
         assert report.paths == 2
-
-    def test_forced_equal_seeds_zero_stderr(self):
-        cfg = toy_config()
-        report = run_experiment(cfg, path_seeds=[123, 123])
-        for name, err in report.stderrs.items():
-            assert np.allclose(err, 0.0), name
 
     def test_error_improves_from_start(self):
         cfg = toy_config(t=400)

@@ -3,26 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpace import (
+from fairpace.errors import InvalidHorizon, NoConvergence
+from fairpace.inputs import (
     CorruptionSchedule,
-    ReferenceDistribution,
-    average_marginal,
     corrupted_model,
+    corruption_step_distributions,
     iid_model,
     markov_model,
     model_from_dict,
     model_to_dict,
-    nonstationarity_report,
     periodic_model,
     random_markov_model,
     random_periodic_model,
     reference_distribution,
     sample_sequence,
     stationary_distribution,
-    tv_distance,
 )
-from fairpace.errors import InvalidHorizon, LengthMismatch, NoConvergence
-from fairpace.inputs import corruption_step_distributions
+from fairpace.market import ReferenceDistribution
 from fairpace.prng import make_generator
 
 
@@ -30,32 +27,6 @@ def point_mass(m, j):
     p = np.zeros(m)
     p[j] = 1.0
     return ReferenceDistribution(p)
-
-
-class TestTvDistance:
-    def test_identity(self):
-        p = ReferenceDistribution([0.3, 0.7])
-        assert tv_distance(p, p) == 0.0
-
-    def test_disjoint(self):
-        assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_quarter(self):
-        assert tv_distance([0.5, 0.5], [0.75, 0.25]) == pytest.approx(0.25)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            tv_distance([1.0], [0.5, 0.5])
-
-    def test_metric_properties(self, rng):
-        for _ in range(50):
-            trip = rng.random((3, 6))
-            trip /= trip.sum(axis=1, keepdims=True)
-            p, q, r = trip
-            assert tv_distance(p, q) == pytest.approx(tv_distance(q, p))
-            assert tv_distance(p, q) <= tv_distance(p, r) + tv_distance(r, q) + 1e-12
-            assert tv_distance(p, p) == 0.0
-            assert 0.0 <= tv_distance(p, q) <= 1.0
 
 
 class TestSampling:
@@ -108,7 +79,7 @@ class TestSampling:
         base = ReferenceDistribution(np.array([0.5, 0.3, 0.15, 0.05]))
         seq = sample_sequence(iid_model(base), 100_000, path_seed=123)
         freq = np.bincount(seq.items, minlength=4) / seq.t
-        assert tv_distance(freq, base) < 0.02
+        assert 0.5 * np.abs(freq - base.probs).sum() < 0.02
 
 
 class TestCorruption:
@@ -118,8 +89,9 @@ class TestCorruption:
             model = corrupted_model(
                 base, CorruptionSchedule("budgeted", target=target), seed=3
             )
-            report = nonstationarity_report(model, 500)
-            assert report.delta_avg == pytest.approx(target, abs=1e-9)
+            dists = corruption_step_distributions(model, 500)
+            tv = 0.5 * np.abs(dists - base.probs).sum(axis=1)
+            assert np.allclose(tv, target, atol=1e-12)
 
     def test_budgeted_zero_matches_iid_draws(self):
         base = ReferenceDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
@@ -189,57 +161,6 @@ class TestStationary:
         )
         with pytest.raises(NoConvergence):
             stationary_distribution(P, tol=1e-10, max_iters=10_000)
-
-
-class TestMarginals:
-    def test_iid_average_is_base(self):
-        base = ReferenceDistribution(np.array([0.6, 0.4]))
-        assert np.allclose(average_marginal(iid_model(base), 17).probs, base.probs)
-
-    def test_markov_identity_point_mass(self):
-        model = markov_model(np.eye(3), point_mass(3, 0))
-        avg = average_marginal(model, 9)
-        assert np.allclose(avg.probs, [1.0, 0.0, 0.0])
-
-    def test_periodic_block_average(self):
-        dists = np.zeros((2, 4))
-        dists[0, 1] = 1.0
-        dists[1, 2] = 1.0
-        avg = average_marginal(periodic_model(dists), 2)
-        assert np.allclose(avg.probs, [0.0, 0.5, 0.5, 0.0])
-
-    def test_markov_average_matches_explicit_powers(self):
-        model = random_markov_model(4, seed=8)
-        t = 6
-        q = model.base.probs.copy()
-        acc = q.copy()
-        for _ in range(t - 1):
-            q = q @ model.transition
-            acc += q
-        assert np.allclose(average_marginal(model, t).probs, acc / t, atol=1e-12)
-
-
-class TestNonstationarityReport:
-    def test_iid_zero(self):
-        assert nonstationarity_report(iid_model(point_mass(3, 1)), 50).delta_avg == 0.0
-
-    def test_periodic_block_deviation_zero(self):
-        model = random_periodic_model(5, q=4, seed=2)
-        report = nonstationarity_report(model, 20)
-        assert report.delta_block == pytest.approx(0.0, abs=1e-12)
-        assert report.delta_avg == pytest.approx(0.0, abs=1e-12)
-
-    def test_markov_epsilon_example(self):
-        P = np.array([[0.7, 0.3], [0.6, 0.4]])
-        model = markov_model(P, ReferenceDistribution([0.5, 0.5]))
-        report = nonstationarity_report(model, 10, iota_grid=[1])
-        assert report.epsilon_of_iota[1] == pytest.approx(1 / 15, abs=1e-12)
-
-    def test_markov_epsilon_nonincreasing(self):
-        model = random_markov_model(6, seed=21)
-        report = nonstationarity_report(model, 10, iota_grid=[1, 2, 4, 8, 16])
-        eps = [report.epsilon_of_iota[i] for i in (1, 2, 4, 8, 16)]
-        assert all(a >= b - 1e-12 for a, b in zip(eps, eps[1:]))
 
 
 def test_reference_distribution_per_kind():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fairpace import (
+from fairpace.market import (
     ItemSequence,
     MarketInstance,
     ReferenceDistribution,
@@ -28,7 +28,6 @@ def test_market_instance_defaults_and_invariants():
     assert inst.n == 2 and inst.m == 2
     assert np.allclose(inst.budgets, [0.5, 0.5])
     assert inst.budgets.sum() == pytest.approx(1.0)
-    assert inst.v_inf == 2.0
     with pytest.raises(ValueError):
         MarketInstance(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):

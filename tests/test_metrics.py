@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from fairpace import (
-    ItemSequence,
-    MarketInstance,
+from fairpace.eg import equilibrium_utilities, hindsight_solution
+from fairpace.market import ItemSequence, MarketInstance, proportional_share_utilities
+from fairpace.metrics import (
     build_metric_series,
     envy,
-    equilibrium_utilities,
-    hindsight_solution,
     mean_square_errors,
     recording_grid,
     regret,
     relative_error_max,
-    run_pace,
 )
 from fairpace.errors import DimensionMismatch, NonpositiveReference
 from fairpace.metrics import METRIC_NAMES, realized_total_utilities
-from fairpace.pace import PaceTrace
+from fairpace.pace import PaceTrace, run_pace
 from tests.conftest import random_instance, tie_free_run
 
 
@@ -235,8 +232,6 @@ class TestMetricSeries:
         )
 
     def test_baseline_matches_proportional_share(self, rng):
-        from fairpace import proportional_share_utilities
-
         inst = random_instance(rng, 2, 3)
         seq = ItemSequence(rng.integers(0, 3, size=60))
         trace = run_pace(inst, seq, record_times=[60])

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from fairpace import (
-    ItemSequence,
-    MarketInstance,
+from fairpace.eg import hindsight_solution
+from fairpace.market import ItemSequence, MarketInstance
+from fairpace.pace import (
     equivalence_with_da,
-    hindsight_solution,
     pacing_box,
     regret_diagnostic,
     run_pace,
     run_pace_paths,
-    sample_sequence,
 )
 from fairpace.errors import DimensionMismatch, LengthMismatch
-from fairpace.inputs import random_iid_model, random_markov_model
+from fairpace.inputs import random_iid_model, random_markov_model, sample_sequence
 from tests.conftest import has_bid_tie, random_instance, tie_free_run
 
 
