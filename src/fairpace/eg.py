@@ -83,8 +83,8 @@ class DualSolution:
     """Minimizer estimate with its objective, fixed-point residual, and cost.
 
     iterations counts Newton steps; evaluations counts evaluations of the
-    smoothed objective, the value-only ones at rejected trial points and the
-    final one that measures the residual included.
+    smoothed objective, the value-only ones at rejected trial points
+    included.
     """
 
     beta_hat: np.ndarray
@@ -192,12 +192,13 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, max_steps: in
     search halves its length up to 40 times, then tries the longer lengths
     from 1 down that it skipped. The stage ends when the projected gradient
     is within gtol, after max_steps steps, or when no trial point is
-    accepted. Returns the new point, the number of Newton steps and the
-    number of objective evaluations.
+    accepted. Returns the new point, its utilities under this stage's tie
+    split, the number of Newton steps and the number of objective
+    evaluations.
     """
     lo, hi = prob.lo, prob.hi
     steps = 0
-    obj, grad, _, shares = _smoothed_state(beta, prob, mu)
+    obj, grad, utilities, shares = _smoothed_state(beta, prob, mu)
     evaluations = 1
     pg = _projected_gradient(beta, grad, lo, hi)
     last = 1.0
@@ -228,8 +229,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, max_steps: in
                         break
         if accepted is None:
             break
-        beta, (obj, grad, _, shares), pg = accepted
-    return beta, steps, evaluations
+        beta, (obj, grad, utilities, shares), pg = accepted
+    return beta, utilities, steps, evaluations
 
 
 def _temperatures(start: float, end: float) -> list:
@@ -248,14 +249,15 @@ def _temperatures(start: float, end: float) -> list:
     return mus
 
 
-def solve_dual(prob: DualProblem, tol: float = 1e-8, max_iters: int = 200_000) -> DualSolution:
+def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     """Minimize the dual over the box by smoothed Newton continuation.
 
     Only items of positive weight enter the solve. The softmax temperature
     starts near the bid scale and decays by factors of ten down to the
-    tolerance; each stage is warm-started from the last. The residual of
-    the returned point certifies the fixed point under the final
-    temperature's tie split; if it exceeds 10 tol a NoConvergenceWarning is
+    tolerance; each stage is warm-started from the last and takes at most
+    200 Newton steps. The residual of the returned point certifies the
+    fixed point under the final temperature's tie split, whose utilities
+    the last stage returns; if it exceeds 10 tol a NoConvergenceWarning is
     emitted and the best iterate is still returned. The returned objective
     never exceeds the starting point's objective.
     """
@@ -277,28 +279,20 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, max_iters: int = 200_000) -
     mu_end = max(tol, 1e-12)
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
     iterations = evaluations = 0
-    ok = True
     for mu in _temperatures(0.1 * max(scale, 1e-6), mu_end):
-        budget = max_iters - iterations
-        if budget <= 0:
-            ok = False
-            break
         gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
-        beta, used, evaluated = _newton_stage(beta, prob, mu, gtol, min(budget, 200))
+        beta, utilities, used, evaluated = _newton_stage(beta, prob, mu, gtol, 200)
         iterations += used
         evaluations += evaluated
 
     with np.errstate(divide="ignore"):
-        _, _, utilities, _ = _smoothed_state(beta, prob, mu)
-        evaluations += 1
         fixed_point = np.clip(1.0 / (n * utilities), prob.lo, prob.hi)
     residual = float(np.max(np.abs(beta - fixed_point)))
     objective = dual_objective(beta, prob)
     if objective > init_objective:
         beta, objective = init, init_objective
         residual = np.inf
-        ok = False
-    converged = ok and residual <= 10.0 * tol
+    converged = residual <= 10.0 * tol
     if not converged:
         warnings.warn(
             f"dual solve stopped after {iterations} iterations with residual "
@@ -328,13 +322,12 @@ def hindsight_solution(
     seq: ItemSequence,
     delta0: float = 1.0,
     tol: float = 1e-8,
-    max_iters: int = 200_000,
 ) -> DualSolution:
     """Dual optimum of the realized sequence, via its empirical frequencies."""
     if seq.items.max() >= instance.m:
         raise DimensionMismatch("sequence references items outside the universe")
     weights = np.bincount(seq.items, minlength=instance.m) / seq.t
-    return solve_dual(market_problem(instance, weights, delta0), tol=tol, max_iters=max_iters)
+    return solve_dual(market_problem(instance, weights, delta0), tol=tol)
 
 
 def solution_to_dict(solution: DualSolution) -> dict:

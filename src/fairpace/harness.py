@@ -83,8 +83,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         raise ConfigError("grid must be an object")
     dense_until = read_field(int, grid, "dense_until", 100)
     grid_factor = read_field(float, grid, "factor", 1.1)
-    if dense_until < 1 or not np.isfinite(grid_factor):
-        raise ConfigError("grid.dense_until must be positive and grid.factor finite")
+    if dense_until < 1 or not 1.0 < grid_factor < np.inf:
+        raise ConfigError("grid.dense_until must be positive and grid.factor finite and above 1")
     if isinstance(market, dict) and "path" in market:
         if not isinstance(market["path"], str):
             raise ConfigError("market path must be a string")
@@ -251,14 +251,7 @@ def _run_paths(args) -> List[MetricSeries]:
             hs_u,
             star_beta,
             star_u,
-            metadata={
-                "model": model.kind,
-                "path_id": path_index,
-                "path_seed": path_seed,
-                "n": instance.n,
-                "m": instance.m,
-                "delta0": delta0,
-            },
+            metadata={"model": model.kind, "path_id": path_index},
         )
         series_list.append(series)
     return series_list

@@ -73,7 +73,12 @@ def _row_stochastic(matrix, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputModel:
-    """Tagged description of an arrival process over m items."""
+    """Tagged description of an arrival process over m items.
+
+    The base is converted to a ReferenceDistribution and the matrices to
+    read-only row-stochastic arrays. A budgeted corruption whose target no
+    corner's headroom reaches is refused here, before any sampling.
+    """
 
     kind: str
     base: Optional[ReferenceDistribution] = None
@@ -85,11 +90,16 @@ class InputModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown input model kind {self.kind!r}")
-        if self.kind in ("iid", "corrupted", "markov"):
-            if self.base is None:
-                raise ValueError(f"{self.kind} model requires a base distribution")
-        if self.kind == "corrupted" and self.corruption is None:
-            raise ValueError("corrupted model requires a corruption schedule")
+        if self.kind in ("iid", "corrupted", "markov") and self.base is None:
+            raise ValueError(f"{self.kind} model requires a base distribution")
+        if self.base is not None and not isinstance(self.base, ReferenceDistribution):
+            object.__setattr__(self, "base", ReferenceDistribution(self.base))
+        if self.kind == "corrupted":
+            sched = self.corruption
+            if sched is None:
+                raise ValueError("corrupted model requires a corruption schedule")
+            if sched.kind == "budgeted" and sched.target > 0.0:
+                _feasible_corners(1.0 - self.base.probs, sched.target)
         if self.kind == "markov":
             if self.transition is None:
                 raise ValueError("markov model requires a transition matrix")
@@ -112,28 +122,6 @@ class InputModel:
         if self.kind == "periodic":
             return self.period_dists.shape[1]
         return self.base.m
-
-
-def iid_model(base, seed: int = 0) -> InputModel:
-    return InputModel("iid", base=_as_reference(base), seed=seed)
-
-
-def corrupted_model(base, corruption: CorruptionSchedule, seed: int = 0) -> InputModel:
-    return InputModel("corrupted", base=_as_reference(base), corruption=corruption, seed=seed)
-
-
-def markov_model(transition, base, seed: int = 0) -> InputModel:
-    return InputModel("markov", base=_as_reference(base), transition=transition, seed=seed)
-
-
-def periodic_model(period_dists, seed: int = 0) -> InputModel:
-    return InputModel("periodic", period_dists=period_dists, seed=seed)
-
-
-def _as_reference(dist) -> ReferenceDistribution:
-    if isinstance(dist, ReferenceDistribution):
-        return dist
-    return ReferenceDistribution(np.asarray(dist, dtype=np.float64))
 
 
 def _feasible_corners(headroom: np.ndarray, target: float) -> np.ndarray:
@@ -187,15 +175,12 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     if model.kind == "iid":
         items = sample_categorical(categorical_cdf(model.base.probs), rng.random(t))
     elif model.kind == "corrupted":
-        dists = corruption_step_distributions(model, t)
-        cdfs = np.cumsum(dists, axis=1)
-        cdfs[:, -1] = 1.0
+        cdfs = categorical_cdf(corruption_step_distributions(model, t))
         # row-wise inverse CDF with lower-index ties, one uniform per step
         items = (cdfs < rng.random(t)[:, None]).sum(axis=1)
     elif model.kind == "markov":
         u = rng.random(t)
-        row_cdfs = np.cumsum(model.transition, axis=1)
-        row_cdfs[:, -1] = 1.0
+        row_cdfs = categorical_cdf(model.transition)
         m = model.m
         # bisect_left over row `state` of the flat CDF table is searchsorted
         # with side="left", without a numpy call per step
@@ -247,7 +232,7 @@ def stationary_distribution(transition, tol: float = 1e-12, max_iters: int = 100
     )
 
 
-def reference_distribution(model: InputModel, tol: float = 1e-12) -> ReferenceDistribution:
+def reference_distribution(model: InputModel) -> ReferenceDistribution:
     """The model's long-run item distribution.
 
     The base for iid and corrupted models, the stationary distribution for
@@ -256,23 +241,23 @@ def reference_distribution(model: InputModel, tol: float = 1e-12) -> ReferenceDi
     if model.kind in ("iid", "corrupted"):
         return model.base
     if model.kind == "markov":
-        return stationary_distribution(model.transition, tol=tol)
+        return stationary_distribution(model.transition)
     avg = model.period_dists.mean(axis=0)
     return ReferenceDistribution(avg / avg.sum())
 
 
-def _random_base(m: int, seed: int = 0) -> ReferenceDistribution:
+def _random_base(m: int, seed: int = 0) -> np.ndarray:
     """Random categorical distribution with uniform [0, 1) weights, normalized."""
     u = make_generator(seed).random(m)
-    return ReferenceDistribution(u / u.sum())
+    return u / u.sum()
 
 
 def random_iid_model(m: int, seed: int = 0) -> InputModel:
-    return iid_model(_random_base(m, seed), seed=seed)
+    return InputModel("iid", base=_random_base(m, seed), seed=seed)
 
 
 def random_corrupted_model(m: int, corruption: CorruptionSchedule, seed: int = 0) -> InputModel:
-    return corrupted_model(_random_base(m, seed), corruption, seed=seed)
+    return InputModel("corrupted", base=_random_base(m, seed), corruption=corruption, seed=seed)
 
 
 def random_markov_model(m: int, seed: int = 0) -> InputModel:
@@ -281,13 +266,13 @@ def random_markov_model(m: int, seed: int = 0) -> InputModel:
     raw = rng.random((m, m))
     transition = raw / raw.sum(axis=1, keepdims=True)
     start = rng.random(m)
-    return markov_model(transition, ReferenceDistribution(start / start.sum()), seed=seed)
+    return InputModel("markov", base=start / start.sum(), transition=transition, seed=seed)
 
 
 def random_periodic_model(m: int, q: int, seed: int = 0) -> InputModel:
     """q random per-position distributions (row-normalized uniforms)."""
     raw = make_generator(seed).random((q, m))
-    return periodic_model(raw / raw.sum(axis=1, keepdims=True), seed=seed)
+    return InputModel("periodic", period_dists=raw / raw.sum(axis=1, keepdims=True), seed=seed)
 
 
 def model_to_dict(model: InputModel) -> dict:
@@ -315,14 +300,6 @@ def _corruption(doc: dict) -> CorruptionSchedule:
     )
 
 
-def _reachable(model: InputModel) -> InputModel:
-    """The model, once a budgeted corruption's target is known to be reachable."""
-    sched = model.corruption
-    if model.kind == "corrupted" and sched.kind == "budgeted" and sched.target > 0.0:
-        _feasible_corners(1.0 - model.base.probs, sched.target)
-    return model
-
-
 def model_from_dict(doc: dict) -> InputModel:
     """The model a document describes; ConfigError if it is malformed.
 
@@ -337,15 +314,13 @@ def model_from_dict(doc: dict) -> InputModel:
         raise ConfigError("model 'random' and 'corruption' must be objects")
     if "random" not in doc:
         with as_config_error("bad model spec"):
-            return _reachable(
-                InputModel(
-                    kind=kind,
-                    base=_as_reference(doc["base"]) if "base" in doc else None,
-                    transition=doc.get("transition"),
-                    period_dists=doc.get("period_dists"),
-                    corruption=_corruption(c) if "corruption" in doc else None,
-                    seed=read_field(int, doc, "seed", 0),
-                )
+            return InputModel(
+                kind=kind,
+                base=doc.get("base"),
+                transition=doc.get("transition"),
+                period_dists=doc.get("period_dists"),
+                corruption=_corruption(c) if "corruption" in doc else None,
+                seed=read_field(int, doc, "seed", 0),
             )
     directive = doc["random"]
     with as_config_error("bad random model directive"):
@@ -354,7 +329,7 @@ def model_from_dict(doc: dict) -> InputModel:
         if kind == "iid":
             return random_iid_model(m, seed)
         if kind == "corrupted":
-            return _reachable(random_corrupted_model(m, _corruption(c), seed))
+            return random_corrupted_model(m, _corruption(c), seed)
         if kind == "markov":
             return random_markov_model(m, seed)
         if kind == "periodic":

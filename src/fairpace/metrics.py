@@ -27,6 +27,8 @@ def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.nd
     """Every step up to dense_until, then geometric spacing, always ending at t."""
     if t < 1:
         raise ValueError("horizon must be positive")
+    if not 1.0 < factor < np.inf:
+        raise ValueError(f"need grid.factor finite and above 1, got {factor!r}")
     times = list(range(1, min(t, dense_until) + 1))
     cur = float(times[-1])
     while times[-1] < t:
@@ -83,9 +85,9 @@ def mean_square_errors(trace: PaceTrace, ref_beta, ref_u, n: int) -> SquaredErro
     if ref_beta.shape != (n,) or ref_u.shape != (n,) or trace.n != n:
         raise DimensionMismatch("reference vectors must have one entry per agent")
     return SquaredErrors(
-        beta=float(((trace.beta_final - ref_beta) ** 2).sum()),
-        utility=float(((trace.u_bar_final - ref_u) ** 2).sum()),
-        expenditure=float(((trace.spend_avg_final - 1.0 / n) ** 2).sum()),
+        beta=float(((trace.beta_at[-1] - ref_beta) ** 2).sum()),
+        utility=float(((trace.u_bar_at[-1] - ref_u) ** 2).sum()),
+        expenditure=float(((trace.spend_avg_at[-1] - 1.0 / n) ** 2).sum()),
     )
 
 

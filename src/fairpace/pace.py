@@ -43,12 +43,12 @@ class PaceTrace:
     Snapshots taken "at step tau" hold the multiplier vector produced by
     that step (the one that will bid on the next item), the running average
     utility over the first tau steps, and the average expenditure over the
-    first tau steps.
+    first tau steps. The grid ends at t, so the last snapshot is the final
+    state.
     """
 
     n: int
     t: int
-    delta0: float
     winners: np.ndarray
     winner_values: np.ndarray
     winning_bids: np.ndarray
@@ -56,9 +56,6 @@ class PaceTrace:
     beta_at: np.ndarray
     u_bar_at: np.ndarray
     spend_avg_at: np.ndarray
-    beta_final: np.ndarray
-    u_bar_final: np.ndarray
-    spend_avg_final: np.ndarray
     betas: Optional[np.ndarray] = None
 
 
@@ -74,6 +71,8 @@ def run_pace_paths(
     Path p's state is row p of (P, n) arrays, and every step applies the
     same elementwise operations to each row that a single run would, so
     each returned trace is bit-identical to running its sequence alone.
+    The recording grid must strictly increase from at least 1 and end at
+    t; None records only step t.
     """
     n = instance.n
     P = len(seqs)
@@ -85,14 +84,10 @@ def run_pace_paths(
     items = np.stack([seq.items for seq in seqs], axis=1)  # (t, P) row per step
     if items.max() >= instance.m:
         raise DimensionMismatch("sequence references items outside the universe")
-    if record_times is None:
-        times = np.array([t], dtype=np.int64)
-    else:
-        times = np.asarray(record_times, dtype=np.int64)
-        if times.size and (
-            times.min() < 1 or times.max() > t or np.any(np.diff(times) <= 0)
-        ):
-            raise ValueError("record_times must be strictly increasing within [1, t]")
+    times = np.asarray([t] if record_times is None else record_times, dtype=np.int64)
+    bounded = times.ndim == 1 and times.size > 0 and times[0] >= 1 and times[-1] == t
+    if not bounded or np.any(np.diff(times) <= 0):
+        raise ValueError("record_times must strictly increase from at least 1 and end at t")
     lo, hi = pacing_box(n, delta0)
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n) row per item
 
@@ -113,14 +108,13 @@ def run_pace_paths(
     if record_betas:
         betas = np.empty((P, t + 1, n))
         betas[:, 0] = beta
-    k = times.size
-    beta_at = np.empty((P, k, n))
-    u_bar_at = np.empty((P, k, n))
-    spend_avg_at = np.empty((P, k, n))
-    # spend is only read at the recording times and at the end, so it is
-    # summed there: add.at adds each path's winning bids in step order, the
-    # same sums a running total makes
-    stops = times.tolist() + [t]
+    beta_at = np.empty((P, times.size, n))
+    u_bar_at = np.empty((P, times.size, n))
+    spend_avg_at = np.empty((P, times.size, n))
+    # spend is only read at the recording times, so it is summed there:
+    # add.at adds each path's winning bids in step order, the same sums a
+    # running total makes
+    stops = times.tolist()
     summed = rec = 0
 
     with np.errstate(divide="ignore"):
@@ -147,21 +141,18 @@ def run_pace_paths(
                     winning_bids[summed:tau].reshape(-1),
                 )
                 summed = tau
-                if rec < k:
-                    beta_at[:, rec] = beta
-                    u_bar_at[:, rec] = u_bar
-                    np.divide(spend, tau, out=spend_avg_at[:, rec])
-                    rec += 1
+                beta_at[:, rec] = beta
+                u_bar_at[:, rec] = u_bar
+                np.divide(spend, tau, out=spend_avg_at[:, rec])
+                rec += 1
 
     winners = np.ascontiguousarray(winners.T, dtype=np.int64)
     winning_bids = np.ascontiguousarray(winning_bids.T)
     winner_values = VT[items.T, winners]
-    spend_avg = spend / t
     return [
         PaceTrace(
             n=n,
             t=t,
-            delta0=delta0,
             winners=winners[p],
             winner_values=winner_values[p],
             winning_bids=winning_bids[p],
@@ -169,9 +160,6 @@ def run_pace_paths(
             beta_at=beta_at[p],
             u_bar_at=u_bar_at[p],
             spend_avg_at=spend_avg_at[p],
-            beta_final=beta[p],
-            u_bar_final=u_bar[p],
-            spend_avg_final=spend_avg[p],
             betas=None if betas is None else betas[p],
         )
         for p in range(P)

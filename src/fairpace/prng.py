@@ -34,9 +34,9 @@ def make_generator(seed: int) -> np.random.Generator:
 
 
 def categorical_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative vector for inverse-CDF sampling; last entry pinned to 1."""
-    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-    cdf[-1] = 1.0
+    """Inverse-CDF table along the last axis; each row's last entry pinned to 1."""
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64), axis=-1)
+    cdf[..., -1] = 1.0
     return cdf
 
 

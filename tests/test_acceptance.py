@@ -13,7 +13,7 @@ from fairpace.eg import equilibrium_utilities, hindsight_solution, market_proble
 from fairpace.harness import config_from_dict, generate_market, run_experiment
 from fairpace.inputs import (
     CorruptionSchedule,
-    corrupted_model,
+    InputModel,
     random_corrupted_model,
     random_iid_model,
     random_markov_model,
@@ -149,22 +149,23 @@ def test_criterion_02_regret_bound_diagnostic(equivalence_battery):
 
 
 def _grid_objective_argmin(prob, axes):
-    """Exhaustive enumeration of the dual objective over an axis grid."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    best_val = np.inf
-    best_pt = None
-    chunk = 400_000
-    logs = np.log(points).sum(axis=1) / prob.n
-    for s in range(0, points.shape[0], chunk):
-        block = points[s : s + chunk]
-        bids = block[:, :, None] * prob.valuations[None, :, :]
-        vals = (bids.max(axis=1) * prob.weights).sum(axis=1) - logs[s : s + chunk]
-        i = int(vals.argmin())
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_pt = block[i]
-    return best_pt
+    """Exhaustive enumeration of the dual objective over an axis grid.
+
+    Axis i is broadcast along lattice dimension i, so item j's winning bid
+    max_i(axis_i * v_ij) and the log barrier come from per-axis products
+    without a (points x n x m) bid array.
+    """
+    n = prob.n
+    grids = [np.reshape(ax, [-1 if d == i else 1 for d in range(n)]) for i, ax in enumerate(axes)]
+    vals = 0.0
+    for j, w in enumerate(prob.weights):
+        top = grids[0] * prob.valuations[0, j]
+        for i in range(1, n):
+            top = np.maximum(top, grids[i] * prob.valuations[i, j])
+        vals = vals + top * w
+    logs = sum(np.log(g) for g in grids)
+    vals = np.broadcast_to(vals - logs / n, [len(ax) for ax in axes])
+    return np.array([ax[k] for ax, k in zip(axes, np.unravel_index(vals.argmin(), vals.shape))])
 
 
 def _refine_around(prob, center, step, span=10, rounds=400):
@@ -257,7 +258,9 @@ def test_criterion_05_corruption_monotonicity(iid_trend_runs):
     started = time.time()
     terminal = []
     for target in (0.0, 0.05, 0.2):
-        model = corrupted_model(base, CorruptionSchedule("budgeted", target=target), seed=303)
+        model = InputModel(
+            "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=target), seed=303
+        )
         vals = []
         for p in range(10):
             seq = sample_sequence(model, 20000, derive_path_seed(17, p))
@@ -439,7 +442,7 @@ def test_criterion_11_invariant_suite():
         )
         # running-average identity at the horizon
         totals = np.bincount(trace.winners, weights=trace.winner_values, minlength=n)
-        assert np.allclose(trace.u_bar_final, totals / t, atol=1e-12)
+        assert np.allclose(trace.u_bar_at[-1], totals / t, atol=1e-12)
         # envy nonnegativity
         assert np.all(envy(trace, inst, seq) >= 0)
         cases += 1

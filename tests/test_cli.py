@@ -144,6 +144,10 @@ def test_config_error_exit_code(tmp_path):
         ({"model": {"kind": "iid", "random": {"m": 3.5}}}, "bad random model directive: m must be int"),
         ({"model": {"kind": "iid", "random": {"m": 3, "seed": 4.2}}}, "bad random model directive: seed must be int"),
         ({"model": {"kind": "periodic", "random": {"m": 3, "q": 2.5}}}, "bad random model directive: q must be int"),
+        # a factor at or below 1 would record every step instead of a geometric grid
+        ({"grid": {"factor": 1}}, "grid.factor finite and above 1"),
+        ({"grid": {"factor": 0.5}}, "grid.factor finite and above 1"),
+        ({"grid": {"factor": -2}}, "grid.factor finite and above 1"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):

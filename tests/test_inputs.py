@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from fairpace.errors import InvalidHorizon, NoConvergence
 from fairpace.inputs import (
     CorruptionSchedule,
-    corrupted_model,
+    InputModel,
     corruption_step_distributions,
-    iid_model,
-    markov_model,
     model_from_dict,
     model_to_dict,
-    periodic_model,
     random_markov_model,
     random_periodic_model,
     reference_distribution,
@@ -31,12 +28,12 @@ def point_mass(m, j):
 
 class TestSampling:
     def test_iid_point_mass(self):
-        model = iid_model(point_mass(5, 3))
+        model = InputModel("iid", base=point_mass(5, 3))
         seq = sample_sequence(model, 5, path_seed=1)
         assert seq.items.tolist() == [3, 3, 3, 3, 3]
 
     def test_markov_absorbing(self):
-        model = markov_model(np.eye(3), point_mass(3, 0))
+        model = InputModel("markov", base=point_mass(3, 0), transition=np.eye(3))
         seq = sample_sequence(model, 4, path_seed=9)
         assert seq.items.tolist() == [0, 0, 0, 0]
 
@@ -44,14 +41,14 @@ class TestSampling:
         dists = np.zeros((2, 4))
         dists[0, 1] = 1.0
         dists[1, 2] = 1.0
-        model = periodic_model(dists)
+        model = InputModel("periodic", period_dists=dists)
         seq = sample_sequence(model, 4, path_seed=5)
         assert sorted(seq.items[:2].tolist()) == [1, 2]
         assert sorted(seq.items[2:].tolist()) == [1, 2]
 
     def test_invalid_horizon(self):
         with pytest.raises(InvalidHorizon):
-            sample_sequence(iid_model(point_mass(2, 0)), 0, path_seed=1)
+            sample_sequence(InputModel("iid", base=point_mass(2, 0)), 0, path_seed=1)
 
     def test_determinism(self):
         model = random_markov_model(6, seed=11)
@@ -65,9 +62,10 @@ class TestSampling:
         for model in (
             random_markov_model(4, seed=2),
             random_periodic_model(4, q=3, seed=2),
-            corrupted_model(
-                ReferenceDistribution(np.full(4, 0.25)),
-                CorruptionSchedule("decaying", scale=0.5),
+            InputModel(
+                "corrupted",
+                base=ReferenceDistribution(np.full(4, 0.25)),
+                corruption=CorruptionSchedule("decaying", scale=0.5),
                 seed=2,
             ),
         ):
@@ -77,7 +75,7 @@ class TestSampling:
 
     def test_iid_empirical_frequencies(self):
         base = ReferenceDistribution(np.array([0.5, 0.3, 0.15, 0.05]))
-        seq = sample_sequence(iid_model(base), 100_000, path_seed=123)
+        seq = sample_sequence(InputModel("iid", base=base), 100_000, path_seed=123)
         freq = np.bincount(seq.items, minlength=4) / seq.t
         assert 0.5 * np.abs(freq - base.probs).sum() < 0.02
 
@@ -86,8 +84,8 @@ class TestCorruption:
     def test_budgeted_hits_target_exactly(self):
         base = ReferenceDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
         for target in (0.0, 0.05, 0.2):
-            model = corrupted_model(
-                base, CorruptionSchedule("budgeted", target=target), seed=3
+            model = InputModel(
+                "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=target), seed=3
             )
             dists = corruption_step_distributions(model, 500)
             tv = 0.5 * np.abs(dists - base.probs).sum(axis=1)
@@ -95,17 +93,19 @@ class TestCorruption:
 
     def test_budgeted_zero_matches_iid_draws(self):
         base = ReferenceDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
-        corrupted = corrupted_model(
-            base, CorruptionSchedule("budgeted", target=0.0), seed=3
+        corrupted = InputModel(
+            "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=0.0), seed=3
         )
-        iid = iid_model(base, seed=3)
+        iid = InputModel("iid", base=base, seed=3)
         a = sample_sequence(corrupted, 100, path_seed=5)
         b = sample_sequence(iid, 100, path_seed=5)
         assert np.array_equal(a.items, b.items)
 
     def test_decaying_drift_shrinks(self):
         base = ReferenceDistribution(np.full(5, 0.2))
-        model = corrupted_model(base, CorruptionSchedule("decaying", scale=1.0), seed=1)
+        model = InputModel(
+            "corrupted", base=base, corruption=CorruptionSchedule("decaying", scale=1.0), seed=1
+        )
         dists = corruption_step_distributions(model, 200)
         drift = 0.5 * np.abs(dists - base.probs).sum(axis=1)
         assert drift[0] > 10 * drift[-1]
@@ -113,19 +113,19 @@ class TestCorruption:
 
     def test_budgeted_infeasible_target(self):
         base = point_mass(3, 0)
-        model = corrupted_model(
-            base, CorruptionSchedule("budgeted", target=0.5), seed=0
+        model = InputModel(
+            "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=0.5), seed=0
         )
         # headroom of corners 1 and 2 is 1.0 >= 0.5, so this is feasible;
-        # a target above every headroom must fail
+        # a target above every headroom must fail when the model is built
         corruption_step_distributions(model, 5)
-        tight = corrupted_model(
-            ReferenceDistribution(np.array([0.5, 0.5])),
-            CorruptionSchedule("budgeted", target=0.7),
-            seed=0,
-        )
         with pytest.raises(ValueError):
-            corruption_step_distributions(tight, 5)
+            InputModel(
+                "corrupted",
+                base=ReferenceDistribution(np.array([0.5, 0.5])),
+                corruption=CorruptionSchedule("budgeted", target=0.7),
+                seed=0,
+            )
 
 
 class TestStationary:
@@ -165,9 +165,9 @@ class TestStationary:
 
 def test_reference_distribution_per_kind():
     base = ReferenceDistribution(np.array([0.6, 0.4]))
-    assert np.allclose(reference_distribution(iid_model(base)).probs, base.probs)
+    assert np.allclose(reference_distribution(InputModel("iid", base=base)).probs, base.probs)
     P = np.array([[0.7, 0.3], [0.6, 0.4]])
-    markov = markov_model(P, base)
+    markov = InputModel("markov", base=base, transition=P)
     assert np.allclose(reference_distribution(markov).probs, [2 / 3, 1 / 3], atol=1e-11)
     periodic = random_periodic_model(3, q=2, seed=0)
     expected = periodic.period_dists.mean(axis=0)
@@ -178,9 +178,10 @@ def test_model_json_round_trip():
     models = [
         random_markov_model(3, seed=5),
         random_periodic_model(3, q=2, seed=5),
-        corrupted_model(
-            ReferenceDistribution([0.2, 0.8]),
-            CorruptionSchedule("budgeted", target=0.1),
+        InputModel(
+            "corrupted",
+            base=ReferenceDistribution([0.2, 0.8]),
+            corruption=CorruptionSchedule("budgeted", target=0.1),
             seed=9,
         ),
     ]
@@ -206,7 +207,7 @@ def test_markov_sampler_matches_searchsorted(m, model_seed, path_seed):
     rng = np.random.default_rng(model_seed)
     raw = rng.random((m, m)) * (rng.random((m, m)) < 0.5)
     raw[np.arange(m), rng.integers(0, m, size=m)] += 0.1
-    model = markov_model(raw / raw.sum(axis=1, keepdims=True), np.full(m, 1.0 / m))
+    model = InputModel("markov", base=np.full(m, 1.0 / m), transition=raw / raw.sum(axis=1, keepdims=True))
     t = 300
     u = make_generator(path_seed).random(t)
     start = np.cumsum(model.base.probs)

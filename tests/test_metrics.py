@@ -26,7 +26,6 @@ def _trace_with_winners(winners, inst, seq):
     return PaceTrace(
         n=n,
         t=t,
-        delta0=1.0,
         winners=np.asarray(winners, dtype=np.int64),
         winner_values=values,
         winning_bids=values,
@@ -34,9 +33,6 @@ def _trace_with_winners(winners, inst, seq):
         beta_at=zero.copy(),
         u_bar_at=zero.copy(),
         spend_avg_at=zero.copy(),
-        beta_final=np.ones(n),
-        u_bar_final=np.zeros(n),
-        spend_avg_final=np.zeros(n),
     )
 
 
@@ -141,7 +137,7 @@ class TestMeanSquareErrors:
         inst = random_instance(rng, 2, 3)
         seq = ItemSequence(rng.integers(0, 3, size=30))
         trace = run_pace(inst, seq)
-        out = mean_square_errors(trace, trace.beta_final, trace.u_bar_final, 2)
+        out = mean_square_errors(trace, trace.beta_at[-1], trace.u_bar_at[-1], 2)
         assert out.beta == 0.0
         assert out.utility == 0.0
 
@@ -149,8 +145,8 @@ class TestMeanSquareErrors:
         inst = random_instance(rng, 2, 3)
         seq = ItemSequence(rng.integers(0, 3, size=30))
         trace = run_pace(inst, seq)
-        expected = float(((trace.spend_avg_final - 0.5) ** 2).sum())
-        out = mean_square_errors(trace, trace.beta_final, trace.u_bar_final, 2)
+        expected = float(((trace.spend_avg_at[-1] - 0.5) ** 2).sum())
+        out = mean_square_errors(trace, trace.beta_at[-1], trace.u_bar_at[-1], 2)
         assert out.expenditure == pytest.approx(expected)
 
     def test_permutation_equivariance(self, rng):
@@ -215,10 +211,10 @@ class TestMetricSeries:
         series = build_metric_series(trace, inst, seq, hs.beta_hat, hs_u, star_beta, star_u)
 
         assert series.values["rel_beta_hs"][-1] == pytest.approx(
-            relative_error_max(trace.beta_final, hs.beta_hat)
+            relative_error_max(trace.beta_at[-1], hs.beta_hat)
         )
         assert series.values["rel_u_hs"][-1] == pytest.approx(
-            relative_error_max(trace.u_bar_final, hs_u)
+            relative_error_max(trace.u_bar_at[-1], hs_u)
         )
         mses = mean_square_errors(trace, star_beta, star_u, 3)
         assert series.values["mse_beta_star"][-1] == pytest.approx(mses.beta)

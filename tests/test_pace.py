@@ -27,8 +27,8 @@ class TestAuctionStep:
         trace = run_pace(inst, seq, delta0=1.0)
         assert trace.winners.tolist() == [1]
         assert trace.winning_bids[0] == 2.0
-        assert np.allclose(trace.u_bar_final, [0.0, 1.0])
-        assert np.allclose(trace.spend_avg_final, [0.0, 2.0])
+        assert np.allclose(trace.u_bar_at[-1], [0.0, 1.0])
+        assert np.allclose(trace.spend_avg_at[-1], [0.0, 2.0])
 
     def test_tie_breaks_to_smallest_index(self):
         inst, seq = each_item_once([[1.0], [1.0]])
@@ -52,7 +52,7 @@ class TestAuctionStep:
             assert trace.winning_bids[s] == bids[w]
             assert trace.winner_values[s] == V[w, s]
         per_agent = np.bincount(trace.winners, weights=trace.winning_bids, minlength=5)
-        assert np.allclose(trace.spend_avg_final * seq.t, per_agent, rtol=1e-12, atol=0)
+        assert np.allclose(trace.spend_avg_at[-1] * seq.t, per_agent, rtol=1e-12, atol=0)
 
 
 class TestPaceUpdate:
@@ -66,14 +66,14 @@ class TestPaceUpdate:
         assert np.allclose(trace.beta_at[0], [2.0, 0.5])
         assert np.allclose(trace.u_bar_at[1], [0.5, 0.5])
         assert np.allclose(trace.beta_at[1], [1.0, 1.0])
-        assert np.allclose(trace.spend_avg_final * seq.t, [2.0, 2.0])
+        assert np.allclose(trace.spend_avg_at[-1] * seq.t, [2.0, 2.0])
 
     def test_single_agent_closed_form(self):
         for v in (0.6, 1.7, 2.0):
             inst, seq = each_item_once([[v]])
             trace = run_pace(inst, seq, delta0=1.0, record_betas=True)
             assert trace.betas[0, 0] == 2.0
-            assert trace.beta_final[0] == pytest.approx(1.0 / v)
+            assert trace.beta_at[-1, 0] == pytest.approx(1.0 / v)
 
     def test_box_invariant(self, rng):
         inst, seq = each_item_once(rng.random((3, 100)) * 3)
@@ -95,7 +95,7 @@ class TestRunPace:
         assert trace.winners.tolist() == [1, 0]
         assert np.allclose(trace.betas[1], [2.0, 0.5])
         assert np.allclose(trace.betas[2], [1.0, 1.0])
-        assert np.allclose(trace.u_bar_final, [0.5, 0.5])
+        assert np.allclose(trace.u_bar_at[-1], [0.5, 0.5])
 
     def test_zero_value_agents_never_win_positive(self):
         v = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
@@ -135,7 +135,7 @@ class TestRunPace:
         seq = ItemSequence(rng.integers(0, 4, size=80))
         trace = run_pace(inst, seq)
         spend_total = trace.winning_bids.sum()
-        assert trace.spend_avg_final.sum() * seq.t == pytest.approx(spend_total, rel=1e-12)
+        assert trace.spend_avg_at[-1].sum() * seq.t == pytest.approx(spend_total, rel=1e-12)
 
 
 class TestLockstep:
@@ -159,7 +159,7 @@ class TestLockstep:
         seqs = [ItemSequence(rng.integers(0, 9, size=400)) for _ in range(3)]
         self.run_both(inst, seqs, delta0=0.7, record_times=[1, 2, 5, 40, 399, 400])
         self.run_both(inst, seqs, delta0=1.0, record_betas=True)
-        self.run_both(inst, seqs, record_times=[3, 17], record_betas=True)
+        self.run_both(inst, seqs, record_times=[3, 17, 400], record_betas=True)
 
     def test_tied_bids(self, rng):
         # agents 0 and 1 value everything alike, so their bids tie until one wins
@@ -178,10 +178,9 @@ class TestLockstep:
         self.assert_same_traces(together[1:2], alone)
 
     def test_spend_matches_running_sum(self, rng):
-        # a grid that stops short of t, so the last spend sum runs past it
         inst = random_instance(rng, 4, 6)
         seqs = [ItemSequence(rng.integers(0, 6, size=50)) for _ in range(3)]
-        times = [2, 9, 30]
+        times = [2, 9, 30, 50]
         for trace in run_pace_paths(inst, seqs, record_times=times):
             spend = np.zeros(4)
             for s, (w, bid) in enumerate(zip(trace.winners, trace.winning_bids)):
@@ -189,13 +188,20 @@ class TestLockstep:
                 if s + 1 in times:
                     k = times.index(s + 1)
                     assert trace.spend_avg_at[k].tobytes() == (spend / (s + 1)).tobytes()
-            assert trace.spend_avg_final.tobytes() == (spend / 50).tobytes()
+            assert trace.spend_avg_at[-1].tobytes() == (spend / 50).tobytes()
 
     def test_unequal_lengths(self, rng):
         inst = random_instance(rng, 2, 3)
         seqs = [ItemSequence(np.array([0, 1, 2])), ItemSequence(np.array([0, 1]))]
         with pytest.raises(LengthMismatch):
             run_pace_paths(inst, seqs)
+
+    def test_refuses_grids_that_do_not_end_at_t(self, rng):
+        inst = random_instance(rng, 2, 3)
+        seqs = [ItemSequence(rng.integers(0, 3, size=10)) for _ in range(2)]
+        for times in ([], [3, 9], [2, 5, 12], [3, 3, 10], [5, 2, 10], [0, 4, 10], [-1, 10]):
+            with pytest.raises(ValueError, match="end at t"):
+                run_pace_paths(inst, seqs, record_times=times)
 
     def test_needs_a_sequence(self, rng):
         with pytest.raises(ValueError):

@@ -55,8 +55,8 @@ def test_pace_run_invariants(seed, n, m, t):
     assert np.all(trace.winning_bids >= 0)
     # running-average identity holds exactly at the end of the run
     totals = np.bincount(trace.winners, weights=trace.winner_values, minlength=n)
-    assert np.allclose(trace.u_bar_final, totals / t, atol=1e-12)
-    assert np.all(trace.u_bar_final <= inst.valuations.max() + 1e-12)
+    assert np.allclose(trace.u_bar_at[-1], totals / t, atol=1e-12)
+    assert np.all(trace.u_bar_at[-1] <= inst.valuations.max() + 1e-12)
     # envy of the realized allocation is nonnegative
     assert np.all(envy(trace, inst, seq) >= 0)
 
