@@ -20,15 +20,24 @@ here). Items of zero weight add exactly nothing to the objective, its
 gradient or its Hessian, so the solver drops their columns first; a
 hindsight solve over a short sequence works on the items that arrived.
 Each Newton step runs one backtracking search that evaluates every trial
-point once, by value alone until one passes. The temperature floor tracks the requested tolerance; the
-reported residual is the fixed-point gap ||beta - clamp(1 / (n u(beta)))||_inf
+point once, by value alone until one passes.
+
+At small temperatures nearly every softmax weight underflows to exactly 0.
+Each stage then evaluates on a working set of the pairs near their item's
+top bid while the multipliers stay within a trust radius in which that is
+exact (see _WorkingSet), and densely outside it; a stage whose set would
+hold a quarter of the pairs or more runs dense.
+
+The temperature floor tracks the requested tolerance; the reported
+residual is the fixed-point gap ||beta - clamp(1 / (n u(beta)))||_inf
 where u is the utility vector under the final temperature's tie-splitting
 weights, which converges to the exact optimality certificate as the
 temperature vanishes.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -79,20 +88,48 @@ def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> Du
 
 
 @dataclass(frozen=True)
+class StageCounts:
+    """Work of one temperature stage.
+
+    evaluations counts evaluations of the smoothed objective, the value-only
+    ones at rejected trial points included; set_evaluations of them ran on
+    the working set, and dense_fallbacks on the whole matrix because the
+    point lay outside the set's trust radius. rebuilds counts the working
+    sets built after accepting such a point, and set_share is the share of
+    the n m pairs in the stage's last set (at or above _DENSE_SHARE when the
+    stage ran dense, None when it took no step and built no set).
+    """
+
+    mu: float
+    steps: int
+    evaluations: int
+    set_evaluations: int
+    dense_fallbacks: int
+    rebuilds: int
+    set_share: Optional[float]
+
+
+@dataclass(frozen=True)
 class DualSolution:
     """Minimizer estimate with its objective, fixed-point residual, and cost.
 
-    iterations counts Newton steps; evaluations counts evaluations of the
-    smoothed objective, the value-only ones at rejected trial points
-    included.
+    stages holds each temperature stage's counts; iterations and
+    evaluations are their totals of Newton steps and objective evaluations.
     """
 
     beta_hat: np.ndarray
     objective: float
     residual: float
-    iterations: int
     converged: bool
-    evaluations: int
+    stages: tuple
+
+    @property
+    def iterations(self) -> int:
+        return sum(s.steps for s in self.stages)
+
+    @property
+    def evaluations(self) -> int:
+        return sum(s.evaluations for s in self.stages)
 
 
 def dual_objective(beta, prob: DualProblem) -> float:
@@ -104,47 +141,170 @@ def dual_objective(beta, prob: DualProblem) -> float:
     return float(winning @ prob.weights - np.log(beta).sum() / prob.n)
 
 
-def _smoothed_value(beta, prob: DualProblem, mu: float):
+# IEEE exp is exactly 0 below about -745.13, so an exponent at or below this
+# cutoff is left at 0 without calling exp.
+_EXP_CUTOFF = -746.0
+
+# A working set holds the pairs within _SET_WIDTH mu of their column's top
+# bid. Past the 746 mu that can carry weight, the slack sets the trust
+# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 746) mu
+# before its weight can be nonzero. A narrower set is left sooner, and each
+# exit costs a dense evaluation. On the benchmark's shapes a width of 1000
+# fell back to dense evaluations about twice as often as 3000, rebuilt 2-7
+# times per solve where 3000 never did, and took 10-14% more solve time;
+# widths of 2000 and 6000 took the time of 3000 to within 2%.
+_SET_WIDTH = 3000.0
+
+# A set holding this share of the n m pairs or more is not used and its
+# stage runs dense. Per pair the set's gathers and scatters cost more than
+# the dense evaluation's contiguous passes: at mu = 1e-4 on the benchmark's
+# shapes, a Newton step's Hessian and 2.3 evaluations cost 0.7-0.9 times
+# the dense ones on a set of 20% of the pairs and 1.0-1.2 times on one of
+# 40%.
+_DENSE_SHARE = 0.25
+
+# Newton steps per temperature stage; a stage that reaches it hands its
+# point to the next one.
+_MAX_STAGE_STEPS = 200
+
+
+class _WorkingSet:
+    """The pairs that can carry softmax weight while beta stays near a center.
+
+    Holds the (agent, item) pairs whose bid at the center lies within
+    _SET_WIDTH mu of their column's top bid, grouped by column with agents
+    ascending, and the trust radius
+
+        R = min over excluded pairs of (gap_ij - 746 mu) / (v_ij + v_wj)
+
+    where gap_ij is the pair's distance below its column's top bid and w
+    the column's top bidder, both at the center. While
+    |beta - center|_inf <= R every excluded pair's exponent stays at or
+    below the cutoff and each column's top bid is one of the set's, so the
+    value, shares, utilities and Hessian computed on the set equal the
+    dense ones, the Hessian up to summation order.
+    """
+
+    def __init__(self, center, radius: float, inside, prob: DualProblem):
+        flat = np.flatnonzero(inside)
+        rows, cols = np.divmod(flat, prob.m)
+        order = np.argsort(cols, kind="stable")
+        self.center, self.radius = center, radius
+        self.rows, self.cols = rows[order], cols[order]
+        self.values = prob.valuations[self.rows, self.cols]
+        counts = np.bincount(self.cols, minlength=prob.m)
+        self.starts = np.cumsum(counts) - counts
+
+    def covers(self, beta) -> bool:
+        return float(np.abs(beta - self.center).max()) <= self.radius
+
+    def tied(self, shares):
+        """Shares and valuations of the columns where two or more pairs have
+        nonzero share, as (n, k) matrices, and those k columns' indices.
+
+        In every other column a pair's share is 0 or exactly 1, and a share
+        of 1 adds equal diagonal and cross terms to the Hessian, which
+        cancel.
+        """
+        nonzero = shares > 0
+        per_column = np.bincount(self.cols[nonzero], minlength=self.starts.size)
+        columns = np.flatnonzero(per_column >= 2)
+        pick = nonzero & (per_column >= 2)[self.cols]
+        at = (self.rows[pick], np.searchsorted(columns, self.cols[pick]))
+        tied_shares = np.zeros((self.center.size, columns.size))
+        tied_shares[at] = shares[pick]
+        tied_values = np.zeros_like(tied_shares)
+        tied_values[at] = self.values[pick]
+        return tied_shares, tied_values, columns
+
+
+def _working_set(center, prob: DualProblem, mu: float):
+    """The working set at center and its share of the n m pairs.
+
+    The set is None when it would hold _DENSE_SHARE of the pairs or more.
+    Besides a bool mask, building it takes one more (n, m) float temporary
+    than the bids, as many as a dense evaluation makes.
+    """
+    V = prob.valuations
+    items = np.arange(prob.m)
+    z = center[:, None] * V
+    top_bidder = z.argmax(axis=0)
+    z -= z[top_bidder, items]
+    inside = z >= -_SET_WIDTH * mu
+    share = np.count_nonzero(inside) / inside.size
+    if share >= _DENSE_SHARE:
+        return None, share
+    np.negative(z, out=z)
+    z += _EXP_CUTOFF * mu
+    np.putmask(z, inside, np.inf)
+    z /= V + V[top_bidder, items]
+    return _WorkingSet(center, float(z.min()), inside, prob), share
+
+
+def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     """Softmax relaxation of the objective, with the softmax weights behind it.
 
     Returns the value, each agent's unnormalized softmax weight per item and
-    each item's total weight. Exponents below -746 are left at 0 without
-    calling exp: IEEE exp is exactly 0 below about -745.13, so the values
-    are those of a plain exp, and at small temperatures nearly every entry
-    is that far below its column's top bid.
+    each item's total weight. Exponents below the cutoff are left at 0
+    without calling exp, so the values are those of a plain exp, and at
+    small temperatures nearly every entry is that far below its column's
+    top bid. Given a working set that covers beta, the weights are those of
+    the set's pairs, in its order.
     """
-    z = beta[:, None] * prob.valuations
-    top = z.max(axis=0)
-    z -= top
+    if working is None:
+        z = beta[:, None] * prob.valuations
+        top = z.max(axis=0)
+        z -= top
+    else:
+        z = beta[working.rows] * working.values
+        top = np.maximum.reduceat(z, working.starts)
+        z -= top[working.cols]
     z /= mu
-    weights_exp = np.exp(z, out=np.zeros_like(z), where=z > -746.0)
-    mass = weights_exp.sum(axis=0)
+    weights_exp = np.exp(z, out=np.zeros_like(z), where=z > _EXP_CUTOFF)
+    if working is None:
+        mass = weights_exp.sum(axis=0)
+    else:
+        mass = np.bincount(working.cols, weights_exp, prob.m)
     prices = mu * np.log(mass) + top
     obj = float(prices @ prob.weights - np.log(beta).sum() / prob.n)
     return obj, weights_exp, mass
 
 
-def _smoothed_state(beta, prob: DualProblem, mu: float, value=None):
+def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None):
     """Smoothed objective with its gradient, utilities and share weights.
 
     The shares are each item's softmax tie split across agents; the implied
     utility vector feeds both the gradient and the fixed-point residual.
-    value, if given, is _smoothed_value's result at the same point.
+    value, if given, is _smoothed_value's result at the same point and on
+    the same working set.
     """
-    obj, weights_exp, mass = _smoothed_value(beta, prob, mu) if value is None else value
-    shares = weights_exp / mass
-    utilities = (shares * prob.valuations) @ prob.weights
+    obj, weights_exp, mass = _smoothed_value(beta, prob, mu, working) if value is None else value
+    if working is None:
+        shares = weights_exp / mass
+        scaled = shares * prob.valuations
+    else:
+        shares = weights_exp / mass[working.cols]
+        # summed over the set alone the utilities differ from the dense ones
+        # in the last bits, and near the stopping rule's noise floor that
+        # moved some solves' final point by 5e-14. The dense product sums in
+        # an order set by the shape, and the zeros add nothing.
+        scaled = np.zeros((prob.n, prob.m))
+        scaled[working.rows, working.cols] = shares * working.values
+    utilities = scaled @ prob.weights
     grad = utilities - 1.0 / (prob.n * beta)
     return obj, grad, utilities, shares
 
 
-def _smoothed_hessian(beta, prob: DualProblem, mu: float, shares) -> np.ndarray:
+def _smoothed_hessian(beta, prob: DualProblem, mu: float, shares, working=None) -> np.ndarray:
     """Exact Hessian of the smoothed objective; positive definite on the box."""
-    V = prob.valuations
+    V, weights = prob.valuations, prob.weights
+    if working is not None:
+        shares, V, columns = working.tied(shares)
+        weights = weights[columns]
     n = prob.n
-    scaled = shares * V  # (n, m)
-    diag_term = (scaled * V) @ (prob.weights / mu)
-    cross = (scaled * (prob.weights / mu)[None, :]) @ scaled.T
+    scaled = shares * V  # (n, items)
+    diag_term = (scaled * V) @ (weights / mu)
+    cross = (scaled * (weights / mu)[None, :]) @ scaled.T
     H = -cross
     idx = np.arange(n)
     H[idx, idx] += diag_term + 1.0 / (n * beta**2)
@@ -172,7 +332,7 @@ def _step_lengths(first: float):
         alpha *= 0.5
 
 
-def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, max_steps: int):
+def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
     """Damped projected Newton on the mu-smoothed objective.
 
     Bound-active coordinates whose gradient points outward are frozen; the
@@ -191,20 +351,34 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, max_steps: in
     temperatures the full step overshoots for many steps in a row. Each
     search halves its length up to 40 times, then tries the longer lengths
     from 1 down that it skipped. The stage ends when the projected gradient
-    is within gtol, after max_steps steps, or when no trial point is
-    accepted. Returns the new point, its utilities under this stage's tie
-    split, the number of Newton steps and the number of objective
-    evaluations.
+    is within gtol, after _MAX_STAGE_STEPS steps, or when no trial point is
+    accepted.
+
+    The first step builds a working set at the stage's point. Points within
+    its trust radius are evaluated on the set, the others on the whole
+    matrix; accepting one of the others rebuilds the set there. Rebuilding
+    at every trial point outside the radius instead rebuilds many times
+    per solve for trial points the search then rejects. A set holding
+    _DENSE_SHARE of the pairs or more is dropped, and the stage runs dense
+    from then on. Returns the new point, its utilities under this stage's
+    tie split and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    steps = 0
+    steps = set_evaluations = dense_fallbacks = sets_built = 0
     obj, grad, utilities, shares = _smoothed_state(beta, prob, mu)
     evaluations = 1
     pg = _projected_gradient(beta, grad, lo, hi)
     last = 1.0
-    while steps < max_steps and np.abs(pg).max() > gtol:
+    working, stale, share = None, True, None
+    while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
+        if stale:
+            working, share = _working_set(beta, prob, mu)
+            sets_built += 1
+            if working is not None:
+                shares = shares[working.rows, working.cols]
+            stale = False
         free = pg != 0.0
-        H = _smoothed_hessian(beta, prob, mu, shares)
+        H = _smoothed_hessian(beta, prob, mu, shares, working)
         direction = np.zeros_like(beta)
         sub = H[np.ix_(free, free)]
         try:
@@ -218,19 +392,32 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, max_steps: in
         for alpha in _step_lengths(min(1.0, 4.0 * last)):
             candidate = np.clip(beta + alpha * direction, lo, hi)
             if np.any(candidate != beta):
-                value = _smoothed_value(candidate, prob, mu)
+                on = working if working is not None and working.covers(candidate) else None
+                value = _smoothed_value(candidate, prob, mu, on)
                 evaluations += 1
+                set_evaluations += on is not None
+                dense_fallbacks += working is not None and on is None
                 if value[0] <= flat:
-                    state = _smoothed_state(candidate, prob, mu, value)
+                    state = _smoothed_state(candidate, prob, mu, value, on)
                     cand_pg = _projected_gradient(candidate, state[1], lo, hi)
                     if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
                         accepted = (candidate, state, cand_pg)
+                        stale = working is not None and on is None
                         last = alpha
                         break
         if accepted is None:
             break
         beta, (obj, grad, utilities, shares), pg = accepted
-    return beta, utilities, steps, evaluations
+    counts = StageCounts(
+        mu=mu,
+        steps=steps,
+        evaluations=evaluations,
+        set_evaluations=set_evaluations,
+        dense_fallbacks=dense_fallbacks,
+        rebuilds=max(sets_built - 1, 0),
+        set_share=share,
+    )
+    return beta, utilities, counts
 
 
 def _temperatures(start: float, end: float) -> list:
@@ -255,11 +442,11 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     Only items of positive weight enter the solve. The softmax temperature
     starts near the bid scale and decays by factors of ten down to the
     tolerance; each stage is warm-started from the last and takes at most
-    200 Newton steps. The residual of the returned point certifies the
-    fixed point under the final temperature's tie split, whose utilities
-    the last stage returns; if it exceeds 10 tol a NoConvergenceWarning is
-    emitted and the best iterate is still returned. The returned objective
-    never exceeds the starting point's objective.
+    _MAX_STAGE_STEPS Newton steps. The residual of the returned point
+    certifies the fixed point under the final temperature's tie split,
+    whose utilities the last stage returns; if it exceeds 10 tol a
+    NoConvergenceWarning is emitted and the best iterate is still returned.
+    The returned objective never exceeds the starting point's objective.
     """
     expected = prob.valuations @ prob.weights
     if np.any(expected <= 0):
@@ -278,12 +465,11 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
     mu_end = max(tol, 1e-12)
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
-    iterations = evaluations = 0
+    stages = []
     for mu in _temperatures(0.1 * max(scale, 1e-6), mu_end):
         gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
-        beta, utilities, used, evaluated = _newton_stage(beta, prob, mu, gtol, 200)
-        iterations += used
-        evaluations += evaluated
+        beta, utilities, counts = _newton_stage(beta, prob, mu, gtol)
+        stages.append(counts)
 
     with np.errstate(divide="ignore"):
         fixed_point = np.clip(1.0 / (n * utilities), prob.lo, prob.hi)
@@ -292,21 +478,20 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     if objective > init_objective:
         beta, objective = init, init_objective
         residual = np.inf
-    converged = residual <= 10.0 * tol
-    if not converged:
-        warnings.warn(
-            f"dual solve stopped after {iterations} iterations with residual "
-            f"{residual:.3g} (tol {tol:.3g}); returning the best iterate",
-            NoConvergenceWarning,
-        )
-    return DualSolution(
+    solution = DualSolution(
         beta_hat=beta,
         objective=objective,
         residual=residual,
-        iterations=iterations,
-        converged=converged,
-        evaluations=evaluations,
+        converged=residual <= 10.0 * tol,
+        stages=tuple(stages),
     )
+    if not solution.converged:
+        warnings.warn(
+            f"dual solve stopped after {solution.iterations} iterations with residual "
+            f"{residual:.3g} (tol {tol:.3g}); returning the best iterate",
+            NoConvergenceWarning,
+        )
+    return solution
 
 
 def equilibrium_utilities(solution, n: int) -> np.ndarray:
@@ -338,5 +523,6 @@ def solution_to_dict(solution: DualSolution) -> dict:
         "iterations": solution.iterations,
         "converged": solution.converged,
         "evaluations": solution.evaluations,
+        "stages": [asdict(stage) for stage in solution.stages],
     }
 

@@ -136,30 +136,47 @@ def _feasible_corners(headroom: np.ndarray, target: float) -> np.ndarray:
     return feasible
 
 
-def corruption_step_distributions(model: InputModel, t: int) -> np.ndarray:
-    """Per-step marginals s^1..s^t of a corrupted model, one row per step.
+# Entries per block of per-step distributions: a corrupted sample path holds
+# a few (block x m) arrays at a time, about 0.5 MB each, instead of (t x m).
+_BLOCK_ENTRIES = 1 << 16
 
-    Deterministic in (model.seed, t) and prefix-stable in t.
+
+def corruption_step_distributions(model: InputModel, t: int):
+    """Per-step marginals s^1..s^t of a corrupted model, in blocks of rows.
+
+    Yields consecutive (rows, m) arrays, together one row per step, of at
+    most max(1, _BLOCK_ENTRIES // m) rows each. Every row is computed on its
+    own from the model stream, which is read in step order, so the rows
+    equal those of one (t, m) computation. Deterministic in (model.seed, t)
+    and prefix-stable in t.
     """
     if model.kind != "corrupted":
         raise ValueError("only corrupted models have a corruption schedule")
     base = model.base.probs
     sched = model.corruption
     rng = make_generator(model.seed)
-    if sched.kind == "decaying":
-        eps = sched.scale / np.arange(1, t + 1, dtype=np.float64)
-        raw = base[None, :] + eps[:, None] * rng.random((t, base.size))
-        return raw / raw.sum(axis=1, keepdims=True)
-    if sched.target == 0.0:
-        return np.tile(base, (t, 1))
-    headroom = 1.0 - base
-    feasible = _feasible_corners(headroom, sched.target)
-    corners = feasible[(rng.random(t) * feasible.size).astype(np.int64)]
-    # mixing weight per step so that TV(s^tau, base) == target exactly
-    eps = sched.target / headroom[corners]
-    dists = base[None, :] * (1.0 - eps)[:, None]
-    dists[np.arange(t), corners] += eps
-    return dists
+    rows = max(1, _BLOCK_ENTRIES // base.size)
+    if sched.kind == "budgeted" and sched.target > 0.0:
+        headroom = 1.0 - base
+        feasible = _feasible_corners(headroom, sched.target)
+    for start in range(0, t, rows):
+        count = min(rows, t - start)
+        if sched.kind == "decaying":
+            eps = sched.scale / np.arange(start + 1, start + count + 1, dtype=np.float64)
+            raw = rng.random((count, base.size))
+            raw *= eps[:, None]
+            raw += base
+            raw /= raw.sum(axis=1, keepdims=True)
+            yield raw
+        elif sched.target == 0.0:
+            yield np.tile(base, (count, 1))
+        else:
+            corners = feasible[(rng.random(count) * feasible.size).astype(np.int64)]
+            # mixing weight per step so that TV(s^tau, base) == target exactly
+            eps = sched.target / headroom[corners]
+            dists = base[None, :] * (1.0 - eps)[:, None]
+            dists[np.arange(count), corners] += eps
+            yield dists
 
 
 def _horizon(t) -> int:
@@ -175,9 +192,14 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     if model.kind == "iid":
         items = sample_categorical(categorical_cdf(model.base.probs), rng.random(t))
     elif model.kind == "corrupted":
-        cdfs = categorical_cdf(corruption_step_distributions(model, t))
-        # row-wise inverse CDF with lower-index ties, one uniform per step
-        items = (cdfs < rng.random(t)[:, None]).sum(axis=1)
+        u = rng.random(t)
+        items = np.empty(t, dtype=np.int64)
+        start = 0
+        for dists in corruption_step_distributions(model, t):
+            stop = start + len(dists)
+            # row-wise inverse CDF with lower-index ties, one uniform per step
+            items[start:stop] = (categorical_cdf(dists) < u[start:stop, None]).sum(axis=1)
+            start = stop
     elif model.kind == "markov":
         u = rng.random(t)
         row_cdfs = categorical_cdf(model.transition)
@@ -209,26 +231,30 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     return ItemSequence(items.astype(np.int64))
 
 
-def stationary_distribution(transition, tol: float = 1e-12, max_iters: int = 100_000) -> ReferenceDistribution:
+# Power iterations before a chain is declared periodic or reducible.
+_POWER_ITERATIONS = 100_000
+
+
+def stationary_distribution(transition, tol: float = 1e-12) -> ReferenceDistribution:
     """Fixed point of the chain by power iteration from the uniform vector.
 
-    Returns a vector pi with ||pi P - pi||_1 <= tol. Raises NoConvergence if
-    the cap is hit, which signals a periodic or reducible chain. Reducible
-    chains whose uniform vector happens to be a fixed point (for example the
-    identity transition) converge immediately to uniform; that degenerate
-    acceptance is by design.
+    Returns a vector pi with ||pi P - pi||_1 <= tol. Raises NoConvergence
+    after _POWER_ITERATIONS iterations, which signals a periodic or
+    reducible chain. Reducible chains whose uniform vector happens to be a
+    fixed point (for example the identity transition) converge immediately
+    to uniform; that degenerate acceptance is by design.
     """
     P = _row_stochastic(transition, "transition")
     if P.shape[0] != P.shape[1]:
         raise ValueError("transition matrix must be square")
     pi = np.full(P.shape[0], 1.0 / P.shape[0])
-    for _ in range(max_iters):
+    for _ in range(_POWER_ITERATIONS):
         nxt = pi @ P
         if np.abs(nxt - pi).sum() <= tol:
             return ReferenceDistribution(pi)
         pi = nxt / nxt.sum()
     raise NoConvergence(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations"
+        f"power iteration did not reach tol={tol} in {_POWER_ITERATIONS} iterations"
     )
 
 

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpace import eg
 from fairpace.eg import (
@@ -174,9 +177,9 @@ class TestSolveDual:
         for scale in (1.0016, 1.0, 0.37, 2.5e-7):
             seen = []
 
-            def recorded(beta, prob, mu, gtol, max_steps):
+            def recorded(beta, prob, mu, gtol):
                 seen.append(mu)
-                return stage(beta, prob, mu, gtol, max_steps)
+                return stage(beta, prob, mu, gtol)
 
             monkeypatch.setattr(eg, "_newton_stage", recorded)
             prob = market_problem(MarketInstance(np.full((1, 2), scale)), np.array([0.5, 0.5]))
@@ -225,6 +228,86 @@ class TestSmoothedState:
             ref_obj, ref_shares = self.plain_exp(beta, prob, mu)
             assert obj == ref_obj
             assert np.array_equal(shares, ref_shares)
+
+
+def tied_problem(seed, n, m, mu):
+    """Random problem and center in the box with near-tied top bids.
+
+    About half the columns get a second bid within 1000 mu of the top,
+    so their shares split, and a fifth of the valuations are zero.
+    """
+    rng = np.random.default_rng(seed)
+    v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.2)
+    lo, hi = 0.5 / n, 2.0
+    center = lo + rng.random(n) * (hi - lo)
+    bids = center[:, None] * v
+    for j in np.flatnonzero(rng.random(m) < 0.5):
+        top = bids[:, j].max()
+        k = rng.integers(n)
+        if bids[k, j] < top and top > 1000 * mu:
+            v[k, j] = (top - rng.uniform(0, 1000) * mu) / center[k]
+    w = rng.random(m) + 0.01
+    return DualProblem(v, w / w.sum(), lo, hi), center, rng
+
+
+class TestWorkingSet:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        log_mu=st.floats(-8.0, -2.0),
+    )
+    def test_matches_dense(self, seed, n, m, log_mu):
+        mu = 10.0**log_mu
+        prob, center, rng = tied_problem(seed, n, m, mu)
+        with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
+            working, share = eg._working_set(center, prob, mu)
+        assert share == working.rows.size / (n * m)
+        radius = working.radius if np.isfinite(working.radius) else 0.5
+        # points inside the radius and at it: some coordinates move by
+        # exactly the radius, upward where moving down would leave beta <= 0
+        steps = rng.uniform(-1.0, 1.0, size=(6, n))
+        steps[rng.random((6, n)) < 0.4] = 1.0
+        steps[1:3] = rng.choice([-1.0, 1.0], size=(2, n))
+        steps[:, center - radius <= 0] = np.abs(steps[:, center - radius <= 0])
+        for beta in center + radius * steps:
+            dense = eg._smoothed_state(beta, prob, mu)
+            sparse = eg._smoothed_state(beta, prob, mu, working=working)
+            assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0)
+            assert np.all(np.abs(sparse[2] - dense[2]) <= 1e-12 * np.abs(dense[2]))
+            shares = np.zeros((n, m))
+            shares[working.rows, working.cols] = sparse[3]
+            assert np.array_equal(shares > 0, dense[3] > 0)
+            assert np.allclose(shares, dense[3], rtol=1e-12, atol=0.0)
+            H = eg._smoothed_hessian(beta, prob, mu, dense[3])
+            H_set = eg._smoothed_hessian(beta, prob, mu, sparse[3], working)
+            # the dense Hessian adds and cancels terms up to the diagonal
+            # sum below, so it is exact only to a rounding error of that size
+            terms = (dense[3] * prob.valuations**2) @ (prob.weights / mu) + 1.0 / (n * beta**2)
+            assert np.all(np.abs(H_set - H) <= 1e-12 * terms.max())
+
+    def test_no_set_evaluation_outside_radius(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        prob = market_problem(random_instance(rng, 20, 60), rng.dirichlet(np.ones(60)))
+        value = eg._smoothed_value
+        on_set, outside = [], []
+
+        def checked(beta, prob, mu, working=None):
+            if working is not None:
+                on_set.append(mu)
+                if np.abs(beta - working.center).max() > working.radius:
+                    outside.append(mu)
+            return value(beta, prob, mu, working)
+
+        monkeypatch.setattr(eg, "_smoothed_value", checked)
+        sol = solve_dual(prob)
+        assert sol.converged
+        assert on_set and not outside
+        assert len(on_set) == sum(s.set_evaluations for s in sol.stages)
+        for stage in sol.stages:
+            assert stage.set_evaluations + stage.dense_fallbacks < stage.evaluations
+            assert stage.rebuilds <= stage.dense_fallbacks
 
 
 class TestEquilibriumUtilities:
@@ -276,6 +359,9 @@ def test_solution_json_round_trip(rng):
     assert doc["beta"] == sol.beta_hat.tolist()
     assert doc["objective"] == sol.objective
     assert doc["evaluations"] == sol.evaluations > 0
+    assert len(doc["stages"]) == len(sol.stages)
+    assert doc["iterations"] == sum(stage["steps"] for stage in doc["stages"])
+    assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
 
 def test_dual_problem_validation():

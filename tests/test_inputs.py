@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from fairpace.inputs import (
     corruption_step_distributions,
     model_from_dict,
     model_to_dict,
+    random_corrupted_model,
     random_markov_model,
     random_periodic_model,
     reference_distribution,
@@ -87,7 +90,7 @@ class TestCorruption:
             model = InputModel(
                 "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=target), seed=3
             )
-            dists = corruption_step_distributions(model, 500)
+            dists = np.concatenate(list(corruption_step_distributions(model, 500)))
             tv = 0.5 * np.abs(dists - base.probs).sum(axis=1)
             assert np.allclose(tv, target, atol=1e-12)
 
@@ -106,7 +109,7 @@ class TestCorruption:
         model = InputModel(
             "corrupted", base=base, corruption=CorruptionSchedule("decaying", scale=1.0), seed=1
         )
-        dists = corruption_step_distributions(model, 200)
+        dists = np.concatenate(list(corruption_step_distributions(model, 200)))
         drift = 0.5 * np.abs(dists - base.probs).sum(axis=1)
         assert drift[0] > 10 * drift[-1]
         assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-12)
@@ -118,7 +121,7 @@ class TestCorruption:
         )
         # headroom of corners 1 and 2 is 1.0 >= 0.5, so this is feasible;
         # a target above every headroom must fail when the model is built
-        corruption_step_distributions(model, 5)
+        list(corruption_step_distributions(model, 5))
         with pytest.raises(ValueError):
             InputModel(
                 "corrupted",
@@ -126,6 +129,56 @@ class TestCorruption:
                 corruption=CorruptionSchedule("budgeted", target=0.7),
                 seed=0,
             )
+
+
+def dense_corrupted_items(model, t, path_seed):
+    """Items of a corrupted path from one (t, m) table of per-step CDFs."""
+    base, sched = model.base.probs, model.corruption
+    rng = make_generator(model.seed)
+    if sched.kind == "decaying":
+        eps = sched.scale / np.arange(1, t + 1, dtype=np.float64)
+        raw = base[None, :] + eps[:, None] * rng.random((t, base.size))
+        dists = raw / raw.sum(axis=1, keepdims=True)
+    else:
+        headroom = 1.0 - base
+        feasible = np.flatnonzero(headroom >= sched.target)
+        corners = feasible[(rng.random(t) * feasible.size).astype(np.int64)]
+        eps = sched.target / headroom[corners]
+        dists = base[None, :] * (1.0 - eps)[:, None]
+        dists[np.arange(t), corners] += eps
+    cdfs = np.cumsum(dists, axis=1)
+    cdfs[:, -1] = 1.0
+    u = make_generator(path_seed).random(t)
+    return (cdfs < u[:, None]).sum(axis=1)
+
+
+CORRUPTIONS = [
+    CorruptionSchedule("decaying", scale=1.0),
+    CorruptionSchedule("budgeted", target=0.2),
+]
+
+
+class TestCorruptedBlocks:
+    @pytest.mark.parametrize("schedule", CORRUPTIONS, ids=["decaying", "budgeted"])
+    def test_blocks_match_one_table(self, schedule):
+        # m = 300 puts 218 steps in a block, so none of these t is a multiple
+        model = random_corrupted_model(300, schedule, seed=2)
+        for t in (1, 777, 5000):
+            items = sample_sequence(model, t, path_seed=9).items
+            assert np.array_equal(items, dense_corrupted_items(model, t, 9))
+
+    @pytest.mark.parametrize("schedule", CORRUPTIONS, ids=["decaying", "budgeted"])
+    def test_peak_allocation(self, schedule):
+        # one (t, m) float table at t = 20000, m = 300 is 48 MB, and sampling
+        # from such tables peaked at 96 MB
+        model = random_corrupted_model(300, schedule, seed=2)
+        tracemalloc.start()
+        try:
+            sample_sequence(model, 20000, path_seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestStationary:
@@ -160,7 +213,7 @@ class TestStationary:
             ]
         )
         with pytest.raises(NoConvergence):
-            stationary_distribution(P, tol=1e-10, max_iters=10_000)
+            stationary_distribution(P, tol=1e-10)
 
 
 def test_reference_distribution_per_kind():
