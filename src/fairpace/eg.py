@@ -19,14 +19,19 @@ is an n x n matrix assembled in O(n m + n^2 m) work, cheap at the scales
 here). Items of zero weight add exactly nothing to the objective, its
 gradient or its Hessian, so the solver drops their columns first; a
 hindsight solve over a short sequence works on the items that arrived.
-Each Newton step runs one backtracking search that evaluates every trial
-point once, by value alone until one passes.
+Each Newton step runs one backtracking search that evaluates its trial
+points by value alone until one passes.
 
-At small temperatures nearly every softmax weight underflows to exactly 0.
-Each stage then evaluates on a working set of the pairs near their item's
-top bid while the multipliers stay within a trust radius in which that is
-exact (see _WorkingSet), and densely outside it; a stage whose set would
-hold a quarter of the pairs or more runs dense.
+A softmax weight whose bid lies more than 690 mu below its item's top bid,
+mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF), so no weight
+or share is subnormal, and at small temperatures nearly every weight is
+that far down. Each stage then evaluates on a working set of the pairs
+near their item's top bid while the multipliers stay within a trust radius
+in which that is exact (see _WorkingSet), and assembles the Hessian's cross
+term from the pairs of agents that split an item. Outside the radius the
+set's value is a lower bound on the dense one: a trial point whose bound
+already fails the line search is rejected without a dense evaluation. A
+stage whose set would hold 40% of the pairs or more runs dense.
 
 The temperature floor tracks the requested tolerance; the reported
 residual is the fixed-point gap ||beta - clamp(1 / (n u(beta)))||_inf
@@ -92,18 +97,22 @@ class StageCounts:
     """Work of one temperature stage.
 
     evaluations counts evaluations of the smoothed objective, the value-only
-    ones at rejected trial points included; set_evaluations of them ran on
-    the working set, and dense_fallbacks on the whole matrix because the
-    point lay outside the set's trust radius. rebuilds counts the working
-    sets built after accepting such a point, and set_share is the share of
-    the n m pairs in the stage's last set (at or above _DENSE_SHARE when the
-    stage ran dense, None when it took no step and built no set).
+    ones at rejected trial points and the bound evaluations included.
+    set_evaluations of them ran on the working set at points within its
+    trust radius. A point outside the radius is first evaluated on the set
+    as a bound: bound_rejections counts the points that bound rejected, and
+    dense_fallbacks the others, which were then evaluated on the whole
+    matrix. rebuilds counts the working sets built after accepting such a
+    point, and set_share is the share of the n m pairs in the stage's last
+    set (at or above _DENSE_SHARE when the stage ran dense, None when it
+    took no step and built no set).
     """
 
     mu: float
     steps: int
     evaluations: int
     set_evaluations: int
+    bound_rejections: int
     dense_fallbacks: int
     rebuilds: int
     set_share: Optional[float]
@@ -141,27 +150,34 @@ def dual_objective(beta, prob: DualProblem) -> float:
     return float(winning @ prob.weights - np.log(beta).sum() / prob.n)
 
 
-# IEEE exp is exactly 0 below about -745.13, so an exponent at or below this
-# cutoff is left at 0 without calling exp.
-_EXP_CUTOFF = -746.0
+# Exponents below this cutoff are left at 0 without calling exp. IEEE exp
+# turns subnormal below about -708.4 and multiplying subnormals is slow, so
+# the cutoff keeps every weight at or above e^-690, about 3e-300, and every
+# share (a weight over its column's mass, which lies between 1 and n) normal
+# for n up to about 1e8. The top weight of a column is exactly 1, so a
+# dropped weight is over 1e299 times smaller: the column's mass, and with
+# it the value, is the same as with a plain exp.
+_EXP_CUTOFF = -690.0
 
 # A working set holds the pairs within _SET_WIDTH mu of their column's top
-# bid. Past the 746 mu that can carry weight, the slack sets the trust
-# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 746) mu
+# bid. Past the 690 mu that can carry weight, the slack sets the trust
+# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 691) mu
 # before its weight can be nonzero. A narrower set is left sooner, and each
-# exit costs a dense evaluation. On the benchmark's shapes a width of 1000
-# fell back to dense evaluations about twice as often as 3000, rebuilt 2-7
-# times per solve where 3000 never did, and took 10-14% more solve time;
-# widths of 2000 and 6000 took the time of 3000 to within 2%.
+# exit costs an evaluation on the set and, when that does not rule the trial
+# point out, a dense one. On the benchmark's shapes a width of 1000 left
+# the set about twice as often as 3000, rebuilt it 2-7 times per solve
+# where 3000 never did, and took 10-14% more solve time; widths of 2000 and
+# 6000 took the time of 3000 to within 2%.
 _SET_WIDTH = 3000.0
 
 # A set holding this share of the n m pairs or more is not used and its
 # stage runs dense. Per pair the set's gathers and scatters cost more than
-# the dense evaluation's contiguous passes: at mu = 1e-4 on the benchmark's
-# shapes, a Newton step's Hessian and 2.3 evaluations cost 0.7-0.9 times
-# the dense ones on a set of 20% of the pairs and 1.0-1.2 times on one of
-# 40%.
-_DENSE_SHARE = 0.25
+# the dense evaluation's contiguous passes. On the benchmark's shapes, a
+# whole stage at a temperature between 1e-5 and 1e-4, started from the same
+# point and run on the set, took 0.74-0.80 times its dense time where the
+# set held 28-30% of the pairs, 0.92-0.99 times at 40-43% and 1.10-1.31
+# times at 56-58%.
+_DENSE_SHARE = 0.4
 
 # Newton steps per temperature stage; a stage that reaches it hands its
 # point to the next one.
@@ -175,14 +191,16 @@ class _WorkingSet:
     _SET_WIDTH mu of their column's top bid, grouped by column with agents
     ascending, and the trust radius
 
-        R = min over excluded pairs of (gap_ij - 746 mu) / (v_ij + v_wj)
+        R = min over excluded pairs of (gap_ij - 691 mu) / (v_ij + v_wj)
 
     where gap_ij is the pair's distance below its column's top bid and w
     the column's top bidder, both at the center. While
-    |beta - center|_inf <= R every excluded pair's exponent stays at or
-    below the cutoff and each column's top bid is one of the set's, so the
-    value, shares, utilities and Hessian computed on the set equal the
-    dense ones, the Hessian up to summation order.
+    |beta - center|_inf <= R every excluded pair's exponent stays a unit
+    below the cutoff, more than the rounding of the bids can make up, and
+    each column's top bid is one of the set's, so the value, shares,
+    utilities and Hessian computed on the set equal the dense ones, the
+    Hessian up to summation order. Outside R the set's value is still a
+    lower bound on the dense one (see _bound_rejects).
     """
 
     def __init__(self, center, radius: float, inside, prob: DualProblem):
@@ -197,25 +215,6 @@ class _WorkingSet:
 
     def covers(self, beta) -> bool:
         return float(np.abs(beta - self.center).max()) <= self.radius
-
-    def tied(self, shares):
-        """Shares and valuations of the columns where two or more pairs have
-        nonzero share, as (n, k) matrices, and those k columns' indices.
-
-        In every other column a pair's share is 0 or exactly 1, and a share
-        of 1 adds equal diagonal and cross terms to the Hessian, which
-        cancel.
-        """
-        nonzero = shares > 0
-        per_column = np.bincount(self.cols[nonzero], minlength=self.starts.size)
-        columns = np.flatnonzero(per_column >= 2)
-        pick = nonzero & (per_column >= 2)[self.cols]
-        at = (self.rows[pick], np.searchsorted(columns, self.cols[pick]))
-        tied_shares = np.zeros((self.center.size, columns.size))
-        tied_shares[at] = shares[pick]
-        tied_values = np.zeros_like(tied_shares)
-        tied_values[at] = self.values[pick]
-        return tied_shares, tied_values, columns
 
 
 def _working_set(center, prob: DualProblem, mu: float):
@@ -235,7 +234,7 @@ def _working_set(center, prob: DualProblem, mu: float):
     if share >= _DENSE_SHARE:
         return None, share
     np.negative(z, out=z)
-    z += _EXP_CUTOFF * mu
+    z += (_EXP_CUTOFF - 1.0) * mu
     np.putmask(z, inside, np.inf)
     z /= V + V[top_bidder, items]
     return _WorkingSet(center, float(z.min()), inside, prob), share
@@ -246,10 +245,10 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
 
     Returns the value, each agent's unnormalized softmax weight per item and
     each item's total weight. Exponents below the cutoff are left at 0
-    without calling exp, so the values are those of a plain exp, and at
-    small temperatures nearly every entry is that far below its column's
-    top bid. Given a working set that covers beta, the weights are those of
-    the set's pairs, in its order.
+    without calling exp, so the value is that of a plain exp, and at small
+    temperatures nearly every entry is that far below its column's top bid.
+    Given a working set, the weights are those of the set's pairs, in its
+    order; they are the dense ones when the set covers beta.
     """
     if working is None:
         z = beta[:, None] * prob.valuations
@@ -260,7 +259,7 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
         top = np.maximum.reduceat(z, working.starts)
         z -= top[working.cols]
     z /= mu
-    weights_exp = np.exp(z, out=np.zeros_like(z), where=z > _EXP_CUTOFF)
+    weights_exp = np.exp(z, out=np.zeros_like(z), where=z >= _EXP_CUTOFF)
     if working is None:
         mass = weights_exp.sum(axis=0)
     else:
@@ -296,19 +295,60 @@ def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None
 
 
 def _smoothed_hessian(beta, prob: DualProblem, mu: float, shares, working=None) -> np.ndarray:
-    """Exact Hessian of the smoothed objective; positive definite on the box."""
-    V, weights = prob.valuations, prob.weights
-    if working is not None:
-        shares, V, columns = working.tied(shares)
-        weights = weights[columns]
+    """Exact Hessian of the smoothed objective; positive definite on the box.
+
+    On a working set only the tied columns enter, those where two or more
+    pairs have nonzero share: in any other column a pair's share is 0 or
+    exactly 1, and a share of 1 adds equal diagonal and cross terms, which
+    cancel. The cross term sums, by bincount over (agent, agent) indices,
+    the products of every two of a tied column's pairs, each pair with
+    itself included.
+    """
     n = prob.n
-    scaled = shares * V  # (n, items)
-    diag_term = (scaled * V) @ (weights / mu)
-    cross = (scaled * (weights / mu)[None, :]) @ scaled.T
-    H = -cross
+    if working is None:
+        V, c = prob.valuations, prob.weights / mu
+        scaled = shares * V  # (n, m)
+        diag_term = (scaled * V) @ c
+        H = -((scaled * c[None, :]) @ scaled.T)
+    else:
+        nonzero = shares > 0
+        per_column = np.bincount(working.cols[nonzero], minlength=prob.m)
+        pick = np.flatnonzero(nonzero & (per_column >= 2)[working.cols])
+        rows, cols, values = working.rows[pick], working.cols[pick], working.values[pick]
+        scaled = shares[pick] * values
+        c = prob.weights[cols] / mu
+        diag_term = np.bincount(rows, scaled * values * c, n)
+        # the picked entries are grouped by column: entry e pairs with the k[e]
+        # entries of its column, which start at the column's first entry
+        k = per_column[cols]
+        left = np.repeat(np.arange(pick.size), k)
+        offset = np.arange(left.size) - np.repeat(np.cumsum(k) - k, k)
+        right = np.repeat(np.searchsorted(cols, cols), k) + offset
+        cross = np.bincount(
+            rows[left] * n + rows[right], scaled[left] * scaled[right] * c[left], n * n
+        )
+        # -1.0 * and not -: over no pairs bincount returns integers
+        H = -1.0 * cross.reshape(n, n)
     idx = np.arange(n)
     H[idx, idx] += diag_term + 1.0 / (n * beta**2)
     return H
+
+
+def _bound_rejects(candidate, prob: DualProblem, mu: float, working, flat: float) -> bool:
+    """Whether the working set's value at candidate shows that the dense
+    value exceeds flat, so that the line search would reject the point.
+
+    The set's value sums a subset of each column's exponential terms, so
+    wherever candidate lies it is at most the dense value, up to rounding.
+    Each value rounds by at most (m + n + 4) eps times its price term plus
+    the magnitude of its log barrier. The box bounds the barrier by
+    max |log beta|, and the price term by the value plus that; the bound
+    must clear flat by the two values' rounding together.
+    """
+    bound = _smoothed_value(candidate, prob, mu, working)[0]
+    barrier = max(abs(np.log(prob.lo)), abs(np.log(prob.hi)))
+    margin = 2.0 * (prob.m + prob.n + 4) * np.finfo(float).eps * (abs(flat) + 2.0 * barrier)
+    return bound > flat + margin
 
 
 def _projected_gradient(beta, grad, lo, hi) -> np.ndarray:
@@ -337,8 +377,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
 
     Bound-active coordinates whose gradient points outward are frozen; the
     Newton system is solved on the free block. One backtracking search
-    clips each trial step to the box and evaluates every trial point once,
-    by value alone unless the value could pass. It accepts the first trial
+    clips each trial step to the box and evaluates each trial point by
+    value alone unless the value could pass. It accepts the first trial
     point whose objective strictly decreases, or whose objective is flat to
     rounding (within 64 eps of the current value) while its projected
     gradient norm drops below 0.9 times the current one. Near the optimum
@@ -355,16 +395,18 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
     accepted.
 
     The first step builds a working set at the stage's point. Points within
-    its trust radius are evaluated on the set, the others on the whole
-    matrix; accepting one of the others rebuilds the set there. Rebuilding
-    at every trial point outside the radius instead rebuilds many times
-    per solve for trial points the search then rejects. A set holding
-    _DENSE_SHARE of the pairs or more is dropped, and the stage runs dense
-    from then on. Returns the new point, its utilities under this stage's
-    tie split and the stage's StageCounts.
+    its trust radius are evaluated on the set. At a point outside it the
+    set's value is a lower bound on the dense one; a bound above the
+    acceptance threshold rejects the point, as its dense value would, and
+    otherwise the point is evaluated on the whole matrix. Accepting such a
+    point rebuilds the set there. Rebuilding at every trial point outside
+    the radius instead rebuilds many times per solve for trial points the
+    search then rejects. A set holding _DENSE_SHARE of the pairs or more is
+    dropped, and the stage runs dense from then on. Returns the new point,
+    its utilities under this stage's tie split and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    steps = set_evaluations = dense_fallbacks = sets_built = 0
+    steps = set_evaluations = bound_rejections = dense_fallbacks = sets_built = 0
     obj, grad, utilities, shares = _smoothed_state(beta, prob, mu)
     evaluations = 1
     pg = _projected_gradient(beta, grad, lo, hi)
@@ -391,20 +433,27 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
         accepted = None
         for alpha in _step_lengths(min(1.0, 4.0 * last)):
             candidate = np.clip(beta + alpha * direction, lo, hi)
-            if np.any(candidate != beta):
-                on = working if working is not None and working.covers(candidate) else None
-                value = _smoothed_value(candidate, prob, mu, on)
+            if not np.any(candidate != beta):
+                continue
+            outside = working is not None and not working.covers(candidate)
+            if outside:
                 evaluations += 1
-                set_evaluations += on is not None
-                dense_fallbacks += working is not None and on is None
-                if value[0] <= flat:
-                    state = _smoothed_state(candidate, prob, mu, value, on)
-                    cand_pg = _projected_gradient(candidate, state[1], lo, hi)
-                    if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                        accepted = (candidate, state, cand_pg)
-                        stale = working is not None and on is None
-                        last = alpha
-                        break
+                if _bound_rejects(candidate, prob, mu, working, flat):
+                    bound_rejections += 1
+                    continue
+                dense_fallbacks += 1
+            on = None if outside else working
+            value = _smoothed_value(candidate, prob, mu, on)
+            evaluations += 1
+            set_evaluations += on is not None
+            if value[0] <= flat:
+                state = _smoothed_state(candidate, prob, mu, value, on)
+                cand_pg = _projected_gradient(candidate, state[1], lo, hi)
+                if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
+                    accepted = (candidate, state, cand_pg)
+                    stale = outside
+                    last = alpha
+                    break
         if accepted is None:
             break
         beta, (obj, grad, utilities, shares), pg = accepted
@@ -413,6 +462,7 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
         steps=steps,
         evaluations=evaluations,
         set_evaluations=set_evaluations,
+        bound_rejections=bound_rejections,
         dense_fallbacks=dense_fallbacks,
         rebuilds=max(sets_built - 1, 0),
         set_share=share,

@@ -49,6 +49,7 @@ def test_sample_then_solve(tmp_path, market_file, model_file):
     sol = json.loads(sol_path.read_text())
     assert set(sol) >= {"beta", "objective", "residual"}
     assert len(sol["beta"]) == 3
+    assert sol["stages"] and all("bound_rejections" in stage for stage in sol["stages"])
 
 
 def test_sample_determinism(tmp_path, model_file):

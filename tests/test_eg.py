@@ -196,38 +196,63 @@ class TestSolveDual:
 class TestSmoothedState:
     @staticmethod
     def plain_exp(beta, prob, mu):
-        """Shares and objective with exp taken of every entry."""
+        """Objective, weights and shares with exp taken of every entry."""
         bids = beta[:, None] * prob.valuations
         top = bids.max(axis=0)
         weights_exp = np.exp((bids - top) / mu)
         mass = weights_exp.sum(axis=0)
         prices = mu * np.log(mass) + top
         obj = float(prices @ prob.weights - np.log(beta).sum() / prob.n)
-        return obj, weights_exp / mass
+        return obj, weights_exp, weights_exp / mass
 
     def test_masked_exp_matches_plain_exp(self, rng):
-        # exponents (bid - top) / mu of exactly 0, around -745 where exp
-        # underflows to 0, and below -746 where exp is skipped
+        # exponents (bid - top) / mu of exactly 0, at and around the cutoff,
+        # around -708.4 where exp turns subnormal, around -745.13 where it
+        # underflows to 0, and far below
+        cut = -eg._EXP_CUTOFF
         gaps = np.array(
             [
-                [0.0, 0.0, 744.4, 0.0],
-                [745.0, 0.0, 0.0, 745.13],
-                [745.2, 745.9, 746.0, 745.14],
-                [746.5, 800.0, 1e4, 3.0],
+                [0.0, 0.0, 744.4, 0.0, cut - 1e-9],
+                [745.0, 0.0, 0.0, 745.13, 0.0],
+                [745.2, 745.9, 746.0, 745.14, cut],
+                [746.5, 800.0, 1e4, 3.0, cut + 1e-9],
+                [cut - 0.5, cut + 0.5, 708.0, 709.0, 1.0],
             ]
         )
-        beta = 0.5 + rng.random(4)
-        cases = [(np.ones(4), 1000.0 - gaps, 1.0)]
+        beta = 0.5 + rng.random(5)
+        cases = [(np.ones(5), 1000.0 - gaps, 1.0)]
         cases += [(beta, (1.0 - mu * gaps) / beta[:, None], mu) for mu in (1e-5, 1e-8)]
         gaps = rng.uniform(0.0, 800.0, size=(8, 50))
         beta = 0.5 + rng.random(8)
         cases.append((beta, (1.0 - 1e-6 * gaps) / beta[:, None], 1e-6))
+        floor = np.exp(eg._EXP_CUTOFF)
         for beta, v, mu in cases:
             prob = DualProblem(v, np.full(v.shape[1], 1.0 / v.shape[1]), 0.1, 2.0)
             obj, _, _, shares = eg._smoothed_state(beta, prob, mu)
-            ref_obj, ref_shares = self.plain_exp(beta, prob, mu)
+            ref_obj, ref_weights, ref_shares = self.plain_exp(beta, prob, mu)
             assert obj == ref_obj
-            assert np.array_equal(shares, ref_shares)
+            kept = ref_weights >= floor
+            assert np.array_equal(shares[kept], ref_shares[kept])
+            assert np.all(shares[~kept] == 0.0)
+            assert np.all(ref_shares[~kept] < floor)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        log_mu=st.floats(-8.0, -2.0),
+    )
+    def test_no_subnormal_weights_or_shares(self, seed, n, m, log_mu):
+        mu = 10.0**log_mu
+        prob, center, _ = tied_problem(seed, n, m, mu)
+        with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
+            working, _ = eg._working_set(center, prob, mu)
+        for on in (None, working):
+            value = eg._smoothed_value(center, prob, mu, on)
+            shares = eg._smoothed_state(center, prob, mu, value, on)[3]
+            for x in (value[1], shares):
+                assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
 
 
 def tied_problem(seed, n, m, mu):
@@ -250,6 +275,40 @@ def tied_problem(seed, n, m, mu):
     return DualProblem(v, w / w.sum(), lo, hi), center, rng
 
 
+def assert_set_matches_dense(prob, center, mu, rng):
+    """The working set at center gives the dense value, utilities, shares and
+    Hessian at center and at points inside and exactly at its radius."""
+    n, m = prob.n, prob.m
+    with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
+        working, share = eg._working_set(center, prob, mu)
+    assert share == working.rows.size / (n * m)
+    radius = working.radius if np.isfinite(working.radius) else 0.5
+    # some coordinates move by exactly the radius, upward where moving down
+    # would leave beta <= 0
+    steps = rng.uniform(-1.0, 1.0, size=(7, n))
+    steps[rng.random((7, n)) < 0.4] = 1.0
+    steps[1:3] = rng.choice([-1.0, 1.0], size=(2, n))
+    steps[:, center - radius <= 0] = np.abs(steps[:, center - radius <= 0])
+    steps[-1] = 0.0
+    for beta in center + radius * steps:
+        dense = eg._smoothed_state(beta, prob, mu)
+        sparse = eg._smoothed_state(beta, prob, mu, working=working)
+        assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0)
+        assert np.all(np.abs(sparse[2] - dense[2]) <= 1e-12 * np.abs(dense[2]))
+        shares = np.zeros((n, m))
+        shares[working.rows, working.cols] = sparse[3]
+        assert np.array_equal(shares > 0, dense[3] > 0)
+        assert np.allclose(shares, dense[3], rtol=1e-12, atol=0.0)
+        H = eg._smoothed_hessian(beta, prob, mu, dense[3])
+        H_set = eg._smoothed_hessian(beta, prob, mu, sparse[3], working)
+        assert H_set.dtype == np.float64
+        # the dense Hessian adds and cancels terms up to the diagonal sum
+        # below, so it is exact only to a rounding error of that size
+        terms = (dense[3] * prob.valuations**2) @ (prob.weights / mu) + 1.0 / (n * beta**2)
+        assert np.all(np.abs(H_set - H) <= 1e-12 * terms.max())
+    return working
+
+
 class TestWorkingSet:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -261,53 +320,121 @@ class TestWorkingSet:
     def test_matches_dense(self, seed, n, m, log_mu):
         mu = 10.0**log_mu
         prob, center, rng = tied_problem(seed, n, m, mu)
+        assert_set_matches_dense(prob, center, mu, rng)
+
+    def test_matches_dense_edge_cases(self, rng):
+        mu = 1e-5
+
+        def check(v, weights, lo, nonzero_per_column):
+            n, m = v.shape
+            prob = DualProblem(v, np.array(weights), lo, 2.0)
+            working = assert_set_matches_dense(prob, np.ones(n), mu, rng)
+            shares = eg._smoothed_state(np.ones(n), prob, mu, working=working)[3]
+            nonzero = np.bincount(working.cols[shares > 0], minlength=m)
+            assert nonzero.tolist() == nonzero_per_column
+
+        # one agent or one item: no tied column
+        check(np.array([[0.7]]), [1.0], 0.5, [1])
+        check(np.array([[0.7, 0.2, 1.3]]), [0.2, 0.3, 0.5], 0.5, [1, 1, 1])
+        check(np.array([[0.7], [0.9], [0.4]]), [1.0], 0.2, [1])
+        # every column won by one agent far ahead: no tied column
+        v = np.array([[1.0, 0.1, 0.2, 0.9], [0.3, 1.0, 0.1, 0.2], [0.2, 0.4, 1.0, 0.1]])
+        check(v, [0.25, 0.25, 0.25, 0.25], 0.2, [1, 1, 1, 1])
+        # columns with three, four and two nonzero shares
+        v = np.ones((5, 3))
+        v[:, 0] -= mu * np.array([0.0, 0.5, 2.0, 900.0, 4000.0])
+        v[:, 1] -= mu * np.array([3.0, 0.0, 1.0, 700.0, 0.0])
+        v[:, 2] -= mu * np.array([5000.0, 2.0, 0.0, 5000.0, 800.0])
+        check(v, [0.5, 0.3, 0.2], 0.1, [3, 4, 2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        log_mu=st.floats(-8.0, -2.0),
+    )
+    def test_bound_never_rejects_an_acceptable_point(self, seed, n, m, log_mu):
+        # anywhere in the box the set's value is at most the dense one, so a
+        # threshold at the dense value, or at the bound itself, is never
+        # rejected, while one a hair below the bound is
+        mu = 10.0**log_mu
+        prob, center, rng = tied_problem(seed, n, m, mu)
         with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-            working, share = eg._working_set(center, prob, mu)
-        assert share == working.rows.size / (n * m)
-        radius = working.radius if np.isfinite(working.radius) else 0.5
-        # points inside the radius and at it: some coordinates move by
-        # exactly the radius, upward where moving down would leave beta <= 0
-        steps = rng.uniform(-1.0, 1.0, size=(6, n))
-        steps[rng.random((6, n)) < 0.4] = 1.0
-        steps[1:3] = rng.choice([-1.0, 1.0], size=(2, n))
-        steps[:, center - radius <= 0] = np.abs(steps[:, center - radius <= 0])
-        for beta in center + radius * steps:
-            dense = eg._smoothed_state(beta, prob, mu)
-            sparse = eg._smoothed_state(beta, prob, mu, working=working)
-            assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0)
-            assert np.all(np.abs(sparse[2] - dense[2]) <= 1e-12 * np.abs(dense[2]))
-            shares = np.zeros((n, m))
-            shares[working.rows, working.cols] = sparse[3]
-            assert np.array_equal(shares > 0, dense[3] > 0)
-            assert np.allclose(shares, dense[3], rtol=1e-12, atol=0.0)
-            H = eg._smoothed_hessian(beta, prob, mu, dense[3])
-            H_set = eg._smoothed_hessian(beta, prob, mu, sparse[3], working)
-            # the dense Hessian adds and cancels terms up to the diagonal
-            # sum below, so it is exact only to a rounding error of that size
-            terms = (dense[3] * prob.valuations**2) @ (prob.weights / mu) + 1.0 / (n * beta**2)
-            assert np.all(np.abs(H_set - H) <= 1e-12 * terms.max())
+            working, _ = eg._working_set(center, prob, mu)
+        for beta in prob.lo + rng.random((6, n)) * (prob.hi - prob.lo):
+            bound = eg._smoothed_value(beta, prob, mu, working)[0]
+            dense = eg._smoothed_value(beta, prob, mu)[0]
+            assert bound <= dense + 1e-12 * max(1.0, abs(dense))
+            assert not eg._bound_rejects(beta, prob, mu, working, dense)
+            assert not eg._bound_rejects(beta, prob, mu, working, bound)
+            assert eg._bound_rejects(beta, prob, mu, working, bound - 1e-9 * max(1.0, abs(bound)))
+
+    @staticmethod
+    def solve_problem():
+        rng = np.random.default_rng(11)
+        return market_problem(random_instance(rng, 20, 60), rng.dirichlet(np.ones(60)))
 
     def test_no_set_evaluation_outside_radius(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        prob = market_problem(random_instance(rng, 20, 60), rng.dirichlet(np.ones(60)))
-        value = eg._smoothed_value
-        on_set, outside = [], []
+        # outside its trust radius the set is evaluated only as a bound, and
+        # every point that bound rejects has a dense value above the
+        # acceptance threshold, so the dense search would reject it too
+        value, rejects = eg._smoothed_value, eg._bound_rejects
+        inside, outside, bounds = [], [], []
 
-        def checked(beta, prob, mu, working=None):
+        def checked_value(beta, prob, mu, working=None):
             if working is not None:
-                on_set.append(mu)
-                if np.abs(beta - working.center).max() > working.radius:
-                    outside.append(mu)
+                far = np.abs(beta - working.center).max() > working.radius
+                (outside if far else inside).append(mu)
             return value(beta, prob, mu, working)
 
-        monkeypatch.setattr(eg, "_smoothed_value", checked)
-        sol = solve_dual(prob)
+        def checked_bound(candidate, prob, mu, working, flat):
+            before = len(outside)
+            rejected = rejects(candidate, prob, mu, working, flat)
+            assert len(outside) == before + 1
+            assert rejected
+            assert value(candidate, prob, mu)[0] > flat
+            bounds.append(mu)
+            return rejected
+
+        monkeypatch.setattr(eg, "_smoothed_value", checked_value)
+        monkeypatch.setattr(eg, "_bound_rejects", checked_bound)
+        sol = solve_dual(self.solve_problem())
         assert sol.converged
-        assert on_set and not outside
-        assert len(on_set) == sum(s.set_evaluations for s in sol.stages)
+        assert inside and outside
+        assert outside == bounds
+        assert len(inside) == sum(s.set_evaluations for s in sol.stages)
+        assert len(outside) == sum(s.bound_rejections + s.dense_fallbacks for s in sol.stages)
         for stage in sol.stages:
-            assert stage.set_evaluations + stage.dense_fallbacks < stage.evaluations
+            spent = stage.set_evaluations + stage.bound_rejections + 2 * stage.dense_fallbacks
+            assert spent < stage.evaluations
             assert stage.rebuilds <= stage.dense_fallbacks
+
+    def test_bound_rejection_keeps_the_dense_decisions(self, monkeypatch):
+        bounded = solve_dual(self.solve_problem())
+
+        def never_rejects(candidate, prob, mu, working, flat):
+            eg._smoothed_value(candidate, prob, mu, working)
+            return False
+
+        monkeypatch.setattr(eg, "_bound_rejects", never_rejects)
+        dense = solve_dual(self.solve_problem())
+        assert np.array_equal(bounded.beta_hat, dense.beta_hat)
+        assert (bounded.objective, bounded.residual) == (dense.objective, dense.residual)
+        assert sum(s.bound_rejections for s in bounded.stages) > 0
+        for a, b in zip(bounded.stages, dense.stages, strict=True):
+            assert (a.mu, a.steps, a.set_evaluations, a.rebuilds, a.set_share) == (
+                b.mu,
+                b.steps,
+                b.set_evaluations,
+                b.rebuilds,
+                b.set_share,
+            )
+            # each trial point outside the radius costs a bound evaluation and,
+            # unless the bound rejects it, a dense one
+            assert b.bound_rejections == 0
+            assert a.bound_rejections + a.dense_fallbacks == b.dense_fallbacks
+            assert a.evaluations == b.evaluations - a.bound_rejections
 
 
 class TestEquilibriumUtilities:
@@ -361,6 +488,7 @@ def test_solution_json_round_trip(rng):
     assert doc["evaluations"] == sol.evaluations > 0
     assert len(doc["stages"]) == len(sol.stages)
     assert doc["iterations"] == sum(stage["steps"] for stage in doc["stages"])
+    assert all({"bound_rejections", "dense_fallbacks"} <= set(stage) for stage in doc["stages"])
     assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
 
