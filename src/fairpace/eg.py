@@ -33,11 +33,20 @@ set's value is a lower bound on the dense one: a trial point whose bound
 already fails the line search is rejected without a dense evaluation. A
 stage whose set would hold 40% of the pairs or more runs dense.
 
-The temperature floor tracks the requested tolerance; the reported
-residual is the fixed-point gap ||beta - clamp(1 / (n u(beta)))||_inf
-where u is the utility vector under the final temperature's tie-splitting
-weights, which converges to the exact optimality certificate as the
-temperature vanishes.
+Once the temperature has fallen to 1e-5 times the first stage's, each
+stage is followed by an exact crossover (see _crossover): the pairs within
+10 mu of their item's top bid name the items the optimum splits, and when
+they form a forest they fix the kink optimum and an allocation that
+certifies it. A certified point ends the solve; otherwise the stages go on
+down to a temperature floor that tracks the requested tolerance.
+
+The reported residual is the fixed-point gap
+||beta - clamp(1 / (n u))||_inf, u the utility vector under an allocation.
+For a certified point that allocation is the certificate's, exact up to
+rounding, so the residual is of rounding size (1e-15 to 1e-13 on the
+benchmark's problems) and the point is the exact minimizer. For a point the
+stages end on, u comes from the last temperature's softmax tie split, which
+converges to an optimal allocation only as the temperature vanishes.
 """
 
 import warnings
@@ -124,6 +133,9 @@ class DualSolution:
 
     stages holds each temperature stage's counts; iterations and
     evaluations are their totals of Newton steps and objective evaluations.
+    certified_mu is the temperature of the stage after which the exact
+    crossover certified beta_hat, or None when the solve ran all its stages
+    and beta_hat is the last stage's point.
     """
 
     beta_hat: np.ndarray
@@ -131,6 +143,7 @@ class DualSolution:
     residual: float
     converged: bool
     stages: tuple
+    certified_mu: Optional[float]
 
     @property
     def iterations(self) -> int:
@@ -486,15 +499,163 @@ def _temperatures(start: float, end: float) -> list:
     return mus
 
 
+# The crossover takes as tied the pairs whose bid lies within this many
+# temperatures of their column's top bid. It is tried after the last stage
+# and after each stage from this index on, where the temperature has
+# fallen to 1e-5 times the first stage's.
+_TIE_WIDTH = 10.0
+_CROSSOVER_STAGE = 5
+
+
+def _tie_forest(pairs, at_bound, n: int):
+    """Breadth-first trees of the tie graph's agents and tied items.
+
+    pairs lists (agent, item, valuation) over the items that two or more
+    agents tie on, items numbered from n on. Trees are started from the
+    box-bound agents first, so a tree that holds one has a box-bound root.
+    Returns the trees' node orders, each node's parent and the valuation of
+    the pair joining it to its parent, or None if the graph has a cycle.
+    """
+    neighbors = {}
+    for i, j, v in pairs:
+        neighbors.setdefault(i, []).append((j, v))
+        neighbors.setdefault(j, []).append((i, v))
+    parent, value_up, orders = {}, {}, []
+    for root in sorted((i for i in neighbors if i < n), key=lambda i: not at_bound[i]):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for node in order:
+            for other, v in neighbors[node]:
+                if other == parent[node]:
+                    continue
+                if other in parent:
+                    return None
+                parent[other], value_up[other] = node, v
+                order.append(other)
+        orders.append(order)
+    return orders, parent, value_up
+
+
+def _crossover(beta, prob: DualProblem, mu: float, tol: float):
+    """The exact dual optimum the tie structure at beta implies, if certified.
+
+    The tie graph joins each agent to the items on which their bid lies
+    within _TIE_WIDTH mu of the item's top bid. If it is a forest, its ties
+    fix the multipliers of each tree up to one scale, since two agents tied
+    on an item bid the same price for it. A tree whose root is box-bound
+    (their multiplier at beta lies on a bound) keeps the root there; the
+    scale of any other tree makes the spend on its items, weights times
+    prices, equal its agents' budgets of 1/n each. Peeling leaves gives the
+    allocation: an item that one agent bids on goes to them whole, and in
+    each tree every agent but the root takes from the item above them what
+    their budget still lacks, the root taking the rest. The point is
+    certified when it lies in the box and, up to rounding,
+
+    - every fraction lies in [0, 1];
+    - each item's top bid over all agents is the price its tree sets, so
+      no agent outbids the allocation;
+    - an agent on the lower bound spends at least their budget, and one on
+      the upper bound at most it;
+    - the fixed-point residual under the allocation is at most 10 tol.
+
+    The allocation then satisfies the dual's optimality conditions at the
+    point, which is therefore the exact minimizer. Returns the point and
+    its residual, or None when the graph has a cycle or a condition fails.
+    """
+    n, V, w = prob.n, prob.valuations, prob.weights
+    lo, hi = prob.lo, prob.hi
+    bids = beta[:, None] * V
+    top = bids.max(axis=0)
+    # pairs grouped by item
+    cols, rows = np.nonzero(((bids >= top - _TIE_WIDTH * mu) & (bids > 0)).T)
+    values = V[rows, cols]
+    tied = np.bincount(cols)[cols] >= 2
+    tied_rows, tied_items = rows[tied].tolist(), (cols[tied] + n).tolist()
+    at_bound = (beta == lo) | (beta == hi)
+    forest = _tie_forest(zip(tied_rows, tied_items, values[tied].tolist()), at_bound.tolist(), n)
+    if forest is None:
+        return None
+    orders, parent, value_up = forest
+
+    # each agent's multiplier relative to their tree's root, which names it
+    ratio = np.ones(n)
+    tree = np.arange(n)
+    for order in orders:
+        for node in order[1:]:
+            if node < n:
+                item = parent[node]
+                ratio[node] = ratio[parent[item]] * value_up[item] / value_up[node]
+                tree[node] = order[0]
+    # the spend on each tree's items at scale 1, pricing each item by the
+    # bid of its first agent
+    first = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    unit_spend = w[cols[first]] * ratio[rows[first]] * values[first]
+    unit_spend = np.bincount(tree[rows[first]], unit_spend, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.bincount(tree, minlength=n) / (n * unit_spend)
+    bound_root = at_bound & (tree == np.arange(n))
+    scale[bound_root] = beta[bound_root]
+    beta_hat = scale[tree] * ratio
+    if not np.all((beta_hat >= lo) & (beta_hat <= hi)):
+        return None
+
+    eps = np.finfo(float).eps
+    prices = (beta_hat[:, None] * V).max(axis=0)
+    # two of a tree's bids on one item differ by at most six roundings of
+    # eps/2: a ratio's product and division, and each bid's two products
+    if np.any(prices[cols] - beta_hat[rows] * values > 4.0 * eps * prices[cols]):
+        return None
+
+    spend = w * prices
+    got = np.bincount(rows[~tied], spend[cols[~tied]], n).tolist()
+    remain = {j: spend[j - n] for j in set(tied_items)}
+    taken = {}
+    for order in orders:
+        for node in reversed(order[1:]):
+            up = parent[node]
+            if node < n:
+                taken[node, up] = 1.0 / n - got[node]
+                remain[up] -= taken[node, up]
+            else:
+                taken[up, node] = remain[node]
+                got[up] += remain[node]
+    pair_spend = spend[cols]
+    pair_spend[tied] = [taken[pair] for pair in zip(tied_rows, tied_items)]
+    # each spend above is a signed sum of at most m + n item spends and
+    # budgets, accumulated through partial sums below their total, so it
+    # rounds by (m + n) eps/2 of at most twice max(total spend, 1); each
+    # item spend adds eps of its own from its price and weight
+    slack = (prob.m + n + 1) * eps * max(spend.sum(), 1.0)
+    if np.any((pair_spend < -slack) | (pair_spend > spend[cols] + slack)):
+        return None
+    agent_spend = np.bincount(rows, pair_spend, n)
+    if np.any((beta_hat == lo) & (agent_spend < 1.0 / n - slack)) or np.any(
+        (beta_hat == hi) & (agent_spend > 1.0 / n + slack)
+    ):
+        return None
+    utilities = np.bincount(rows, pair_spend * values / prices[cols], n)
+    with np.errstate(divide="ignore"):
+        fixed_point = np.clip(1.0 / (n * utilities), lo, hi)
+    residual = float(np.max(np.abs(beta_hat - fixed_point)))
+    if residual > 10.0 * tol:
+        return None
+    return beta_hat, residual
+
+
 def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     """Minimize the dual over the box by smoothed Newton continuation.
 
     Only items of positive weight enter the solve. The softmax temperature
     starts near the bid scale and decays by factors of ten down to the
     tolerance; each stage is warm-started from the last and takes at most
-    _MAX_STAGE_STEPS Newton steps. The residual of the returned point
-    certifies the fixed point under the final temperature's tie split,
-    whose utilities the last stage returns; if it exceeds 10 tol a
+    _MAX_STAGE_STEPS Newton steps. From stage _CROSSOVER_STAGE on, and
+    after the last stage, _crossover tries to certify the exact optimum the
+    stage's ties imply, and the first point it certifies is returned with
+    its certificate's residual. Otherwise the residual of the last stage's
+    point is the fixed-point gap under that temperature's tie split, whose
+    utilities the stage returns. If the residual exceeds 10 tol a
     NoConvergenceWarning is emitted and the best iterate is still returned.
     The returned objective never exceeds the starting point's objective.
     """
@@ -515,25 +676,33 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
     mu_end = max(tol, 1e-12)
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
-    stages = []
-    for mu in _temperatures(0.1 * max(scale, 1e-6), mu_end):
+    mus = _temperatures(0.1 * max(scale, 1e-6), mu_end)
+    stages, certified_mu = [], None
+    for k, mu in enumerate(mus):
         gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
         beta, utilities, counts = _newton_stage(beta, prob, mu, gtol)
         stages.append(counts)
+        if k >= _CROSSOVER_STAGE or k == len(mus) - 1:
+            exact = _crossover(beta, prob, mu, tol)
+            if exact is not None:
+                (beta, residual), certified_mu = exact, mu
+                break
 
-    with np.errstate(divide="ignore"):
-        fixed_point = np.clip(1.0 / (n * utilities), prob.lo, prob.hi)
-    residual = float(np.max(np.abs(beta - fixed_point)))
+    if certified_mu is None:
+        with np.errstate(divide="ignore"):
+            fixed_point = np.clip(1.0 / (n * utilities), prob.lo, prob.hi)
+        residual = float(np.max(np.abs(beta - fixed_point)))
     objective = dual_objective(beta, prob)
     if objective > init_objective:
         beta, objective = init, init_objective
-        residual = np.inf
+        residual, certified_mu = np.inf, None
     solution = DualSolution(
         beta_hat=beta,
         objective=objective,
         residual=residual,
         converged=residual <= 10.0 * tol,
         stages=tuple(stages),
+        certified_mu=certified_mu,
     )
     if not solution.converged:
         warnings.warn(
@@ -574,5 +743,6 @@ def solution_to_dict(solution: DualSolution) -> dict:
         "converged": solution.converged,
         "evaluations": solution.evaluations,
         "stages": [asdict(stage) for stage in solution.stages],
+        "certified_mu": solution.certified_mu,
     }
 

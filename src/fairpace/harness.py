@@ -16,12 +16,12 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
+from .eg import DualSolution, equilibrium_utilities, hindsight_solution, market_problem, solve_dual
 from .errors import ConfigError, GridMismatch, InvalidRank, NoConvergence
 from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequence
 from .market import (
@@ -189,13 +189,19 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Across-path means and standard errors on the shared grid."""
+    """Across-path means and standard errors on the shared grid.
+
+    solver holds the dual solves' counts (see _solve_counts): the reference
+    solve's under "reference" and each path's hindsight solve's, in path
+    order, under "hindsight".
+    """
 
     times: np.ndarray
     means: Dict[str, np.ndarray]
     stderrs: Optional[Dict[str, np.ndarray]]
     paths: int
     provenance: Dict[str, object] = field(default_factory=dict)
+    solver: Dict[str, object] = field(default_factory=dict)
 
     def terminal(self) -> Dict[str, Dict[str, Optional[float]]]:
         out = {}
@@ -228,13 +234,27 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
     return AggregateReport(times=times, means=means, stderrs=stderrs, paths=k)
 
 
-def _run_paths(args) -> List[MetricSeries]:
-    """Score one batch of paths, with their pacing runs in lockstep."""
+def _solve_counts(solution: DualSolution) -> dict:
+    """A dual solve's Newton steps, evaluations, residual and the temperature
+    after which its exact crossover was certified (None if it fell back)."""
+    return {
+        "newton_steps": solution.iterations,
+        "evaluations": solution.evaluations,
+        "residual": solution.residual,
+        "certified_mu": solution.certified_mu,
+    }
+
+
+def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
+    """Score one batch of paths, with their pacing runs in lockstep.
+
+    Returns each path's metric series with its hindsight solve's counts.
+    """
     (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs) = args
     seqs = [sample_sequence(model, t, seed) for seed in path_seeds]
     traces = run_pace_paths(instance, seqs, delta0, record_times=grid)
     star_beta, star_u = star_refs
-    series_list = []
+    scored = []
     for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
         hs = hindsight_solution(instance, seq, delta0, tol=hs_tol)
         if not hs.converged:
@@ -253,8 +273,8 @@ def _run_paths(args) -> List[MetricSeries]:
             star_u,
             metadata={"model": model.kind, "path_id": path_index},
         )
-        series_list.append(series)
-    return series_list
+        scored.append((series, _solve_counts(hs)))
+    return scored
 
 
 def run_experiment(
@@ -307,9 +327,13 @@ def run_experiment(
             batches = list(pool.map(_run_paths, jobs))
     else:
         batches = [_run_paths(job) for job in jobs]
-    series_list = [series for batch in batches for series in batch]
+    series_list = [series for batch in batches for series, _ in batch]
     report = replace(
         summarize(series_list),
+        solver={
+            "reference": _solve_counts(star),
+            "hindsight": [counts for batch in batches for _, counts in batch],
+        },
         provenance={
             "config": config.raw,
             "config_hash": config_hash(config.raw),
@@ -365,6 +389,7 @@ def write_outputs(
     summary = {
         "provenance": report.provenance,
         "terminal": report.terminal(),
+        "solver": report.solver,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 

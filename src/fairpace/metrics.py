@@ -23,6 +23,13 @@ METRIC_NAMES = (
 )
 
 
+# build_metric_series builds the envy sum's flat indices for at most this
+# many entries at once, 128 KiB of them. Built for a whole grid chunk, up to
+# 182 000 entries at t=20000 and n=100, they raised the peak RSS of
+# `fairpace run` on that shape by 3.6 MB.
+_ENVY_BLOCK = 16384
+
+
 def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.ndarray:
     """Every step up to dense_until, then geometric spacing, always ending at t."""
     if t < 1:
@@ -152,16 +159,23 @@ def build_metric_series(
     values["regret_max"] = times * np.max(hs_u - trace.u_bar_at, axis=1)
 
     # prefix walks shared by the envy and baseline curves, one grid chunk
-    # of (steps, n) item values at a time
+    # of (steps, n) item values at a time. S gathers the chunk's rows by
+    # flat index, winner * n + agent: the 1-d np.add.at is several times
+    # faster than the 2-d one and adds to each entry in the same step order
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
     S = np.zeros((n, n))
+    block_steps = max(1, _ENVY_BLOCK // n)
+    agents = np.arange(n)
     value_totals = np.zeros(n)
     envy_max = np.empty(times.size)
     baseline = np.empty(times.size)
     start = 0
     for k, stop in enumerate(times):
         chunk = VT[seq.items[start:stop]]
-        np.add.at(S, trace.winners[start:stop], chunk)
+        winners = trace.winners[start:stop]
+        for b in range(0, stop - start, block_steps):
+            flat = (winners[b : b + block_steps, None] * n + agents).ravel()
+            np.add.at(S.reshape(-1), flat, chunk[b : b + block_steps].ravel())
         value_totals += chunk.sum(axis=0)
         envy_max[k] = np.max(S.max(axis=0) - np.diag(S))
         baseline_u = instance.budgets * value_totals / stop

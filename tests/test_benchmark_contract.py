@@ -2,9 +2,11 @@
 
 `perfbench/probe.py` imports harness, inputs, eg, pace, metrics and prng
 functions by name; this runs its `setup` and `trace` modes as the benchmark
-does, so a change that breaks one of those calls fails here.
+does, so a change that breaks one of those calls fails here. The text that
+`perfbench/selftest.py` patches into copies of the library is checked too.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -58,3 +60,19 @@ def test_probe_trace_writes_the_run_outputs(tmp_path):
     result = _probe(tmp_path, "trace", "--out", str(out))
     assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "paths.csv", "summary.json"]
     assert len(result["hindsight"]) == CONFIG["paths"]
+
+
+def test_selftest_patches_still_apply():
+    # perfbench/selftest.py breaks copies of the library by replacing literal
+    # text; a literal that no longer occurs makes that slow self-test fail,
+    # so each one is checked here against its module
+    tree = ast.parse((ROOT / "perfbench" / "selftest.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "run_broken"
+    ]
+    assert len(calls) >= 5
+    for call in calls:
+        module, old = (ast.literal_eval(arg) for arg in call.args[:2])
+        assert old in (ROOT / "src" / "fairpace" / module).read_text(), (module, old)

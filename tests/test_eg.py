@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairpace import eg
@@ -123,11 +123,15 @@ class TestSolveDual:
         assert a.iterations == b.iterations
 
     def test_noconvergence_warning_on_tiny_budget(self, rng):
-        inst = random_instance(rng, 4, 6)
-        prob = market_problem(inst, np.full(6, 1 / 6))
+        # the crossover's residual can be exactly 0, so two identical rows
+        # put a cycle in the tie graph and leave the stages to reach tol
+        v = random_instance(rng, 4, 6).valuations.copy()
+        v[1] = v[0]
+        prob = market_problem(MarketInstance(v), np.full(6, 1 / 6))
         with pytest.warns(NoConvergenceWarning):
             sol = solve_dual(prob, tol=1e-300)
         assert not sol.converged
+        assert sol.certified_mu is None
         # still no worse than the starting point
         assert sol.objective <= dual_objective(np.full(4, prob.hi), prob) + 1e-12
 
@@ -172,7 +176,10 @@ class TestSolveDual:
         assert sol.evaluations < parent_evaluations
 
     def test_stage_temperatures_spaced(self, monkeypatch):
-        # a bid scale of 1.0016 used to end with stages at 1.0016e-8 and 1e-8
+        # a bid scale of 1.0016 used to end with stages at 1.0016e-8 and 1e-8.
+        # The crossover would end these solves early, so it is made to fail
+        # and every stage runs
+        monkeypatch.setattr(eg, "_crossover", lambda *args: None)
         stage = eg._newton_stage
         for scale in (1.0016, 1.0, 0.37, 2.5e-7):
             seen = []
@@ -435,6 +442,145 @@ class TestWorkingSet:
             assert b.bound_rejections == 0
             assert a.bound_rejections + a.dense_fallbacks == b.dense_fallbacks
             assert a.evaluations == b.evaluations - a.bound_rejections
+
+
+def fallback_solve(prob, tol=1e-8):
+    """The solve with every crossover attempt failing."""
+    with mock.patch.object(eg, "_crossover", lambda *args: None):
+        return solve_dual(prob, tol=tol)
+
+
+def objective_rounding(prob, objective):
+    """Rounding bound on dual_objective, as _bound_rejects bounds the smoothed value."""
+    barrier = max(abs(np.log(prob.lo)), abs(np.log(prob.hi)))
+    return 2.0 * (prob.m + prob.n + 4) * np.finfo(float).eps * (abs(objective) + 2.0 * barrier)
+
+
+class TestCrossover:
+    def test_certifies_after_the_first_eligible_stage(self):
+        prob = TestWorkingSet.solve_problem()
+        sol = solve_dual(prob)
+        fallback = fallback_solve(prob)
+        assert len(sol.stages) == eg._CROSSOVER_STAGE + 1
+        assert sol.certified_mu == sol.stages[-1].mu
+        assert sol.converged and sol.residual <= 1e-13
+        assert fallback.certified_mu is None and len(fallback.stages) > len(sol.stages)
+        assert np.max(np.abs(sol.beta_hat - fallback.beta_hat)) <= 1e-6
+        assert sol.objective <= fallback.objective + objective_rounding(prob, fallback.objective)
+        assert sol.iterations < fallback.iterations
+        assert solution_to_dict(sol)["certified_mu"] == sol.certified_mu
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        delta0=st.sampled_from([0.02, 0.1, 1.0]),
+        heavy=st.booleans(),
+    )
+    def test_certified_point_is_the_optimum(self, seed, n, m, delta0, heavy):
+        # small boxes and one agent valuing everything 20 times more put
+        # multipliers on both bounds
+        rng = np.random.default_rng(seed)
+        v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.3)
+        v[0] *= 20.0 if heavy else 1.0
+        w = rng.random(m) * (rng.random(m) > 0.2)
+        w[0] += w.sum() == 0
+        w /= w.sum()
+        assume(np.all(v @ w > 0))
+        prob = market_problem(MarketInstance(v), w, delta0)
+        sol = solve_dual(prob)
+        fallback = fallback_solve(prob)
+        assert sol.converged and fallback.converged
+        if sol.certified_mu is None:
+            assert np.array_equal(sol.beta_hat, fallback.beta_hat)
+            return
+        assert np.all((sol.beta_hat >= prob.lo) & (sol.beta_hat <= prob.hi))
+        assert np.max(np.abs(sol.beta_hat - fallback.beta_hat)) <= 1e-6
+        assert sol.objective <= fallback.objective + objective_rounding(prob, fallback.objective)
+
+    @staticmethod
+    def staged_solve(prob, tol=1e-8):
+        """Every stage down to the tolerance, and the residual under the last
+        stage's tie split: the solve without a crossover."""
+        scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
+        beta = np.full(prob.n, min(1.0, prob.hi))
+        gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
+        mu_end = max(tol, 1e-12)
+        for mu in eg._temperatures(0.1 * max(scale, 1e-6), mu_end):
+            gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
+            beta, utilities, _ = eg._newton_stage(beta, prob, mu, gtol)
+        fixed_point = np.clip(1.0 / (prob.n * utilities), prob.lo, prob.hi)
+        return beta, float(np.max(np.abs(beta - fixed_point)))
+
+    def test_cycles_and_failures_reproduce_the_stages(self, rng):
+        twins = random_instance(rng, 4, 6).valuations.copy()
+        twins[2] = twins[0]
+        problems = [
+            market_problem(MarketInstance(np.ones((2, 3))), np.full(3, 1 / 3)),
+            market_problem(MarketInstance(twins), np.full(6, 1 / 6)),
+            market_problem(random_instance(rng, 5, 8), rng.dirichlet(np.ones(8))),
+        ]
+        for k, prob in enumerate(problems):
+            staged = self.staged_solve(prob)
+            solutions = [fallback_solve(prob)] + ([solve_dual(prob)] if k < 2 else [])
+            for sol in solutions:
+                assert sol.certified_mu is None
+                assert np.array_equal(sol.beta_hat, staged[0])
+                assert sol.residual == staged[1]
+                assert sol.stages[-1].mu == 1e-8
+
+    @staticmethod
+    def problem(v, weights, delta0=1.0):
+        return market_problem(MarketInstance(np.array(v, dtype=float)), np.array(weights), delta0)
+
+    def test_cycle_is_refused(self):
+        prob = self.problem([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5])
+        assert eg._crossover(np.ones(2), prob, 1e-6, 1e-8) is None
+
+    def test_fraction_outside_unit_interval_is_refused(self):
+        # agent 0 wins item 0 alone and ties with agent 1 on item 1; agent 1
+        # needs budget 0.5 from item 1, which is worth 0.2 at the tree's
+        # prices, so agent 0's fraction of it is negative and agent 1's above 1
+        v = [[1.0, 1.0], [0.0, 1.0]]
+        assert eg._crossover(np.ones(2), self.problem(v, [0.8, 0.2]), 1e-6, 1e-8) is None
+        beta, residual = eg._crossover(np.ones(2), self.problem(v, [0.2, 0.8]), 1e-6, 1e-8)
+        assert np.allclose(beta, 1.0, rtol=1e-15) and residual <= 1e-15
+        # agents 1 and 2 each take 2/3 of item 0, leaving agent 0 a negative
+        # fraction while every other fraction lies in [0, 1]
+        v = [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+        assert eg._crossover(np.ones(3), self.problem(v, [0.5, 0.5]), 1e-6, 1e-8) is None
+
+    def test_outbid_allocation_is_refused(self):
+        # each agent wins one item alone at beta, but the scale that spends
+        # agent 2's budget on item 2 makes them outbid agents 0 and 1
+        v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.9, 0.2]]
+        prob = self.problem(v, [1 / 3, 1 / 3, 1 / 3], delta0=10.0)
+        assert eg._crossover(np.array([1.0, 1.0, 0.5]), prob, 1e-6, 1e-8) is None
+
+    def test_box_bound_spend_inequalities(self):
+        # one agent, box [0.5, 2]: at the lower bound they must spend at
+        # least their budget, at the upper one at most; tol = 1 lets the
+        # residual pass, so only the spend check refuses
+        cases = ((1.0, 0.5, False), (1.0, 2.0, False), (10.0, 0.5, True), (0.1, 2.0, True))
+        for value, at, certified in cases:
+            exact = eg._crossover(np.array([at]), self.problem([[value]], [1.0]), 1e-6, 1.0)
+            assert (exact is not None) == certified
+            if certified:
+                assert exact[0][0] == at and exact[1] == 0.0
+
+    def test_point_outside_the_box_is_refused(self):
+        # spending the budget of 1 on an item valued 0.1 takes beta = 10,
+        # above the box [0.5, 2]; tol = 1 lets the residual of 8 pass
+        assert eg._crossover(np.ones(1), self.problem([[0.1]], [1.0]), 1e-6, 1.0) is None
+
+    def test_residual_gate(self):
+        prob = self.problem([[1.0, 1.0, 0.0], [0.0, 0.7, 1.0]], [0.3, 0.3, 0.4])
+        beta = np.array([1.0, 1.0 / 0.7])
+        beta_hat, residual = eg._crossover(beta, prob, 1e-6, 1e-8)
+        assert 0.0 < residual <= 1e-15
+        assert eg._crossover(beta, prob, 1e-6, 0.09 * residual) is None
+        assert np.array_equal(eg._crossover(beta, prob, 1e-6, 0.1 * residual)[0], beta_hat)
 
 
 class TestEquilibriumUtilities:

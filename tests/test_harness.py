@@ -187,6 +187,20 @@ class TestRunExperiment:
         assert len(summary["provenance"]["path_seeds"]) == 2
         assert report.paths == 2
 
+    def test_summary_reports_solver_counts(self, tmp_path):
+        cfg = toy_config()
+        report = run_experiment(cfg, out_dir=str(tmp_path))
+        solver = json.loads((tmp_path / "summary.json").read_text())["solver"]
+        assert solver == json.loads(json.dumps(report.solver))
+        assert len(solver["hindsight"]) == cfg.paths
+        for counts in [solver["reference"], *solver["hindsight"]]:
+            assert set(counts) == {"newton_steps", "evaluations", "residual", "certified_mu"}
+            assert 0 < counts["newton_steps"] < counts["evaluations"]
+            assert 0.0 <= counts["residual"] <= 1e-7
+            assert counts["certified_mu"] is None or counts["certified_mu"] > 0
+        with open(tmp_path / "paths.csv") as fh:
+            assert fh.readline().strip() == "model,path_id,metric,t,value"
+
     def test_error_improves_from_start(self):
         cfg = toy_config(t=400)
         report = run_experiment(cfg)

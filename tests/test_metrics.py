@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairpace import metrics
 from fairpace.eg import equilibrium_utilities, hindsight_solution
 from fairpace.market import ItemSequence, MarketInstance, proportional_share_utilities
 from fairpace.metrics import (
@@ -238,3 +239,23 @@ class TestMetricSeries:
         assert series.values["baseline_rel_u_hs"][-1] == pytest.approx(
             relative_error_max(baseline_u, hs_u)
         )
+
+    @pytest.mark.parametrize("block", [16384, 70, 7, 1])
+    def test_envy_curve_matches_two_dimensional_sum(self, rng, monkeypatch, block):
+        # the flat-index np.add.at adds each step to S in the order the 2-d
+        # form np.add.at(S, winners, values) does, in index blocks of any
+        # size, so the curve is bit-identical
+        monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
+        inst = random_instance(rng, 7, 9)
+        seq = ItemSequence(rng.integers(0, 9, size=900))
+        grid = recording_grid(900, dense_until=20, factor=1.3)
+        trace = run_pace(inst, seq, record_times=grid)
+        ones = np.ones(7)
+        series = build_metric_series(trace, inst, seq, ones, ones, ones, ones)
+        S = np.zeros((7, 7))
+        expected, start = [], 0
+        for stop in grid:
+            np.add.at(S, trace.winners[start:stop], inst.valuations.T[seq.items[start:stop]])
+            expected.append(np.max(S.max(axis=0) - np.diag(S)))
+            start = stop
+        assert np.array_equal(series.values["envy_max"], expected)
