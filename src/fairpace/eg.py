@@ -33,12 +33,15 @@ set's value is a lower bound on the dense one: a trial point whose bound
 already fails the line search is rejected without a dense evaluation. A
 stage whose set would hold 40% of the pairs or more runs dense.
 
-Once the temperature has fallen to 1e-5 times the first stage's, each
-stage is followed by an exact crossover (see _crossover): the pairs within
-10 mu of their item's top bid name the items the optimum splits, and when
-they form a forest they fix the kink optimum and an allocation that
-certifies it. A certified point ends the solve; otherwise the stages go on
-down to a temperature floor that tracks the requested tolerance.
+Once the temperature has fallen to 1e-4 times the first stage's, each
+stage is followed by an exact crossover (see _crossover), the crossover
+step of interior-point methods applied to the forest structure of linear
+Fisher equilibria. The softmax flow at the stage's point names the items
+the optimum splits: a maximum spanning forest of it fixes the kink optimum
+and an allocation that certifies it, and a failed check pivots the forest
+and tries again. A certified point ends the solve, on the benchmark's
+shapes after the mu ~ 1e-5 stage; otherwise the stages go on down to a
+temperature floor that tracks the requested tolerance.
 
 The reported residual is the fixed-point gap
 ||beta - clamp(1 / (n u))||_inf, u the utility vector under an allocation.
@@ -135,7 +138,9 @@ class DualSolution:
     evaluations are their totals of Newton steps and objective evaluations.
     certified_mu is the temperature of the stage after which the exact
     crossover certified beta_hat, or None when the solve ran all its stages
-    and beta_hat is the last stage's point.
+    and beta_hat is the last stage's point. crossover_attempts counts the
+    stages the crossover followed, and pivots the forest pivots it made
+    over all of them.
     """
 
     beta_hat: np.ndarray
@@ -144,6 +149,8 @@ class DualSolution:
     converged: bool
     stages: tuple
     certified_mu: Optional[float]
+    crossover_attempts: int
+    pivots: int
 
     @property
     def iterations(self) -> int:
@@ -272,7 +279,13 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
         top = np.maximum.reduceat(z, working.starts)
         z -= top[working.cols]
     z /= mu
-    weights_exp = np.exp(z, out=np.zeros_like(z), where=z >= _EXP_CUTOFF)
+    # exp of every entry, raised first to 10 below the cutoff so that none
+    # turns subnormal, then zeroed below the cutoff: the same weights as exp
+    # taken where the exponent reaches the cutoff, on numpy's vector path
+    keep = z >= _EXP_CUTOFF
+    np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
+    weights_exp = np.exp(z, out=z)
+    weights_exp *= keep
     if working is None:
         mass = weights_exp.sum(axis=0)
     else:
@@ -322,7 +335,11 @@ def _smoothed_hessian(beta, prob: DualProblem, mu: float, shares, working=None) 
         V, c = prob.valuations, prob.weights / mu
         scaled = shares * V  # (n, m)
         diag_term = (scaled * V) @ c
-        H = -((scaled * c[None, :]) @ scaled.T)
+        # a product of a matrix with its own transpose runs as a symmetric
+        # rank-k update, half the flops of a general product
+        root = scaled * np.sqrt(c)
+        H = root @ root.T
+        np.negative(H, out=H)
     else:
         nonzero = shares > 0
         per_column = np.bincount(working.cols[nonzero], minlength=prob.m)
@@ -416,7 +433,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
     the radius instead rebuilds many times per solve for trial points the
     search then rejects. A set holding _DENSE_SHARE of the pairs or more is
     dropped, and the stage runs dense from then on. Returns the new point,
-    its utilities under this stage's tie split and the stage's StageCounts.
+    its utilities under this stage's tie split, its shares with the working
+    set they lie on (None for dense shares) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
     steps = set_evaluations = bound_rejections = dense_fallbacks = sets_built = 0
@@ -480,7 +498,7 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float):
         rebuilds=max(sets_built - 1, 0),
         set_share=share,
     )
-    return beta, utilities, counts
+    return beta, utilities, (shares, None if stale else working), counts
 
 
 def _temperatures(start: float, end: float) -> list:
@@ -499,59 +517,87 @@ def _temperatures(start: float, end: float) -> list:
     return mus
 
 
-# The crossover takes as tied the pairs whose bid lies within this many
-# temperatures of their column's top bid. It is tried after the last stage
-# and after each stage from this index on, where the temperature has
-# fallen to 1e-5 times the first stage's.
-_TIE_WIDTH = 10.0
-_CROSSOVER_STAGE = 5
+# The crossover's forest is drawn from the pairs whose softmax share at the
+# stage's point exceeds _SHARE_FLOOR. It is tried after the last stage and
+# after each stage from _CROSSOVER_STAGE on, where the temperature has
+# fallen to 1e-4 times the first stage's, and pivots its forest in at most
+# _PIVOT_ROUNDS rounds per attempt. On the benchmark's shapes, after that
+# stage, the forest of the flow at 1e-3 named the optimum's ties in every
+# solve of seeds 5, 11 and 12 within 5 pivots and 5 rounds; a round costs
+# one certificate, 0.5-1 ms at n = 100, m = 1500.
+_SHARE_FLOOR = 1e-3
+_CROSSOVER_STAGE = 4
+_PIVOT_ROUNDS = 8
 
 
-def _tie_forest(pairs, at_bound, n: int):
-    """Breadth-first trees of the tie graph's agents and tied items.
+def _candidates(prob: DualProblem, shares, working):
+    """The crossover's candidate pairs, grouped by item with agents
+    ascending: their agents, items, valuations and flows, share times item
+    weight.
 
-    pairs lists (agent, item, valuation) over the items that two or more
-    agents tie on, items numbered from n on. Trees are started from the
-    box-bound agents first, so a tree that holds one has a box-bound root.
-    Returns the trees' node orders, each node's parent and the valuation of
-    the pair joining it to its parent, or None if the graph has a cycle.
+    A pair is a candidate when its share, dense or on the working set,
+    exceeds _SHARE_FLOOR or is the largest of its item's, which is the top
+    bid's, and its valuation is positive. So every item of positive price
+    has a candidate.
     """
-    neighbors = {}
-    for i, j, v in pairs:
-        neighbors.setdefault(i, []).append((j, v))
-        neighbors.setdefault(j, []).append((i, v))
-    parent, value_up, orders = {}, {}, []
-    for root in sorted((i for i in neighbors if i < n), key=lambda i: not at_bound[i]):
-        if root in parent:
+    if working is None:
+        picked = (shares > _SHARE_FLOOR) | (shares == shares.max(axis=0))
+        cols, rows = np.divmod(np.flatnonzero(picked.T), prob.n)
+        shares = shares[rows, cols]
+    else:
+        largest = np.maximum.reduceat(shares, working.starts)[working.cols]
+        picked = (shares > _SHARE_FLOOR) | (shares == largest)
+        rows, cols, shares = working.rows[picked], working.cols[picked], shares[picked]
+    values = prob.valuations[rows, cols]
+    positive = values > 0
+    rows, cols, values = rows[positive], cols[positive], values[positive]
+    return rows, cols, values, shares[positive] * prob.weights[cols]
+
+
+def _flow_forest(pairs, forced, banned, n: int, m: int):
+    """Kruskal's maximum spanning forest of the shared items' pairs.
+
+    pairs lists the candidate pairs (agent, item) of the shared items, the
+    items that two or more candidates or a forced pair name, by decreasing
+    flow. Forced pairs enter first, then the candidates in order, each one
+    unless it is banned or closes a cycle (union-find over agents and
+    items). Rebuilding so gives the maximum spanning forest that each
+    pivot's update in place would: a forced pair closes at most one cycle,
+    whose lightest pair leaves, and a banned pair's two sides are joined
+    again by the heaviest pair across them, if there is one. Returns the
+    forest's agents and items.
+    """
+    root = list(range(n + m))
+    agents, items = [], []
+    for i, j in forced + pairs:
+        if banned and (i, j) in banned:
             continue
-        parent[root] = None
-        order = [root]
-        for node in order:
-            for other, v in neighbors[node]:
-                if other == parent[node]:
-                    continue
-                if other in parent:
-                    return None
-                parent[other], value_up[other] = node, v
-                order.append(other)
-        orders.append(order)
-    return orders, parent, value_up
+        a, b = i, n + j
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            agents.append(i)
+            items.append(j)
+    return agents, items
 
 
-def _crossover(beta, prob: DualProblem, mu: float, tol: float):
-    """The exact dual optimum the tie structure at beta implies, if certified.
+def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound, working):
+    """The exact optimum a forest of ties implies, if certified, or the
+    pivots it needs.
 
-    The tie graph joins each agent to the items on which their bid lies
-    within _TIE_WIDTH mu of the item's top bid. If it is a forest, its ties
-    fix the multipliers of each tree up to one scale, since two agents tied
-    on an item bid the same price for it. A tree whose root is box-bound
-    (their multiplier at beta lies on a bound) keeps the root there; the
-    scale of any other tree makes the spend on its items, weights times
-    prices, equal its agents' budgets of 1/n each. Peeling leaves gives the
-    allocation: an item that one agent bids on goes to them whole, and in
-    each tree every agent but the root takes from the item above them what
-    their budget still lacks, the root taking the rest. The point is
-    certified when it lies in the box and, up to rounding,
+    Two agents the forest joins through an item bid the same price for it,
+    so each tree fixes its agents' multipliers up to one scale. A tree
+    whose root is box-bound (their multiplier at beta lies on a bound)
+    keeps the root there; the scale of any other tree makes the spend on
+    its items, weights times prices, equal its agents' budgets of 1/n each.
+    Peeling leaves gives the allocation: an item that one agent bids on goes
+    to them whole, and in each tree every agent but the root takes from the
+    item above them what their budget still lacks, the root taking the
+    rest. The point is certified when it lies in the box and, up to
+    rounding,
 
     - every fraction lies in [0, 1];
     - each item's top bid over all agents is the price its tree sets, so
@@ -562,35 +608,57 @@ def _crossover(beta, prob: DualProblem, mu: float, tol: float):
 
     The allocation then satisfies the dual's optimality conditions at the
     point, which is therefore the exact minimizer. Returns the point and
-    its residual, or None when the graph has a cycle or a condition fails.
+    its residual, or None, then the pivots that would mend a failed check:
+    the pairs of each outbid item's top bidder, to force into the forest,
+    else the forest's pairs of negative fraction, to ban from it. Both are
+    empty when the point is certified or fails a check no pivot mends.
     """
     n, V, w = prob.n, prob.valuations, prob.weights
     lo, hi = prob.lo, prob.hi
-    bids = beta[:, None] * V
-    top = bids.max(axis=0)
-    # pairs grouped by item
-    cols, rows = np.nonzero(((bids >= top - _TIE_WIDTH * mu) & (bids > 0)).T)
-    values = V[rows, cols]
-    tied = np.bincount(cols)[cols] >= 2
+    # the forest's pairs and then the whole items', grouped by item with
+    # agents ascending
+    forest_rows = np.array(forest[0], dtype=np.int64)
+    forest_cols = np.array(forest[1], dtype=np.int64)
+    rows = np.concatenate((forest_rows, whole[0]))
+    cols = np.concatenate((forest_cols, whole[1]))
+    values = np.concatenate((V[forest_rows, forest_cols], whole[2]))
+    by_item = np.argsort(cols * n + rows)
+    rows, cols, values, tied = rows[by_item], cols[by_item], values[by_item], by_item < forest_rows.size
     tied_rows, tied_items = rows[tied].tolist(), (cols[tied] + n).tolist()
-    at_bound = (beta == lo) | (beta == hi)
-    forest = _tie_forest(zip(tied_rows, tied_items, values[tied].tolist()), at_bound.tolist(), n)
-    if forest is None:
-        return None
-    orders, parent, value_up = forest
+
+    neighbors = {}
+    for i, j in zip(tied_rows, tied_items):
+        neighbors.setdefault(i, []).append(j)
+        neighbors.setdefault(j, []).append(i)
+    # breadth-first trees, started from the box-bound agents first, so a
+    # tree that holds one has a box-bound root
+    parent, orders = {}, []
+    for root in sorted((i for i in neighbors if i < n), key=lambda i: not at_bound[i]):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for node in order:
+            up = parent[node]
+            for other in neighbors[node]:
+                if other != up:
+                    parent[other] = node
+                    order.append(other)
+        orders.append(order)
 
     # each agent's multiplier relative to their tree's root, which names it
-    ratio = np.ones(n)
-    tree = np.arange(n)
+    ratio, tree = [1.0] * n, list(range(n))
     for order in orders:
         for node in order[1:]:
             if node < n:
                 item = parent[node]
-                ratio[node] = ratio[parent[item]] * value_up[item] / value_up[node]
+                above = parent[item]
+                ratio[node] = ratio[above] * V[above, item - n] / V[node, item - n]
                 tree[node] = order[0]
+    ratio, tree = np.array(ratio), np.array(tree)
     # the spend on each tree's items at scale 1, pricing each item by the
     # bid of its first agent
-    first = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    first = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
     unit_spend = w[cols[first]] * ratio[rows[first]] * values[first]
     unit_spend = np.bincount(tree[rows[first]], unit_spend, n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -599,18 +667,25 @@ def _crossover(beta, prob: DualProblem, mu: float, tol: float):
     scale[bound_root] = beta[bound_root]
     beta_hat = scale[tree] * ratio
     if not np.all((beta_hat >= lo) & (beta_hat <= hi)):
-        return None
+        return None, [], []
 
     eps = np.finfo(float).eps
-    prices = (beta_hat[:, None] * V).max(axis=0)
+    # within its radius the working set holds each item's top bid
+    if working is not None and working.covers(beta_hat):
+        prices = np.maximum.reduceat(beta_hat[working.rows] * working.values, working.starts)
+    else:
+        prices = (beta_hat[:, None] * V).max(axis=0)
     # two of a tree's bids on one item differ by at most six roundings of
     # eps/2: a ratio's product and division, and each bid's two products
-    if np.any(prices[cols] - beta_hat[rows] * values > 4.0 * eps * prices[cols]):
-        return None
+    outbid = prices[cols] - beta_hat[rows] * values > 4.0 * eps * prices[cols]
+    if np.any(outbid):
+        items = np.flatnonzero(np.bincount(cols[outbid], minlength=prob.m))
+        top = (beta_hat[:, None] * V[:, items]).argmax(axis=0)
+        return None, list(zip(top.tolist(), items.tolist())), []
 
     spend = w * prices
     got = np.bincount(rows[~tied], spend[cols[~tied]], n).tolist()
-    remain = {j: spend[j - n] for j in set(tied_items)}
+    remain = dict(zip(tied_items, spend[cols[tied]].tolist()))
     taken = {}
     for order in orders:
         for node in reversed(order[1:]):
@@ -628,20 +703,59 @@ def _crossover(beta, prob: DualProblem, mu: float, tol: float):
     # rounds by (m + n) eps/2 of at most twice max(total spend, 1); each
     # item spend adds eps of its own from its price and weight
     slack = (prob.m + n + 1) * eps * max(spend.sum(), 1.0)
-    if np.any((pair_spend < -slack) | (pair_spend > spend[cols] + slack)):
-        return None
+    negative = pair_spend < -slack
+    if np.any(negative):
+        return None, [], list(zip(rows[negative].tolist(), cols[negative].tolist()))
+    if np.any(pair_spend > spend[cols] + slack):
+        return None, [], []
     agent_spend = np.bincount(rows, pair_spend, n)
     if np.any((beta_hat == lo) & (agent_spend < 1.0 / n - slack)) or np.any(
         (beta_hat == hi) & (agent_spend > 1.0 / n + slack)
     ):
-        return None
+        return None, [], []
     utilities = np.bincount(rows, pair_spend * values / prices[cols], n)
     with np.errstate(divide="ignore"):
         fixed_point = np.clip(1.0 / (n * utilities), lo, hi)
     residual = float(np.max(np.abs(beta_hat - fixed_point)))
     if residual > 10.0 * tol:
-        return None
-    return beta_hat, residual
+        return None, [], []
+    return (beta_hat, residual), [], []
+
+
+def _crossover(beta, prob: DualProblem, tol: float, shares, working):
+    """The exact dual optimum the flow at beta implies, if certified.
+
+    shares are the pairs' softmax shares at beta, dense (working None) or
+    on the working set, as _newton_stage returns them.
+
+    Builds the forest of the candidates' flow (see _flow_forest) and checks
+    the point and allocation it implies (see _certificate). Each failed
+    check that a pivot mends pivots the forest, for at most _PIVOT_ROUNDS
+    rounds: an outbid item forces its pair with its top bidder into the
+    forest, and a negative fraction bans its pair, each undoing an earlier
+    pivot on the same pair. Returns the certified point and its residual,
+    or None, with the number of pivots made.
+    """
+    n, m = prob.n, prob.m
+    rows, cols, values, flow = _candidates(prob, shares, working)
+    by_flow = np.argsort(-flow, kind="stable")
+    multiple = np.bincount(cols, minlength=m) >= 2
+    at_bound = (beta == prob.lo) | (beta == prob.hi)
+    forced, banned, pivots = [], set(), 0
+    for rounds in range(_PIVOT_ROUNDS + 1):
+        shared = multiple.copy()
+        shared[[j for _, j in forced]] = True
+        pick = by_flow[shared[cols[by_flow]]]
+        pairs = list(zip(rows[pick].tolist(), cols[pick].tolist()))
+        forest = _flow_forest(pairs, forced, banned, n, m)
+        alone = ~shared[cols]
+        whole = rows[alone], cols[alone], values[alone]
+        exact, force, ban = _certificate(beta, prob, tol, forest, whole, at_bound, working)
+        if not (force or ban) or rounds == _PIVOT_ROUNDS:
+            return exact, pivots
+        forced = [pair for pair in forced if pair not in ban] + force
+        banned = banned.difference(force).union(ban)
+        pivots += len(force) + len(ban)
 
 
 def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
@@ -652,8 +766,8 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     tolerance; each stage is warm-started from the last and takes at most
     _MAX_STAGE_STEPS Newton steps. From stage _CROSSOVER_STAGE on, and
     after the last stage, _crossover tries to certify the exact optimum the
-    stage's ties imply, and the first point it certifies is returned with
-    its certificate's residual. Otherwise the residual of the last stage's
+    stage's softmax flow implies, and the first point it certifies is
+    returned with its certificate's residual. Otherwise the residual of the last stage's
     point is the fixed-point gap under that temperature's tie split, whose
     utilities the stage returns. If the residual exceeds 10 tol a
     NoConvergenceWarning is emitted and the best iterate is still returned.
@@ -678,15 +792,19 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
     mus = _temperatures(0.1 * max(scale, 1e-6), mu_end)
     stages, certified_mu = [], None
+    attempts = pivots = 0
     for k, mu in enumerate(mus):
         gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
-        beta, utilities, counts = _newton_stage(beta, prob, mu, gtol)
+        beta, utilities, shares, counts = _newton_stage(beta, prob, mu, gtol)
         stages.append(counts)
         if k >= _CROSSOVER_STAGE or k == len(mus) - 1:
-            exact = _crossover(beta, prob, mu, tol)
+            exact, made = _crossover(beta, prob, tol, *shares)
+            attempts, pivots = attempts + 1, pivots + made
             if exact is not None:
                 (beta, residual), certified_mu = exact, mu
                 break
+        # dense shares are an (n, m) array the next stage must not hold
+        del shares
 
     if certified_mu is None:
         with np.errstate(divide="ignore"):
@@ -703,6 +821,8 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
         converged=residual <= 10.0 * tol,
         stages=tuple(stages),
         certified_mu=certified_mu,
+        crossover_attempts=attempts,
+        pivots=pivots,
     )
     if not solution.converged:
         warnings.warn(
@@ -744,5 +864,7 @@ def solution_to_dict(solution: DualSolution) -> dict:
         "evaluations": solution.evaluations,
         "stages": [asdict(stage) for stage in solution.stages],
         "certified_mu": solution.certified_mu,
+        "crossover_attempts": solution.crossover_attempts,
+        "pivots": solution.pivots,
     }
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .eg import DualSolution, equilibrium_utilities, hindsight_solution, market_problem, solve_dual
 from .errors import ConfigError, GridMismatch, InvalidRank, NoConvergence
-from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequence
+from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequences
 from .market import (
     MarketInstance,
     ReferenceDistribution,
@@ -85,6 +85,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     grid_factor = read_field(float, grid, "factor", 1.1)
     if dense_until < 1 or not 1.0 < grid_factor < np.inf:
         raise ConfigError("grid.dense_until must be positive and grid.factor finite and above 1")
+    with as_config_error("bad grid"):
+        recording_grid(t, dense_until, grid_factor)
     if isinstance(market, dict) and "path" in market:
         if not isinstance(market["path"], str):
             raise ConfigError("market path must be a string")
@@ -235,13 +237,16 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
 
 
 def _solve_counts(solution: DualSolution) -> dict:
-    """A dual solve's Newton steps, evaluations, residual and the temperature
-    after which its exact crossover was certified (None if it fell back)."""
+    """A dual solve's Newton steps, evaluations, residual, the temperature
+    after which its exact crossover was certified (None if it fell back),
+    and its crossover attempts and pivots."""
     return {
         "newton_steps": solution.iterations,
         "evaluations": solution.evaluations,
         "residual": solution.residual,
         "certified_mu": solution.certified_mu,
+        "crossover_attempts": solution.crossover_attempts,
+        "pivots": solution.pivots,
     }
 
 
@@ -251,7 +256,7 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
     Returns each path's metric series with its hindsight solve's counts.
     """
     (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs) = args
-    seqs = [sample_sequence(model, t, seed) for seed in path_seeds]
+    seqs = sample_sequences(model, t, path_seeds)
     traces = run_pace_paths(instance, seqs, delta0, record_times=grid)
     star_beta, star_u = star_refs
     scored = []

@@ -21,7 +21,7 @@ horizon-t sequence.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -185,21 +185,39 @@ def _horizon(t) -> int:
     return int(t)
 
 
+def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence]:
+    """Draw a length-t item sequence per path seed, each from its own stream.
+
+    Each path equals sample_sequence(model, t, seed) for its seed. The
+    per-step distributions of a corrupted model, and their CDFs, depend on
+    the model alone, so each block of them is built once for all the paths.
+    """
+    t = _horizon(t)
+    if model.kind != "corrupted":
+        return [_sample_path(model, t, seed) for seed in path_seeds]
+    uniforms = [make_generator(seed).random(t) for seed in path_seeds]
+    items = [np.empty(t, dtype=np.int64) for _ in uniforms]
+    start = 0
+    for dists in corruption_step_distributions(model, t):
+        stop = start + len(dists)
+        cdf = categorical_cdf(dists)
+        for path_items, u in zip(items, uniforms):
+            # row-wise inverse CDF with lower-index ties, one uniform per step
+            path_items[start:stop] = (cdf < u[start:stop, None]).sum(axis=1)
+        start = stop
+    return [ItemSequence(path_items) for path_items in items]
+
+
 def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     """Draw a length-t item sequence from the model using the path stream."""
-    t = _horizon(t)
+    return sample_sequences(model, t, [path_seed])[0]
+
+
+def _sample_path(model: InputModel, t: int, path_seed: int) -> ItemSequence:
+    """One path of an iid, markov or periodic model."""
     rng = make_generator(path_seed)
     if model.kind == "iid":
         items = sample_categorical(categorical_cdf(model.base.probs), rng.random(t))
-    elif model.kind == "corrupted":
-        u = rng.random(t)
-        items = np.empty(t, dtype=np.int64)
-        start = 0
-        for dists in corruption_step_distributions(model, t):
-            stop = start + len(dists)
-            # row-wise inverse CDF with lower-index ties, one uniform per step
-            items[start:stop] = (categorical_cdf(dists) < u[start:stop, None]).sum(axis=1)
-            start = stop
     elif model.kind == "markov":
         u = rng.random(t)
         row_cdfs = categorical_cdf(model.transition)

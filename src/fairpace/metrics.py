@@ -30,15 +30,35 @@ METRIC_NAMES = (
 _ENVY_BLOCK = 16384
 
 
+# Most points a recording grid may have. A pacing trace keeps three
+# (points x n) snapshot arrays per path until its batch is scored, 2.4 MB
+# per path at n = 100 and this many points. The default grid (dense to 100,
+# factor 1.1) has 156 points at t = 20000 and 197 at t = 1e6, while a factor
+# just above 1 records nearly every step: 20 000 points at t = 20000.
+MAX_GRID_POINTS = 1000
+
+
 def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.ndarray:
-    """Every step up to dense_until, then geometric spacing, always ending at t."""
+    """Every step up to dense_until, then geometric spacing, always ending at t.
+
+    Raises ValueError for a grid of more than MAX_GRID_POINTS points, before
+    building more of it than that.
+    """
     if t < 1:
         raise ValueError("horizon must be positive")
     if not 1.0 < factor < np.inf:
         raise ValueError(f"need grid.factor finite and above 1, got {factor!r}")
+    too_long = ValueError(
+        f"recording grid for t={t} has more than MAX_GRID_POINTS = {MAX_GRID_POINTS} points; "
+        "lower grid.dense_until or raise grid.factor"
+    )
+    if min(t, dense_until) > MAX_GRID_POINTS:
+        raise too_long
     times = list(range(1, min(t, dense_until) + 1))
     cur = float(times[-1])
     while times[-1] < t:
+        if len(times) == MAX_GRID_POINTS:
+            raise too_long
         cur *= factor
         times.append(min(t, max(times[-1] + 1, int(round(cur)))))
     return np.asarray(times, dtype=np.int64)

@@ -20,6 +20,7 @@ from fairpace.inputs import (
     random_periodic_model,
     reference_distribution,
     sample_sequence,
+    sample_sequences,
 )
 from fairpace.market import ItemSequence
 from fairpace.metrics import build_metric_series, envy, recording_grid, relative_error_max
@@ -261,10 +262,9 @@ def test_criterion_05_corruption_monotonicity(iid_trend_runs):
         model = InputModel(
             "corrupted", base=base, corruption=CorruptionSchedule("budgeted", target=target), seed=303
         )
+        seqs = sample_sequences(model, 20000, [derive_path_seed(17, p) for p in range(10)])
         vals = []
-        for p in range(10):
-            seq = sample_sequence(model, 20000, derive_path_seed(17, p))
-            trace = run_pace(inst, seq, delta0=DELTA0, record_times=[20000])
+        for trace in run_pace_paths(inst, seqs, delta0=DELTA0, record_times=[20000]):
             vals.append(float(((trace.beta_at[0] - star_beta) ** 2).sum()))
         terminal.append(float(np.mean(vals)))
     elapsed = time.time() - started
@@ -287,9 +287,9 @@ def test_criterion_06_periodic_scaling():
         ref = reference_distribution(model)
         inst = generate_market(n, m, rank=5, noise=0.1, seed=202, ref=ref)
         at500, at20000 = [], []
-        for p in range(10):
-            seq = sample_sequence(model, 20000, derive_path_seed(27, p))
-            trace = run_pace(inst, seq, delta0=DELTA0, record_times=[500, 20000])
+        seqs = [sample_sequence(model, 20000, derive_path_seed(27, p)) for p in range(10)]
+        traces = run_pace_paths(inst, seqs, delta0=DELTA0, record_times=[500, 20000])
+        for seq, trace in zip(seqs, traces):
             hs = hindsight_solution(inst, seq, delta0=DELTA0)
             at500.append(float(((trace.beta_at[0] - hs.beta_hat) ** 2).sum()))
             at20000.append(float(((trace.beta_at[1] - hs.beta_hat) ** 2).sum()))

@@ -149,6 +149,9 @@ def test_config_error_exit_code(tmp_path):
         ({"grid": {"factor": 1}}, "grid.factor finite and above 1"),
         ({"grid": {"factor": 0.5}}, "grid.factor finite and above 1"),
         ({"grid": {"factor": -2}}, "grid.factor finite and above 1"),
+        # a grid that would record nearly every step of a long horizon
+        ({"t": 20000, "grid": {"factor": 1.0001}}, "MAX_GRID_POINTS = 1000"),
+        ({"t": 10**12, "grid": {"dense_until": 10**12}}, "MAX_GRID_POINTS = 1000"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):

@@ -1,9 +1,10 @@
+import itertools
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from fairpace import eg
@@ -123,8 +124,9 @@ class TestSolveDual:
         assert a.iterations == b.iterations
 
     def test_noconvergence_warning_on_tiny_budget(self, rng):
-        # the crossover's residual can be exactly 0, so two identical rows
-        # put a cycle in the tie graph and leave the stages to reach tol
+        # at tol = 1e-300 only a certificate of residual exactly 0 would end
+        # the solve; on these twin rows every attempt's is a rounding error
+        # above 0, so the stages run to their floor and stop above tol
         v = random_instance(rng, 4, 6).valuations.copy()
         v[1] = v[0]
         prob = market_problem(MarketInstance(v), np.full(6, 1 / 6))
@@ -179,7 +181,7 @@ class TestSolveDual:
         # a bid scale of 1.0016 used to end with stages at 1.0016e-8 and 1e-8.
         # The crossover would end these solves early, so it is made to fail
         # and every stage runs
-        monkeypatch.setattr(eg, "_crossover", lambda *args: None)
+        monkeypatch.setattr(eg, "_crossover", lambda *args: (None, 0))
         stage = eg._newton_stage
         for scale in (1.0016, 1.0, 0.37, 2.5e-7):
             seen = []
@@ -242,6 +244,26 @@ class TestSmoothedState:
             assert np.array_equal(shares[kept], ref_shares[kept])
             assert np.all(shares[~kept] == 0.0)
             assert np.all(ref_shares[~kept] < floor)
+
+    def test_masked_exp_is_exp_where_the_cutoff_is_reached(self):
+        # exponents from -800 to 0, at and around the cutoff, where exp turns
+        # subnormal (-708.4) and where it underflows (-745): the clamped exp
+        # times the mask gives the weights of exp taken only where the
+        # exponent reaches the cutoff, bit for bit
+        gaps = np.concatenate((np.linspace(0.0, 800.0, 8001), [690.0, 708.4, 745.0]))
+        cut = -eg._EXP_CUTOFF
+        gaps = np.concatenate((gaps, [np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)]))
+        v = np.vstack((np.full(gaps.size, 1000.0), 1000.0 - gaps))
+        prob = DualProblem(v, np.full(gaps.size, 1.0 / gaps.size), 0.1, 2.0)
+        beta = np.ones(2)
+        weights = eg._smoothed_value(beta, prob, 1.0)[1]
+        z = beta[:, None] * v
+        z -= z.max(axis=0)
+        z /= 1.0
+        expected = np.exp(z, out=np.zeros_like(z), where=z >= eg._EXP_CUTOFF)
+        assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+        assert {-690.0, -745.0} <= set(z[1].tolist())
+        assert np.any(weights[1] > 0.0) and np.any((weights[1] == 0.0) & (z[1] > -746.0))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -446,14 +468,56 @@ class TestWorkingSet:
 
 def fallback_solve(prob, tol=1e-8):
     """The solve with every crossover attempt failing."""
-    with mock.patch.object(eg, "_crossover", lambda *args: None):
+    with mock.patch.object(eg, "_crossover", lambda *args: (None, 0)):
         return solve_dual(prob, tol=tol)
+
+
+def crossover(beta, prob, mu, tol, rounds=None):
+    """The crossover at beta from its dense shares at temperature mu, with
+    at most rounds pivot rounds (the solver's bound if None)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    shares = eg._smoothed_state(beta, prob, mu)[3]
+    if rounds is None:
+        return eg._crossover(beta, prob, tol, shares, None)
+    with mock.patch.object(eg, "_PIVOT_ROUNDS", rounds):
+        return eg._crossover(beta, prob, tol, shares, None)
 
 
 def objective_rounding(prob, objective):
     """Rounding bound on dual_objective, as _bound_rejects bounds the smoothed value."""
     barrier = max(abs(np.log(prob.lo)), abs(np.log(prob.hi)))
     return 2.0 * (prob.m + prob.n + 4) * np.finfo(float).eps * (abs(objective) + 2.0 * barrier)
+
+
+def boxed_problem(seed, n, m, delta0, heavy):
+    """Random problem with zero valuations and zero weights, or None when
+    an agent values the weighted items at 0. Small boxes, and with heavy one
+    agent valuing everything 20 times more, put multipliers on both bounds."""
+    rng = np.random.default_rng(seed)
+    v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.3)
+    v[0] *= 20.0 if heavy else 1.0
+    w = rng.random(m) * (rng.random(m) > 0.2)
+    w[0] += w.sum() == 0
+    w /= w.sum()
+    if not np.all(v @ w > 0):
+        return None
+    return market_problem(MarketInstance(v), w, delta0)
+
+
+def stage_points(prob, tol=1e-8):
+    """The stages solve_dual runs, without a crossover: for each, the
+    problem on the items of positive weight, the temperature, the stage's
+    point, its utilities and its shares with their working set."""
+    keep = prob.weights > 0
+    prob = DualProblem(prob.valuations[:, keep], prob.weights[keep], prob.lo, prob.hi)
+    scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
+    beta = np.full(prob.n, min(1.0, prob.hi))
+    gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
+    mu_end = max(tol, 1e-12)
+    for mu in eg._temperatures(0.1 * max(scale, 1e-6), mu_end):
+        gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
+        beta, utilities, shares, _ = eg._newton_stage(beta, prob, mu, gtol)
+        yield prob, mu, beta, utilities, shares
 
 
 class TestCrossover:
@@ -468,7 +532,10 @@ class TestCrossover:
         assert np.max(np.abs(sol.beta_hat - fallback.beta_hat)) <= 1e-6
         assert sol.objective <= fallback.objective + objective_rounding(prob, fallback.objective)
         assert sol.iterations < fallback.iterations
-        assert solution_to_dict(sol)["certified_mu"] == sol.certified_mu
+        doc = solution_to_dict(sol)
+        assert doc["certified_mu"] == sol.certified_mu
+        assert doc["crossover_attempts"] == sol.crossover_attempts == 1
+        assert doc["pivots"] == sol.pivots
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -479,16 +546,8 @@ class TestCrossover:
         heavy=st.booleans(),
     )
     def test_certified_point_is_the_optimum(self, seed, n, m, delta0, heavy):
-        # small boxes and one agent valuing everything 20 times more put
-        # multipliers on both bounds
-        rng = np.random.default_rng(seed)
-        v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.3)
-        v[0] *= 20.0 if heavy else 1.0
-        w = rng.random(m) * (rng.random(m) > 0.2)
-        w[0] += w.sum() == 0
-        w /= w.sum()
-        assume(np.all(v @ w > 0))
-        prob = market_problem(MarketInstance(v), w, delta0)
+        prob = boxed_problem(seed, n, m, delta0, heavy)
+        assume(prob is not None)
         sol = solve_dual(prob)
         fallback = fallback_solve(prob)
         assert sol.converged and fallback.converged
@@ -499,21 +558,87 @@ class TestCrossover:
         assert np.max(np.abs(sol.beta_hat - fallback.beta_hat)) <= 1e-6
         assert sol.objective <= fallback.objective + objective_rounding(prob, fallback.objective)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        m=st.integers(2, 12),
+        delta0=st.sampled_from([0.02, 0.1]),
+        heavy=st.booleans(),
+    )
+    @example(seed=360, n=7, m=11, delta0=0.02, heavy=True)
+    @example(seed=233, n=4, m=8, delta0=0.1, heavy=False)
+    def test_pivoted_certificate_is_the_optimum(self, seed, n, m, delta0, heavy):
+        # after the stages at 1e-2 to 1e-4 times the first temperature the
+        # forest often needs pivots; the two examples certify after 4 and 3
+        prob = boxed_problem(seed, n, m, delta0, heavy)
+        assume(prob is not None)
+        fallback = fallback_solve(prob)
+        assert fallback.converged
+        made = 0
+        for k, (reduced, _, beta, _, shares) in enumerate(stage_points(prob)):
+            if k < 2:
+                continue
+            exact, pivots = eg._crossover(beta, reduced, 1e-8, *shares)
+            made += pivots
+            if exact is not None:
+                beta_hat = exact[0]
+                assert np.all((beta_hat >= prob.lo) & (beta_hat <= prob.hi))
+                assert np.max(np.abs(beta_hat - fallback.beta_hat)) <= 1e-6
+                objective = dual_objective(beta_hat, prob)
+                assert objective <= fallback.objective + objective_rounding(prob, fallback.objective)
+            if k == 4:
+                break
+        target(float(made))
+
+    def test_pivots_certify_where_the_first_forest_fails(self):
+        # the two examples above, from the stage at 1e-2 times the first
+        # temperature: refused without pivots, certified with them
+        for seed, n, m, delta0, heavy in ((360, 7, 11, 0.02, True), (233, 4, 8, 0.1, False)):
+            prob = boxed_problem(seed, n, m, delta0, heavy)
+            reduced, _, beta, _, shares = list(itertools.islice(stage_points(prob), 3))[-1]
+            with mock.patch.object(eg, "_PIVOT_ROUNDS", 0):
+                assert eg._crossover(beta, reduced, 1e-8, *shares) == (None, 0)
+            exact, pivots = eg._crossover(beta, reduced, 1e-8, *shares)
+            assert exact is not None and pivots >= 3
+            assert np.max(np.abs(exact[0] - fallback_solve(prob).beta_hat)) <= 1e-6
+
+    def test_working_set_prices_match_the_dense_ones(self):
+        # on a stage's working set the certificate prices each item by the
+        # set's pairs; with the same shares made dense it prices every pair
+        # and must certify the same point with the same pivots
+        prob = TestWorkingSet.solve_problem()
+        on_set = 0
+        for reduced, _, beta, _, (shares, working) in stage_points(prob):
+            if working is None:
+                continue
+            on_set += 1
+            dense = np.zeros((reduced.n, reduced.m))
+            dense[working.rows, working.cols] = shares
+            (exact, pivots), (dense_exact, dense_pivots) = (
+                eg._crossover(beta, reduced, 1e-8, shares, working),
+                eg._crossover(beta, reduced, 1e-8, dense, None),
+            )
+            assert pivots == dense_pivots
+            assert (exact is None) == (dense_exact is None)
+            if exact is not None:
+                assert np.array_equal(exact[0], dense_exact[0]) and exact[1] == dense_exact[1]
+        assert on_set >= 2
+
     @staticmethod
     def staged_solve(prob, tol=1e-8):
         """Every stage down to the tolerance, and the residual under the last
         stage's tie split: the solve without a crossover."""
-        scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
-        beta = np.full(prob.n, min(1.0, prob.hi))
-        gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
-        mu_end = max(tol, 1e-12)
-        for mu in eg._temperatures(0.1 * max(scale, 1e-6), mu_end):
-            gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
-            beta, utilities, _ = eg._newton_stage(beta, prob, mu, gtol)
+        for _, _, beta, utilities, _ in stage_points(prob, tol):
+            pass
         fixed_point = np.clip(1.0 / (prob.n * utilities), prob.lo, prob.hi)
         return beta, float(np.max(np.abs(beta - fixed_point)))
 
-    def test_cycles_and_failures_reproduce_the_stages(self, rng):
+    def test_fallback_reproduces_the_stages(self, rng):
+        # identical rows and columns, whose ties close cycles, and a random
+        # problem: with every attempt failing the solve is its stages bit
+        # for bit, and the forest breaks the cycles and certifies the optimum
+        # after the stage at 1e-4 times the first temperature
         twins = random_instance(rng, 4, 6).valuations.copy()
         twins[2] = twins[0]
         problems = [
@@ -521,42 +646,76 @@ class TestCrossover:
             market_problem(MarketInstance(twins), np.full(6, 1 / 6)),
             market_problem(random_instance(rng, 5, 8), rng.dirichlet(np.ones(8))),
         ]
-        for k, prob in enumerate(problems):
+        for prob in problems:
             staged = self.staged_solve(prob)
-            solutions = [fallback_solve(prob)] + ([solve_dual(prob)] if k < 2 else [])
-            for sol in solutions:
-                assert sol.certified_mu is None
-                assert np.array_equal(sol.beta_hat, staged[0])
-                assert sol.residual == staged[1]
-                assert sol.stages[-1].mu == 1e-8
+            fallback = fallback_solve(prob)
+            assert fallback.certified_mu is None
+            assert np.array_equal(fallback.beta_hat, staged[0])
+            assert fallback.residual == staged[1]
+            assert fallback.stages[-1].mu == 1e-8
+            sol = solve_dual(prob)
+            assert sol.certified_mu == sol.stages[eg._CROSSOVER_STAGE].mu
+            assert np.max(np.abs(sol.beta_hat - staged[0])) <= 1e-6
+            assert sol.objective <= fallback.objective + objective_rounding(prob, fallback.objective)
 
     @staticmethod
     def problem(v, weights, delta0=1.0):
         return market_problem(MarketInstance(np.array(v, dtype=float)), np.array(weights), delta0)
 
-    def test_cycle_is_refused(self):
+    def test_cycle_is_broken_at_the_least_flow(self):
+        # two agents tied on two items close a cycle, and the forest drops
+        # its pair of least flow, share times item weight; each forest here
+        # certifies without a pivot, and dropping another pair would not
+        mu = 1e-6
+        # equal shares and weights: the last pair in item order goes, and
+        # agent 0 takes item 1 whole
         prob = self.problem([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5])
-        assert eg._crossover(np.ones(2), prob, 1e-6, 1e-8) is None
+        (beta, residual), pivots = crossover(np.ones(2), prob, mu, 1e-8, rounds=0)
+        assert np.array_equal(beta, [1.0, 1.0]) and residual <= 1e-15
+        # equal shares, item 1 heavier: a pair of item 0 goes. Item 1 whole
+        # would cost one agent 0.7, above their budget of 0.5
+        prob = self.problem([[1.0, 1.0], [1.0, 1.0]], [0.3, 0.7])
+        (beta, residual), pivots = crossover(np.ones(2), prob, mu, 1e-8, rounds=0)
+        assert np.array_equal(beta, [1.0, 1.0]) and residual <= 1e-15
+        # equal weights, agent 0 bids mu less on item 1, so their share of
+        # it is 1 / (1 + e) and their pair goes. Item 1 whole to agent 0
+        # would be outbid by agent 1
+        prob = self.problem([[1.0, 1.0 - mu], [1.0, 1.0]], [0.5, 0.5])
+        (beta, residual), pivots = crossover(np.ones(2), prob, mu, 1e-8, rounds=0)
+        assert np.array_equal(beta, [1.0, 1.0]) and residual <= 1e-15
 
     def test_fraction_outside_unit_interval_is_refused(self):
         # agent 0 wins item 0 alone and ties with agent 1 on item 1; agent 1
         # needs budget 0.5 from item 1, which is worth 0.2 at the tree's
-        # prices, so agent 0's fraction of it is negative and agent 1's above 1
+        # prices, so agent 0's fraction of it is negative and agent 1's
+        # above 1. Banning agent 0's pair leaves agent 1 a multiplier of 2.5,
+        # above the box
         v = [[1.0, 1.0], [0.0, 1.0]]
-        assert eg._crossover(np.ones(2), self.problem(v, [0.8, 0.2]), 1e-6, 1e-8) is None
-        beta, residual = eg._crossover(np.ones(2), self.problem(v, [0.2, 0.8]), 1e-6, 1e-8)
-        assert np.allclose(beta, 1.0, rtol=1e-15) and residual <= 1e-15
+        assert crossover(np.ones(2), self.problem(v, [0.8, 0.2]), 1e-6, 1e-8) == (None, 1)
+        (beta, residual), pivots = crossover(np.ones(2), self.problem(v, [0.2, 0.8]), 1e-6, 1e-8)
+        assert np.allclose(beta, 1.0, rtol=1e-15) and residual <= 1e-15 and pivots == 0
         # agents 1 and 2 each take 2/3 of item 0, leaving agent 0 a negative
-        # fraction while every other fraction lies in [0, 1]
-        v = [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
-        assert eg._crossover(np.ones(3), self.problem(v, [0.5, 0.5]), 1e-6, 1e-8) is None
+        # fraction while every other fraction lies in [0, 1]. Banning that
+        # pair gives agent 0 item 1 alone, and the optimum (2/3, 4/3, 4/3)
+        prob = self.problem([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        assert crossover(np.ones(3), prob, 1e-6, 1e-8, rounds=0) == (None, 0)
+        (beta, residual), pivots = crossover(np.ones(3), prob, 1e-6, 1e-8)
+        assert pivots == 1 and residual <= 1e-15
+        assert np.allclose(beta, [2 / 3, 4 / 3, 4 / 3], rtol=1e-15, atol=0.0)
 
     def test_outbid_allocation_is_refused(self):
         # each agent wins one item alone at beta, but the scale that spends
-        # agent 2's budget on item 2 makes them outbid agents 0 and 1
+        # agent 2's budget on item 2 makes them outbid agents 0 and 1.
+        # Forcing agent 2's pairs with items 0 and 1 joins the three agents
+        # in one tree, at the optimum (1.35, 1.35, 1.5)
         v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.9, 0.2]]
         prob = self.problem(v, [1 / 3, 1 / 3, 1 / 3], delta0=10.0)
-        assert eg._crossover(np.array([1.0, 1.0, 0.5]), prob, 1e-6, 1e-8) is None
+        beta = np.array([1.0, 1.0, 0.5])
+        assert crossover(beta, prob, 1e-6, 1e-8, rounds=0) == (None, 0)
+        (beta_hat, residual), pivots = crossover(beta, prob, 1e-6, 1e-8)
+        assert pivots == 2 and residual <= 1e-15
+        assert np.allclose(beta_hat, [1.35, 1.35, 1.5], rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(beta_hat - fallback_solve(prob).beta_hat)) <= 1e-6
 
     def test_box_bound_spend_inequalities(self):
         # one agent, box [0.5, 2]: at the lower bound they must spend at
@@ -564,23 +723,23 @@ class TestCrossover:
         # residual pass, so only the spend check refuses
         cases = ((1.0, 0.5, False), (1.0, 2.0, False), (10.0, 0.5, True), (0.1, 2.0, True))
         for value, at, certified in cases:
-            exact = eg._crossover(np.array([at]), self.problem([[value]], [1.0]), 1e-6, 1.0)
-            assert (exact is not None) == certified
+            exact, pivots = crossover(np.array([at]), self.problem([[value]], [1.0]), 1e-6, 1.0)
+            assert (exact is not None) == certified and pivots == 0
             if certified:
                 assert exact[0][0] == at and exact[1] == 0.0
 
     def test_point_outside_the_box_is_refused(self):
         # spending the budget of 1 on an item valued 0.1 takes beta = 10,
         # above the box [0.5, 2]; tol = 1 lets the residual of 8 pass
-        assert eg._crossover(np.ones(1), self.problem([[0.1]], [1.0]), 1e-6, 1.0) is None
+        assert crossover(np.ones(1), self.problem([[0.1]], [1.0]), 1e-6, 1.0) == (None, 0)
 
     def test_residual_gate(self):
         prob = self.problem([[1.0, 1.0, 0.0], [0.0, 0.7, 1.0]], [0.3, 0.3, 0.4])
         beta = np.array([1.0, 1.0 / 0.7])
-        beta_hat, residual = eg._crossover(beta, prob, 1e-6, 1e-8)
+        (beta_hat, residual), _ = crossover(beta, prob, 1e-6, 1e-8)
         assert 0.0 < residual <= 1e-15
-        assert eg._crossover(beta, prob, 1e-6, 0.09 * residual) is None
-        assert np.array_equal(eg._crossover(beta, prob, 1e-6, 0.1 * residual)[0], beta_hat)
+        assert crossover(beta, prob, 1e-6, 0.09 * residual) == (None, 0)
+        assert np.array_equal(crossover(beta, prob, 1e-6, 0.1 * residual)[0][0], beta_hat)
 
 
 class TestEquilibriumUtilities:

@@ -17,6 +17,7 @@ from fairpace.inputs import (
     random_periodic_model,
     reference_distribution,
     sample_sequence,
+    sample_sequences,
     stationary_distribution,
 )
 from fairpace.market import ReferenceDistribution
@@ -166,6 +167,27 @@ class TestCorruptedBlocks:
         for t in (1, 777, 5000):
             items = sample_sequence(model, t, path_seed=9).items
             assert np.array_equal(items, dense_corrupted_items(model, t, 9))
+
+    @pytest.mark.parametrize("schedule", CORRUPTIONS, ids=["decaying", "budgeted"])
+    def test_batch_paths_are_the_single_paths(self, schedule):
+        # a batch builds each block of distributions once for all its paths;
+        # each path is still the one its seed draws alone, and the one-table
+        # computation's
+        model = random_corrupted_model(300, schedule, seed=2)
+        seeds = [9, 4, 9, 2**63 + 5]
+        batch = sample_sequences(model, 777, seeds)
+        assert len(batch) == len(seeds)
+        for seed, seq in zip(seeds, batch):
+            assert np.array_equal(seq.items, sample_sequence(model, 777, seed).items)
+            assert np.array_equal(seq.items, dense_corrupted_items(model, 777, seed))
+        assert not np.array_equal(batch[0].items, batch[1].items)
+
+    def test_batch_of_other_models(self):
+        # the other models draw path by path
+        for model in (random_markov_model(6, seed=1), random_periodic_model(6, 3, seed=1)):
+            batch = sample_sequences(model, 50, [3, 8])
+            for seed, seq in zip([3, 8], batch):
+                assert np.array_equal(seq.items, sample_sequence(model, 50, seed).items)
 
     @pytest.mark.parametrize("schedule", CORRUPTIONS, ids=["decaying", "budgeted"])
     def test_peak_allocation(self, schedule):

@@ -57,6 +57,16 @@ class TestRecordingGrid:
         for t in (99, 100, 101, 1234):
             assert recording_grid(t)[-1] == t
 
+    def test_length_is_bounded(self):
+        # the default grid at paper scale; a grid exactly at the bound; a
+        # factor just above 1 and a huge dense part, refused before they are
+        # built
+        assert len(recording_grid(20000)) == 156
+        assert len(recording_grid(metrics.MAX_GRID_POINTS, dense_until=10**9)) == 1000
+        for t, dense_until, factor in ((20000, 100, 1.0001), (10**12, 10**12, 1.1), (1001, 1001, 1.1)):
+            with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+                recording_grid(t, dense_until, factor)
+
 
 class TestRegret:
     def test_zero_when_realized_matches(self, rng):
