@@ -139,8 +139,8 @@ class DualSolution:
     certified_mu is the temperature of the stage after which the exact
     crossover certified beta_hat, or None when the solve ran all its stages
     and beta_hat is the last stage's point. crossover_attempts counts the
-    stages the crossover followed, and pivots the forest pivots it made
-    over all of them.
+    stages the crossover followed, those from _CROSSOVER_STAGE on or else
+    the last, and pivots the forest pivots it made over all of them.
     """
 
     beta_hat: np.ndarray
@@ -149,8 +149,11 @@ class DualSolution:
     converged: bool
     stages: tuple
     certified_mu: Optional[float]
-    crossover_attempts: int
     pivots: int
+
+    @property
+    def crossover_attempts(self) -> int:
+        return max(len(self.stages) - _CROSSOVER_STAGE, 1)
 
     @property
     def iterations(self) -> int:
@@ -523,8 +526,8 @@ def _temperatures(start: float, end: float) -> list:
 # fallen to 1e-4 times the first stage's, and pivots its forest in at most
 # _PIVOT_ROUNDS rounds per attempt. On the benchmark's shapes, after that
 # stage, the forest of the flow at 1e-3 named the optimum's ties in every
-# solve of seeds 5, 11 and 12 within 5 pivots and 5 rounds; a round costs
-# one certificate, 0.5-1 ms at n = 100, m = 1500.
+# solve of seeds 5, 11 and 12 within 5 pivots and 6 certificates, each
+# 0.75-0.9 ms at n = 100 and 730 items of positive weight.
 _SHARE_FLOOR = 1e-3
 _CROSSOVER_STAGE = 4
 _PIVOT_ROUNDS = 8
@@ -584,7 +587,7 @@ def _flow_forest(pairs, forced, banned, n: int, m: int):
     return agents, items
 
 
-def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound, working):
+def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound):
     """The exact optimum a forest of ties implies, if certified, or the
     pivots it needs.
 
@@ -670,11 +673,7 @@ def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound, w
         return None, [], []
 
     eps = np.finfo(float).eps
-    # within its radius the working set holds each item's top bid
-    if working is not None and working.covers(beta_hat):
-        prices = np.maximum.reduceat(beta_hat[working.rows] * working.values, working.starts)
-    else:
-        prices = (beta_hat[:, None] * V).max(axis=0)
+    prices = (beta_hat[:, None] * V).max(axis=0)
     # two of a tree's bids on one item differ by at most six roundings of
     # eps/2: a ratio's product and division, and each bid's two products
     outbid = prices[cols] - beta_hat[rows] * values > 4.0 * eps * prices[cols]
@@ -733,24 +732,31 @@ def _crossover(beta, prob: DualProblem, tol: float, shares, working):
     check that a pivot mends pivots the forest, for at most _PIVOT_ROUNDS
     rounds: an outbid item forces its pair with its top bidder into the
     forest, and a negative fraction bans its pair, each undoing an earlier
-    pivot on the same pair. Returns the certified point and its residual,
-    or None, with the number of pivots made.
+    pivot on the same pair. A forest an earlier round already checked, with
+    the same shared items, ends the attempt: its certificate would fail
+    again. Returns the certified point and its residual, or None, with the
+    number of pivots made.
     """
     n, m = prob.n, prob.m
     rows, cols, values, flow = _candidates(prob, shares, working)
     by_flow = np.argsort(-flow, kind="stable")
     multiple = np.bincount(cols, minlength=m) >= 2
     at_bound = (beta == prob.lo) | (beta == prob.hi)
-    forced, banned, pivots = [], set(), 0
+    forced, banned, pivots, checked = [], set(), 0, set()
     for rounds in range(_PIVOT_ROUNDS + 1):
         shared = multiple.copy()
         shared[[j for _, j in forced]] = True
         pick = by_flow[shared[cols[by_flow]]]
         pairs = list(zip(rows[pick].tolist(), cols[pick].tolist()))
         forest = _flow_forest(pairs, forced, banned, n, m)
+        # the certificate depends on the forest's pairs, not their order
+        state = (frozenset(zip(*forest)), shared.tobytes())
+        if state in checked:
+            return None, pivots
+        checked.add(state)
         alone = ~shared[cols]
         whole = rows[alone], cols[alone], values[alone]
-        exact, force, ban = _certificate(beta, prob, tol, forest, whole, at_bound, working)
+        exact, force, ban = _certificate(beta, prob, tol, forest, whole, at_bound)
         if not (force or ban) or rounds == _PIVOT_ROUNDS:
             return exact, pivots
         forced = [pair for pair in forced if pair not in ban] + force
@@ -781,7 +787,10 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
         raise ValueError("tol must be positive")
     positive = prob.weights > 0
     if not positive.all():
-        prob = DualProblem(prob.valuations[:, positive], prob.weights[positive], prob.lo, prob.hi)
+        # compress keeps the valuations row-major; a column mask would leave
+        # them in Fortran order, on which the dense passes over items are slower
+        valuations = np.compress(positive, prob.valuations, axis=1)
+        prob = DualProblem(valuations, prob.weights[positive], prob.lo, prob.hi)
     n = prob.n
     init = np.full(n, prob.hi)
     init_objective = dual_objective(init, prob)
@@ -792,14 +801,14 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
     mus = _temperatures(0.1 * max(scale, 1e-6), mu_end)
     stages, certified_mu = [], None
-    attempts = pivots = 0
+    pivots = 0
     for k, mu in enumerate(mus):
         gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
         beta, utilities, shares, counts = _newton_stage(beta, prob, mu, gtol)
         stages.append(counts)
         if k >= _CROSSOVER_STAGE or k == len(mus) - 1:
             exact, made = _crossover(beta, prob, tol, *shares)
-            attempts, pivots = attempts + 1, pivots + made
+            pivots += made
             if exact is not None:
                 (beta, residual), certified_mu = exact, mu
                 break
@@ -821,7 +830,6 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8) -> DualSolution:
         converged=residual <= 10.0 * tol,
         stages=tuple(stages),
         certified_mu=certified_mu,
-        crossover_attempts=attempts,
         pivots=pivots,
     )
     if not solution.converged:

@@ -237,16 +237,13 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
 
 
 def _solve_counts(solution: DualSolution) -> dict:
-    """A dual solve's Newton steps, evaluations, residual, the temperature
-    after which its exact crossover was certified (None if it fell back),
-    and its crossover attempts and pivots."""
+    """A dual solve's Newton steps, evaluations, residual and the temperature
+    after which its exact crossover was certified (None if it fell back)."""
     return {
         "newton_steps": solution.iterations,
         "evaluations": solution.evaluations,
         "residual": solution.residual,
         "certified_mu": solution.certified_mu,
-        "crossover_attempts": solution.crossover_attempts,
-        "pivots": solution.pivots,
     }
 
 

@@ -603,27 +603,16 @@ class TestCrossover:
             assert exact is not None and pivots >= 3
             assert np.max(np.abs(exact[0] - fallback_solve(prob).beta_hat)) <= 1e-6
 
-    def test_working_set_prices_match_the_dense_ones(self):
-        # on a stage's working set the certificate prices each item by the
-        # set's pairs; with the same shares made dense it prices every pair
-        # and must certify the same point with the same pivots
-        prob = TestWorkingSet.solve_problem()
-        on_set = 0
-        for reduced, _, beta, _, (shares, working) in stage_points(prob):
-            if working is None:
-                continue
-            on_set += 1
-            dense = np.zeros((reduced.n, reduced.m))
-            dense[working.rows, working.cols] = shares
-            (exact, pivots), (dense_exact, dense_pivots) = (
-                eg._crossover(beta, reduced, 1e-8, shares, working),
-                eg._crossover(beta, reduced, 1e-8, dense, None),
-            )
-            assert pivots == dense_pivots
-            assert (exact is None) == (dense_exact is None)
-            if exact is not None:
-                assert np.array_equal(exact[0], dense_exact[0]) and exact[1] == dense_exact[1]
-        assert on_set >= 2
+    def test_repeated_forest_ends_the_attempt(self):
+        # at the stage at 1e-1 times the first temperature, banning one pair
+        # leaves its item outbid and forcing it back makes its fraction
+        # negative again: the third forest is the first, so the attempt ends
+        # after two certificates instead of running every round
+        prob = boxed_problem(0, 6, 10, 1.0, False)
+        reduced, _, beta, _, shares = list(itertools.islice(stage_points(prob), 2))[-1]
+        with mock.patch.object(eg, "_certificate", wraps=eg._certificate) as certificate:
+            assert eg._crossover(beta, reduced, 1e-8, *shares) == (None, 2)
+        assert certificate.call_count == 2
 
     @staticmethod
     def staged_solve(prob, tol=1e-8):
@@ -637,8 +626,9 @@ class TestCrossover:
     def test_fallback_reproduces_the_stages(self, rng):
         # identical rows and columns, whose ties close cycles, and a random
         # problem: with every attempt failing the solve is its stages bit
-        # for bit, and the forest breaks the cycles and certifies the optimum
-        # after the stage at 1e-4 times the first temperature
+        # for bit and counts its attempts, and the forest breaks the cycles
+        # and certifies the optimum after the stage at 1e-4 times the first
+        # temperature
         twins = random_instance(rng, 4, 6).valuations.copy()
         twins[2] = twins[0]
         problems = [
@@ -648,7 +638,15 @@ class TestCrossover:
         ]
         for prob in problems:
             staged = self.staged_solve(prob)
-            fallback = fallback_solve(prob)
+            with mock.patch.object(eg, "_crossover", return_value=(None, 0)) as attempts:
+                fallback = solve_dual(prob)
+            assert fallback.crossover_attempts == attempts.call_count
+            # a loose tolerance ends the stages before _CROSSOVER_STAGE, and
+            # only the last stage is followed by an attempt
+            with mock.patch.object(eg, "_crossover", return_value=(None, 0)) as attempts:
+                short = solve_dual(prob, tol=1e-3)
+            assert len(short.stages) < eg._CROSSOVER_STAGE
+            assert short.crossover_attempts == attempts.call_count == 1
             assert fallback.certified_mu is None
             assert np.array_equal(fallback.beta_hat, staged[0])
             assert fallback.residual == staged[1]
