@@ -68,25 +68,6 @@ def da_step(state: DaState, g, reg: LogBarrierRegularizer) -> DaState:
     return DaState(tau=tau, g_bar=g_bar, w=composite_argmin(g_bar, reg))
 
 
-def iterate_da(subgradient_fn, reg: LogBarrierRegularizer, data):
-    """Run the averaging loop over a data stream.
-
-    subgradient_fn(w, z) must return the subgradient at the current iterate
-    for observation z. Returns (ws, gs) with ws holding the t+1 iterates
-    w_1..w_{t+1} and gs the t observed subgradients.
-    """
-    state = initial_state(reg)
-    ws = np.empty((len(data) + 1, reg.n))
-    gs = np.empty((len(data), reg.n))
-    ws[0] = state.w
-    for tau, z in enumerate(data):
-        g = subgradient_fn(state.w, z)
-        gs[tau] = g
-        state = da_step(state, g, reg)
-        ws[tau + 1] = state.w
-    return ws, gs
-
-
 @dataclass(frozen=True)
 class RegretBoundResult:
     """Both sides of the suboptimality bound for one run and one reference."""

@@ -22,16 +22,19 @@ hindsight solve over a short sequence works on the items that arrived.
 Each Newton step runs one backtracking search that evaluates its trial
 points by value alone until one passes.
 
-A softmax weight whose bid lies more than 690 mu below its item's top bid,
-mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF), so no weight
-or share is subnormal, and at small temperatures nearly every weight is
-that far down. Each stage then evaluates on a working set of the pairs
-near their item's top bid while the multipliers stay within a trust radius
-in which that is exact (see _WorkingSet), and assembles the Hessian's cross
-term from the pairs of agents that split an item. Outside the radius the
-set's value is a lower bound on the dense one: a trial point whose bound
-already fails the line search is rejected without a dense evaluation. A
-stage whose set would hold 40% of the pairs or more runs dense.
+A softmax weight whose bid lies more than 100 mu below its item's top bid,
+mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF). That weight is
+below half an ulp of its item's softmax mass, so the value and every kept
+share equal a plain exp's, while no weight, share or Hessian entry is
+subnormal; at small temperatures nearly every weight is that far down.
+Each stage then evaluates on a working set of the pairs near their item's
+top bid while the multipliers stay within a trust radius in which that is
+exact (see _WorkingSet), and assembles the Hessian's cross term from the
+pairs of agents that split an item. Outside the radius the set's value is
+a lower bound on the dense one: a trial point whose bound already fails
+the line search is rejected without a dense evaluation. A stage whose set
+would hold 40% of the pairs or more runs dense; on the benchmark's shapes
+those are the stages above mu ~ 1e-4.
 
 Once the temperature has fallen to 1e-4 times the first stage's, each
 stage is followed by an exact crossover (see _crossover), the crossover
@@ -173,25 +176,34 @@ def dual_objective(beta, prob: DualProblem) -> float:
     return float(winning @ prob.weights - np.log(beta).sum() / prob.n)
 
 
-# Exponents below this cutoff are left at 0 without calling exp. IEEE exp
-# turns subnormal below about -708.4 and multiplying subnormals is slow, so
-# the cutoff keeps every weight at or above e^-690, about 3e-300, and every
-# share (a weight over its column's mass, which lies between 1 and n) normal
-# for n up to about 1e8. The top weight of a column is exactly 1, so a
-# dropped weight is over 1e299 times smaller: the column's mass, and with
-# it the value, is the same as with a plain exp.
-_EXP_CUTOFF = -690.0
+# Exponents below this cutoff are left at 0 without calling exp. The top
+# weight of a column is exactly 1, so a dropped weight is below e^-100,
+# about 3.7e-44, of its column's mass, which is at least 1: a column's n
+# dropped weights sum to less than half an ulp of it for any n below 1e27,
+# and the mass, the value and every kept share are those of a plain exp.
+# A product of two kept shares is at least e^-200, about 1.4e-87, so the
+# Hessian's cross term and its LU factors stay far above the subnormal
+# range, on which arithmetic is slow. A cutoff of -690 kept the weights and
+# shares themselves normal but not their products: on the seed-5
+# wide_market solves the Hessians of the mu ~ 1e-4 stage then held a median
+# of 202 subnormal entries and those of the mu ~ 1e-5 stage 8, and
+# np.linalg.solve took 420 and 520 us on them against 170 us on the
+# earlier stages' (130-160 us on all stages at -100).
+_EXP_CUTOFF = -100.0
 
 # A working set holds the pairs within _SET_WIDTH mu of their column's top
-# bid. Past the 690 mu that can carry weight, the slack sets the trust
-# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 691) mu
+# bid. Past the 100 mu that can carry weight, the slack sets the trust
+# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 101) mu
 # before its weight can be nonzero. A narrower set is left sooner, and each
 # exit costs an evaluation on the set and, when that does not rule the trial
-# point out, a dense one. On the benchmark's shapes a width of 1000 left
-# the set about twice as often as 3000, rebuilt it 2-7 times per solve
-# where 3000 never did, and took 10-14% more solve time; widths of 2000 and
-# 6000 took the time of 3000 to within 2%.
-_SET_WIDTH = 3000.0
+# point out, a dense one; a wider one runs its stage dense (_DENSE_SHARE).
+# At 600 the mu ~ 1e-4 stage's set holds 9-10% of the pairs on the
+# benchmark's shapes and the mu ~ 1e-5 stage's 1.4-1.7%. Median solve time
+# at seeds 5 and 11, over that of a cutoff of -690 with width 3000: widths
+# 250, 400, 600 and 1000 took 0.76, 0.67, 0.65 and 0.73 of it on
+# wide_market and 0.80, 0.74, 0.76 and 0.80 on paper; the cutoff alone, at
+# width 3000, took 0.90 and 0.88.
+_SET_WIDTH = 600.0
 
 # A set holding this share of the n m pairs or more is not used and its
 # stage runs dense. Per pair the set's gathers and scatters cost more than
@@ -199,7 +211,10 @@ _SET_WIDTH = 3000.0
 # whole stage at a temperature between 1e-5 and 1e-4, started from the same
 # point and run on the set, took 0.74-0.80 times its dense time where the
 # set held 28-30% of the pairs, 0.92-0.99 times at 40-43% and 1.10-1.31
-# times at 56-58%.
+# times at 56-58%. With a set width of 600, the sets on those shapes hold
+# nearly all pairs at temperatures of 1e-3 and above and at most 10% below,
+# so any threshold between the two runs the same stages; sets on every
+# stage (a threshold above 1) took 18-41 times the solve time.
 _DENSE_SHARE = 0.4
 
 # Newton steps per temperature stage; a stage that reaches it hands its
@@ -214,7 +229,7 @@ class _WorkingSet:
     _SET_WIDTH mu of their column's top bid, grouped by column with agents
     ascending, and the trust radius
 
-        R = min over excluded pairs of (gap_ij - 691 mu) / (v_ij + v_wj)
+        R = min over excluded pairs of (gap_ij - 101 mu) / (v_ij + v_wj)
 
     where gap_ij is the pair's distance below its column's top bid and w
     the column's top bidder, both at the center. While

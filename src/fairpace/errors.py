@@ -29,10 +29,6 @@ class NonpositiveBeta(FairpaceError):
     """Dual objective evaluated at a vector with nonpositive entries."""
 
 
-class NonpositiveReference(FairpaceError):
-    """Relative error requested against a reference with nonpositive entries."""
-
-
 class InvalidRank(FairpaceError):
     """Market generator rank outside [1, min(n, m)]."""
 

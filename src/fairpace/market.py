@@ -168,14 +168,6 @@ def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     return v / expected[:, None]
 
 
-def proportional_share_utilities(instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
-    """Average utility when every arriving item is split in proportion to budgets."""
-    if seq.items.max() >= instance.m:
-        raise DimensionMismatch("sequence references items outside the universe")
-    counts = np.bincount(seq.items, minlength=instance.m)
-    return instance.budgets * (instance.valuations @ counts) / seq.t
-
-
 def market_to_dict(instance: MarketInstance) -> dict:
     return {
         "n": instance.n,

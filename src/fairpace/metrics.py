@@ -5,7 +5,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonpositiveReference
+from .errors import DimensionMismatch
 from .market import ItemSequence, MarketInstance
 from .pace import PaceTrace
 
@@ -62,71 +62,6 @@ def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.nd
         cur *= factor
         times.append(min(t, max(times[-1] + 1, int(round(cur)))))
     return np.asarray(times, dtype=np.int64)
-
-
-def realized_total_utilities(trace: PaceTrace) -> np.ndarray:
-    """Per-agent sum of realized utilities over the whole run."""
-    return np.bincount(trace.winners, weights=trace.winner_values, minlength=trace.n)
-
-
-def regret(trace: PaceTrace, hindsight_u, t: int) -> np.ndarray:
-    """Signed shortfall t * hindsight_u_i - (realized total utility of i)."""
-    hindsight_u = np.asarray(hindsight_u, dtype=np.float64)
-    if trace.t != t:
-        raise DimensionMismatch(f"trace has {trace.t} steps, expected {t}")
-    if hindsight_u.shape != (trace.n,):
-        raise DimensionMismatch("hindsight utilities must have one entry per agent")
-    return t * hindsight_u - realized_total_utilities(trace)
-
-
-def envy(trace: PaceTrace, instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
-    """Each agent's preference for the best other bundle over their own, >= 0.
-
-    S[k, i], the value agent i places on winner k's bundle, comes from the
-    (winner, item) counts, so no (t, n) matrix is built.
-    """
-    if trace.t != seq.t:
-        raise DimensionMismatch("trace and sequence lengths differ")
-    if trace.n != instance.n:
-        raise DimensionMismatch("trace and instance agent counts differ")
-    n, m = instance.n, instance.m
-    if seq.items.max() >= m:
-        raise DimensionMismatch("sequence references items outside the universe")
-    counts = np.bincount(trace.winners * m + seq.items, minlength=n * m).reshape(n, m)
-    S = counts @ instance.valuations.T
-    return S.max(axis=0) - np.diag(S)
-
-
-@dataclass(frozen=True)
-class SquaredErrors:
-    """Terminal squared distances to a benchmark and the spend target."""
-
-    beta: float
-    utility: float
-    expenditure: float
-
-
-def mean_square_errors(trace: PaceTrace, ref_beta, ref_u, n: int) -> SquaredErrors:
-    ref_beta = np.asarray(ref_beta, dtype=np.float64)
-    ref_u = np.asarray(ref_u, dtype=np.float64)
-    if ref_beta.shape != (n,) or ref_u.shape != (n,) or trace.n != n:
-        raise DimensionMismatch("reference vectors must have one entry per agent")
-    return SquaredErrors(
-        beta=float(((trace.beta_at[-1] - ref_beta) ** 2).sum()),
-        utility=float(((trace.u_bar_at[-1] - ref_u) ** 2).sum()),
-        expenditure=float(((trace.spend_avg_at[-1] - 1.0 / n) ** 2).sum()),
-    )
-
-
-def relative_error_max(actual, reference) -> float:
-    """max_i |actual_i - reference_i| / reference_i for positive references."""
-    actual = np.asarray(actual, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if actual.shape != reference.shape:
-        raise DimensionMismatch("vectors must share a shape")
-    if np.any(reference <= 0):
-        raise NonpositiveReference("reference entries must be strictly positive")
-    return float(np.max(np.abs(actual - reference) / reference))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from fairpace.inputs import (
     sample_sequences,
 )
 from fairpace.market import ItemSequence
-from fairpace.metrics import build_metric_series, envy, recording_grid, relative_error_max
+from fairpace.metrics import build_metric_series, recording_grid
 from fairpace.pace import (
     equivalence_with_da,
     pacing_box,
@@ -33,6 +33,7 @@ from fairpace.pace import (
 )
 from fairpace.prng import derive_path_seed
 from tests.conftest import random_instance
+from tests.oracles import envy, relative_error_max
 
 DELTA0 = 1.0
 

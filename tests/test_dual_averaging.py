@@ -7,9 +7,9 @@ from fairpace.dual_averaging import (
     composite_argmin,
     da_step,
     initial_state,
-    iterate_da,
     regret_bound_check,
 )
+from tests.oracles import iterate_da
 
 BOX = LogBarrierRegularizer(n=2, lo=0.25, hi=2.0)
 

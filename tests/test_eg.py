@@ -216,16 +216,17 @@ class TestSmoothedState:
 
     def test_masked_exp_matches_plain_exp(self, rng):
         # exponents (bid - top) / mu of exactly 0, at and around the cutoff,
-        # around -708.4 where exp turns subnormal, around -745.13 where it
-        # underflows to 0, and far below
+        # around -690, between it and -708.4 where exp turns subnormal,
+        # around -708.4, around -745.13 where exp underflows to 0, and far
+        # below
         cut = -eg._EXP_CUTOFF
         gaps = np.array(
             [
-                [0.0, 0.0, 744.4, 0.0, cut - 1e-9],
-                [745.0, 0.0, 0.0, 745.13, 0.0],
-                [745.2, 745.9, 746.0, 745.14, cut],
-                [746.5, 800.0, 1e4, 3.0, cut + 1e-9],
-                [cut - 0.5, cut + 0.5, 708.0, 709.0, 1.0],
+                [0.0, 0.0, 744.4, 0.0, cut - 1e-9, 690.0],
+                [745.0, 0.0, 0.0, 745.13, 0.0, 0.0],
+                [745.2, 745.9, 746.0, 745.14, cut, 689.5],
+                [746.5, 800.0, 1e4, 3.0, cut + 1e-9, 0.0],
+                [cut - 0.5, cut + 0.5, 708.0, 709.0, 1.0, 690.5],
             ]
         )
         beta = 0.5 + rng.random(5)
@@ -246,13 +247,14 @@ class TestSmoothedState:
             assert np.all(ref_shares[~kept] < floor)
 
     def test_masked_exp_is_exp_where_the_cutoff_is_reached(self):
-        # exponents from -800 to 0, at and around the cutoff, where exp turns
-        # subnormal (-708.4) and where it underflows (-745): the clamped exp
-        # times the mask gives the weights of exp taken only where the
-        # exponent reaches the cutoff, bit for bit
+        # exponents from -800 to 0, at and around the cutoff, at -690, where
+        # exp turns subnormal (-708.4) and where it underflows (-745): the
+        # clamped exp times the mask gives the weights of exp taken only
+        # where the exponent reaches the cutoff, bit for bit
         gaps = np.concatenate((np.linspace(0.0, 800.0, 8001), [690.0, 708.4, 745.0]))
         cut = -eg._EXP_CUTOFF
-        gaps = np.concatenate((gaps, [np.nextafter(cut, 0.0), np.nextafter(cut, np.inf)]))
+        near = [np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), cut - 1e-9, cut + 1e-9]
+        gaps = np.concatenate((gaps, near, [cut - 0.5, cut + 0.5]))
         v = np.vstack((np.full(gaps.size, 1000.0), 1000.0 - gaps))
         prob = DualProblem(v, np.full(gaps.size, 1.0 / gaps.size), 0.1, 2.0)
         beta = np.ones(2)
@@ -262,7 +264,7 @@ class TestSmoothedState:
         z /= 1.0
         expected = np.exp(z, out=np.zeros_like(z), where=z >= eg._EXP_CUTOFF)
         assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
-        assert {-690.0, -745.0} <= set(z[1].tolist())
+        assert {-690.0, -745.0, -cut - 0.5, -cut + 0.5} <= set(z[1].tolist())
         assert np.any(weights[1] > 0.0) and np.any((weights[1] == 0.0) & (z[1] > -746.0))
 
     @settings(max_examples=80, deadline=None)
@@ -272,23 +274,42 @@ class TestSmoothedState:
         m=st.integers(1, 12),
         log_mu=st.floats(-8.0, -2.0),
     )
-    def test_no_subnormal_weights_or_shares(self, seed, n, m, log_mu):
+    def test_no_subnormal_weights_shares_or_hessian(self, seed, n, m, log_mu):
         mu = 10.0**log_mu
         prob, center, _ = tied_problem(seed, n, m, mu)
-        with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-            working, _ = eg._working_set(center, prob, mu)
-        for on in (None, working):
-            value = eg._smoothed_value(center, prob, mu, on)
-            shares = eg._smoothed_state(center, prob, mu, value, on)[3]
-            for x in (value[1], shares):
-                assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
+        assert_no_subnormal(prob, center, mu)
+
+    def test_no_subnormal_hessian_beside_a_tied_column(self):
+        # in column 0 agent 0 bids on top and agents 1 and 2 bid 365 mu
+        # below; column 1 ties agents 0 and 3. A cutoff that kept the two
+        # shares of e^-365 would make the Hessian entry of agents 1 and 2
+        # their product times 500 v^2, a subnormal of about 2e-315
+        mu, gap = 1e-3, 365.0
+        v = np.array([[1.0, 0.5], [1.0 - gap * mu, 0.0], [1.0 - gap * mu, 0.0], [0.3, 0.5]])
+        prob = DualProblem(v, np.array([0.5, 0.5]), 0.1, 2.0)
+        assert_no_subnormal(prob, np.ones(4), mu)
+
+
+def assert_no_subnormal(prob, center, mu):
+    """No softmax weight, share or Hessian entry at center is subnormal,
+    dense or on the working set there."""
+    with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
+        working, _ = eg._working_set(center, prob, mu)
+    for on in (None, working):
+        value = eg._smoothed_value(center, prob, mu, on)
+        shares = eg._smoothed_state(center, prob, mu, value, on)[3]
+        H = eg._smoothed_hessian(center, prob, mu, shares, on)
+        for x in (value[1], shares, np.abs(H)):
+            assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
 
 
 def tied_problem(seed, n, m, mu):
     """Random problem and center in the box with near-tied top bids.
 
-    About half the columns get a second bid within 1000 mu of the top,
-    so their shares split, and a fifth of the valuations are zero.
+    About half the columns get a second bid within _SET_WIDTH mu of the top,
+    so the working set at center holds it. Half of those bids lie within
+    -_EXP_CUTOFF mu of the top, so their column's shares split. A fifth of
+    the valuations are zero.
     """
     rng = np.random.default_rng(seed)
     v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.2)
@@ -298,8 +319,9 @@ def tied_problem(seed, n, m, mu):
     for j in np.flatnonzero(rng.random(m) < 0.5):
         top = bids[:, j].max()
         k = rng.integers(n)
-        if bids[k, j] < top and top > 1000 * mu:
-            v[k, j] = (top - rng.uniform(0, 1000) * mu) / center[k]
+        if bids[k, j] < top and top > eg._SET_WIDTH * mu:
+            width = eg._SET_WIDTH if rng.random() < 0.5 else -eg._EXP_CUTOFF
+            v[k, j] = (top - rng.uniform(0, width) * mu) / center[k]
     w = rng.random(m) + 0.01
     return DualProblem(v, w / w.sum(), lo, hi), center, rng
 

@@ -10,9 +10,9 @@ from fairpace.market import (
     market_from_dict,
     market_to_dict,
     normalize_valuations,
-    proportional_share_utilities,
 )
 from fairpace.errors import DimensionMismatch, ZeroExpectedValue
+from tests.oracles import proportional_share_utilities
 
 
 def test_reference_distribution_validation():

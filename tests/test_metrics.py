@@ -3,19 +3,20 @@ import pytest
 
 from fairpace import metrics
 from fairpace.eg import equilibrium_utilities, hindsight_solution
-from fairpace.market import ItemSequence, MarketInstance, proportional_share_utilities
-from fairpace.metrics import (
-    build_metric_series,
+from fairpace.market import ItemSequence, MarketInstance
+from fairpace.metrics import METRIC_NAMES, build_metric_series, recording_grid
+from fairpace.errors import DimensionMismatch
+from fairpace.pace import PaceTrace, run_pace
+from tests.conftest import random_instance, tie_free_run
+from tests.oracles import (
+    NonpositiveReference,
     envy,
     mean_square_errors,
-    recording_grid,
+    proportional_share_utilities,
+    realized_total_utilities,
     regret,
     relative_error_max,
 )
-from fairpace.errors import DimensionMismatch, NonpositiveReference
-from fairpace.metrics import METRIC_NAMES, realized_total_utilities
-from fairpace.pace import PaceTrace, run_pace
-from tests.conftest import random_instance, tie_free_run
 
 
 def _trace_with_winners(winners, inst, seq):

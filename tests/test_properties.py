@@ -12,9 +12,9 @@ from fairpace.inputs import (
     sample_sequence,
 )
 from fairpace.market import ItemSequence, ReferenceDistribution, normalize_valuations
-from fairpace.metrics import envy, relative_error_max
 from fairpace.pace import pacing_box, run_pace
 from tests.conftest import random_instance
+from tests.oracles import envy, relative_error_max
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SMALL = st.integers(min_value=1, max_value=6)
