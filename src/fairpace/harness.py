@@ -251,14 +251,16 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
     """Score one batch of paths, with their pacing runs in lockstep.
 
     Returns each path's metric series with its hindsight solve's counts.
+    Each hindsight solve starts from the reference optimum star_beta, the
+    optimum of the same market under the reference weights ref_weights.
     """
-    (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs) = args
+    (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs, ref_weights) = args
     seqs = sample_sequences(model, t, path_seeds)
     traces = run_pace_paths(instance, seqs, delta0, record_times=grid)
     star_beta, star_u = star_refs
     scored = []
     for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
-        hs = hindsight_solution(instance, seq, delta0, tol=hs_tol)
+        hs = hindsight_solution(instance, seq, delta0, tol=hs_tol, warm=(star_beta, ref_weights))
         if not hs.converged:
             raise NoConvergence(
                 f"hindsight solve failed on path {path_index} (seed {path_seed}): "
@@ -317,6 +319,7 @@ def run_experiment(
             seeds[start : start + size],
             solver_tol,
             (star.beta_hat, star_u),
+            ref.probs,
         )
         for start in range(0, config.paths, size)
     ]

@@ -3,8 +3,14 @@ import json
 import pytest
 
 from fairpace.cli import main
-from fairpace.harness import generate_market
-from fairpace.inputs import model_to_dict, random_iid_model
+from fairpace.eg import hindsight_solution, market_problem, solve_dual
+from fairpace.harness import generate_market, load_config, resolve_market, resolve_model
+from fairpace.inputs import (
+    model_to_dict,
+    random_iid_model,
+    reference_distribution,
+    sample_sequences,
+)
 from fairpace.market import market_to_dict
 
 
@@ -78,6 +84,40 @@ def test_run_and_summarize(tmp_path):
     assert main(["summarize", "--paths-csv", str(out_dir / "paths.csv"), "--out", str(agg)]) == 0
     # the recomputed aggregate matches the one the run wrote
     assert agg.read_bytes() == (out_dir / "aggregate.csv").read_bytes()
+
+
+def test_run_threads_match_serial(tmp_path):
+    # the pool's workers warm-start each hindsight solve from the reference
+    # optimum as a serial run does: the same bytes and the same solver
+    # counts, those of a warm start and not of a cold solve
+    config = {
+        "schema": 1,
+        "market": {"generator": {"n": 6, "m": 20, "rank": 2, "noise": 0.1, "seed": 3}},
+        "model": {"kind": "markov", "random": {"m": 20, "seed": 4}},
+        "t": 400,
+        "paths": 3,
+        "base_seed": 5,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(["run", "--config", str(cfg_path), "--out", str(serial), "--threads", "1"]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(pooled), "--threads", "2"]) == 0
+    for name in ("paths.csv", "aggregate.csv"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+    summaries = [json.loads((out / "summary.json").read_text()) for out in (serial, pooled)]
+    assert summaries[0]["solver"] == summaries[1]["solver"]
+
+    cfg = load_config(cfg_path)
+    model = resolve_model(cfg)
+    ref = reference_distribution(model)
+    instance = resolve_market(cfg, ref)
+    star = solve_dual(market_problem(instance, ref, cfg.delta0))
+    seqs = sample_sequences(model, cfg.t, summaries[1]["provenance"]["path_seeds"])
+    warm = [hindsight_solution(instance, seq, warm=(star.beta_hat, ref.probs)) for seq in seqs]
+    cold = [hindsight_solution(instance, seq) for seq in seqs]
+    steps = [counts["newton_steps"] for counts in summaries[1]["solver"]["hindsight"]]
+    assert steps == [sol.iterations for sol in warm] != [sol.iterations for sol in cold]
 
 
 def test_run_seed_override_changes_output(tmp_path):

@@ -174,6 +174,8 @@ class TestSolveDual:
         monkeypatch.setattr(eg, "_smoothed_value", counted)
         sol = solve_dual(prob)
         assert sol.converged
+        # the count includes the predictor's evaluations at each stage's start
+        assert any(stage.predicted for stage in sol.stages)
         assert sol.evaluations == len(calls)
         assert sol.evaluations < parent_evaluations
 
@@ -186,9 +188,9 @@ class TestSolveDual:
         for scale in (1.0016, 1.0, 0.37, 2.5e-7):
             seen = []
 
-            def recorded(beta, prob, mu, gtol):
+            def recorded(beta, prob, mu, gtol, slope=None):
                 seen.append(mu)
-                return stage(beta, prob, mu, gtol)
+                return stage(beta, prob, mu, gtol, slope)
 
             monkeypatch.setattr(eg, "_newton_stage", recorded)
             prob = market_problem(MarketInstance(np.full((1, 2), scale)), np.array([0.5, 0.5]))
@@ -423,7 +425,9 @@ class TestWorkingSet:
 
     @staticmethod
     def solve_problem():
-        rng = np.random.default_rng(11)
+        # a solve whose 1e-4 stage leaves its set's trust radius three times,
+        # each time rejected by the bound
+        rng = np.random.default_rng(41)
         return market_problem(random_instance(rng, 20, 60), rng.dirichlet(np.ones(60)))
 
     def test_no_set_evaluation_outside_radius(self, monkeypatch):
@@ -488,10 +492,10 @@ class TestWorkingSet:
             assert a.evaluations == b.evaluations - a.bound_rejections
 
 
-def fallback_solve(prob, tol=1e-8):
+def fallback_solve(prob, tol=1e-8, warm=None):
     """The solve with every crossover attempt failing."""
     with mock.patch.object(eg, "_crossover", lambda *args: (None, 0)):
-        return solve_dual(prob, tol=tol)
+        return solve_dual(prob, tol=tol, warm=warm)
 
 
 def crossover(beta, prob, mu, tol, rounds=None):
@@ -526,20 +530,34 @@ def boxed_problem(seed, n, m, delta0, heavy):
     return market_problem(MarketInstance(v), w, delta0)
 
 
-def stage_points(prob, tol=1e-8):
-    """The stages solve_dual runs, without a crossover: for each, the
-    problem on the items of positive weight, the temperature, the stage's
-    point, its utilities and its shares with their working set."""
+def stage_points(prob, tol=1e-8, predict=False):
+    """Continuation stages without a crossover: for each, the problem on the
+    items of positive weight, the temperature, the stage's point, its
+    utilities and its shares with their working set.
+
+    With predict these are the stages a cold solve_dual runs: each after
+    the first is offered the tangent predictor's point, and each before
+    _CROSSOVER_STAGE but the last stops at _LOOSE_GTOL mu. Without it each
+    stage starts from the last one's point and stops at 1e-3 mu, the plain
+    continuation the crossover tests below take their points from."""
     keep = prob.weights > 0
-    prob = DualProblem(prob.valuations[:, keep], prob.weights[keep], prob.lo, prob.hi)
+    # row-major, as solve_dual keeps them: the tangent's sums over items run
+    # in an order set by the layout
+    valuations = np.compress(keep, prob.valuations, axis=1)
+    prob = DualProblem(valuations, prob.weights[keep], prob.lo, prob.hi)
     scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
     beta = np.full(prob.n, min(1.0, prob.hi))
     gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
     mu_end = max(tol, 1e-12)
-    for mu in eg._temperatures(0.1 * max(scale, 1e-6), mu_end):
-        gtol = gtol_final if mu <= mu_end else max(1e-3 * mu, gtol_final)
-        beta, utilities, shares, _ = eg._newton_stage(beta, prob, mu, gtol)
+    slope = None
+    for k, mu in enumerate(eg._temperatures(0.1 * max(scale, 1e-6), mu_end)):
+        factor = eg._LOOSE_GTOL if predict and k < eg._CROSSOVER_STAGE else 1e-3
+        gtol = gtol_final if mu <= mu_end else max(factor * mu, gtol_final)
+        beta, utilities, shares, _ = eg._newton_stage(beta, prob, mu, gtol, slope)
         yield prob, mu, beta, utilities, shares
+        if predict:
+            tangent = eg._tangent(beta, prob, mu, utilities, *shares)
+            slope = None if tangent is None else (mu, tangent)
 
 
 class TestCrossover:
@@ -640,7 +658,7 @@ class TestCrossover:
     def staged_solve(prob, tol=1e-8):
         """Every stage down to the tolerance, and the residual under the last
         stage's tie split: the solve without a crossover."""
-        for _, _, beta, utilities, _ in stage_points(prob, tol):
+        for _, _, beta, utilities, _ in stage_points(prob, tol, predict=True):
             pass
         fixed_point = np.clip(1.0 / (prob.n * utilities), prob.lo, prob.hi)
         return beta, float(np.max(np.abs(beta - fixed_point)))
@@ -760,6 +778,106 @@ class TestCrossover:
         assert 0.0 < residual <= 1e-15
         assert crossover(beta, prob, 1e-6, 0.09 * residual) == (None, 0)
         assert np.array_equal(crossover(beta, prob, 1e-6, 0.1 * residual)[0][0], beta_hat)
+
+
+def ladder(prob, tol=1e-8):
+    """Every temperature of the cold ladder: the stages of a solve whose
+    crossover attempts all fail."""
+    return [stage.mu for stage in fallback_solve(prob, tol).stages]
+
+
+def other_weights(prob, seed):
+    """Random item weights summing to 1 under which every agent values
+    some weighted item; about a third of them are zero when that allows."""
+    rng = np.random.default_rng(seed)
+    m = prob.m
+    weights = rng.random(m) * (rng.random(m) > 0.3)
+    if not np.all(prob.valuations @ weights > 0):
+        weights = rng.random(m) + 0.01
+    return weights / weights.sum()
+
+
+class TestShorterPaths:
+    def test_predicted_point_taken_only_when_lower(self):
+        # from the first stage's end point the next stage is offered the
+        # tangent's prediction, its reverse and a zero slope; at gtol inf
+        # it takes no step, so it returns the point it started from: the
+        # predicted one exactly when its smoothed value is strictly lower
+        prob = TestWorkingSet.solve_problem()
+        reduced, mu0, beta, utilities, shares = next(stage_points(prob))
+        tangent = eg._tangent(beta, reduced, mu0, utilities, *shares)
+        mu = 0.1 * mu0
+        value = eg._smoothed_value(beta, reduced, mu)[0]
+        for slope, taken in ((tangent, True), (-tangent, False), (np.zeros_like(beta), False)):
+            guess = np.clip(beta + (mu - mu0) * slope, reduced.lo, reduced.hi)
+            assert (eg._smoothed_value(guess, reduced, mu)[0] < value) == taken
+            start, _, _, counts = eg._newton_stage(beta, reduced, mu, np.inf, (mu0, slope))
+            assert counts.predicted == taken
+            assert (counts.steps, counts.evaluations) == (0, 2)
+            assert np.array_equal(start, guess if taken else beta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        delta0=st.sampled_from([0.02, 0.1, 1.0]),
+        heavy=st.booleans(),
+    )
+    def test_warm_start_finds_the_cold_optimum(self, seed, n, m, delta0, heavy):
+        # warm-started from the optimum of other weights on the same market,
+        # the solve runs the cold ladder's stages from the first at or below
+        # TV times its first temperature and ends at the cold optimum
+        prob = boxed_problem(seed, n, m, delta0, heavy)
+        assume(prob is not None)
+        other = other_weights(prob, seed + 1)
+        start = solve_dual(DualProblem(prob.valuations, other, prob.lo, prob.hi))
+        warm = solve_dual(prob, warm=(start.beta_hat, other))
+        cold = solve_dual(prob)
+        assert warm.converged and cold.converged
+        assert np.max(np.abs(warm.beta_hat - cold.beta_hat)) <= 1e-6
+        assert warm.objective <= cold.objective + objective_rounding(prob, cold.objective)
+        mus = ladder(prob)
+        distance = 0.5 * np.abs(prob.weights - other).sum()
+        first = next((k for k, mu in enumerate(mus) if mu <= distance * mus[0]), len(mus) - 1)
+        ran = [stage.mu for stage in warm.stages]
+        assert ran == mus[first : first + len(ran)]
+        assert warm.crossover_mu == cold.crossover_mu
+
+    def test_warm_start_at_full_distance_runs_the_full_ladder(self, rng):
+        # warm weights on the other half of the items: TV = 1, no stage is
+        # skipped. From the problem's own optimum, TV = 0: only the last runs
+        inst = random_instance(rng, 5, 8)
+        weights = np.r_[rng.dirichlet(np.ones(4)), np.zeros(4)]
+        other = np.r_[np.zeros(4), rng.dirichlet(np.ones(4))]
+        prob, far = market_problem(inst, weights), market_problem(inst, other)
+        start = solve_dual(far).beta_hat
+        warm = fallback_solve(prob, warm=(start, other))
+        assert [stage.mu for stage in warm.stages] == ladder(prob)
+        cold = solve_dual(prob)
+        same = solve_dual(prob, warm=(cold.beta_hat, weights))
+        assert [stage.mu for stage in same.stages] == ladder(prob)[-1:]
+        assert same.converged and np.max(np.abs(same.beta_hat - cold.beta_hat)) <= 1e-6
+        with pytest.raises(ValueError):
+            solve_dual(prob, warm=(start[:-1], other))
+        with pytest.raises(ValueError):
+            solve_dual(prob, warm=(start, other[:-1]))
+
+    def test_attempts_counted_after_skipped_stages(self, rng):
+        # a warm start at TV about 0.05 skips the first two stages; every
+        # stage at or below the cold ladder's _CROSSOVER_STAGE temperature is
+        # still followed by an attempt, which len(stages) - _CROSSOVER_STAGE
+        # would undercount by the two skipped
+        inst = random_instance(rng, 5, 8)
+        weights = rng.dirichlet(np.ones(8))
+        other = 0.95 * weights + 0.05 * rng.dirichlet(np.ones(8))
+        start = solve_dual(market_problem(inst, other)).beta_hat
+        with mock.patch.object(eg, "_crossover", return_value=(None, 0)) as attempts:
+            warm = solve_dual(market_problem(inst, weights), warm=(start, other))
+        mus = ladder(market_problem(inst, weights))
+        assert [stage.mu for stage in warm.stages] == mus[2:]
+        assert warm.crossover_attempts == attempts.call_count == len(mus) - eg._CROSSOVER_STAGE
+        assert warm.crossover_mu == mus[eg._CROSSOVER_STAGE]
 
 
 class TestEquilibriumUtilities:

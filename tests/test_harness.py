@@ -17,9 +17,11 @@ from fairpace.harness import (
     run_experiment,
     summarize,
 )
-from fairpace.inputs import reference_distribution
+from fairpace.eg import hindsight_solution, market_problem, solve_dual
+from fairpace.inputs import reference_distribution, sample_sequences
 from fairpace.market import ReferenceDistribution, market_to_dict
 from fairpace.metrics import MetricSeries
+from fairpace.prng import derive_path_seed
 
 
 def toy_config(**overrides):
@@ -200,6 +202,32 @@ class TestRunExperiment:
             assert counts["certified_mu"] is None or counts["certified_mu"] > 0
         with open(tmp_path / "paths.csv") as fh:
             assert fh.readline().strip() == "model,path_id,metric,t,value"
+
+    def test_paper_hindsight_solve_steps(self):
+        # a hindsight problem of the paper's shape (n = 100, m = 300, one
+        # Markov path of t = 20000), built as run_experiment builds it and
+        # warm-started from the reference optimum. The solver before the
+        # warm start, the tangent predictor and the loose early stages took
+        # parent_newton_steps Newton steps on it
+        parent_newton_steps = 56
+        cfg = config_from_dict(
+            {
+                "schema": 1,
+                "market": {"generator": {"n": 100, "m": 300, "rank": 10, "noise": 0.1, "seed": 1}},
+                "model": {"kind": "markov", "random": {"m": 300, "seed": 2}},
+                "t": 20000,
+                "paths": 1,
+                "base_seed": 5,
+            }
+        )
+        model = resolve_model(cfg)
+        ref = reference_distribution(model)
+        instance = resolve_market(cfg, ref)
+        star = solve_dual(market_problem(instance, ref, cfg.delta0))
+        (seq,) = sample_sequences(model, cfg.t, [derive_path_seed(cfg.base_seed, 0)])
+        hs = hindsight_solution(instance, seq, cfg.delta0, warm=(star.beta_hat, ref.probs))
+        assert hs.converged
+        assert hs.iterations < parent_newton_steps
 
     def test_error_improves_from_start(self):
         cfg = toy_config(t=400)
