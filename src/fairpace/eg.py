@@ -45,12 +45,16 @@ mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF). That weight is
 below half an ulp of its item's softmax mass, so the value and every kept
 share equal a plain exp's, while no weight, share or Hessian entry is
 subnormal; at small temperatures nearly every weight is that far down.
-Each stage then evaluates on a working set of the pairs near their item's
-top bid while the multipliers stay within a trust radius in which that is
-exact (see _WorkingSet), and assembles the Hessian's cross term from the
-pairs of agents that split an item. Outside the radius the set's value is
-a lower bound on the dense one: a trial point whose bound already fails
-the line search is rejected without a dense evaluation. A stage whose set
+Each stage therefore builds, at its start point and before it evaluates
+anything, a working set of the pairs near their item's top bid, and
+evaluates on it while the multipliers stay within a trust radius in which
+that is exact (see _WorkingSet): the start value, the predicted point's
+value and the trial points', with the utilities summed over the set's
+pairs alone. It assembles the Hessian's cross term from the pairs of
+agents that split an item. Outside the radius the set's value is a lower
+bound on the dense one: a point, trial or predicted, whose bound already
+fails its test is rejected without a dense evaluation, so a stage on a
+set passes over the whole matrix only to build its set. A stage whose set
 would hold 40% of the pairs or more runs dense; on the benchmark's shapes
 those are the stages above mu ~ 1e-4.
 
@@ -132,14 +136,15 @@ class StageCounts:
     evaluations counts evaluations of the smoothed objective, the value-only
     ones at rejected trial points and the bound evaluations included.
     set_evaluations of them ran on the working set at points within its
-    trust radius. A point outside the radius is first evaluated on the set
-    as a bound: bound_rejections counts the points that bound rejected, and
-    dense_fallbacks the others, which were then evaluated on the whole
-    matrix. rebuilds counts the working sets built after accepting such a
-    point, and set_share is the share of the n m pairs in the stage's last
-    set (at or above _DENSE_SHARE when the stage ran dense, None when it
-    took no step and built no set). predicted says whether the stage
-    started from the tangent predictor's point (see _newton_stage).
+    trust radius: the stage's entry evaluations, at its start point and at
+    the predicted one, as well as its trial points. A point outside the
+    radius is first evaluated on the set as a bound: bound_rejections counts
+    the points that bound rejected, and dense_fallbacks the others, which
+    were then evaluated on the whole matrix. rebuilds counts the working
+    sets built after a Newton step accepted such a point, and set_share is
+    the share of the n m pairs in the stage's last set (at or above
+    _DENSE_SHARE when the stage ran dense). predicted says whether the
+    stage started from the tangent predictor's point (see _newton_stage).
     """
 
     mu: float
@@ -149,7 +154,7 @@ class StageCounts:
     bound_rejections: int
     dense_fallbacks: int
     rebuilds: int
-    set_share: Optional[float]
+    set_share: float
     predicted: bool
 
 
@@ -258,18 +263,18 @@ class _WorkingSet:
     the column's top bidder, both at the center. While
     |beta - center|_inf <= R every excluded pair's exponent stays a unit
     below the cutoff, more than the rounding of the bids can make up, and
-    each column's top bid is one of the set's, so the value, shares,
-    utilities and Hessian computed on the set equal the dense ones, the
-    Hessian up to summation order. Outside R the set's value is still a
-    lower bound on the dense one (see _bound_rejects).
+    each column's top bid is one of the set's, so the value and shares
+    computed on the set are the dense ones bit for bit (each column's mass
+    sums its agents in the same order, less terms of exactly 0), and the
+    utilities and Hessian equal the dense ones up to summation order.
+    Outside R the set's value is still a lower bound on the dense one (see
+    _bound_rejects).
     """
 
     def __init__(self, center, radius: float, inside, prob: DualProblem):
-        flat = np.flatnonzero(inside)
-        rows, cols = np.divmod(flat, prob.m)
-        order = np.argsort(cols, kind="stable")
         self.center, self.radius = center, radius
-        self.rows, self.cols = rows[order], cols[order]
+        # the transposed mask's flat order is by item, agents ascending
+        self.cols, self.rows = np.divmod(np.flatnonzero(inside.T), prob.n)
         self.values = prob.valuations[self.rows, self.cols]
         counts = np.bincount(self.cols, minlength=prob.m)
         self.starts = np.cumsum(counts) - counts
@@ -282,8 +287,9 @@ def _working_set(center, prob: DualProblem, mu: float):
     """The working set at center and its share of the n m pairs.
 
     The set is None when it would hold _DENSE_SHARE of the pairs or more.
-    Besides a bool mask, building it takes one more (n, m) float temporary
-    than the bids, as many as a dense evaluation makes.
+    Besides a bool mask and its transpose, building it takes one more
+    (n, m) float temporary than the bids, as many as a dense evaluation
+    makes.
     """
     V = prob.valuations
     items = np.arange(prob.m)
@@ -347,16 +353,11 @@ def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None
     obj, weights_exp, mass = _smoothed_value(beta, prob, mu, working) if value is None else value
     if working is None:
         shares = weights_exp / mass
-        scaled = shares * prob.valuations
+        utilities = (shares * prob.valuations) @ prob.weights
     else:
         shares = weights_exp / mass[working.cols]
-        # summed over the set alone the utilities differ from the dense ones
-        # in the last bits, and near the stopping rule's noise floor that
-        # moved some solves' final point by 5e-14. The dense product sums in
-        # an order set by the shape, and the zeros add nothing.
-        scaled = np.zeros((prob.n, prob.m))
-        scaled[working.rows, working.cols] = shares * working.values
-    utilities = scaled @ prob.weights
+        scaled = shares * working.values * prob.weights[working.cols]
+        utilities = np.bincount(working.rows, scaled, prob.n)
     grad = utilities - 1.0 / (prob.n * beta)
     return obj, grad, utilities, shares
 
@@ -446,11 +447,12 @@ def _step_lengths(first: float):
 def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     """Damped projected Newton on the mu-smoothed objective.
 
+    The stage first builds its working set at beta, then evaluates there.
     Given slope, the pair (mu0, d beta / d mu at beta) that _tangent
-    returns for the stage at mu0 that ended at beta, the stage first
-    predicts its point on the central path, clip(beta + (mu - mu0) slope),
-    and starts there if the smoothed value at mu is strictly below beta's,
-    else from beta; both evaluations count in the stage's.
+    returns for the stage at mu0 that ended at beta, it then predicts its
+    point on the central path, clip(beta + (mu - mu0) slope), and starts
+    there if the smoothed value at mu is strictly below beta's, else from
+    beta; both evaluations count in the stage's.
 
     Bound-active coordinates whose gradient points outward are frozen; the
     Newton system is solved on the free block. One backtracking search
@@ -471,42 +473,59 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     is within gtol, after _MAX_STAGE_STEPS steps, or when no trial point is
     accepted.
 
-    The first step builds a working set at the stage's point. Points within
-    its trust radius are evaluated on the set. At a point outside it the
-    set's value is a lower bound on the dense one; a bound above the
-    acceptance threshold rejects the point, as its dense value would, and
-    otherwise the point is evaluated on the whole matrix. Accepting such a
-    point rebuilds the set there. Rebuilding at every trial point outside
-    the radius instead rebuilds many times per solve for trial points the
-    search then rejects. A set holding _DENSE_SHARE of the pairs or more is
-    dropped, and the stage runs dense from then on. Returns the new point,
-    its utilities under this stage's tie split, its shares with the working
-    set they lie on (None for dense shares) and the stage's StageCounts.
+    Points within the set's trust radius, the predicted one included, are
+    evaluated on the set. At a point outside it the set's value is a lower
+    bound on the dense one; a bound above the threshold, the start value
+    for the predicted point and the acceptance threshold for a trial point,
+    rejects the point, as its dense value would, and otherwise the point is
+    evaluated on the whole matrix. Taking such a point builds the set there
+    and evaluates its state on it; a rebuild after a step counts in the
+    stage's rebuilds, the one after the prediction does not. Rebuilding at
+    every trial point outside the radius instead rebuilds many times per
+    solve for trial points the search then rejects. A set holding
+    _DENSE_SHARE of the pairs or more is dropped, and the stage runs dense
+    until a rebuild. Returns the new point, its utilities under this
+    stage's tie split, its shares with the working set they lie on (None
+    for dense shares) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    steps = set_evaluations = bound_rejections = dense_fallbacks = sets_built = 0
-    value = _smoothed_value(beta, prob, mu)
-    evaluations, predicted = 1, False
+    evaluations = set_evaluations = bound_rejections = dense_fallbacks = 0
+
+    def evaluate(point, threshold=np.inf):
+        """The smoothed value at point, on the set if it covers point, and
+        whether the set was left: then the dense value, or None when the
+        set's bound shows it above threshold."""
+        nonlocal evaluations, set_evaluations, bound_rejections, dense_fallbacks
+        evaluations += 1
+        if working is None or working.covers(point):
+            set_evaluations += working is not None
+            return _smoothed_value(point, prob, mu, working), False
+        if _bound_rejects(point, prob, mu, working, threshold):
+            bound_rejections += 1
+            return None, True
+        dense_fallbacks += 1
+        evaluations += 1
+        return _smoothed_value(point, prob, mu), True
+
+    working, share = _working_set(beta, prob, mu)
+    value, _ = evaluate(beta)
+    predicted = False
     if slope is not None:
         guess = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
-        guess_value = _smoothed_value(guess, prob, mu)
-        evaluations += 1
-        if guess_value[0] < value[0]:
+        guess_value, left = evaluate(guess, value[0])
+        if guess_value is not None and guess_value[0] < value[0]:
             beta, value, predicted = guess, guess_value, True
+            if left:
+                working, share = _working_set(beta, prob, mu)
+                if working is not None:
+                    value, _ = evaluate(beta)
         del guess_value
-    obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value)
+    obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value, working)
     # dense softmax weights are an (n, m) array the Newton loop must not hold
     del value
     pg = _projected_gradient(beta, grad, lo, hi)
-    last = 1.0
-    working, stale, share = None, True, None
+    steps, rebuilds, last = 0, 0, 1.0
     while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
-        if stale:
-            working, share = _working_set(beta, prob, mu)
-            sets_built += 1
-            if working is not None:
-                shares = shares[working.rows, working.cols]
-            stale = False
         free = pg != 0.0
         H = _smoothed_hessian(beta, prob, mu, shares, working)
         direction = np.zeros_like(beta)
@@ -523,28 +542,24 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
             candidate = np.clip(beta + alpha * direction, lo, hi)
             if not np.any(candidate != beta):
                 continue
-            outside = working is not None and not working.covers(candidate)
-            if outside:
-                evaluations += 1
-                if _bound_rejects(candidate, prob, mu, working, flat):
-                    bound_rejections += 1
-                    continue
-                dense_fallbacks += 1
-            on = None if outside else working
-            value = _smoothed_value(candidate, prob, mu, on)
-            evaluations += 1
-            set_evaluations += on is not None
-            if value[0] <= flat:
-                state = _smoothed_state(candidate, prob, mu, value, on)
+            value, left = evaluate(candidate, flat)
+            if value is not None and value[0] <= flat:
+                state = _smoothed_state(candidate, prob, mu, value, None if left else working)
                 cand_pg = _projected_gradient(candidate, state[1], lo, hi)
                 if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                    accepted = (candidate, state, cand_pg)
-                    stale = outside
+                    accepted = (candidate, state, cand_pg, left)
                     last = alpha
                     break
         if accepted is None:
             break
-        beta, (obj, grad, utilities, shares), pg = accepted
+        beta, (obj, grad, utilities, shares), pg, left = accepted
+        if left:
+            working, share = _working_set(beta, prob, mu)
+            rebuilds += 1
+            if working is not None:
+                value, _ = evaluate(beta)
+                obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value, working)
+                pg = _projected_gradient(beta, grad, lo, hi)
     counts = StageCounts(
         mu=mu,
         steps=steps,
@@ -552,11 +567,11 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
         set_evaluations=set_evaluations,
         bound_rejections=bound_rejections,
         dense_fallbacks=dense_fallbacks,
-        rebuilds=max(sets_built - 1, 0),
+        rebuilds=rebuilds,
         set_share=share,
         predicted=predicted,
     )
-    return beta, utilities, (shares, None if stale else working), counts
+    return beta, utilities, (shares, working), counts
 
 
 def _tangent(beta, prob: DualProblem, mu: float, utilities, shares, working):

@@ -12,6 +12,7 @@ carries wall-clock provenance.
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -357,29 +358,46 @@ def run_experiment(
     return report
 
 
+def _csv_fields(*fields) -> str:
+    """The fields as csv.writer writes them, quoted where they need it,
+    followed by a comma."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue()[: -len("\r\n")] + ","
+
+
 def write_paths_csv(path, model_kind: str, series_list: Sequence[MetricSeries]) -> None:
-    """One row per (path, metric, time): model,path_id,metric,t,value."""
+    """One row per (path, metric, time): model,path_id,metric,t,value.
+
+    The rows are those csv.writer writes, with repr of each value, joined
+    per (path, metric).
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "path_id", "metric", "t", "value"])
+        csv.writer(fh).writerow(["model", "path_id", "metric", "t", "value"])
         for series in series_list:
             path_id = series.metadata.get("path_id", 0)
+            times = [int(tau) for tau in series.times.tolist()]
             for name in METRIC_NAMES:
-                vals = series.values[name]
-                for tau, v in zip(series.times, vals):
-                    writer.writerow([model_kind, path_id, name, int(tau), repr(float(v))])
+                head = _csv_fields(model_kind, path_id, name)
+                rows = zip(times, series.values[name].tolist())
+                fh.write("".join(f"{head}{tau},{repr(float(v))}\r\n" for tau, v in rows))
 
 
 def write_aggregate_csv(path, model_kind: str, report: AggregateReport) -> None:
-    """One row per (metric, time): model,metric,t,mean,stderr."""
+    """One row per (metric, time): model,metric,t,mean,stderr, written as
+    write_paths_csv writes its rows; stderr is empty for a single path."""
+    times = [int(tau) for tau in report.times.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "metric", "t", "mean", "stderr"])
+        csv.writer(fh).writerow(["model", "metric", "t", "mean", "stderr"])
         for name in METRIC_NAMES:
-            means = report.means[name]
-            for k, tau in enumerate(report.times):
-                err = "" if report.stderrs is None else repr(float(report.stderrs[name][k]))
-                writer.writerow([model_kind, name, int(tau), repr(float(means[k])), err])
+            head = _csv_fields(model_kind, name)
+            means = report.means[name].tolist()
+            if report.stderrs is None:
+                errs = [""] * len(times)
+            else:
+                errs = [repr(err) for err in report.stderrs[name].tolist()]
+            rows = zip(times, means, errs)
+            fh.write("".join(f"{head}{tau},{mean!r},{err}\r\n" for tau, mean, err in rows))
 
 
 def write_outputs(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
-from fairpace import eg
+from fairpace import eg, harness
 from fairpace.eg import (
     DualProblem,
     dual_objective,
@@ -23,6 +23,7 @@ from fairpace.errors import (
     NoConvergenceWarning,
     ZeroExpectedValue,
 )
+from fairpace.inputs import reference_distribution
 from fairpace.market import ItemSequence, MarketInstance
 from tests.conftest import random_instance
 
@@ -425,20 +426,26 @@ class TestWorkingSet:
 
     @staticmethod
     def solve_problem():
-        # a solve whose 1e-4 stage leaves its set's trust radius three times,
-        # each time rejected by the bound
+        # a solve whose 1e-5 stage leaves its set's trust radius twice, each
+        # time rejected by the bound
         rng = np.random.default_rng(41)
         return market_problem(random_instance(rng, 20, 60), rng.dirichlet(np.ones(60)))
 
-    def test_no_set_evaluation_outside_radius(self, monkeypatch):
-        # outside its trust radius the set is evaluated only as a bound, and
-        # every point that bound rejects has a dense value above the
-        # acceptance threshold, so the dense search would reject it too
+    @staticmethod
+    def recorded_solve(monkeypatch, prob):
+        """The solve, with the temperatures of its dense evaluations and of
+        its set evaluations inside and outside the trust radius.
+
+        Outside the radius the set must be evaluated only as a bound, and
+        every point that bound rejects must have a dense value above the
+        threshold, so the dense search would reject it too."""
         value, rejects = eg._smoothed_value, eg._bound_rejects
-        inside, outside, bounds = [], [], []
+        dense, inside, outside, bounds = [], [], [], []
 
         def checked_value(beta, prob, mu, working=None):
-            if working is not None:
+            if working is None:
+                dense.append(mu)
+            else:
                 far = np.abs(beta - working.center).max() > working.radius
                 (outside if far else inside).append(mu)
             return value(beta, prob, mu, working)
@@ -447,23 +454,78 @@ class TestWorkingSet:
             before = len(outside)
             rejected = rejects(candidate, prob, mu, working, flat)
             assert len(outside) == before + 1
-            assert rejected
-            assert value(candidate, prob, mu)[0] > flat
+            assert not rejected or value(candidate, prob, mu)[0] > flat
             bounds.append(mu)
             return rejected
 
         monkeypatch.setattr(eg, "_smoothed_value", checked_value)
         monkeypatch.setattr(eg, "_bound_rejects", checked_bound)
-        sol = solve_dual(self.solve_problem())
+        sol = solve_dual(prob)
+        monkeypatch.undo()
+        assert outside == bounds
+        return sol, dense, inside, outside
+
+    @staticmethod
+    def assert_evaluations_accounted(sol, dense, inside, outside):
+        """Each stage's evaluations are exactly its set evaluations inside
+        the radius, its bound evaluations and its dense ones, and a stage on
+        its set evaluates densely only where its bound did not reject."""
+        assert len(inside) == sum(s.set_evaluations for s in sol.stages)
+        for stage in sol.stages:
+            bounds = outside.count(stage.mu)
+            assert bounds == stage.bound_rejections + stage.dense_fallbacks
+            assert inside.count(stage.mu) == stage.set_evaluations
+            assert stage.evaluations == stage.set_evaluations + bounds + dense.count(stage.mu)
+            assert stage.rebuilds <= stage.dense_fallbacks
+            if stage.set_share < eg._DENSE_SHARE:
+                assert dense.count(stage.mu) == stage.dense_fallbacks
+
+    def test_no_set_evaluation_outside_radius(self, monkeypatch):
+        sol, dense, inside, outside = self.recorded_solve(monkeypatch, self.solve_problem())
         assert sol.converged
         assert inside and outside
-        assert outside == bounds
-        assert len(inside) == sum(s.set_evaluations for s in sol.stages)
-        assert len(outside) == sum(s.bound_rejections + s.dense_fallbacks for s in sol.stages)
-        for stage in sol.stages:
-            spent = stage.set_evaluations + stage.bound_rejections + 2 * stage.dense_fallbacks
-            assert spent < stage.evaluations
-            assert stage.rebuilds <= stage.dense_fallbacks
+        # every bound rejects, so the stages on a set, their entries
+        # included, evaluate on it alone
+        assert sum(s.bound_rejections for s in sol.stages) == len(outside)
+        self.assert_evaluations_accounted(sol, dense, inside, outside)
+
+    def test_dense_fallbacks_and_rebuilds_accounted(self, monkeypatch):
+        # with one agent valuing everything 20 times more, the stage at 1e-4
+        # times the first temperature takes a predicted point outside its
+        # set's radius, and a later step rebuilds its set
+        prob = boxed_problem(354, 29, 186, 0.02, True)
+        sol, dense, inside, outside = self.recorded_solve(monkeypatch, prob)
+        assert sol.converged
+        assert any(s.dense_fallbacks and s.rebuilds and s.predicted for s in sol.stages)
+        self.assert_evaluations_accounted(sol, dense, inside, outside)
+
+    def test_reference_solve_at_wide_market_shape(self, monkeypatch):
+        # the reference problem of a run at n = 100, m = 1500 with a
+        # corrupted model, built as run_experiment builds it: its two stages
+        # on a set never evaluate densely, and it takes the Newton steps it
+        # took when every stage entered with dense evaluations
+        config = harness.config_from_dict(
+            {
+                "schema": 1,
+                "market": {"generator": {"n": 100, "m": 1500, "rank": 10, "noise": 0.1, "seed": 1}},
+                "model": {
+                    "kind": "corrupted",
+                    "random": {"m": 1500, "seed": 2},
+                    "corruption": {"kind": "decaying"},
+                },
+                "t": 1000,
+                "paths": 2,
+            }
+        )
+        ref = reference_distribution(harness.resolve_model(config))
+        prob = market_problem(harness.resolve_market(config, ref), ref, config.delta0)
+        sol, dense, inside, outside = self.recorded_solve(monkeypatch, prob)
+        assert sol.converged and sol.certified_mu == sol.stages[-1].mu
+        assert [s.steps for s in sol.stages] == [1, 3, 5, 10, 18]
+        assert [s.predicted for s in sol.stages] == [False, True, True, True, True]
+        self.assert_evaluations_accounted(sol, dense, inside, outside)
+        on_set = [s for s in sol.stages if s.set_share < eg._DENSE_SHARE]
+        assert len(on_set) == 2 and not any(dense.count(s.mu) for s in on_set)
 
     def test_bound_rejection_keeps_the_dense_decisions(self, monkeypatch):
         bounded = solve_dual(self.solve_problem())
@@ -816,6 +878,34 @@ class TestShorterPaths:
             assert (counts.steps, counts.evaluations) == (0, 2)
             assert np.array_equal(start, guess if taken else beta)
 
+    def test_predicted_point_outside_the_radius(self):
+        # the stage at 1e-4 times the first temperature, entered from the
+        # second stage's end point, builds its set there. Aimed at that
+        # stage's own end point, the prediction leaves the set's radius: the
+        # bound cannot reject it, its dense value is lower, and the stage
+        # builds its set at it, which is not a rebuild. Aimed at the box's
+        # upper corner, the bound rejects it without a dense evaluation
+        points = list(itertools.islice(stage_points(TestWorkingSet.solve_problem()), 5))
+        reduced, mu0, beta, _, _ = points[1]
+        mu, end = points[4][1], points[4][2]
+        working, share = eg._working_set(beta, reduced, mu)
+        value = eg._smoothed_value(beta, reduced, mu)[0]
+        for target, taken in ((end, True), (np.full(reduced.n, reduced.hi), False)):
+            guess = np.clip(target, reduced.lo, reduced.hi)
+            assert not working.covers(guess)
+            assert (eg._smoothed_value(guess, reduced, mu)[0] < value) == taken
+            slope = (guess - beta) / (mu - mu0)
+            start, _, (_, on), counts = eg._newton_stage(beta, reduced, mu, np.inf, (mu0, slope))
+            assert counts.predicted == taken
+            assert np.array_equal(start, guess if taken else beta)
+            assert np.array_equal(on.center, start)
+            assert counts.set_share == (eg._working_set(guess, reduced, mu)[1] if taken else share)
+            # the entry's set evaluation, the bound, and if taken the dense
+            # evaluation and the one on the set built at the prediction
+            assert (counts.bound_rejections, counts.dense_fallbacks) == (1 - taken, taken)
+            assert (counts.evaluations, counts.set_evaluations) == (2 + 2 * taken, 1 + taken)
+            assert counts.rebuilds == 0
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 2),
@@ -824,6 +914,7 @@ class TestShorterPaths:
         delta0=st.sampled_from([0.02, 0.1, 1.0]),
         heavy=st.booleans(),
     )
+    @example(seed=7249, n=7, m=4, delta0=0.02, heavy=False)
     def test_warm_start_finds_the_cold_optimum(self, seed, n, m, delta0, heavy):
         # warm-started from the optimum of other weights on the same market,
         # the solve runs the cold ladder's stages from the first at or below
@@ -838,7 +929,10 @@ class TestShorterPaths:
         assert np.max(np.abs(warm.beta_hat - cold.beta_hat)) <= 1e-6
         assert warm.objective <= cold.objective + objective_rounding(prob, cold.objective)
         mus = ladder(prob)
-        distance = 0.5 * np.abs(prob.weights - other).sum()
+        # TV as the solver computes it: half the absolute differences'
+        # sum rounds otherwise, and reads 1 - 1e-16 for weights on disjoint
+        # items (seed 7249), where the solver's TV is exactly 1
+        distance = 1.0 - np.minimum(prob.weights, other).sum()
         first = next((k for k, mu in enumerate(mus) if mu <= distance * mus[0]), len(mus) - 1)
         ran = [stage.mu for stage in warm.stages]
         assert ran == mus[first : first + len(ran)]

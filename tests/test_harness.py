@@ -20,7 +20,7 @@ from fairpace.harness import (
 from fairpace.eg import hindsight_solution, market_problem, solve_dual
 from fairpace.inputs import reference_distribution, sample_sequences
 from fairpace.market import ReferenceDistribution, market_to_dict
-from fairpace.metrics import MetricSeries
+from fairpace.metrics import METRIC_NAMES, MetricSeries
 from fairpace.prng import derive_path_seed
 
 
@@ -291,3 +291,47 @@ class TestCsvRoundTrip:
             for row in reader:
                 float(row["mean"])
                 float(row["stderr"])
+
+    def test_writers_match_csv_writer(self, tmp_path):
+        # the joined rows are byte for byte those of one csv.writer row per
+        # value: for a model name csv.writer quotes, and with one path for
+        # the empty stderr column
+        rng = np.random.default_rng(3)
+        times = np.array([1, 2, 5, 40])
+        model = 'odd, "quoted" model'
+
+        def series(path_id):
+            values = {
+                name: rng.normal(size=4) * 10.0 ** rng.integers(-100, 100, size=4)
+                for name in METRIC_NAMES
+            }
+            values[METRIC_NAMES[0]][:2] = (1.0, -0.0)
+            return MetricSeries(times=times, values=values, metadata={"path_id": path_id})
+
+        for series_list in ([series(0), series(3)], [series(7)]):
+            report = summarize(series_list)
+            harness.write_paths_csv(tmp_path / "paths.csv", model, series_list)
+            harness.write_aggregate_csv(tmp_path / "aggregate.csv", model, report)
+            with open(tmp_path / "paths_ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["model", "path_id", "metric", "t", "value"])
+                for s in series_list:
+                    for name in METRIC_NAMES:
+                        for tau, v in zip(s.times, s.values[name]):
+                            path_id = s.metadata["path_id"]
+                            writer.writerow([model, path_id, name, int(tau), repr(float(v))])
+            with open(tmp_path / "aggregate_ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["model", "metric", "t", "mean", "stderr"])
+                for name in METRIC_NAMES:
+                    for k, tau in enumerate(report.times):
+                        err = report.stderrs and repr(float(report.stderrs[name][k]))
+                        mean = repr(float(report.means[name][k]))
+                        writer.writerow([model, name, int(tau), mean, err or ""])
+            for name in ("paths", "aggregate"):
+                written = (tmp_path / f"{name}.csv").read_bytes()
+                assert written == (tmp_path / f"{name}_ref.csv").read_bytes()
+            assert (report.stderrs is None) == (len(series_list) == 1)
+            assert [s.metadata["model"] for s in read_paths_csv(tmp_path / "paths.csv")] == [
+                model
+            ] * len(series_list)
