@@ -53,10 +53,11 @@ value and the trial points', with the utilities summed over the set's
 pairs alone. It assembles the Hessian's cross term from the pairs of
 agents that split an item. Outside the radius the set's value is a lower
 bound on the dense one: a point, trial or predicted, whose bound already
-fails its test is rejected without a dense evaluation, so a stage on a
-set passes over the whole matrix only to build its set. A stage whose set
-would hold 40% of the pairs or more runs dense; on the benchmark's shapes
-those are the stages above mu ~ 1e-4.
+fails its test is rejected, and any other is evaluated on a set built at
+it, which the stage keeps if it takes the point. So a stage on a set
+passes over the whole matrix only to build sets. A stage whose set would
+hold 40% of the pairs or more runs dense; on the benchmark's shapes those
+are the stages above mu ~ 1e-4.
 
 Once the temperature has fallen to 1e-4 times the first stage's, each
 stage is followed by an exact crossover (see _crossover), the crossover
@@ -135,16 +136,17 @@ class StageCounts:
 
     evaluations counts evaluations of the smoothed objective, the value-only
     ones at rejected trial points and the bound evaluations included.
-    set_evaluations of them ran on the working set at points within its
-    trust radius: the stage's entry evaluations, at its start point and at
-    the predicted one, as well as its trial points. A point outside the
-    radius is first evaluated on the set as a bound: bound_rejections counts
-    the points that bound rejected, and dense_fallbacks the others, which
-    were then evaluated on the whole matrix. rebuilds counts the working
-    sets built after a Newton step accepted such a point, and set_share is
-    the share of the n m pairs in the stage's last set (at or above
-    _DENSE_SHARE when the stage ran dense). predicted says whether the
-    stage started from the tangent predictor's point (see _newton_stage).
+    set_evaluations of them ran on a working set at points within its trust
+    radius: the stage's entry evaluations, at its start point and at the
+    predicted one, as well as its trial points. A point outside the stage's
+    set's radius is first evaluated on that set as a bound: bound_rejections
+    counts the points that bound rejected, and rebuilds the others, each
+    evaluated on a set built at it, or on the whole matrix when that set
+    would hold _DENSE_SHARE of the pairs or more, whether or not the point
+    was then taken. set_share is the share of the n m pairs in the set the
+    stage ends on (at or above _DENSE_SHARE when it ended dense). predicted
+    says whether the stage started from the tangent predictor's point (see
+    _newton_stage).
     """
 
     mu: float
@@ -152,7 +154,6 @@ class StageCounts:
     evaluations: int
     set_evaluations: int
     bound_rejections: int
-    dense_fallbacks: int
     rebuilds: int
     set_share: float
     predicted: bool
@@ -434,16 +435,6 @@ def _norm(x) -> float:
     return float(np.sqrt((x**2).sum()))
 
 
-def _step_lengths(first: float):
-    """Trial step lengths: 40 halvings from first, then any longer ones from 1."""
-    for k in range(40):
-        yield first * 0.5**k
-    alpha = 1.0
-    while alpha > first:
-        yield alpha
-        alpha *= 0.5
-
-
 def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     """Damped projected Newton on the mu-smoothed objective.
 
@@ -468,63 +459,57 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     The first step of a stage tries the full Newton step; later ones start
     at four times the step length last accepted, capped at 1, since at small
     temperatures the full step overshoots for many steps in a row. Each
-    search halves its length up to 40 times, then tries the longer lengths
-    from 1 down that it skipped. The stage ends when the projected gradient
-    is within gtol, after _MAX_STAGE_STEPS steps, or when no trial point is
-    accepted.
+    search halves its length up to 40 times. The stage ends when the
+    projected gradient is within gtol, after _MAX_STAGE_STEPS steps, or
+    when no trial point is accepted.
 
     Points within the set's trust radius, the predicted one included, are
     evaluated on the set. At a point outside it the set's value is a lower
     bound on the dense one; a bound above the threshold, the start value
     for the predicted point and the acceptance threshold for a trial point,
-    rejects the point, as its dense value would, and otherwise the point is
-    evaluated on the whole matrix. Taking such a point builds the set there
-    and evaluates its state on it; a rebuild after a step counts in the
-    stage's rebuilds, the one after the prediction does not. Rebuilding at
-    every trial point outside the radius instead rebuilds many times per
-    solve for trial points the search then rejects. A set holding
-    _DENSE_SHARE of the pairs or more is dropped, and the stage runs dense
-    until a rebuild. Returns the new point, its utilities under this
-    stage's tie split, its shares with the working set they lie on (None
-    for dense shares) and the stage's StageCounts.
+    rejects the point, as its dense value would. Any other such point is
+    evaluated on a set built at it, exact there, and taking the point
+    adopts that set; a rejected point leaves the stage on its set. A set
+    holding _DENSE_SHARE of the pairs or more is not built: the point is
+    evaluated on the whole matrix, and taking it runs the rest of the stage
+    dense. Returns the new point, its utilities under this stage's tie
+    split, its shares with the working set they lie on (None for dense
+    shares) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    evaluations = set_evaluations = bound_rejections = dense_fallbacks = 0
+    evaluations = set_evaluations = bound_rejections = rebuilds = 0
 
     def evaluate(point, threshold=np.inf):
-        """The smoothed value at point, on the set if it covers point, and
-        whether the set was left: then the dense value, or None when the
-        set's bound shows it above threshold."""
-        nonlocal evaluations, set_evaluations, bound_rejections, dense_fallbacks
+        """The smoothed value at point with the working set it was taken on
+        and that set's share, or None when the stage's set does not cover
+        point and its bound shows the value above threshold."""
+        nonlocal evaluations, set_evaluations, bound_rejections, rebuilds
+        on, on_share = working, share
+        if working is not None and not working.covers(point):
+            evaluations += 1
+            if _bound_rejects(point, prob, mu, working, threshold):
+                bound_rejections += 1
+                return None
+            rebuilds += 1
+            on, on_share = _working_set(point, prob, mu)
         evaluations += 1
-        if working is None or working.covers(point):
-            set_evaluations += working is not None
-            return _smoothed_value(point, prob, mu, working), False
-        if _bound_rejects(point, prob, mu, working, threshold):
-            bound_rejections += 1
-            return None, True
-        dense_fallbacks += 1
-        evaluations += 1
-        return _smoothed_value(point, prob, mu), True
+        set_evaluations += on is not None
+        return _smoothed_value(point, prob, mu, on), on, on_share
 
     working, share = _working_set(beta, prob, mu)
-    value, _ = evaluate(beta)
+    value = evaluate(beta)[0]
     predicted = False
     if slope is not None:
         guess = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
-        guess_value, left = evaluate(guess, value[0])
-        if guess_value is not None and guess_value[0] < value[0]:
-            beta, value, predicted = guess, guess_value, True
-            if left:
-                working, share = _working_set(beta, prob, mu)
-                if working is not None:
-                    value, _ = evaluate(beta)
-        del guess_value
+        found = evaluate(guess, value[0])
+        if found is not None and found[0][0] < value[0]:
+            beta, (value, working, share), predicted = guess, found, True
+        del found
     obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value, working)
     # dense softmax weights are an (n, m) array the Newton loop must not hold
     del value
     pg = _projected_gradient(beta, grad, lo, hi)
-    steps, rebuilds, last = 0, 0, 1.0
+    steps, last = 0, 1.0
     while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
         free = pg != 0.0
         H = _smoothed_hessian(beta, prob, mu, shares, working)
@@ -537,36 +522,30 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
         steps += 1
         pg_norm = _norm(pg)
         flat = obj + 64.0 * np.finfo(float).eps * max(1.0, abs(obj))
-        accepted = None
-        for alpha in _step_lengths(min(1.0, 4.0 * last)):
+        first, accepted = min(1.0, 4.0 * last), None
+        for k in range(40):
+            alpha = first * 0.5**k
             candidate = np.clip(beta + alpha * direction, lo, hi)
             if not np.any(candidate != beta):
                 continue
-            value, left = evaluate(candidate, flat)
-            if value is not None and value[0] <= flat:
-                state = _smoothed_state(candidate, prob, mu, value, None if left else working)
+            found = evaluate(candidate, flat)
+            if found is not None and found[0][0] <= flat:
+                value, on, on_share = found
+                state = _smoothed_state(candidate, prob, mu, value, on)
                 cand_pg = _projected_gradient(candidate, state[1], lo, hi)
                 if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                    accepted = (candidate, state, cand_pg, left)
+                    accepted = (candidate, state, cand_pg, on, on_share)
                     last = alpha
                     break
         if accepted is None:
             break
-        beta, (obj, grad, utilities, shares), pg, left = accepted
-        if left:
-            working, share = _working_set(beta, prob, mu)
-            rebuilds += 1
-            if working is not None:
-                value, _ = evaluate(beta)
-                obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value, working)
-                pg = _projected_gradient(beta, grad, lo, hi)
+        beta, (obj, grad, utilities, shares), pg, working, share = accepted
     counts = StageCounts(
         mu=mu,
         steps=steps,
         evaluations=evaluations,
         set_evaluations=set_evaluations,
         bound_rejections=bound_rejections,
-        dense_fallbacks=dense_fallbacks,
         rebuilds=rebuilds,
         set_share=share,
         predicted=predicted,

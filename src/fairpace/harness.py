@@ -168,9 +168,7 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
         raise ConfigError("market spec must be an object")
     if "path" in doc:
         instance = market_from_dict(read_json(doc["path"], "market"))
-        return MarketInstance(
-            normalize_valuations(instance.valuations, ref), instance.budgets
-        )
+        return MarketInstance(normalize_valuations(instance.valuations, ref))
     if "generator" in doc:
         g = doc["generator"]
         with as_config_error("bad market generator spec"):

@@ -1,4 +1,4 @@
-"""Market instances: agents, a finite item universe, valuations, budgets.
+"""Market instances: agents with equal budgets, a finite item universe, valuations.
 
 All types are immutable value data; the backing arrays are marked read-only
 so instances can be shared freely across worker threads or processes.
@@ -12,7 +12,6 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -86,15 +85,15 @@ class ReferenceDistribution:
 
 @dataclass(frozen=True)
 class MarketInstance:
-    """n agents valuing m items, each agent holding a per-step budget.
+    """n agents valuing m items, each agent holding a per-step budget of 1/n.
 
     valuations is an (n, m) nonnegative matrix of utility-per-unit-item;
-    every row must have at least one strictly positive entry. Budgets
-    default to the uniform 1/n, which makes them sum to 1 per time step.
+    every row must have at least one strictly positive entry. The budgets
+    are not stored: pacing, the dual solves and the metrics all assume the
+    uniform 1/n, which sums to 1 per time step.
     """
 
     valuations: np.ndarray
-    budgets: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.array(self.valuations, dtype=np.float64)
@@ -104,19 +103,8 @@ class MarketInstance:
             raise ValueError("valuations must be finite and nonnegative")
         if np.any(v.max(axis=1) <= 0):
             raise ValueError("every agent needs at least one positive valuation")
-        n = v.shape[0]
-        if self.budgets is None:
-            b = np.full(n, 1.0 / n)
-        else:
-            b = np.array(self.budgets, dtype=np.float64)
-            if b.shape != (n,):
-                raise DimensionMismatch(f"budgets must have length {n}")
-            if not np.all(np.isfinite(b)) or np.any(b <= 0):
-                raise ValueError("budgets must be finite and positive")
         v.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "valuations", v)
-        object.__setattr__(self, "budgets", b)
 
     @property
     def n(self) -> int:
@@ -173,17 +161,29 @@ def market_to_dict(instance: MarketInstance) -> dict:
         "n": instance.n,
         "m": instance.m,
         "valuations": instance.valuations.tolist(),
-        "budgets": instance.budgets.tolist(),
     }
 
 
 def market_from_dict(doc: dict) -> MarketInstance:
+    """The market a document describes.
+
+    A budgets entry, which files written by earlier versions carry, is
+    accepted only when every budget is within 1e-12 of the uniform 1/n
+    that the package runs: any other would be silently ignored.
+    """
     with as_config_error("bad market"):
         n, m = read_field(int, doc, "n"), read_field(int, doc, "m")
         v = np.asarray(doc["valuations"], dtype=np.float64)
         if v.shape != (n, m):
             raise DimensionMismatch(f"valuations shape {v.shape} does not match n={n}, m={m}")
-        return MarketInstance(v, doc.get("budgets"))
+        instance = MarketInstance(v)
+        if "budgets" in doc:
+            b = np.asarray(doc["budgets"], dtype=np.float64)
+            if b.shape != (n,) or not np.all(np.abs(b - 1.0 / n) <= 1e-12):
+                raise ConfigError(
+                    f"budgets must all be 1/n = {1.0 / n!r}: unequal budgets are not supported"
+                )
+        return instance
 
 
 def sequence_to_dict(seq: ItemSequence) -> dict:

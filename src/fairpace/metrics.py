@@ -133,7 +133,7 @@ def build_metric_series(
             np.add.at(S.reshape(-1), flat, chunk[b : b + block_steps].ravel())
         value_totals += chunk.sum(axis=0)
         envy_max[k] = np.max(S.max(axis=0) - np.diag(S))
-        baseline_u = instance.budgets * value_totals / stop
+        baseline_u = (1.0 / n) * value_totals / stop
         baseline[k] = np.max(np.abs(baseline_u - hs_u) / hs_u)
         start = stop
         del chunk  # free it before the next chunk is built

@@ -86,11 +86,12 @@ def relative_error_max(actual, reference) -> float:
 
 
 def proportional_share_utilities(instance: MarketInstance, seq: ItemSequence) -> np.ndarray:
-    """Average utility when every arriving item is split in proportion to budgets."""
+    """Average utility when every arriving item is split equally, each agent
+    taking their budget's share 1/n of it."""
     if seq.items.max() >= instance.m:
         raise DimensionMismatch("sequence references items outside the universe")
     counts = np.bincount(seq.items, minlength=instance.m)
-    return instance.budgets * (instance.valuations @ counts) / seq.t
+    return (1.0 / instance.n) * (instance.valuations @ counts) / seq.t
 
 
 def iterate_da(subgradient_fn, reg: LogBarrierRegularizer, data):

@@ -310,6 +310,10 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         (lambda p: _sample(p, "[1, 2"), "model is not valid JSON"),
         (lambda p: _solve(p, market={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _solve(p, market={**MARKET_2x3, "n": 3}), "does not match n=3, m=3"),
+        (
+            lambda p: _solve(p, market={**MARKET_2x3, "budgets": [0.8, 0.2]}),
+            "budgets must all be 1/n = 0.5: unequal budgets are not supported",
+        ),
         (lambda p: _solve(p, items=(0, -1)), "item indices must be nonnegative"),
         (lambda p: _solve(p, items=(0.5, 1)), "items must be integer indices"),
         (lambda p: _solve(p, items=(0, 5)), "sequence references items outside the universe"),
@@ -319,6 +323,7 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         (lambda p: _run(p, market_file="{not json"), "market is not valid JSON"),
         (lambda p: _run(p, market_file={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _run(p), "market file not found"),
+        (lambda p: _run(p, {**MARKET_2x3, "budgets": [0.8, 0.2]}), "budgets must all be 1/n"),
         (lambda p: _run(p, MARKET_2x3, {**IID_3, "seed": 2.5}), "seed must be int, got 2.5"),
         (lambda p: _run(p, MARKET_2x3, market={"path": 5}), "market path must be a string"),
         (lambda p: _run(p, MARKET_2x3, out=5), "out must be a string"),
@@ -348,6 +353,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
 def test_run_reads_market_file_relative_to_config(tmp_path):
     assert main(_run(tmp_path, MARKET_2x3)) == 0
     assert (tmp_path / "out" / "paths.csv").exists()
+
+
+def test_run_reads_uniform_budgets_of_older_market_files(tmp_path):
+    # gen-market used to write each agent's budget, 1/n; such a file runs
+    # as the same market without them
+    doc = market_to_dict(generate_market(3, 3, rank=2, noise=0.1, seed=5))
+    outputs = []
+    for market in (doc, {**doc, "budgets": [1.0 / 3] * 3}):
+        assert main(_run(tmp_path, market)) == 0
+        out = tmp_path / "out"
+        outputs.append([(out / name).read_bytes() for name in ("paths.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_sample_accepts_random_directive(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from unittest import mock
@@ -203,6 +204,33 @@ class TestSolveDual:
             mus = eg._temperatures(start, end)
             assert mus[-1] == min(start, end)
             assert all(a >= 2.0 * b for a, b in zip(mus, mus[1:]))
+
+    def test_every_stage_ends_at_its_gradient_tolerance(self, monkeypatch):
+        # no stage of these cold solves, nor of the warm solves started from
+        # their optima, ends on a line search that found nothing in its 40
+        # halvings, or on its step limit
+        stage = eg._newton_stage
+        ends = []
+
+        def recorded(beta, prob, mu, gtol, slope=None):
+            out = stage(beta, prob, mu, gtol, slope)
+            grad = out[1] - 1.0 / (prob.n * out[0])
+            pg = eg._projected_gradient(out[0], grad, prob.lo, prob.hi)
+            ends.append((np.abs(pg).max(), gtol))
+            return out
+
+        monkeypatch.setattr(eg, "_newton_stage", recorded)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(2, 20)), int(rng.integers(2, 80))
+            prob = boxed_problem(seed, n, m, (0.02, 0.1, 1.0)[seed % 3], seed % 2 == 1)
+            if prob is None:
+                continue
+            weights = other_weights(prob, seed)
+            other = solve_dual(DualProblem(prob.valuations, weights, prob.lo, prob.hi))
+            solve_dual(prob, warm=(other.beta_hat, weights))
+        assert len(ends) > 1500
+        assert all(pg <= gtol for pg, gtol in ends)
 
 
 class TestSmoothedState:
@@ -433,14 +461,15 @@ class TestWorkingSet:
 
     @staticmethod
     def recorded_solve(monkeypatch, prob):
-        """The solve, with the temperatures of its dense evaluations and of
-        its set evaluations inside and outside the trust radius.
+        """The solve, with the temperatures of its dense evaluations, of its
+        set evaluations inside and outside the trust radius and of its set
+        builds, each build with whether it returned a set.
 
         Outside the radius the set must be evaluated only as a bound, and
         every point that bound rejects must have a dense value above the
         threshold, so the dense search would reject it too."""
-        value, rejects = eg._smoothed_value, eg._bound_rejects
-        dense, inside, outside, bounds = [], [], [], []
+        value, rejects, build = eg._smoothed_value, eg._bound_rejects, eg._working_set
+        dense, inside, outside, bounds, builds = [], [], [], [], []
 
         def checked_value(beta, prob, mu, working=None):
             if working is None:
@@ -458,46 +487,56 @@ class TestWorkingSet:
             bounds.append(mu)
             return rejected
 
+        def recorded_build(center, prob, mu):
+            working, share = build(center, prob, mu)
+            builds.append((mu, working is not None))
+            return working, share
+
         monkeypatch.setattr(eg, "_smoothed_value", checked_value)
         monkeypatch.setattr(eg, "_bound_rejects", checked_bound)
+        monkeypatch.setattr(eg, "_working_set", recorded_build)
         sol = solve_dual(prob)
         monkeypatch.undo()
         assert outside == bounds
-        return sol, dense, inside, outside
+        return sol, dense, inside, outside, builds
 
     @staticmethod
-    def assert_evaluations_accounted(sol, dense, inside, outside):
+    def assert_evaluations_accounted(sol, dense, inside, outside, builds):
         """Each stage's evaluations are exactly its set evaluations inside
-        the radius, its bound evaluations and its dense ones, and a stage on
-        its set evaluates densely only where its bound did not reject."""
+        the radius, its bound evaluations and its dense ones. Each bound
+        evaluation either rejects its point or is followed by a set built at
+        it, and a stage on a set evaluates densely only where such a build
+        returned no set."""
         assert len(inside) == sum(s.set_evaluations for s in sol.stages)
         for stage in sol.stages:
             bounds = outside.count(stage.mu)
-            assert bounds == stage.bound_rejections + stage.dense_fallbacks
+            built = [on_set for mu, on_set in builds if mu == stage.mu]
+            assert bounds == stage.bound_rejections + stage.rebuilds
+            assert len(built) == 1 + stage.rebuilds
             assert inside.count(stage.mu) == stage.set_evaluations
             assert stage.evaluations == stage.set_evaluations + bounds + dense.count(stage.mu)
-            assert stage.rebuilds <= stage.dense_fallbacks
-            if stage.set_share < eg._DENSE_SHARE:
-                assert dense.count(stage.mu) == stage.dense_fallbacks
+            if built[0] and all(built[1:]):
+                assert dense.count(stage.mu) == 0
 
     def test_no_set_evaluation_outside_radius(self, monkeypatch):
-        sol, dense, inside, outside = self.recorded_solve(monkeypatch, self.solve_problem())
+        sol, *recorded = self.recorded_solve(monkeypatch, self.solve_problem())
+        _, inside, outside, _ = recorded
         assert sol.converged
         assert inside and outside
         # every bound rejects, so the stages on a set, their entries
         # included, evaluate on it alone
         assert sum(s.bound_rejections for s in sol.stages) == len(outside)
-        self.assert_evaluations_accounted(sol, dense, inside, outside)
+        self.assert_evaluations_accounted(sol, *recorded)
 
-    def test_dense_fallbacks_and_rebuilds_accounted(self, monkeypatch):
+    def test_rebuilds_accounted(self, monkeypatch):
         # with one agent valuing everything 20 times more, the stage at 1e-4
         # times the first temperature takes a predicted point outside its
-        # set's radius, and a later step rebuilds its set
+        # set's radius, and a later step leaves the set taken there
         prob = boxed_problem(354, 29, 186, 0.02, True)
-        sol, dense, inside, outside = self.recorded_solve(monkeypatch, prob)
+        sol, *recorded = self.recorded_solve(monkeypatch, prob)
         assert sol.converged
-        assert any(s.dense_fallbacks and s.rebuilds and s.predicted for s in sol.stages)
-        self.assert_evaluations_accounted(sol, dense, inside, outside)
+        assert any(s.rebuilds >= 2 and s.predicted for s in sol.stages)
+        self.assert_evaluations_accounted(sol, *recorded)
 
     def test_reference_solve_at_wide_market_shape(self, monkeypatch):
         # the reference problem of a run at n = 100, m = 1500 with a
@@ -519,11 +558,12 @@ class TestWorkingSet:
         )
         ref = reference_distribution(harness.resolve_model(config))
         prob = market_problem(harness.resolve_market(config, ref), ref, config.delta0)
-        sol, dense, inside, outside = self.recorded_solve(monkeypatch, prob)
+        sol, *recorded = self.recorded_solve(monkeypatch, prob)
+        dense = recorded[0]
         assert sol.converged and sol.certified_mu == sol.stages[-1].mu
         assert [s.steps for s in sol.stages] == [1, 3, 5, 10, 18]
         assert [s.predicted for s in sol.stages] == [False, True, True, True, True]
-        self.assert_evaluations_accounted(sol, dense, inside, outside)
+        self.assert_evaluations_accounted(sol, *recorded)
         on_set = [s for s in sol.stages if s.set_share < eg._DENSE_SHARE]
         assert len(on_set) == 2 and not any(dense.count(s.mu) for s in on_set)
 
@@ -540,18 +580,66 @@ class TestWorkingSet:
         assert (bounded.objective, bounded.residual) == (dense.objective, dense.residual)
         assert sum(s.bound_rejections for s in bounded.stages) > 0
         for a, b in zip(bounded.stages, dense.stages, strict=True):
-            assert (a.mu, a.steps, a.set_evaluations, a.rebuilds, a.set_share) == (
-                b.mu,
-                b.steps,
-                b.set_evaluations,
-                b.rebuilds,
-                b.set_share,
-            )
+            assert (a.mu, a.steps, a.set_share) == (b.mu, b.steps, b.set_share)
             # each trial point outside the radius costs a bound evaluation and,
-            # unless the bound rejects it, a dense one
+            # unless the bound rejects it, an evaluation on a set built at it
             assert b.bound_rejections == 0
-            assert a.bound_rejections + a.dense_fallbacks == b.dense_fallbacks
+            assert a.bound_rejections + a.rebuilds == b.rebuilds
+            assert a.set_evaluations + a.bound_rejections == b.set_evaluations
             assert a.evaluations == b.evaluations - a.bound_rejections
+
+    def test_rejected_point_outside_the_radius(self, monkeypatch):
+        # started a hundredth off the optimum, the stage at mu = 1e-5 tries
+        # trial points outside its set's radius; some pass the bound, are
+        # evaluated on a set built at them, and are rejected by the search
+        prob = boxed_problem(13, 4, 10, 1.0, False)
+        mu = 1e-5
+        noise = 0.01 * np.random.default_rng(13).standard_normal(prob.n)
+        beta = np.clip(solve_dual(prob).beta_hat * (1.0 + noise), prob.lo, prob.hi)
+        build, rejects, value = eg._working_set, eg._bound_rejects, eg._smoothed_value
+        hessian = eg._smoothed_hessian
+        built, bounds, evaluated, stepped = [], [], [], []
+
+        def recorded_build(center, prob, mu):
+            built.append(build(center, prob, mu))
+            return built[-1]
+
+        def recorded_bound(candidate, prob, mu, working, flat):
+            bounds.append(rejects(candidate, prob, mu, working, flat))
+            return bounds[-1]
+
+        def recorded_value(beta, prob, mu, working=None):
+            evaluated.append((beta.copy(), working))
+            return value(beta, prob, mu, working)
+
+        def recorded_hessian(beta, prob, mu, shares, working=None):
+            # each Newton step starts on a set that covers its point
+            assert working.covers(beta) and shares.size == working.rows.size
+            stepped.append(working)
+            return hessian(beta, prob, mu, shares, working)
+
+        monkeypatch.setattr(eg, "_working_set", recorded_build)
+        monkeypatch.setattr(eg, "_bound_rejects", recorded_bound)
+        monkeypatch.setattr(eg, "_smoothed_value", recorded_value)
+        monkeypatch.setattr(eg, "_smoothed_hessian", recorded_hessian)
+        end, _, (shares, on), counts = eg._newton_stage(beta, prob, mu, 1e-3 * mu)
+        monkeypatch.undo()
+        assert counts.rebuilds == len(built) - 1 == bounds.count(False)
+        assert counts.bound_rejections == bounds.count(True) > 0
+        # the sets built at the points the search rejected, which the stage
+        # never stepped from
+        taken = stepped + [on]
+        assert [working for working, _ in built[1:] if all(working is not w for w in taken)]
+        # apart from the evaluation at its own center, a set the stage did
+        # not take is never evaluated: a rejected point leaves the stage on
+        # its set
+        for point, working in evaluated:
+            assert any(working is w for w in taken) or np.array_equal(point, working.center)
+        assert on.covers(end)
+        assert counts.set_share == next(share for working, share in built if working is on)
+        # on a set that covers end the shares are the dense ones bit for bit
+        dense = eg._smoothed_state(end, prob, mu)[3]
+        assert np.array_equal(shares, dense[on.rows, on.cols])
 
 
 def fallback_solve(prob, tol=1e-8, warm=None):
@@ -882,9 +970,9 @@ class TestShorterPaths:
         # the stage at 1e-4 times the first temperature, entered from the
         # second stage's end point, builds its set there. Aimed at that
         # stage's own end point, the prediction leaves the set's radius: the
-        # bound cannot reject it, its dense value is lower, and the stage
-        # builds its set at it, which is not a rebuild. Aimed at the box's
-        # upper corner, the bound rejects it without a dense evaluation
+        # bound cannot reject it, the stage builds its set there, and the
+        # value on that set, the dense one, is lower. Aimed at the box's
+        # upper corner, the bound rejects it and no set is built
         points = list(itertools.islice(stage_points(TestWorkingSet.solve_problem()), 5))
         reduced, mu0, beta, _, _ = points[1]
         mu, end = points[4][1], points[4][2]
@@ -900,11 +988,10 @@ class TestShorterPaths:
             assert np.array_equal(start, guess if taken else beta)
             assert np.array_equal(on.center, start)
             assert counts.set_share == (eg._working_set(guess, reduced, mu)[1] if taken else share)
-            # the entry's set evaluation, the bound, and if taken the dense
-            # evaluation and the one on the set built at the prediction
-            assert (counts.bound_rejections, counts.dense_fallbacks) == (1 - taken, taken)
-            assert (counts.evaluations, counts.set_evaluations) == (2 + 2 * taken, 1 + taken)
-            assert counts.rebuilds == 0
+            # the entry's set evaluation, the bound, and if taken the
+            # evaluation on the set built at the prediction
+            assert (counts.bound_rejections, counts.rebuilds) == (1 - taken, taken)
+            assert (counts.evaluations, counts.set_evaluations) == (2 + taken, 1 + taken)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1025,7 +1112,9 @@ def test_solution_json_round_trip(rng):
     assert doc["evaluations"] == sol.evaluations > 0
     assert len(doc["stages"]) == len(sol.stages)
     assert doc["iterations"] == sum(stage["steps"] for stage in doc["stages"])
-    assert all({"bound_rejections", "dense_fallbacks"} <= set(stage) for stage in doc["stages"])
+    fields = {field.name for field in dataclasses.fields(eg.StageCounts)}
+    assert fields >= {"bound_rejections", "rebuilds", "set_share"}
+    assert all(set(stage) == fields for stage in doc["stages"])
     assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
 

@@ -11,7 +11,7 @@ from fairpace.market import (
     market_to_dict,
     normalize_valuations,
 )
-from fairpace.errors import DimensionMismatch, ZeroExpectedValue
+from fairpace.errors import ConfigError, DimensionMismatch, ZeroExpectedValue
 from tests.oracles import proportional_share_utilities
 
 
@@ -26,8 +26,6 @@ def test_reference_distribution_validation():
 def test_market_instance_defaults_and_invariants():
     inst = MarketInstance(np.array([[1.0, 0.0], [0.5, 2.0]]))
     assert inst.n == 2 and inst.m == 2
-    assert np.allclose(inst.budgets, [0.5, 0.5])
-    assert inst.budgets.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         MarketInstance(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -78,22 +76,13 @@ def test_normalize_valuations_idempotent_and_ratio_preserving(rng):
 
 
 def test_proportional_share_examples():
-    one = MarketInstance(np.array([[1.0, 1.0]]), np.array([1.0]))
+    one = MarketInstance(np.array([[1.0, 1.0]]))
     seq = ItemSequence(np.array([0, 1, 0], dtype=np.int64))
     assert np.allclose(proportional_share_utilities(one, seq), [1.0])
 
     two = MarketInstance(np.array([[1.0, 0.0], [0.0, 1.0]]))
     seq2 = ItemSequence(np.array([0, 1], dtype=np.int64))
     assert np.allclose(proportional_share_utilities(two, seq2), [0.25, 0.25])
-
-
-def test_proportional_share_linear_in_budgets(rng):
-    v = rng.random((3, 4)) + 0.1
-    budgets = np.array([0.2, 0.3, 0.5])
-    seq = ItemSequence(rng.integers(0, 4, size=20))
-    base = proportional_share_utilities(MarketInstance(v, budgets), seq)
-    doubled = proportional_share_utilities(MarketInstance(v, 2 * budgets), seq)
-    assert np.allclose(doubled, 2 * base)
 
 
 def test_proportional_share_dimension_check():
@@ -103,9 +92,22 @@ def test_proportional_share_dimension_check():
 
 
 def test_market_json_round_trip(rng):
-    inst = MarketInstance(rng.random((3, 4)) + 0.1, np.array([0.2, 0.3, 0.5]))
+    inst = MarketInstance(rng.random((3, 4)) + 0.1)
     doc = json.loads(json.dumps(market_to_dict(inst)))
     back = market_from_dict(doc)
-    assert np.allclose(back.valuations, inst.valuations)
-    assert np.allclose(back.budgets, inst.budgets)
+    assert np.array_equal(back.valuations, inst.valuations)
+    assert set(doc) == {"n", "m", "valuations"}
     assert doc["n"] == 3 and doc["m"] == 4
+
+
+def test_market_budgets_must_be_uniform(rng):
+    # files from earlier versions carry budgets; only the uniform 1/n that
+    # every computation assumes is accepted
+    doc = market_to_dict(MarketInstance(rng.random((3, 4)) + 0.1))
+    for budgets in ([1 / 3] * 3, [0.333333333333, 0.3333333333333, 1 / 3]):
+        back = market_from_dict({**doc, "budgets": budgets})
+        assert np.array_equal(back.valuations, market_from_dict(doc).valuations)
+    for budgets in ([0.8, 0.1, 0.1], [0.33333333333, 1 / 3, 1 / 3], [0.5, 0.5], [1 / 3] * 4,
+                    [float("nan")] * 3, 1 / 3, "1/3", None, [[1 / 3] * 3]):
+        with pytest.raises(ConfigError, match="bad market"):
+            market_from_dict({**doc, "budgets": budgets})

@@ -115,7 +115,7 @@ class TestRunPace:
     def test_permutation_symmetry(self, rng):
         inst, seq = tie_free_run(rng, 4, 5, 200)
         perm = rng.permutation(4)
-        permuted = MarketInstance(inst.valuations[perm], inst.budgets[perm])
+        permuted = MarketInstance(inst.valuations[perm])
         a = run_pace(inst, seq, record_betas=True)
         b = run_pace(permuted, seq, record_betas=True)
         assert np.allclose(a.betas[:, perm], b.betas)
