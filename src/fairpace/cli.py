@@ -13,8 +13,14 @@ required solve.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread unless the environment says otherwise, set before numpy
+# loads: more bought no wall time here, and a busy neighbour cost tenfold
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .eg import hindsight_solution, solution_to_dict
 from .errors import ConfigError, FairpaceError, NoConvergence

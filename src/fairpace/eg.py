@@ -14,26 +14,31 @@ items whose best bids tie between agents are exactly the items a market
 equilibrium splits between them, so single-winner subgradient steps cannot
 settle there. The solver therefore minimizes a softmax-smoothed objective
 with a decreasing temperature, each stage warm-started and solved by a
-damped projected Newton method on the n multiplier variables (the Hessian
-is an n x n matrix assembled in O(n m + n^2 m) work, cheap at the scales
-here). Items of zero weight add exactly nothing to the objective, its
-gradient or its Hessian, so the solver drops their columns first; a
-hindsight solve over a short sequence works on the items that arrived.
-Each Newton step runs one backtracking search that evaluates its trial
-points by value alone until one passes.
+damped projected Newton method on the n multiplier variables. Items of
+zero weight add nothing to the objective or its derivatives, so the solver
+drops their columns first. Each Newton step runs one backtracking search
+that evaluates its trial points by value alone until one passes.
+
+The dense second-order work comes from one factor per problem, R = V
+sqrt(w). An accepted point's softmax weights become, in place, its root
+array, each pair's share times R: the utilities are root @ sqrt(w), and mu
+times the price term's Hessian is diag(sum_j root R) - root root^T, the
+cross term one symmetric rank-k product. So the Newton loop holds one
+(n, m) array besides V and R, and one more while it evaluates a point.
 
 A cold solve starts from beta = 1, clipped to the box, at a temperature a
 tenth of the bid scale. A hindsight solve in an experiment starts instead
-from the reference optimum, the optimum of the same market under the
-reference distribution's weights (a warm start): moving weight TV, the
-total variation distance between the two weight vectors, moves the optimal
-objective by at most about 2 TV times a price, so the solve skips the
-stages above TV times the first temperature. On the benchmark's shapes a
-paper path (TV ~ 0.05) starts at mu ~ 1e-3 and a wide_market path
-(TV ~ 0.5) at mu ~ 1e-2. Between stages a tangent predictor follows the
-central path, the predictor half of predictor-corrector path following:
-one linear solve with the Hessian at the stage's end point gives
-d beta / d mu, and the next stage starts from the predicted point if its
+from the reference optimum, the same market's optimum under the reference
+distribution's weights: moving weight TV, the total variation distance
+between the two weight vectors, moves the optimal objective by at most
+about 2 TV times a price, so the solve skips the stages above TV times the
+first temperature (on the benchmark's shapes a paper path starts at mu ~
+1e-3 and a wide_market path at mu ~ 1e-2). Between stages a tangent
+predictor follows the central path: the smoothed price term, its cutoff
+included, is jointly homogeneous of degree 1 in (beta, mu), so by Euler's
+identity the gradient's derivative in mu is -H_p beta / mu, H_p the price
+term's Hessian, and one linear solve with the full Hessian gives
+d beta / d mu. The next stage starts from the predicted point if its
 smoothed value there is lower. Stages before the first crossover only hand
 their point on and stop at a projected gradient of 0.1 mu; the others stop
 at 1e-3 mu and the last at a floor set by the tolerance. The crossover
@@ -41,23 +46,20 @@ fixes its point from the forest alone, so a shorter path that reaches the
 same forest ends at the same point bit for bit.
 
 A softmax weight whose bid lies more than 100 mu below its item's top bid,
-mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF). That weight is
-below half an ulp of its item's softmax mass, so the value and every kept
-share equal a plain exp's, while no weight, share or Hessian entry is
-subnormal; at small temperatures nearly every weight is that far down.
-Each stage therefore builds, at its start point and before it evaluates
-anything, a working set of the pairs near their item's top bid, and
-evaluates on it while the multipliers stay within a trust radius in which
-that is exact (see _WorkingSet): the start value, the predicted point's
-value and the trial points', with the utilities summed over the set's
-pairs alone. It assembles the Hessian's cross term from the pairs of
-agents that split an item. Outside the radius the set's value is a lower
-bound on the dense one: a point, trial or predicted, whose bound already
-fails its test is rejected, and any other is evaluated on a set built at
-it, which the stage keeps if it takes the point. So a stage on a set
-passes over the whole matrix only to build sets. A stage whose set would
-hold 40% of the pairs or more runs dense; on the benchmark's shapes those
-are the stages above mu ~ 1e-4.
+mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF): it is below
+half an ulp of its item's mass, so the value and every kept share equal a
+plain exp's, and no weight, share or Hessian entry is subnormal. At small
+temperatures nearly every weight is that far down, so each stage first
+builds, at its start point, a working set of the pairs near their item's
+top bid and evaluates on it while the multipliers stay within a trust
+radius in which that is exact (see _WorkingSet); its Hessian's cross term
+sums over the pairs of agents that split an item. Outside the radius the
+set's value is a lower bound on the dense one: a point, trial or
+predicted, whose bound already fails its test is rejected, and any other
+is evaluated on a set built at it, which the stage keeps if it takes the
+point. So a stage on a set passes over the whole matrix only to build
+sets. A stage whose set would hold 40% of the pairs or more runs dense; on
+the benchmark's shapes those are the stages above mu ~ 1e-4.
 
 Once the temperature has fallen to 1e-4 times the first stage's, each
 stage is followed by an exact crossover (see _crossover), the crossover
@@ -80,6 +82,7 @@ converges to an optimal allocation only as the temperature vanishes.
 
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -99,7 +102,9 @@ class DualProblem:
     hi: float
 
     def __post_init__(self):
-        v = np.array(self.valuations, dtype=np.float64)
+        v = np.asarray(self.valuations, dtype=np.float64)
+        if v.flags.writeable:  # a read-only array is kept, not copied
+            v = v.copy()
         w = np.array(self.weights, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("valuations must be a 2-d matrix")
@@ -121,6 +126,11 @@ class DualProblem:
     @property
     def m(self) -> int:
         return self.valuations.shape[1]
+
+    @cached_property
+    def root_factor(self) -> np.ndarray:
+        """R = V sqrt(w), built on first use (see the module's docstring)."""
+        return self.valuations * np.sqrt(self.weights)
 
 
 def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> DualProblem:
@@ -212,12 +222,9 @@ def dual_objective(beta, prob: DualProblem) -> float:
 # and the mass, the value and every kept share are those of a plain exp.
 # A product of two kept shares is at least e^-200, about 1.4e-87, so the
 # Hessian's cross term and its LU factors stay far above the subnormal
-# range, on which arithmetic is slow. A cutoff of -690 kept the weights and
-# shares themselves normal but not their products: on the seed-5
-# wide_market solves the Hessians of the mu ~ 1e-4 stage then held a median
-# of 202 subnormal entries and those of the mu ~ 1e-5 stage 8, and
-# np.linalg.solve took 420 and 520 us on them against 170 us on the
-# earlier stages' (130-160 us on all stages at -100).
+# range, on which arithmetic is slow: at a cutoff of -690 the seed-5
+# wide_market Hessians at mu ~ 1e-4 held a median of 202 subnormal entries
+# and np.linalg.solve took 420 us on them, against 170 us at -100.
 _EXP_CUTOFF = -100.0
 
 # A working set holds the pairs within _SET_WIDTH mu of their column's top
@@ -258,17 +265,17 @@ class _WorkingSet:
     _SET_WIDTH mu of their column's top bid, grouped by column with agents
     ascending, and the trust radius
 
-        R = min over excluded pairs of (gap_ij - 101 mu) / (v_ij + v_wj)
+        r = min over excluded pairs of (gap_ij - 101 mu) / (v_ij + v_wj)
 
     where gap_ij is the pair's distance below its column's top bid and w
     the column's top bidder, both at the center. While
-    |beta - center|_inf <= R every excluded pair's exponent stays a unit
+    |beta - center|_inf <= r every excluded pair's exponent stays a unit
     below the cutoff, more than the rounding of the bids can make up, and
     each column's top bid is one of the set's, so the value and shares
     computed on the set are the dense ones bit for bit (each column's mass
     sums its agents in the same order, less terms of exactly 0), and the
     utilities and Hessian equal the dense ones up to summation order.
-    Outside R the set's value is still a lower bound on the dense one (see
+    Outside r the set's value is still a lower bound on the dense one (see
     _bound_rejects).
     """
 
@@ -277,6 +284,8 @@ class _WorkingSet:
         # the transposed mask's flat order is by item, agents ascending
         self.cols, self.rows = np.divmod(np.flatnonzero(inside.T), prob.n)
         self.values = prob.valuations[self.rows, self.cols]
+        self.roots = prob.root_factor[self.rows, self.cols]
+        self.root_weights = np.sqrt(prob.weights)[self.cols]
         counts = np.bincount(self.cols, minlength=prob.m)
         self.starts = np.cumsum(counts) - counts
 
@@ -287,24 +296,25 @@ class _WorkingSet:
 def _working_set(center, prob: DualProblem, mu: float):
     """The working set at center and its share of the n m pairs.
 
-    The set is None when it would hold _DENSE_SHARE of the pairs or more.
-    Besides a bool mask and its transpose, building it takes one more
-    (n, m) float temporary than the bids, as many as a dense evaluation
-    makes.
+    The set is None when it would hold _DENSE_SHARE of the pairs or more,
+    at once when the largest multiplier times the largest valuation lies
+    within the set's width. Building a set takes a bool mask, its transpose
+    and one (n, m) float temporary besides the bids.
     """
     V = prob.valuations
-    items = np.arange(prob.m)
+    if _SET_WIDTH * mu >= center.max() * V.max() and 1.0 >= _DENSE_SHARE:
+        return None, 1.0
     z = center[:, None] * V
-    top_bidder = z.argmax(axis=0)
-    z -= z[top_bidder, items]
+    z -= z.max(axis=0)
     inside = z >= -_SET_WIDTH * mu
     share = np.count_nonzero(inside) / inside.size
     if share >= _DENSE_SHARE:
         return None, share
-    np.negative(z, out=z)
-    z += (_EXP_CUTOFF - 1.0) * mu
+    # the first agent whose bid is the top one, as its gap is exactly 0
+    top_values = V[z.argmax(axis=0), np.arange(prob.m)]
+    np.subtract((_EXP_CUTOFF - 1.0) * mu, z, out=z)
     np.putmask(z, inside, np.inf)
-    z /= V + V[top_bidder, items]
+    z /= V + top_values
     return _WorkingSet(center, float(z.min()), inside, prob), share
 
 
@@ -329,11 +339,15 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     z /= mu
     # exp of every entry, raised first to 10 below the cutoff so that none
     # turns subnormal, then zeroed below the cutoff: the same weights as exp
-    # taken where the exponent reaches the cutoff, on numpy's vector path
-    keep = z >= _EXP_CUTOFF
-    np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
+    # taken where the exponent reaches the cutoff, on numpy's vector path.
+    # A dense array with no exponent below the cutoff skips those passes
+    cut = working is not None or z.min() < _EXP_CUTOFF
+    if cut:
+        keep = z >= _EXP_CUTOFF
+        np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
     weights_exp = np.exp(z, out=z)
-    weights_exp *= keep
+    if cut:
+        weights_exp *= keep
     if working is None:
         mass = weights_exp.sum(axis=0)
     else:
@@ -344,66 +358,60 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
 
 
 def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None):
-    """Smoothed objective with its gradient, utilities and share weights.
+    """Smoothed objective with its gradient, utilities and root array.
 
-    The shares are each item's softmax tie split across agents; the implied
-    utility vector feeds both the gradient and the fixed-point residual.
     value, if given, is _smoothed_value's result at the same point and on
-    the same working set.
+    the same working set; its weights become the root array in place.
     """
-    obj, weights_exp, mass = _smoothed_value(beta, prob, mu, working) if value is None else value
+    obj, root, mass = _smoothed_value(beta, prob, mu, working) if value is None else value
     if working is None:
-        shares = weights_exp / mass
-        utilities = (shares * prob.valuations) @ prob.weights
+        root /= mass
+        root *= prob.root_factor
+        utilities = root @ np.sqrt(prob.weights)
     else:
-        shares = weights_exp / mass[working.cols]
-        scaled = shares * working.values * prob.weights[working.cols]
-        utilities = np.bincount(working.rows, scaled, prob.n)
+        root /= mass[working.cols]
+        root *= working.roots
+        utilities = np.bincount(working.rows, root * working.root_weights, prob.n)
     grad = utilities - 1.0 / (prob.n * beta)
-    return obj, grad, utilities, shares
+    return obj, grad, utilities, root
 
 
-def _smoothed_hessian(beta, prob: DualProblem, mu: float, shares, working=None) -> np.ndarray:
-    """Exact Hessian of the smoothed objective; positive definite on the box.
+def _smoothed_hessian(beta, prob: DualProblem, mu: float, root, working=None, barrier=True):
+    """Exact Hessian of the smoothed objective, with the barrier's diagonal
+    1 / (n beta^2) unless barrier is False; positive definite on the box.
 
-    On a working set only the tied columns enter, those where two or more
-    pairs have nonzero share: in any other column a pair's share is 0 or
-    exactly 1, and a share of 1 adds equal diagonal and cross terms, which
-    cancel. The cross term sums, by bincount over (agent, agent) indices,
-    the products of every two of a tied column's pairs, each pair with
-    itself included.
+    On a working set a column enters only if two or more of its pairs have
+    nonzero root, or one has a share below 1 (other shares lie on pairs of
+    valuation 0): in any other column a pair's share is 0 or exactly 1, and
+    its diagonal and cross terms cancel. The cross term sums, by bincount
+    over (agent, agent) indices, the products of every two of an entering
+    column's pairs, each pair with itself included.
     """
     n = prob.n
     if working is None:
-        V, c = prob.valuations, prob.weights / mu
-        scaled = shares * V  # (n, m)
-        diag_term = (scaled * V) @ c
+        diag_term = np.einsum("ij,ij->i", root, prob.root_factor)
         # a product of a matrix with its own transpose runs as a symmetric
         # rank-k update, half the flops of a general product
-        root = scaled * np.sqrt(c)
         H = root @ root.T
-        np.negative(H, out=H)
     else:
-        nonzero = shares > 0
+        nonzero = root > 0
         per_column = np.bincount(working.cols[nonzero], minlength=prob.m)
-        pick = np.flatnonzero(nonzero & (per_column >= 2)[working.cols])
-        rows, cols, values = working.rows[pick], working.cols[pick], working.values[pick]
-        scaled = shares[pick] * values
-        c = prob.weights[cols] / mu
-        diag_term = np.bincount(rows, scaled * values * c, n)
+        pick = np.flatnonzero(nonzero & ((per_column >= 2)[working.cols] | (root < working.roots)))
+        rows, cols, picked = working.rows[pick], working.cols[pick], root[pick]
+        diag_term = np.bincount(rows, picked * working.roots[pick], n)
         # the picked entries are grouped by column: entry e pairs with the k[e]
         # entries of its column, which start at the column's first entry
         k = per_column[cols]
         left = np.repeat(np.arange(pick.size), k)
         offset = np.arange(left.size) - np.repeat(np.cumsum(k) - k, k)
         right = np.repeat(np.searchsorted(cols, cols), k) + offset
-        cross = np.bincount(
-            rows[left] * n + rows[right], scaled[left] * scaled[right] * c[left], n * n
-        )
-        # -1.0 * and not -: over no pairs bincount returns integers
-        H = -1.0 * cross.reshape(n, n)
-    idx = np.arange(n)
-    H[idx, idx] += diag_term + 1.0 / (n * beta**2)
+        # 1.0 *: over no pairs bincount returns integers
+        H = 1.0 * np.bincount(rows[left] * n + rows[right], picked[left] * picked[right], n * n)
+        H = H.reshape(n, n)
+    H.flat[:: n + 1] -= diag_term
+    H /= -mu
+    if barrier:
+        H.flat[:: n + 1] += 1.0 / (n * beta**2)
     return H
 
 
@@ -473,8 +481,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     holding _DENSE_SHARE of the pairs or more is not built: the point is
     evaluated on the whole matrix, and taking it runs the rest of the stage
     dense. Returns the new point, its utilities under this stage's tie
-    split, its shares with the working set they lie on (None for dense
-    shares) and the stage's StageCounts.
+    split, its root array (see _smoothed_state) with the working set it
+    lies on (None for a dense one) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
     evaluations = set_evaluations = bound_rejections = rebuilds = 0
@@ -505,14 +513,13 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
         if found is not None and found[0][0] < value[0]:
             beta, (value, working, share), predicted = guess, found, True
         del found
-    obj, grad, utilities, shares = _smoothed_state(beta, prob, mu, value, working)
-    # dense softmax weights are an (n, m) array the Newton loop must not hold
+    obj, grad, utilities, root = _smoothed_state(beta, prob, mu, value, working)
     del value
     pg = _projected_gradient(beta, grad, lo, hi)
     steps, last = 0, 1.0
     while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
         free = pg != 0.0
-        H = _smoothed_hessian(beta, prob, mu, shares, working)
+        H = _smoothed_hessian(beta, prob, mu, root, working)
         direction = np.zeros_like(beta)
         sub = H[np.ix_(free, free)]
         try:
@@ -528,18 +535,19 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
             candidate = np.clip(beta + alpha * direction, lo, hi)
             if not np.any(candidate != beta):
                 continue
+            # a rejected point's dense arrays go before the next evaluation
+            found = state = None
             found = evaluate(candidate, flat)
             if found is not None and found[0][0] <= flat:
-                value, on, on_share = found
-                state = _smoothed_state(candidate, prob, mu, value, on)
+                state = _smoothed_state(candidate, prob, mu, *found[:2])
                 cand_pg = _projected_gradient(candidate, state[1], lo, hi)
-                if value[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                    accepted = (candidate, state, cand_pg, on, on_share)
+                if state[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
+                    accepted = (candidate, state, cand_pg, *found[1:])
                     last = alpha
                     break
         if accepted is None:
             break
-        beta, (obj, grad, utilities, shares), pg, working, share = accepted
+        beta, (obj, grad, utilities, root), pg, working, share = accepted
     counts = StageCounts(
         mu=mu,
         steps=steps,
@@ -550,42 +558,27 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
         set_share=share,
         predicted=predicted,
     )
-    return beta, utilities, (shares, working), counts
+    return beta, utilities, (root, working), counts
 
 
-def _tangent(beta, prob: DualProblem, mu: float, utilities, shares, working):
+def _tangent(beta, prob: DualProblem, mu: float, utilities, root, working):
     """The central path's slope d beta / d mu at a stage's end point.
 
-    utilities, shares and working are the stage's, as _newton_stage returns
+    utilities, root and working are the stage's, as _newton_stage returns
     them. On the path the gradient g vanishes on the free coordinates, so
-    there H d beta / d mu = -dg/dmu, with H the Hessian and
-
-        dg_i/dmu = -(1/mu^2) sum_j w_j v_ij s_ij (z_ij - zbar_j),
-
-    z the bids, s the shares and zbar_j the share-weighted bid on item j;
-    the frozen coordinates' slope is 0. Dense, the derivative takes one
-    (n, m) temporary, fewer than a dense evaluation. Returns None when the
-    free block of the Hessian is singular.
+    there H d beta / d mu = -dg/dmu = H_p beta / mu by Euler's identity (see
+    the module's docstring), H_p beta taken before the barrier's diagonal is
+    added, which it would largely cancel. The frozen coordinates' slope is
+    0. Returns None when the free block of the Hessian is singular.
     """
-    free = _projected_gradient(beta, utilities - 1.0 / (prob.n * beta), prob.lo, prob.hi) != 0.0
-    if working is None:
-        V = prob.valuations
-        z = beta[:, None] * V
-        z -= np.einsum("ij,ij->j", shares, z)
-        z *= shares
-        z *= V
-        dg = z @ prob.weights
-        del z
-    else:
-        z = beta[working.rows] * working.values
-        z -= np.bincount(working.cols, shares * z, prob.m)[working.cols]
-        z *= shares * working.values * prob.weights[working.cols]
-        dg = np.bincount(working.rows, z, prob.n)
-    dg /= -mu * mu
-    H = _smoothed_hessian(beta, prob, mu, shares, working)
+    n = prob.n
+    free = _projected_gradient(beta, utilities - 1.0 / (n * beta), prob.lo, prob.hi) != 0.0
+    H = _smoothed_hessian(beta, prob, mu, root, working, barrier=False)
+    rhs = (H @ beta) / mu
+    H.flat[:: n + 1] += 1.0 / (n * beta**2)
     slope = np.zeros_like(beta)
     try:
-        slope[free] = np.linalg.solve(H[np.ix_(free, free)], -dg[free])
+        slope[free] = np.linalg.solve(H[np.ix_(free, free)], rhs[free])
     except np.linalg.LinAlgError:
         return None
     return slope
@@ -630,16 +623,18 @@ _PIVOT_ROUNDS = 8
 _LOOSE_GTOL = 0.1
 
 
-def _candidates(prob: DualProblem, shares, working):
+def _candidates(prob: DualProblem, root, working):
     """The crossover's candidate pairs, grouped by item with agents
     ascending: their agents, items, valuations and flows, share times item
     weight.
 
-    A pair is a candidate when its share, dense or on the working set,
-    exceeds _SHARE_FLOOR or is the largest of its item's, which is the top
-    bid's, and its valuation is positive. So every item of positive price
-    has a candidate.
+    The shares are the root array's entries over R's, dense or on the
+    working set. A pair is a candidate when its share exceeds _SHARE_FLOOR
+    or is the largest of its item's, which is the top bid's, and its
+    valuation is positive. So every item of positive price has a candidate.
     """
+    R = prob.root_factor if working is None else working.roots
+    shares = np.divide(root, R, out=np.zeros_like(root), where=R > 0)
     if working is None:
         picked = (shares > _SHARE_FLOOR) | (shares == shares.max(axis=0))
         cols, rows = np.divmod(np.flatnonzero(picked.T), prob.n)
@@ -818,11 +813,11 @@ def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound):
     return (beta_hat, residual), [], []
 
 
-def _crossover(beta, prob: DualProblem, tol: float, shares, working):
+def _crossover(beta, prob: DualProblem, tol: float, root, working):
     """The exact dual optimum the flow at beta implies, if certified.
 
-    shares are the pairs' softmax shares at beta, dense (working None) or
-    on the working set, as _newton_stage returns them.
+    root is the root array at beta, dense (working None) or on the working
+    set, as _newton_stage returns it.
 
     Builds the forest of the candidates' flow (see _flow_forest) and checks
     the point and allocation it implies (see _certificate). Each failed
@@ -835,7 +830,7 @@ def _crossover(beta, prob: DualProblem, tol: float, shares, working):
     number of pivots made.
     """
     n, m = prob.n, prob.m
-    rows, cols, values, flow = _candidates(prob, shares, working)
+    rows, cols, values, flow = _candidates(prob, root, working)
     by_flow = np.argsort(-flow, kind="stable")
     multiple = np.bincount(cols, minlength=m) >= 2
     at_bound = (beta == prob.lo) | (beta == prob.hi)
@@ -906,6 +901,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         # compress keeps the valuations row-major; a column mask would leave
         # them in Fortran order, on which the dense passes over items are slower
         valuations = np.compress(positive, prob.valuations, axis=1)
+        valuations.setflags(write=False)
         prob = DualProblem(valuations, prob.weights[positive], prob.lo, prob.hi)
     n = prob.n
     if warm is None:
@@ -915,7 +911,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         init = beta = np.clip(warm_beta, prob.lo, prob.hi)
     init_objective = dual_objective(init, prob)
 
-    scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
+    scale = float(expected.max())
     mu_end = max(tol, 1e-12)
     gtol_final = max(tol / (n * prob.hi**2) * 0.1, 1e-13)
     mus = _temperatures(0.1 * max(scale, 1e-6), mu_end)
@@ -935,19 +931,19 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
             gtol = gtol_final
         else:
             gtol = max((_LOOSE_GTOL if k < _CROSSOVER_STAGE else 1e-3) * mu, gtol_final)
-        beta, utilities, shares, counts = _newton_stage(beta, prob, mu, gtol, slope)
+        beta, utilities, root, counts = _newton_stage(beta, prob, mu, gtol, slope)
         stages.append(counts)
         if k >= _CROSSOVER_STAGE or k == last:
-            exact, made = _crossover(beta, prob, tol, *shares)
+            exact, made = _crossover(beta, prob, tol, *root)
             pivots += made
             if exact is not None:
                 (beta, residual), certified_mu = exact, mu
                 break
         if k < last:
-            tangent = _tangent(beta, prob, mu, utilities, *shares)
+            tangent = _tangent(beta, prob, mu, utilities, *root)
             slope = None if tangent is None else (mu, tangent)
-        # dense shares are an (n, m) array the next stage must not hold
-        del shares
+        # a dense root array is an (n, m) array the next stage must not hold
+        del root
 
     if certified_mu is None:
         with np.errstate(divide="ignore"):

@@ -18,13 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dual_averaging import (
-    LogBarrierRegularizer,
-    RegretBoundResult,
-    da_step,
-    initial_state,
-    regret_bound_check,
-)
 from .errors import DimensionMismatch, LengthMismatch
 from .market import ItemSequence, MarketInstance
 
@@ -190,6 +183,9 @@ def equivalence_with_da(
     box. Returns True iff both multiplier trajectories agree coordinatewise
     within tol at every step.
     """
+    # imported here and in regret_diagnostic, which `fairpace run` never calls
+    from .dual_averaging import LogBarrierRegularizer, da_step, initial_state
+
     trace = run_pace(instance, seq, delta0, record_betas=True)
     n = instance.n
     reg = LogBarrierRegularizer(n, *pacing_box(n, delta0))
@@ -212,12 +208,14 @@ def regret_diagnostic(
     seq: ItemSequence,
     w_ref,
     sigma: Optional[float] = None,
-) -> RegretBoundResult:
+) -> "RegretBoundResult":
     """Evaluate the averaging suboptimality bound for a recorded run.
 
     Requires a trace recorded with record_betas=True. sigma defaults to 1/n,
     the curvature constant the box interval is built around.
     """
+    from .dual_averaging import regret_bound_check
+
     if trace.betas is None:
         raise ValueError("regret diagnostic needs the full multiplier trajectory")
     n = trace.n

@@ -3,7 +3,9 @@
 The library computes these quantities only as curves over a recording grid
 (metrics.build_metric_series) or in the pacing loop (pace.run_pace_paths);
 these direct forms, terminal values and a generic averaging loop, run only
-in the tests.
+in the tests. The dual solver's tangent takes the smoothed gradient's
+derivative in the temperature from Euler's identity; dgrad_dmu takes it
+from the bids.
 """
 
 from dataclasses import dataclass
@@ -111,3 +113,17 @@ def iterate_da(subgradient_fn, reg: LogBarrierRegularizer, data):
         state = da_step(state, g, reg)
         ws[tau + 1] = state.w
     return ws, gs
+
+
+def dgrad_dmu(beta, valuations, weights, mu, shares):
+    """Derivative in mu of the softmax-smoothed dual's gradient, from the bids:
+
+        dg_i/dmu = -(1/mu^2) sum_j w_j v_ij s_ij (z_ij - zbar_j),
+
+    z the bids beta_i v_ij, s the (n, m) softmax shares at beta and zbar_j
+    the share-weighted bid on item j.
+    """
+    z = beta[:, None] * valuations
+    z -= np.einsum("ij,ij->j", shares, z)
+    z *= shares * valuations
+    return -(z @ weights) / (mu * mu)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairpace
 from fairpace.cli import main
 from fairpace.eg import hindsight_solution, market_problem, solve_dual
 from fairpace.harness import generate_market, load_config, resolve_market, resolve_model
@@ -397,3 +402,32 @@ def test_missing_out_directory_exits_2_before_work(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("config error: output directory ") and "does not exist" in err
     assert not (tmp_path / "missing").exists()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code, **env):
+    """Standard output of a fresh interpreter running code, with fairpace
+    importable and the BLAS thread variables unset unless given in env."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    base["PYTHONPATH"] = str(Path(fairpace.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+def test_cli_holds_blas_to_one_thread_unless_set():
+    show = f"import os; print(*(os.environ.get(k) for k in {BLAS_VARIABLES!r}))"
+    assert run_python("import fairpace.cli; " + show) == ["1", "1", "1"]
+    given = run_python("import fairpace.cli; " + show, OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="2")
+    assert given == ["3", "2", "1"]
+    # the library alone leaves the environment as it is
+    assert run_python("import fairpace.harness; " + show) == ["None", "None", "None"]
+
+
+def test_cli_import_leaves_dual_averaging_unloaded():
+    # only the tests' equivalence and regret checks use it
+    loaded = "import sys, fairpace.cli; print('fairpace.dual_averaging' in sys.modules)"
+    assert run_python(loaded) == ["False"]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from fairpace.errors import (
 from fairpace.inputs import reference_distribution
 from fairpace.market import ItemSequence, MarketInstance
 from tests.conftest import random_instance
+from tests.oracles import dgrad_dmu
 
 
 class TestDualObjective:
@@ -181,6 +183,23 @@ class TestSolveDual:
         assert sol.evaluations == len(calls)
         assert sol.evaluations < parent_evaluations
 
+    def test_peak_allocation(self):
+        # at the wide_market reference shape the solve holds the valuations'
+        # root factor, one root array and the array of the point under
+        # evaluation, with a few smaller temporaries: about 3.3 (n, m)
+        # float arrays. One more live (n, m) array breaks the bound
+        rng = np.random.default_rng(3)
+        n, m = 100, 1500
+        prob = market_problem(random_instance(rng, n, m), rng.dirichlet(np.ones(m)))
+        tracemalloc.start()
+        try:
+            sol = solve_dual(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 4.0 * n * m * 8
+
     def test_stage_temperatures_spaced(self, monkeypatch):
         # a bid scale of 1.0016 used to end with stages at 1.0016e-8 and 1e-8.
         # The crossover would end these solves early, so it is made to fail
@@ -269,13 +288,17 @@ class TestSmoothedState:
         floor = np.exp(eg._EXP_CUTOFF)
         for beta, v, mu in cases:
             prob = DualProblem(v, np.full(v.shape[1], 1.0 / v.shape[1]), 0.1, 2.0)
-            obj, _, _, shares = eg._smoothed_state(beta, prob, mu)
+            obj, weights, mass = eg._smoothed_value(beta, prob, mu)
+            shares = weights / mass
             ref_obj, ref_weights, ref_shares = self.plain_exp(beta, prob, mu)
             assert obj == ref_obj
             kept = ref_weights >= floor
             assert np.array_equal(shares[kept], ref_shares[kept])
             assert np.all(shares[~kept] == 0.0)
             assert np.all(ref_shares[~kept] < floor)
+            # the state's root array is the shares times R
+            root = eg._smoothed_state(beta, prob, mu)[3]
+            assert np.array_equal(root, shares * prob.root_factor)
 
     def test_masked_exp_is_exp_where_the_cutoff_is_reached(self):
         # exponents from -800 to 0, at and around the cutoff, at -690, where
@@ -327,10 +350,11 @@ def assert_no_subnormal(prob, center, mu):
     with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
         working, _ = eg._working_set(center, prob, mu)
     for on in (None, working):
-        value = eg._smoothed_value(center, prob, mu, on)
-        shares = eg._smoothed_state(center, prob, mu, value, on)[3]
-        H = eg._smoothed_hessian(center, prob, mu, shares, on)
-        for x in (value[1], shares, np.abs(H)):
+        obj, weights, mass = eg._smoothed_value(center, prob, mu, on)
+        shares = weights / (mass if on is None else mass[on.cols])
+        root = eg._smoothed_state(center, prob, mu, (obj, weights.copy(), mass), on)[3]
+        H = eg._smoothed_hessian(center, prob, mu, root, on)
+        for x in (weights, shares, root, np.abs(H)):
             assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
 
 
@@ -358,8 +382,8 @@ def tied_problem(seed, n, m, mu):
 
 
 def assert_set_matches_dense(prob, center, mu, rng):
-    """The working set at center gives the dense value, utilities, shares and
-    Hessian at center and at points inside and exactly at its radius."""
+    """The working set at center gives the dense value, utilities, root array
+    and Hessian at center and at points inside and exactly at its radius."""
     n, m = prob.n, prob.m
     with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
         working, share = eg._working_set(center, prob, mu)
@@ -377,16 +401,16 @@ def assert_set_matches_dense(prob, center, mu, rng):
         sparse = eg._smoothed_state(beta, prob, mu, working=working)
         assert sparse[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0)
         assert np.all(np.abs(sparse[2] - dense[2]) <= 1e-12 * np.abs(dense[2]))
-        shares = np.zeros((n, m))
-        shares[working.rows, working.cols] = sparse[3]
-        assert np.array_equal(shares > 0, dense[3] > 0)
-        assert np.allclose(shares, dense[3], rtol=1e-12, atol=0.0)
+        root = np.zeros((n, m))
+        root[working.rows, working.cols] = sparse[3]
+        assert np.array_equal(root > 0, dense[3] > 0)
+        assert np.allclose(root, dense[3], rtol=1e-12, atol=0.0)
         H = eg._smoothed_hessian(beta, prob, mu, dense[3])
         H_set = eg._smoothed_hessian(beta, prob, mu, sparse[3], working)
         assert H_set.dtype == np.float64
         # the dense Hessian adds and cancels terms up to the diagonal sum
         # below, so it is exact only to a rounding error of that size
-        terms = (dense[3] * prob.valuations**2) @ (prob.weights / mu) + 1.0 / (n * beta**2)
+        terms = np.einsum("ij,ij->i", dense[3], prob.root_factor) / mu + 1.0 / (n * beta**2)
         assert np.all(np.abs(H_set - H) <= 1e-12 * terms.max())
     return working
 
@@ -411,8 +435,8 @@ class TestWorkingSet:
             n, m = v.shape
             prob = DualProblem(v, np.array(weights), lo, 2.0)
             working = assert_set_matches_dense(prob, np.ones(n), mu, rng)
-            shares = eg._smoothed_state(np.ones(n), prob, mu, working=working)[3]
-            nonzero = np.bincount(working.cols[shares > 0], minlength=m)
+            root = eg._smoothed_state(np.ones(n), prob, mu, working=working)[3]
+            nonzero = np.bincount(working.cols[root > 0], minlength=m)
             assert nonzero.tolist() == nonzero_per_column
 
         # one agent or one item: no tied column
@@ -612,17 +636,17 @@ class TestWorkingSet:
             evaluated.append((beta.copy(), working))
             return value(beta, prob, mu, working)
 
-        def recorded_hessian(beta, prob, mu, shares, working=None):
+        def recorded_hessian(beta, prob, mu, root, working=None):
             # each Newton step starts on a set that covers its point
-            assert working.covers(beta) and shares.size == working.rows.size
+            assert working.covers(beta) and root.size == working.rows.size
             stepped.append(working)
-            return hessian(beta, prob, mu, shares, working)
+            return hessian(beta, prob, mu, root, working)
 
         monkeypatch.setattr(eg, "_working_set", recorded_build)
         monkeypatch.setattr(eg, "_bound_rejects", recorded_bound)
         monkeypatch.setattr(eg, "_smoothed_value", recorded_value)
         monkeypatch.setattr(eg, "_smoothed_hessian", recorded_hessian)
-        end, _, (shares, on), counts = eg._newton_stage(beta, prob, mu, 1e-3 * mu)
+        end, _, (root, on), counts = eg._newton_stage(beta, prob, mu, 1e-3 * mu)
         monkeypatch.undo()
         assert counts.rebuilds == len(built) - 1 == bounds.count(False)
         assert counts.bound_rejections == bounds.count(True) > 0
@@ -637,9 +661,10 @@ class TestWorkingSet:
             assert any(working is w for w in taken) or np.array_equal(point, working.center)
         assert on.covers(end)
         assert counts.set_share == next(share for working, share in built if working is on)
-        # on a set that covers end the shares are the dense ones bit for bit
+        # on a set that covers end the shares, and so the root array, are
+        # the dense ones bit for bit
         dense = eg._smoothed_state(end, prob, mu)[3]
-        assert np.array_equal(shares, dense[on.rows, on.cols])
+        assert np.array_equal(root, dense[on.rows, on.cols])
 
 
 def fallback_solve(prob, tol=1e-8, warm=None):
@@ -649,14 +674,14 @@ def fallback_solve(prob, tol=1e-8, warm=None):
 
 
 def crossover(beta, prob, mu, tol, rounds=None):
-    """The crossover at beta from its dense shares at temperature mu, with
-    at most rounds pivot rounds (the solver's bound if None)."""
+    """The crossover at beta from its dense root array at temperature mu,
+    with at most rounds pivot rounds (the solver's bound if None)."""
     beta = np.asarray(beta, dtype=np.float64)
-    shares = eg._smoothed_state(beta, prob, mu)[3]
+    root = eg._smoothed_state(beta, prob, mu)[3]
     if rounds is None:
-        return eg._crossover(beta, prob, tol, shares, None)
+        return eg._crossover(beta, prob, tol, root, None)
     with mock.patch.object(eg, "_PIVOT_ROUNDS", rounds):
-        return eg._crossover(beta, prob, tol, shares, None)
+        return eg._crossover(beta, prob, tol, root, None)
 
 
 def objective_rounding(prob, objective):
@@ -683,19 +708,20 @@ def boxed_problem(seed, n, m, delta0, heavy):
 def stage_points(prob, tol=1e-8, predict=False):
     """Continuation stages without a crossover: for each, the problem on the
     items of positive weight, the temperature, the stage's point, its
-    utilities and its shares with their working set.
+    utilities and its root array with its working set.
 
     With predict these are the stages a cold solve_dual runs: each after
     the first is offered the tangent predictor's point, and each before
     _CROSSOVER_STAGE but the last stops at _LOOSE_GTOL mu. Without it each
     stage starts from the last one's point and stops at 1e-3 mu, the plain
     continuation the crossover tests below take their points from."""
+    # the bid scale from the whole problem, as solve_dual takes it
+    scale = float((prob.valuations @ prob.weights).max())
     keep = prob.weights > 0
-    # row-major, as solve_dual keeps them: the tangent's sums over items run
+    # row-major, as solve_dual keeps them: the Hessian's sums over items run
     # in an order set by the layout
     valuations = np.compress(keep, prob.valuations, axis=1)
     prob = DualProblem(valuations, prob.weights[keep], prob.lo, prob.hi)
-    scale = float((prob.valuations * prob.weights[None, :]).sum(axis=1).max())
     beta = np.full(prob.n, min(1.0, prob.hi))
     gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
     mu_end = max(tol, 1e-12)
@@ -703,10 +729,10 @@ def stage_points(prob, tol=1e-8, predict=False):
     for k, mu in enumerate(eg._temperatures(0.1 * max(scale, 1e-6), mu_end)):
         factor = eg._LOOSE_GTOL if predict and k < eg._CROSSOVER_STAGE else 1e-3
         gtol = gtol_final if mu <= mu_end else max(factor * mu, gtol_final)
-        beta, utilities, shares, _ = eg._newton_stage(beta, prob, mu, gtol, slope)
-        yield prob, mu, beta, utilities, shares
+        beta, utilities, root, _ = eg._newton_stage(beta, prob, mu, gtol, slope)
+        yield prob, mu, beta, utilities, root
         if predict:
-            tangent = eg._tangent(beta, prob, mu, utilities, *shares)
+            tangent = eg._tangent(beta, prob, mu, utilities, *root)
             slope = None if tangent is None else (mu, tangent)
 
 
@@ -766,10 +792,10 @@ class TestCrossover:
         fallback = fallback_solve(prob)
         assert fallback.converged
         made = 0
-        for k, (reduced, _, beta, _, shares) in enumerate(stage_points(prob)):
+        for k, (reduced, _, beta, _, root) in enumerate(stage_points(prob)):
             if k < 2:
                 continue
-            exact, pivots = eg._crossover(beta, reduced, 1e-8, *shares)
+            exact, pivots = eg._crossover(beta, reduced, 1e-8, *root)
             made += pivots
             if exact is not None:
                 beta_hat = exact[0]
@@ -786,10 +812,10 @@ class TestCrossover:
         # temperature: refused without pivots, certified with them
         for seed, n, m, delta0, heavy in ((360, 7, 11, 0.02, True), (233, 4, 8, 0.1, False)):
             prob = boxed_problem(seed, n, m, delta0, heavy)
-            reduced, _, beta, _, shares = list(itertools.islice(stage_points(prob), 3))[-1]
+            reduced, _, beta, _, root = list(itertools.islice(stage_points(prob), 3))[-1]
             with mock.patch.object(eg, "_PIVOT_ROUNDS", 0):
-                assert eg._crossover(beta, reduced, 1e-8, *shares) == (None, 0)
-            exact, pivots = eg._crossover(beta, reduced, 1e-8, *shares)
+                assert eg._crossover(beta, reduced, 1e-8, *root) == (None, 0)
+            exact, pivots = eg._crossover(beta, reduced, 1e-8, *root)
             assert exact is not None and pivots >= 3
             assert np.max(np.abs(exact[0] - fallback_solve(prob).beta_hat)) <= 1e-6
 
@@ -799,9 +825,9 @@ class TestCrossover:
         # negative again: the third forest is the first, so the attempt ends
         # after two certificates instead of running every round
         prob = boxed_problem(0, 6, 10, 1.0, False)
-        reduced, _, beta, _, shares = list(itertools.islice(stage_points(prob), 2))[-1]
+        reduced, _, beta, _, root = list(itertools.islice(stage_points(prob), 2))[-1]
         with mock.patch.object(eg, "_certificate", wraps=eg._certificate) as certificate:
-            assert eg._crossover(beta, reduced, 1e-8, *shares) == (None, 2)
+            assert eg._crossover(beta, reduced, 1e-8, *root) == (None, 2)
         assert certificate.call_count == 2
 
     @staticmethod
@@ -947,6 +973,76 @@ def other_weights(prob, seed):
     return weights / weights.sum()
 
 
+class TestTangent:
+    @staticmethod
+    def cases(count, log_mu_low):
+        """Random problems with near-tied columns, each at its center, a
+        temperature between 10^log_mu_low and 1e-1 and the dense shares
+        and working set there."""
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            mu = 10.0 ** rng.uniform(log_mu_low, -1.0)
+            prob, center, _ = tied_problem(seed, n, m, mu)
+            with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
+                working, _ = eg._working_set(center, prob, mu)
+            _, weights, mass = eg._smoothed_value(center, prob, mu)
+            yield prob, center, mu, weights / mass, working
+
+    @staticmethod
+    def system(prob, beta, mu, working):
+        """The matrix and right-hand side _tangent solves at beta, the free
+        coordinates and the root array there."""
+        _, grad, utilities, root = eg._smoothed_state(beta, prob, mu, working=working)
+        solve, solved = np.linalg.solve, []
+
+        def recorded(a, b):
+            solved.append((a, b))
+            return solve(a, b)
+
+        with mock.patch.object(np.linalg, "solve", recorded):
+            eg._tangent(beta, prob, mu, utilities, root, working)
+        free = eg._projected_gradient(beta, grad, prob.lo, prob.hi) != 0.0
+        return *solved[0], free, root
+
+    @staticmethod
+    def scale(prob, beta, mu, shares):
+        """The largest term beta_i sum_j w_j v_ij^2 s_ij / mu^2 of -dg/dmu's
+        expansion, which the identity's sum cancels down to it."""
+        return float((beta * ((shares * prob.valuations**2) @ prob.weights)).max()) / mu**2
+
+    def test_matches_the_bids_derivative(self):
+        # the right-hand side -dg/dmu from Euler's identity against the bids'
+        # form, dense and on the working set, at temperatures from 1e-6 to
+        # 1e-1 (within 4e-16 of the scale here); the matrix is the full
+        # Hessian, the barrier's diagonal included
+        checked = 0
+        for prob, beta, mu, shares, working in self.cases(300, -6.0):
+            expected = -dgrad_dmu(beta, prob.valuations, prob.weights, mu, shares)
+            for on in (None, working):
+                H, rhs, free, root = self.system(prob, beta, mu, on)
+                assert np.all(np.abs(rhs - expected[free]) <= 1e-12 * self.scale(prob, beta, mu, shares))
+                assert np.array_equal(H, eg._smoothed_hessian(beta, prob, mu, root, on)[np.ix_(free, free)])
+                checked += bool(np.any(rhs != 0.0))
+        assert checked >= 400
+
+    def test_matches_a_central_difference(self):
+        # at temperatures from 1e-2 to 1e-1 the dense gradient's central
+        # difference in mu, with step 1e-5 mu, agrees within 2e-12 of the
+        # scale here
+        checked = 0
+        for prob, beta, mu, shares, working in self.cases(200, -2.0):
+            h = 1e-5 * mu
+            above = eg._smoothed_state(beta, prob, mu + h)[1]
+            below = eg._smoothed_state(beta, prob, mu - h)[1]
+            difference = (above - below) / (2.0 * h)
+            for on in (None, working):
+                _, rhs, free, _ = self.system(prob, beta, mu, on)
+                assert np.all(np.abs(rhs + difference[free]) <= 1e-10 * self.scale(prob, beta, mu, shares))
+                checked += bool(np.any(rhs != 0.0))
+        assert checked >= 200
+
+
 class TestShorterPaths:
     def test_predicted_point_taken_only_when_lower(self):
         # from the first stage's end point the next stage is offered the
@@ -954,8 +1050,8 @@ class TestShorterPaths:
         # it takes no step, so it returns the point it started from: the
         # predicted one exactly when its smoothed value is strictly lower
         prob = TestWorkingSet.solve_problem()
-        reduced, mu0, beta, utilities, shares = next(stage_points(prob))
-        tangent = eg._tangent(beta, reduced, mu0, utilities, *shares)
+        reduced, mu0, beta, utilities, root = next(stage_points(prob))
+        tangent = eg._tangent(beta, reduced, mu0, utilities, *root)
         mu = 0.1 * mu0
         value = eg._smoothed_value(beta, reduced, mu)[0]
         for slope, taken in ((tangent, True), (-tangent, False), (np.zeros_like(beta), False)):
