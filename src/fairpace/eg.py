@@ -144,28 +144,15 @@ def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> Du
 class StageCounts:
     """Work of one temperature stage.
 
-    evaluations counts evaluations of the smoothed objective, the value-only
-    ones at rejected trial points and the bound evaluations included.
-    set_evaluations of them ran on a working set at points within its trust
-    radius: the stage's entry evaluations, at its start point and at the
-    predicted one, as well as its trial points. A point outside the stage's
-    set's radius is first evaluated on that set as a bound: bound_rejections
-    counts the points that bound rejected, and rebuilds the others, each
-    evaluated on a set built at it, or on the whole matrix when that set
-    would hold _DENSE_SHARE of the pairs or more, whether or not the point
-    was then taken. set_share is the share of the n m pairs in the set the
-    stage ends on (at or above _DENSE_SHARE when it ended dense). predicted
-    says whether the stage started from the tangent predictor's point (see
+    evaluations counts evaluations of the smoothed objective, rejected
+    trial points and working-set bounds included. predicted says whether
+    the stage started from the tangent predictor's point (see
     _newton_stage).
     """
 
     mu: float
     steps: int
     evaluations: int
-    set_evaluations: int
-    bound_rejections: int
-    rebuilds: int
-    set_share: float
     predicted: bool
 
 
@@ -294,28 +281,24 @@ class _WorkingSet:
 
 
 def _working_set(center, prob: DualProblem, mu: float):
-    """The working set at center and its share of the n m pairs.
-
-    The set is None when it would hold _DENSE_SHARE of the pairs or more,
-    at once when the largest multiplier times the largest valuation lies
-    within the set's width. Building a set takes a bool mask, its transpose
-    and one (n, m) float temporary besides the bids.
+    """The working set at center, or None when it would hold _DENSE_SHARE
+    of the pairs or more: at once when the largest multiplier times the
+    largest valuation lies within the set's width.
     """
     V = prob.valuations
     if _SET_WIDTH * mu >= center.max() * V.max() and 1.0 >= _DENSE_SHARE:
-        return None, 1.0
+        return None
     z = center[:, None] * V
     z -= z.max(axis=0)
     inside = z >= -_SET_WIDTH * mu
-    share = np.count_nonzero(inside) / inside.size
-    if share >= _DENSE_SHARE:
-        return None, share
+    if np.count_nonzero(inside) / inside.size >= _DENSE_SHARE:
+        return None
     # the first agent whose bid is the top one, as its gap is exactly 0
     top_values = V[z.argmax(axis=0), np.arange(prob.m)]
     np.subtract((_EXP_CUTOFF - 1.0) * mu, z, out=z)
     np.putmask(z, inside, np.inf)
     z /= V + top_values
-    return _WorkingSet(center, float(z.min()), inside, prob), share
+    return _WorkingSet(center, float(z.min()), inside, prob)
 
 
 def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
@@ -376,9 +359,9 @@ def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None
     return obj, grad, utilities, root
 
 
-def _smoothed_hessian(beta, prob: DualProblem, mu: float, root, working=None, barrier=True):
-    """Exact Hessian of the smoothed objective, with the barrier's diagonal
-    1 / (n beta^2) unless barrier is False; positive definite on the box.
+def _smoothed_hessian(prob: DualProblem, mu: float, root, working=None):
+    """Exact Hessian of the smoothed price term; adding the barrier's
+    diagonal 1 / (n beta^2) makes it the objective's, positive definite.
 
     On a working set a column enters only if two or more of its pairs have
     nonzero root, or one has a share below 1 (other shares lie on pairs of
@@ -410,8 +393,6 @@ def _smoothed_hessian(beta, prob: DualProblem, mu: float, root, working=None, ba
         H = H.reshape(n, n)
     H.flat[:: n + 1] -= diag_term
     H /= -mu
-    if barrier:
-        H.flat[:: n + 1] += 1.0 / (n * beta**2)
     return H
 
 
@@ -471,47 +452,41 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     projected gradient is within gtol, after _MAX_STAGE_STEPS steps, or
     when no trial point is accepted.
 
-    Points within the set's trust radius, the predicted one included, are
-    evaluated on the set. At a point outside it the set's value is a lower
-    bound on the dense one; a bound above the threshold, the start value
-    for the predicted point and the acceptance threshold for a trial point,
-    rejects the point, as its dense value would. Any other such point is
-    evaluated on a set built at it, exact there, and taking the point
-    adopts that set; a rejected point leaves the stage on its set. A set
-    holding _DENSE_SHARE of the pairs or more is not built: the point is
-    evaluated on the whole matrix, and taking it runs the rest of the stage
-    dense. Returns the new point, its utilities under this stage's tie
-    split, its root array (see _smoothed_state) with the working set it
-    lies on (None for a dense one) and the stage's StageCounts.
+    Points within the set's trust radius are evaluated on it. At a point
+    outside it the set's value is a lower bound on the dense one, and a
+    bound above the point's threshold (the start value for the predicted
+    point, the acceptance threshold for a trial point) rejects it; any
+    other such point is evaluated on a set built at it, or densely if none
+    is built, and only taking the point adopts that set. Returns the new
+    point, its utilities under this stage's tie split, its root array (see
+    _smoothed_state) with the working set it lies on (None for a dense one)
+    and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    evaluations = set_evaluations = bound_rejections = rebuilds = 0
+    evaluations = 0
 
     def evaluate(point, threshold=np.inf):
-        """The smoothed value at point with the working set it was taken on
-        and that set's share, or None when the stage's set does not cover
-        point and its bound shows the value above threshold."""
-        nonlocal evaluations, set_evaluations, bound_rejections, rebuilds
-        on, on_share = working, share
+        """The smoothed value at point with the working set it was taken on,
+        or None when the stage's set does not cover point and its bound
+        shows the value above threshold."""
+        nonlocal evaluations
+        on = working
         if working is not None and not working.covers(point):
             evaluations += 1
             if _bound_rejects(point, prob, mu, working, threshold):
-                bound_rejections += 1
                 return None
-            rebuilds += 1
-            on, on_share = _working_set(point, prob, mu)
+            on = _working_set(point, prob, mu)
         evaluations += 1
-        set_evaluations += on is not None
-        return _smoothed_value(point, prob, mu, on), on, on_share
+        return _smoothed_value(point, prob, mu, on), on
 
-    working, share = _working_set(beta, prob, mu)
+    working = _working_set(beta, prob, mu)
     value = evaluate(beta)[0]
     predicted = False
     if slope is not None:
         guess = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
         found = evaluate(guess, value[0])
         if found is not None and found[0][0] < value[0]:
-            beta, (value, working, share), predicted = guess, found, True
+            beta, (value, working), predicted = guess, found, True
         del found
     obj, grad, utilities, root = _smoothed_state(beta, prob, mu, value, working)
     del value
@@ -519,7 +494,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     steps, last = 0, 1.0
     while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
         free = pg != 0.0
-        H = _smoothed_hessian(beta, prob, mu, root, working)
+        H = _smoothed_hessian(prob, mu, root, working)
+        H.flat[:: prob.n + 1] += 1.0 / (prob.n * beta**2)
         direction = np.zeros_like(beta)
         sub = H[np.ix_(free, free)]
         try:
@@ -539,26 +515,16 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
             found = state = None
             found = evaluate(candidate, flat)
             if found is not None and found[0][0] <= flat:
-                state = _smoothed_state(candidate, prob, mu, *found[:2])
+                state = _smoothed_state(candidate, prob, mu, *found)
                 cand_pg = _projected_gradient(candidate, state[1], lo, hi)
                 if state[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                    accepted = (candidate, state, cand_pg, *found[1:])
+                    accepted = (candidate, state, cand_pg, found[1])
                     last = alpha
                     break
         if accepted is None:
             break
-        beta, (obj, grad, utilities, root), pg, working, share = accepted
-    counts = StageCounts(
-        mu=mu,
-        steps=steps,
-        evaluations=evaluations,
-        set_evaluations=set_evaluations,
-        bound_rejections=bound_rejections,
-        rebuilds=rebuilds,
-        set_share=share,
-        predicted=predicted,
-    )
-    return beta, utilities, (root, working), counts
+        beta, (obj, grad, utilities, root), pg, working = accepted
+    return beta, utilities, (root, working), StageCounts(mu, steps, evaluations, predicted)
 
 
 def _tangent(beta, prob: DualProblem, mu: float, utilities, root, working):
@@ -573,7 +539,7 @@ def _tangent(beta, prob: DualProblem, mu: float, utilities, root, working):
     """
     n = prob.n
     free = _projected_gradient(beta, utilities - 1.0 / (n * beta), prob.lo, prob.hi) != 0.0
-    H = _smoothed_hessian(beta, prob, mu, root, working, barrier=False)
+    H = _smoothed_hessian(prob, mu, root, working)
     rhs = (H @ beta) / mu
     H.flat[:: n + 1] += 1.0 / (n * beta**2)
     slope = np.zeros_like(beta)

@@ -289,8 +289,10 @@ def run_experiment(
     """Run all paths, aggregate, and optionally write CSV and JSON outputs.
 
     A failed path aborts the whole experiment with its path and seed in the
-    message.
+    message. threads below 1 is a ConfigError.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     started = time.time()
     model = resolve_model(config)
     ref = reference_distribution(model)
@@ -305,7 +307,7 @@ def run_experiment(
     seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
     # contiguous batches of at most LOCKSTEP_PATHS paths, one per worker when
     # the pool is used; each batch is paced in lockstep
-    workers = max(1, min(threads, config.paths))
+    workers = min(threads, config.paths)
     size = min(-(-config.paths // workers), LOCKSTEP_PATHS)
     jobs = [
         (
@@ -416,32 +418,37 @@ def write_outputs(
 
 
 def read_paths_csv(path) -> List[MetricSeries]:
-    """Parse a per-path CSV back into one series per path."""
+    """Parse a per-path CSV back into one series per path, each holding
+    every metric of METRIC_NAMES with finite values on one grid."""
     rows: Dict[int, Dict[str, Dict[int, float]]] = {}
     model_kinds: Dict[int, str] = {}
-    with as_config_error(f"bad paths CSV {path}"), open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pid = int(row["path_id"])
-            model_kinds.setdefault(pid, row["model"])
-            rows.setdefault(pid, {}).setdefault(row["metric"], {})[int(row["t"])] = float(
-                row["value"]
-            )
     series_list = []
-    for pid in sorted(rows):
-        metrics = rows[pid]
-        times = np.asarray(sorted(next(iter(metrics.values()))), dtype=np.int64)
-        values = {}
-        for name, by_t in metrics.items():
-            if sorted(by_t) != times.tolist():
-                raise GridMismatch(f"path {pid} metric {name} has a different grid")
-            values[name] = np.asarray([by_t[int(tau)] for tau in times])
-        series_list.append(
-            MetricSeries(
-                times=times,
-                values=values,
-                metadata={"model": model_kinds[pid], "path_id": pid},
+    with as_config_error(f"bad paths CSV {path}"):
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                pid = int(row["path_id"])
+                model_kinds.setdefault(pid, row["model"])
+                rows.setdefault(pid, {}).setdefault(row["metric"], {})[int(row["t"])] = float(
+                    row["value"]
+                )
+        for pid in sorted(rows):
+            metrics = rows[pid]
+            missing = [name for name in METRIC_NAMES if name not in metrics]
+            if missing:
+                raise ConfigError(f"path {pid} has no rows for {', '.join(missing)}")
+            times = np.asarray(sorted(next(iter(metrics.values()))), dtype=np.int64)
+            values = {}
+            for name, by_t in metrics.items():
+                if sorted(by_t) != times.tolist():
+                    raise GridMismatch(f"path {pid} metric {name} has a different grid")
+                values[name] = np.asarray([by_t[int(tau)] for tau in times])
+            series_list.append(
+                MetricSeries(
+                    times=times,
+                    values=values,
+                    metadata={"model": model_kinds[pid], "path_id": pid},
+                )
             )
-        )
     if not series_list:
         raise ConfigError(f"no rows found in {path}")
     return series_list

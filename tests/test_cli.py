@@ -17,6 +17,7 @@ from fairpace.inputs import (
     sample_sequences,
 )
 from fairpace.market import market_to_dict
+from fairpace.metrics import METRIC_NAMES
 
 
 @pytest.fixture
@@ -60,7 +61,8 @@ def test_sample_then_solve(tmp_path, market_file, model_file):
     sol = json.loads(sol_path.read_text())
     assert set(sol) >= {"beta", "objective", "residual"}
     assert len(sol["beta"]) == 3
-    assert sol["stages"] and all("bound_rejections" in stage for stage in sol["stages"])
+    fields = {"mu", "steps", "evaluations", "predicted"}
+    assert sol["stages"] and all(set(stage) == fields for stage in sol["stages"])
 
 
 def test_sample_determinism(tmp_path, model_file):
@@ -262,6 +264,15 @@ def _solve(tmp_path, market=MARKET_2x3, items=(0, 1, 2)):
             "--sequence", _write(tmp_path, "seq.json", seq)]
 
 
+def _summarize(tmp_path, value="0.5", metrics=METRIC_NAMES):
+    """summarize of a one-path CSV holding metrics, the first one's value
+    at t = 1 given as value text."""
+    rows = ["model,path_id,metric,t,value"]
+    rows += [f"iid,0,{name},1,{value if k == 0 else '0.5'}" for k, name in enumerate(metrics)]
+    return ["summarize", "--paths-csv", _write(tmp_path, "paths.csv", "\n".join(rows) + "\n"),
+            "--out", str(tmp_path / "agg.csv")]
+
+
 def _run(tmp_path, market_file=None, model=None, **fields):
     config = {
         "schema": 1,
@@ -346,13 +357,24 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             lambda p: ["summarize", "--paths-csv", str(p / "no.csv"), "--out", str(p / "agg.csv")],
             "No such file",
         ),
+        (lambda p: _summarize(p, "nan"), "metric rel_beta_hs contains non-finite values"),
+        (
+            lambda p: _summarize(p, "-inf", METRIC_NAMES[::-1]),
+            "metric baseline_rel_u_hs contains non-finite values",
+        ),
+        (lambda p: _summarize(p, metrics=METRIC_NAMES[:-2]), "has no rows for envy_max, baseline_rel_u_hs"),
+        (lambda p: _run(p, MARKET_2x3) + ["--threads", "-3"], "threads must be at least 1, got -3"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
-    assert main(argv(tmp_path)) == 2
+    args = argv(tmp_path)
+    files = sorted(tmp_path.rglob("*"))
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(("config error: ", "error: ")) and message in err
+    # refused before any output is written
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_run_reads_market_file_relative_to_config(tmp_path):

@@ -348,12 +348,12 @@ def assert_no_subnormal(prob, center, mu):
     """No softmax weight, share or Hessian entry at center is subnormal,
     dense or on the working set there."""
     with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-        working, _ = eg._working_set(center, prob, mu)
+        working = eg._working_set(center, prob, mu)
     for on in (None, working):
         obj, weights, mass = eg._smoothed_value(center, prob, mu, on)
         shares = weights / (mass if on is None else mass[on.cols])
         root = eg._smoothed_state(center, prob, mu, (obj, weights.copy(), mass), on)[3]
-        H = eg._smoothed_hessian(center, prob, mu, root, on)
+        H = eg._smoothed_hessian(prob, mu, root, on)
         for x in (weights, shares, root, np.abs(H)):
             assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
 
@@ -386,8 +386,7 @@ def assert_set_matches_dense(prob, center, mu, rng):
     and Hessian at center and at points inside and exactly at its radius."""
     n, m = prob.n, prob.m
     with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-        working, share = eg._working_set(center, prob, mu)
-    assert share == working.rows.size / (n * m)
+        working = eg._working_set(center, prob, mu)
     radius = working.radius if np.isfinite(working.radius) else 0.5
     # some coordinates move by exactly the radius, upward where moving down
     # would leave beta <= 0
@@ -405,14 +404,47 @@ def assert_set_matches_dense(prob, center, mu, rng):
         root[working.rows, working.cols] = sparse[3]
         assert np.array_equal(root > 0, dense[3] > 0)
         assert np.allclose(root, dense[3], rtol=1e-12, atol=0.0)
-        H = eg._smoothed_hessian(beta, prob, mu, dense[3])
-        H_set = eg._smoothed_hessian(beta, prob, mu, sparse[3], working)
+        H = eg._smoothed_hessian(prob, mu, dense[3])
+        H_set = eg._smoothed_hessian(prob, mu, sparse[3], working)
         assert H_set.dtype == np.float64
         # the dense Hessian adds and cancels terms up to the diagonal sum
         # below, so it is exact only to a rounding error of that size
-        terms = np.einsum("ij,ij->i", dense[3], prob.root_factor) / mu + 1.0 / (n * beta**2)
+        terms = np.einsum("ij,ij->i", dense[3], prob.root_factor) / mu
         assert np.all(np.abs(H_set - H) <= 1e-12 * terms.max())
     return working
+
+
+def record_sets(monkeypatch):
+    """Record the solver's working-set calls: each evaluation's temperature,
+    point and set (None for a dense one), each set build's temperature and
+    result, and each bound's temperature and whether it rejected its point.
+
+    A bound must evaluate once, on the set it is given, and a point it
+    rejects must have a dense value above the threshold, so that the dense
+    search would reject it too."""
+    value, rejects, build = eg._smoothed_value, eg._bound_rejects, eg._working_set
+    evaluated, built, bounds = [], [], []
+
+    def recorded_value(beta, prob, mu, working=None):
+        evaluated.append((mu, beta.copy(), working))
+        return value(beta, prob, mu, working)
+
+    def checked_bound(candidate, prob, mu, working, flat):
+        before = len(evaluated)
+        rejected = rejects(candidate, prob, mu, working, flat)
+        assert len(evaluated) == before + 1 and evaluated[-1][2] is working
+        assert not rejected or value(candidate, prob, mu)[0] > flat
+        bounds.append((mu, rejected))
+        return rejected
+
+    def recorded_build(center, prob, mu):
+        built.append((mu, build(center, prob, mu)))
+        return built[-1][1]
+
+    monkeypatch.setattr(eg, "_smoothed_value", recorded_value)
+    monkeypatch.setattr(eg, "_bound_rejects", checked_bound)
+    monkeypatch.setattr(eg, "_working_set", recorded_build)
+    return evaluated, built, bounds
 
 
 class TestWorkingSet:
@@ -467,7 +499,7 @@ class TestWorkingSet:
         mu = 10.0**log_mu
         prob, center, rng = tied_problem(seed, n, m, mu)
         with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-            working, _ = eg._working_set(center, prob, mu)
+            working = eg._working_set(center, prob, mu)
         for beta in prob.lo + rng.random((6, n)) * (prob.hi - prob.lo):
             bound = eg._smoothed_value(beta, prob, mu, working)[0]
             dense = eg._smoothed_value(beta, prob, mu)[0]
@@ -485,71 +517,48 @@ class TestWorkingSet:
 
     @staticmethod
     def recorded_solve(monkeypatch, prob):
-        """The solve, with the temperatures of its dense evaluations, of its
-        set evaluations inside and outside the trust radius and of its set
-        builds, each build with whether it returned a set.
-
-        Outside the radius the set must be evaluated only as a bound, and
-        every point that bound rejects must have a dense value above the
-        threshold, so the dense search would reject it too."""
-        value, rejects, build = eg._smoothed_value, eg._bound_rejects, eg._working_set
-        dense, inside, outside, bounds, builds = [], [], [], [], []
-
-        def checked_value(beta, prob, mu, working=None):
+        """The solve, with the temperatures of its dense evaluations and of
+        its set evaluations inside the trust radius, each bound's temperature
+        with whether it rejected its point, and each set build's temperature
+        with whether it returned a set (see record_sets). Outside the radius
+        a set is evaluated only as a bound."""
+        evaluated, built, bounds = record_sets(monkeypatch)
+        sol = solve_dual(prob)
+        monkeypatch.undo()
+        dense, inside, outside = [], [], []
+        for mu, beta, working in evaluated:
             if working is None:
                 dense.append(mu)
             else:
                 far = np.abs(beta - working.center).max() > working.radius
                 (outside if far else inside).append(mu)
-            return value(beta, prob, mu, working)
-
-        def checked_bound(candidate, prob, mu, working, flat):
-            before = len(outside)
-            rejected = rejects(candidate, prob, mu, working, flat)
-            assert len(outside) == before + 1
-            assert not rejected or value(candidate, prob, mu)[0] > flat
-            bounds.append(mu)
-            return rejected
-
-        def recorded_build(center, prob, mu):
-            working, share = build(center, prob, mu)
-            builds.append((mu, working is not None))
-            return working, share
-
-        monkeypatch.setattr(eg, "_smoothed_value", checked_value)
-        monkeypatch.setattr(eg, "_bound_rejects", checked_bound)
-        monkeypatch.setattr(eg, "_working_set", recorded_build)
-        sol = solve_dual(prob)
-        monkeypatch.undo()
-        assert outside == bounds
-        return sol, dense, inside, outside, builds
+        assert outside == [mu for mu, _ in bounds]
+        return sol, dense, inside, bounds, [(mu, working is not None) for mu, working in built]
 
     @staticmethod
-    def assert_evaluations_accounted(sol, dense, inside, outside, builds):
+    def assert_evaluations_accounted(sol, dense, inside, bounds, builds):
         """Each stage's evaluations are exactly its set evaluations inside
         the radius, its bound evaluations and its dense ones. Each bound
         evaluation either rejects its point or is followed by a set built at
         it, and a stage on a set evaluates densely only where such a build
         returned no set."""
-        assert len(inside) == sum(s.set_evaluations for s in sol.stages)
+        assert sol.evaluations == len(dense) + len(inside) + len(bounds)
         for stage in sol.stages:
-            bounds = outside.count(stage.mu)
+            rejected = [rejected for mu, rejected in bounds if mu == stage.mu]
             built = [on_set for mu, on_set in builds if mu == stage.mu]
-            assert bounds == stage.bound_rejections + stage.rebuilds
-            assert len(built) == 1 + stage.rebuilds
-            assert inside.count(stage.mu) == stage.set_evaluations
-            assert stage.evaluations == stage.set_evaluations + bounds + dense.count(stage.mu)
+            assert len(built) == 1 + rejected.count(False)
+            assert stage.evaluations == inside.count(stage.mu) + len(rejected) + dense.count(stage.mu)
             if built[0] and all(built[1:]):
                 assert dense.count(stage.mu) == 0
 
     def test_no_set_evaluation_outside_radius(self, monkeypatch):
         sol, *recorded = self.recorded_solve(monkeypatch, self.solve_problem())
-        _, inside, outside, _ = recorded
+        _, inside, bounds, _ = recorded
         assert sol.converged
-        assert inside and outside
+        assert inside and bounds
         # every bound rejects, so the stages on a set, their entries
         # included, evaluate on it alone
-        assert sum(s.bound_rejections for s in sol.stages) == len(outside)
+        assert all(rejected for _, rejected in bounds)
         self.assert_evaluations_accounted(sol, *recorded)
 
     def test_rebuilds_accounted(self, monkeypatch):
@@ -558,8 +567,9 @@ class TestWorkingSet:
         # set's radius, and a later step leaves the set taken there
         prob = boxed_problem(354, 29, 186, 0.02, True)
         sol, *recorded = self.recorded_solve(monkeypatch, prob)
+        rebuilds = [mu for mu, rejected in recorded[2] if not rejected]
         assert sol.converged
-        assert any(s.rebuilds >= 2 and s.predicted for s in sol.stages)
+        assert any(rebuilds.count(s.mu) >= 2 and s.predicted for s in sol.stages)
         self.assert_evaluations_accounted(sol, *recorded)
 
     def test_reference_solve_at_wide_market_shape(self, monkeypatch):
@@ -583,34 +593,55 @@ class TestWorkingSet:
         ref = reference_distribution(harness.resolve_model(config))
         prob = market_problem(harness.resolve_market(config, ref), ref, config.delta0)
         sol, *recorded = self.recorded_solve(monkeypatch, prob)
-        dense = recorded[0]
+        dense, builds = recorded[0], recorded[3]
         assert sol.converged and sol.certified_mu == sol.stages[-1].mu
         assert [s.steps for s in sol.stages] == [1, 3, 5, 10, 18]
         assert [s.predicted for s in sol.stages] == [False, True, True, True, True]
         self.assert_evaluations_accounted(sol, *recorded)
-        on_set = [s for s in sol.stages if s.set_share < eg._DENSE_SHARE]
-        assert len(on_set) == 2 and not any(dense.count(s.mu) for s in on_set)
+        # a stage's first build is at its entry
+        entered = {}
+        for mu, on_set in builds:
+            entered.setdefault(mu, on_set)
+        on_set = [mu for mu in entered if entered[mu]]
+        assert len(on_set) == 2 and not any(dense.count(mu) for mu in on_set)
 
     def test_bound_rejection_keeps_the_dense_decisions(self, monkeypatch):
-        bounded = solve_dual(self.solve_problem())
+        # against a solve whose bound never rejects, each point the bound
+        # rejects costs the other solve an evaluation on a set built at it,
+        # and every stage takes the same steps and ends on the same set
+        stage, solves = eg._newton_stage, []
+
+        def recorded_stage(*args):
+            out = stage(*args)
+            on = out[2][1]
+            solves[-1].append(None if on is None else on.center.tobytes())
+            return out
 
         def never_rejects(candidate, prob, mu, working, flat):
             eg._smoothed_value(candidate, prob, mu, working)
             return False
 
-        monkeypatch.setattr(eg, "_bound_rejects", never_rejects)
-        dense = solve_dual(self.solve_problem())
+        for bound in (eg._bound_rejects, never_rejects):
+            solves.append([])
+            monkeypatch.setattr(eg, "_newton_stage", recorded_stage)
+            monkeypatch.setattr(eg, "_bound_rejects", bound)
+            sol, *recorded = self.recorded_solve(monkeypatch, self.solve_problem())
+            self.assert_evaluations_accounted(sol, *recorded)
+            solves[-1] = (sol, recorded[1], recorded[2], solves[-1])
+        (bounded, a_inside, a_bounds, a_ends), (dense, b_inside, b_bounds, b_ends) = solves
         assert np.array_equal(bounded.beta_hat, dense.beta_hat)
         assert (bounded.objective, bounded.residual) == (dense.objective, dense.residual)
-        assert sum(s.bound_rejections for s in bounded.stages) > 0
+        assert any(rejected for _, rejected in a_bounds)
+        assert not any(rejected for _, rejected in b_bounds)
+        assert a_ends == b_ends
         for a, b in zip(bounded.stages, dense.stages, strict=True):
-            assert (a.mu, a.steps, a.set_share) == (b.mu, b.steps, b.set_share)
+            assert (a.mu, a.steps) == (b.mu, b.steps)
             # each trial point outside the radius costs a bound evaluation and,
             # unless the bound rejects it, an evaluation on a set built at it
-            assert b.bound_rejections == 0
-            assert a.bound_rejections + a.rebuilds == b.rebuilds
-            assert a.set_evaluations + a.bound_rejections == b.set_evaluations
-            assert a.evaluations == b.evaluations - a.bound_rejections
+            rejected = [rejected for mu, rejected in a_bounds if mu == a.mu]
+            assert len(rejected) == [mu for mu, _ in b_bounds].count(b.mu)
+            assert a_inside.count(a.mu) + rejected.count(True) == b_inside.count(b.mu)
+            assert a.evaluations == b.evaluations - rejected.count(True)
 
     def test_rejected_point_outside_the_radius(self, monkeypatch):
         # started a hundredth off the optimum, the stage at mu = 1e-5 tries
@@ -620,47 +651,41 @@ class TestWorkingSet:
         mu = 1e-5
         noise = 0.01 * np.random.default_rng(13).standard_normal(prob.n)
         beta = np.clip(solve_dual(prob).beta_hat * (1.0 + noise), prob.lo, prob.hi)
-        build, rejects, value = eg._working_set, eg._bound_rejects, eg._smoothed_value
-        hessian = eg._smoothed_hessian
-        built, bounds, evaluated, stepped = [], [], [], []
+        state, hessian = eg._smoothed_state, eg._smoothed_hessian
+        states, stepped = [], []
 
-        def recorded_build(center, prob, mu):
-            built.append(build(center, prob, mu))
-            return built[-1]
+        def recorded_state(beta, prob, mu, value=None, working=None):
+            states.append((beta, working))
+            return state(beta, prob, mu, value, working)
 
-        def recorded_bound(candidate, prob, mu, working, flat):
-            bounds.append(rejects(candidate, prob, mu, working, flat))
-            return bounds[-1]
-
-        def recorded_value(beta, prob, mu, working=None):
-            evaluated.append((beta.copy(), working))
-            return value(beta, prob, mu, working)
-
-        def recorded_hessian(beta, prob, mu, root, working=None):
-            # each Newton step starts on a set that covers its point
-            assert working.covers(beta) and root.size == working.rows.size
+        def recorded_hessian(prob, mu, root, working=None):
+            # each Newton step starts on the set its point was evaluated on,
+            # which covers the point
+            point, on = states[-1]
+            assert working is on and on.covers(point) and root.size == on.rows.size
             stepped.append(working)
-            return hessian(beta, prob, mu, root, working)
+            return hessian(prob, mu, root, working)
 
-        monkeypatch.setattr(eg, "_working_set", recorded_build)
-        monkeypatch.setattr(eg, "_bound_rejects", recorded_bound)
-        monkeypatch.setattr(eg, "_smoothed_value", recorded_value)
+        evaluated, built, bounds = record_sets(monkeypatch)
+        monkeypatch.setattr(eg, "_smoothed_state", recorded_state)
         monkeypatch.setattr(eg, "_smoothed_hessian", recorded_hessian)
         end, _, (root, on), counts = eg._newton_stage(beta, prob, mu, 1e-3 * mu)
         monkeypatch.undo()
-        assert counts.rebuilds == len(built) - 1 == bounds.count(False)
-        assert counts.bound_rejections == bounds.count(True) > 0
+        built = [working for _, working in built]
+        rejected = [rejected for _, rejected in bounds]
+        assert len(built) - 1 == rejected.count(False)
+        assert rejected.count(True) > 0
+        assert counts.evaluations == len(evaluated)
         # the sets built at the points the search rejected, which the stage
         # never stepped from
         taken = stepped + [on]
-        assert [working for working, _ in built[1:] if all(working is not w for w in taken)]
+        assert [working for working in built[1:] if all(working is not w for w in taken)]
         # apart from the evaluation at its own center, a set the stage did
         # not take is never evaluated: a rejected point leaves the stage on
         # its set
-        for point, working in evaluated:
+        for _, point, working in evaluated:
             assert any(working is w for w in taken) or np.array_equal(point, working.center)
-        assert on.covers(end)
-        assert counts.set_share == next(share for working, share in built if working is on)
+        assert on.covers(end) and any(on is working for working in built)
         # on a set that covers end the shares, and so the root array, are
         # the dense ones bit for bit
         dense = eg._smoothed_state(end, prob, mu)[3]
@@ -985,7 +1010,7 @@ class TestTangent:
             mu = 10.0 ** rng.uniform(log_mu_low, -1.0)
             prob, center, _ = tied_problem(seed, n, m, mu)
             with mock.patch.object(eg, "_DENSE_SHARE", 2.0):
-                working, _ = eg._working_set(center, prob, mu)
+                working = eg._working_set(center, prob, mu)
             _, weights, mass = eg._smoothed_value(center, prob, mu)
             yield prob, center, mu, weights / mass, working
 
@@ -1022,7 +1047,9 @@ class TestTangent:
             for on in (None, working):
                 H, rhs, free, root = self.system(prob, beta, mu, on)
                 assert np.all(np.abs(rhs - expected[free]) <= 1e-12 * self.scale(prob, beta, mu, shares))
-                assert np.array_equal(H, eg._smoothed_hessian(beta, prob, mu, root, on)[np.ix_(free, free)])
+                full = eg._smoothed_hessian(prob, mu, root, on)
+                full.flat[:: prob.n + 1] += 1.0 / (prob.n * beta**2)
+                assert np.array_equal(H, full[np.ix_(free, free)])
                 checked += bool(np.any(rhs != 0.0))
         assert checked >= 400
 
@@ -1062,7 +1089,7 @@ class TestShorterPaths:
             assert (counts.steps, counts.evaluations) == (0, 2)
             assert np.array_equal(start, guess if taken else beta)
 
-    def test_predicted_point_outside_the_radius(self):
+    def test_predicted_point_outside_the_radius(self, monkeypatch):
         # the stage at 1e-4 times the first temperature, entered from the
         # second stage's end point, builds its set there. Aimed at that
         # stage's own end point, the prediction leaves the set's radius: the
@@ -1072,22 +1099,28 @@ class TestShorterPaths:
         points = list(itertools.islice(stage_points(TestWorkingSet.solve_problem()), 5))
         reduced, mu0, beta, _, _ = points[1]
         mu, end = points[4][1], points[4][2]
-        working, share = eg._working_set(beta, reduced, mu)
+        working = eg._working_set(beta, reduced, mu)
         value = eg._smoothed_value(beta, reduced, mu)[0]
         for target, taken in ((end, True), (np.full(reduced.n, reduced.hi), False)):
             guess = np.clip(target, reduced.lo, reduced.hi)
             assert not working.covers(guess)
             assert (eg._smoothed_value(guess, reduced, mu)[0] < value) == taken
             slope = (guess - beta) / (mu - mu0)
+            evaluated, built, bounds = record_sets(monkeypatch)
             start, _, (_, on), counts = eg._newton_stage(beta, reduced, mu, np.inf, (mu0, slope))
+            monkeypatch.undo()
             assert counts.predicted == taken
             assert np.array_equal(start, guess if taken else beta)
             assert np.array_equal(on.center, start)
-            assert counts.set_share == (eg._working_set(guess, reduced, mu)[1] if taken else share)
-            # the entry's set evaluation, the bound, and if taken the
-            # evaluation on the set built at the prediction
-            assert (counts.bound_rejections, counts.rebuilds) == (1 - taken, taken)
-            assert (counts.evaluations, counts.set_evaluations) == (2 + taken, 1 + taken)
+            # the entry's set evaluation, the bound on that set, and if taken
+            # the evaluation on the set built at the prediction, which the
+            # stage keeps
+            sets = [working for _, working in built]
+            assert len(sets) == 1 + taken and on is sets[-1]
+            assert bounds == [(mu, not taken)]
+            on_sets = [sets[0], sets[0], *sets[1:]]
+            assert [id(working) for _, _, working in evaluated] == [id(w) for w in on_sets]
+            assert counts.evaluations == 2 + taken
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1209,7 +1242,7 @@ def test_solution_json_round_trip(rng):
     assert len(doc["stages"]) == len(sol.stages)
     assert doc["iterations"] == sum(stage["steps"] for stage in doc["stages"])
     fields = {field.name for field in dataclasses.fields(eg.StageCounts)}
-    assert fields >= {"bound_rejections", "rebuilds", "set_share"}
+    assert fields == {"mu", "steps", "evaluations", "predicted"}
     assert all(set(stage) == fields for stage in doc["stages"])
     assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
