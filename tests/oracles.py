@@ -2,12 +2,13 @@
 
 The library computes these quantities only as curves over a recording grid
 (metrics.build_metric_series) or in the pacing loop (pace.run_pace_paths);
-these direct forms, terminal values and a generic averaging loop, run only
-in the tests. The dual solver's tangent takes the smoothed gradient's
+these direct forms, terminal values, a per-step pacing loop on Python
+floats and a generic averaging loop, run only in the tests. The dual solver's tangent takes the smoothed gradient's
 derivative in the temperature from Euler's identity; dgrad_dmu takes it
 from the bids.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from fairpace.dual_averaging import LogBarrierRegularizer, da_step, initial_state
 from fairpace.errors import DimensionMismatch, FairpaceError
 from fairpace.market import ItemSequence, MarketInstance
-from fairpace.pace import PaceTrace
+from fairpace.pace import PaceTrace, pacing_box
 
 
 class NonpositiveReference(FairpaceError):
@@ -94,6 +95,63 @@ def proportional_share_utilities(instance: MarketInstance, seq: ItemSequence) ->
         raise DimensionMismatch("sequence references items outside the universe")
     counts = np.bincount(seq.items, minlength=instance.m)
     return (1.0 / instance.n) * (instance.valuations @ counts) / seq.t
+
+
+def paced_reference(
+    instance: MarketInstance, seq: ItemSequence, delta0: float, record_times
+) -> PaceTrace:
+    """One path of the pacing dynamics, step by step on Python floats.
+
+    Each step does the library's update in its order: the first-index
+    argmax of the bids, u * (tau - 1), the winner's value added, / tau,
+    then 1 / (n u) clamped to the pacing box; spend is summed per agent in
+    step order. Returns every field, with the full multiplier trajectory.
+    """
+    n = instance.n
+    lo, hi = pacing_box(n, delta0)
+    V = instance.valuations.tolist()
+    stops = [int(tau) for tau in record_times]
+    stop_set = set(stops)
+    beta = [hi] * n
+    u = [0.0] * n
+    spend = [0.0] * n
+    winners, winner_values, winning_bids = [], [], []
+    betas = [list(beta)]
+    beta_at, u_bar_at, spend_avg_at = [], [], []
+    for tau, item in enumerate(seq.items.tolist(), start=1):
+        bids = [beta[i] * V[i][item] for i in range(n)]
+        w = 0
+        for i in range(1, n):
+            if bids[i] > bids[w]:
+                w = i
+        winners.append(w)
+        winner_values.append(V[w][item])
+        winning_bids.append(bids[w])
+        spend[w] += bids[w]
+        u = [x * (tau - 1.0) for x in u]
+        u[w] += V[w][item]
+        u = [x / tau for x in u]
+        for i in range(n):
+            scaled = n * u[i]
+            inverse = 1.0 / scaled if scaled else math.inf
+            beta[i] = min(max(inverse, lo), hi)
+        betas.append(list(beta))
+        if tau in stop_set:
+            beta_at.append(list(beta))
+            u_bar_at.append(list(u))
+            spend_avg_at.append([x / tau for x in spend])
+    return PaceTrace(
+        n=n,
+        t=seq.t,
+        winners=np.array(winners, dtype=np.int64),
+        winner_values=np.array(winner_values),
+        winning_bids=np.array(winning_bids),
+        record_times=np.array(stops, dtype=np.int64),
+        beta_at=np.array(beta_at),
+        u_bar_at=np.array(u_bar_at),
+        spend_avg_at=np.array(spend_avg_at),
+        betas=np.array(betas),
+    )
 
 
 def iterate_da(subgradient_fn, reg: LogBarrierRegularizer, data):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,20 @@ from fairpace.pace import (
 from fairpace.errors import DimensionMismatch, LengthMismatch
 from fairpace.inputs import random_iid_model, random_markov_model, sample_sequence
 from tests.conftest import has_bid_tie, random_instance, tie_free_run
+from tests.oracles import paced_reference
+
+
+def assert_same_traces(actual, expected):
+    """Every field of each trace equal, arrays byte for byte."""
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        for name in a.__dataclass_fields__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+            else:
+                assert x == y, name
 
 
 def each_item_once(values):
@@ -139,20 +155,9 @@ class TestRunPace:
 
 
 class TestLockstep:
-    def assert_same_traces(self, lockstep, single):
-        assert len(lockstep) == len(single)
-        for a, b in zip(lockstep, single):
-            for name in a.__dataclass_fields__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(y, np.ndarray):
-                    assert x.dtype == y.dtype and x.shape == y.shape, name
-                    assert x.tobytes() == y.tobytes(), name
-                else:
-                    assert x == y, name
-
     def run_both(self, inst, seqs, **kwargs):
         lockstep = run_pace_paths(inst, seqs, **kwargs)
-        self.assert_same_traces(lockstep, [run_pace(inst, seq, **kwargs) for seq in seqs])
+        assert_same_traces(lockstep, [run_pace(inst, seq, **kwargs) for seq in seqs])
 
     def test_three_paths_match_single_runs(self, rng):
         inst = random_instance(rng, 6, 9)
@@ -175,7 +180,7 @@ class TestLockstep:
         seqs = [ItemSequence(rng.integers(0, 4, size=60)) for _ in range(3)]
         alone = run_pace_paths(inst, seqs[1:2], record_betas=True)
         together = run_pace_paths(inst, seqs, record_betas=True)
-        self.assert_same_traces(together[1:2], alone)
+        assert_same_traces(together[1:2], alone)
 
     def test_spend_matches_running_sum(self, rng):
         inst = random_instance(rng, 4, 6)
@@ -212,6 +217,44 @@ class TestLockstep:
         seqs = [ItemSequence(np.array([0, 1])), ItemSequence(np.array([0, 3]))]
         with pytest.raises(DimensionMismatch):
             run_pace_paths(inst, seqs)
+
+
+class TestReferenceLoop:
+    """run_pace_paths against the per-step loop on Python floats, bit for bit."""
+
+    @pytest.mark.parametrize("paths", [1, 5])
+    @pytest.mark.parametrize("record_betas", [False, True])
+    def test_traces_equal_the_reference_loop(self, rng, paths, record_betas):
+        t = 120
+        # the lone agent's multiplier meets the lower bound whenever its
+        # average utility exceeds 1 + delta0; agents 0 and 1 of the tied
+        # market bid alike until one of them wins, as in
+        # TestLockstep.test_tied_bids; item 2 of the last is worth 0 to all
+        tied = rng.random((4, 5)) + 0.05
+        tied[1] = tied[0]
+        zero = rng.random((3, 4)) + 0.05
+        zero[:, 2] = 0.0
+        markets = [
+            random_instance(rng, 6, 9),
+            MarketInstance(rng.random((1, 3)) * 2 + 1),
+            MarketInstance(tied),
+            MarketInstance(zero),
+        ]
+        runs = [
+            (inst, [ItemSequence(rng.integers(0, inst.m, size=t)) for _ in range(paths)])
+            for inst in markets
+        ]
+        lone = paced_reference(markets[1], runs[1][1][0], 0.7, [t]).betas
+        assert np.isin(pacing_box(1, 0.7)[0], lone) and np.any(lone > pacing_box(1, 0.7)[0])
+        assert has_bid_tie(markets[2], runs[2][1][0], 0.7)
+        assert all(np.isin(2, seq.items) for seq in runs[3][1])
+        for inst, seqs in runs:
+            for times in (np.arange(1, t + 1), [1, 2, 7, 40, t - 1, t], [t]):
+                traces = run_pace_paths(inst, seqs, 0.7, times, record_betas)
+                expected = [paced_reference(inst, seq, 0.7, times) for seq in seqs]
+                if not record_betas:
+                    expected = [replace(trace, betas=None) for trace in expected]
+                assert_same_traces(traces, expected)
 
 
 class TestDaEquivalence:
