@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -280,6 +281,14 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
     return scored
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all the host's where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(
     config: ExperimentConfig,
     threads: int = 1,
@@ -289,7 +298,8 @@ def run_experiment(
     """Run all paths, aggregate, and optionally write CSV and JSON outputs.
 
     A failed path aborts the whole experiment with its path and seed in the
-    message. threads below 1 is a ConfigError.
+    message. threads below 1 is a ConfigError; no more worker processes
+    start than there are paths or CPUs this process may use.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -307,7 +317,7 @@ def run_experiment(
     seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
     # contiguous batches of at most LOCKSTEP_PATHS paths, one per worker when
     # the pool is used; each batch is paced in lockstep
-    workers = min(threads, config.paths)
+    workers = min(threads, config.paths, _usable_cpus())
     size = min(-(-config.paths // workers), LOCKSTEP_PATHS)
     jobs = [
         (
@@ -419,18 +429,25 @@ def write_outputs(
 
 def read_paths_csv(path) -> List[MetricSeries]:
     """Parse a per-path CSV back into one series per path, each holding
-    every metric of METRIC_NAMES with finite values on one grid."""
+    every metric of METRIC_NAMES with finite values on one grid.
+
+    A file is one run's: a repeated (path_id, metric, t) row or rows naming
+    more than one model is a ConfigError.
+    """
     rows: Dict[int, Dict[str, Dict[int, float]]] = {}
-    model_kinds: Dict[int, str] = {}
+    models = set()
     series_list = []
     with as_config_error(f"bad paths CSV {path}"):
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                pid = int(row["path_id"])
-                model_kinds.setdefault(pid, row["model"])
-                rows.setdefault(pid, {}).setdefault(row["metric"], {})[int(row["t"])] = float(
-                    row["value"]
-                )
+                pid, name, tau = int(row["path_id"]), row["metric"], int(row["t"])
+                by_t = rows.setdefault(pid, {}).setdefault(name, {})
+                if tau in by_t:
+                    raise ConfigError(f"path {pid} repeats the {name} row at t={tau}")
+                by_t[tau] = float(row["value"])
+                models.add(row["model"])
+        if len(models) > 1:
+            raise ConfigError(f"rows name more than one model: {sorted(models, key=str)}")
         for pid in sorted(rows):
             metrics = rows[pid]
             missing = [name for name in METRIC_NAMES if name not in metrics]
@@ -446,7 +463,7 @@ def read_paths_csv(path) -> List[MetricSeries]:
                 MetricSeries(
                     times=times,
                     values=values,
-                    metadata={"model": model_kinds[pid], "path_id": pid},
+                    metadata={"model": next(iter(models)), "path_id": pid},
                 )
             )
     if not series_list:

@@ -11,6 +11,13 @@ it runs many sample paths in lockstep, and `run_pace` is its one-path
 case. The update is exactly composite dual averaging with the log-barrier
 regularizer, and `equivalence_with_da` checks it step by step against the
 generic `dual_averaging.da_step`, the independent reference.
+
+The loop's time is per numpy call, and a Python scalar operand adds to
+each call: the ufunc converts it anew every time (NEP 50 promotion). With
+numpy 2.4 on (4, 100) arrays a call took 0.67-0.82 us with a scalar and
+0.43-0.63 us with a 0-d float64 array of the same value. So every per-step
+operand is an array, with tau - 1 and tau as 0-d views into one float64
+range; the values, and so every result's bits, are unchanged.
 """
 
 from dataclasses import dataclass
@@ -104,40 +111,43 @@ def run_pace_paths(
     beta_at = np.empty((P, times.size, n))
     u_bar_at = np.empty((P, times.size, n))
     spend_avg_at = np.empty((P, times.size, n))
-    # spend is only read at the recording times, so it is summed there:
-    # add.at adds each path's winning bids in step order, the same sums a
-    # running total makes
-    stops = times.tolist()
-    summed = rec = 0
+    # 0-d operands (module docstring); counts[s] is tau - 1 at step s
+    n_, one, lo_, hi_ = (np.array(x, dtype=np.float64) for x in (n, 1.0, lo, hi))
+    counts = np.arange(t + 1, dtype=np.float64)
+    multiply, divide, add = np.multiply, np.divide, np.add
+    maximum, minimum = np.maximum, np.minimum
+    take, argmax = VT.take, bids.argmax
 
+    start = 0
     with np.errstate(divide="ignore"):
-        for s in range(t):
-            # items are checked above; mode="clip" writes `values` unbuffered
-            VT.take(items[s], axis=0, out=values, mode="clip")
-            np.multiply(beta, values, out=bids)
-            np.add(row_start, bids.argmax(axis=1, out=winners[s]), out=flat_w)
-            winning_bids[s] = bids_flat[flat_w]
-            tau = s + 1
-            np.multiply(u_bar, tau - 1.0, out=u_bar)
-            u_flat[flat_w] += values_flat[flat_w]
-            np.divide(u_bar, tau, out=u_bar)
-            np.multiply(u_bar, n, out=beta)
-            np.divide(1.0, beta, out=beta)
-            np.maximum(beta, lo, out=beta)
-            np.minimum(beta, hi, out=beta)
-            if record_betas:
-                betas[:, tau] = beta
-            if tau == stops[rec]:
-                np.add.at(
-                    spend_flat,
-                    (winners[summed:tau] + row_start).reshape(-1),
-                    winning_bids[summed:tau].reshape(-1),
-                )
-                summed = tau
-                beta_at[:, rec] = beta
-                u_bar_at[:, rec] = u_bar
-                np.divide(spend, tau, out=spend_avg_at[:, rec])
-                rec += 1
+        for rec, stop in enumerate(times.tolist()):
+            for s in range(start, stop):
+                # items are checked above; mode="clip" writes `values` unbuffered
+                take(items[s], axis=0, out=values, mode="clip")
+                multiply(beta, values, out=bids)
+                add(row_start, argmax(axis=1, out=winners[s]), out=flat_w)
+                winning_bids[s] = bids_flat[flat_w]
+                multiply(u_bar, counts[s, ...], out=u_bar)
+                u_flat[flat_w] += values_flat[flat_w]
+                divide(u_bar, counts[s + 1, ...], out=u_bar)
+                multiply(u_bar, n_, out=beta)
+                divide(one, beta, out=beta)
+                maximum(beta, lo_, out=beta)
+                minimum(beta, hi_, out=beta)
+                if record_betas:
+                    betas[:, s + 1] = beta
+            # spend is only read at the recording times, so it is summed
+            # there: add.at adds each path's winning bids in step order, the
+            # same sums a running total makes
+            np.add.at(
+                spend_flat,
+                (winners[start:stop] + row_start).reshape(-1),
+                winning_bids[start:stop].reshape(-1),
+            )
+            beta_at[:, rec] = beta
+            u_bar_at[:, rec] = u_bar
+            divide(spend, stop, out=spend_avg_at[:, rec])
+            start = stop
 
     winners = np.ascontiguousarray(winners.T, dtype=np.int64)
     winning_bids = np.ascontiguousarray(winning_bids.T)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fairpace
+from fairpace import harness
 from fairpace.cli import main
 from fairpace.eg import hindsight_solution, market_problem, solve_dual
 from fairpace.harness import generate_market, load_config, resolve_market, resolve_model
@@ -93,10 +94,12 @@ def test_run_and_summarize(tmp_path):
     assert agg.read_bytes() == (out_dir / "aggregate.csv").read_bytes()
 
 
-def test_run_threads_match_serial(tmp_path):
+def test_run_threads_match_serial(tmp_path, monkeypatch):
     # the pool's workers warm-start each hindsight solve from the reference
     # optimum as a serial run does: the same bytes and the same solver
-    # counts, those of a warm start and not of a cold solve
+    # counts, those of a warm start and not of a cold solve; two CPUs, so
+    # two workers start on any host
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     config = {
         "schema": 1,
         "market": {"generator": {"n": 6, "m": 20, "rank": 2, "noise": 0.1, "seed": 3}},
@@ -264,11 +267,12 @@ def _solve(tmp_path, market=MARKET_2x3, items=(0, 1, 2)):
             "--sequence", _write(tmp_path, "seq.json", seq)]
 
 
-def _summarize(tmp_path, value="0.5", metrics=METRIC_NAMES):
+def _summarize(tmp_path, value="0.5", metrics=METRIC_NAMES, extra=()):
     """summarize of a one-path CSV holding metrics, the first one's value
-    at t = 1 given as value text."""
+    at t = 1 given as value text, followed by the extra rows."""
     rows = ["model,path_id,metric,t,value"]
     rows += [f"iid,0,{name},1,{value if k == 0 else '0.5'}" for k, name in enumerate(metrics)]
+    rows += extra
     return ["summarize", "--paths-csv", _write(tmp_path, "paths.csv", "\n".join(rows) + "\n"),
             "--out", str(tmp_path / "agg.csv")]
 
@@ -363,6 +367,16 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "metric baseline_rel_u_hs contains non-finite values",
         ),
         (lambda p: _summarize(p, metrics=METRIC_NAMES[:-2]), "has no rows for envy_max, baseline_rel_u_hs"),
+        # a later row used to overwrite the earlier one, and path 1 was
+        # aggregated as the first row's model
+        (
+            lambda p: _summarize(p, extra=[f"iid,0,{METRIC_NAMES[0]},1,999.0"]),
+            f"path 0 repeats the {METRIC_NAMES[0]} row at t=1",
+        ),
+        (
+            lambda p: _summarize(p, extra=[f"markov,1,{name},1,0.5" for name in METRIC_NAMES]),
+            "rows name more than one model: ['iid', 'markov']",
+        ),
         (lambda p: _run(p, MARKET_2x3) + ["--threads", "-3"], "threads must be at least 1, got -3"),
     ],
 )

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -242,8 +244,10 @@ class TestRunExperiment:
         for name in ("paths.csv", "aggregate.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        # both counts split unevenly over two workers: 2 + 1 and 3 + 2 paths
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # both counts split unevenly over two workers: 2 + 1 and 3 + 2 paths,
+        # on two CPUs whatever the host has
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         for paths in (3, 5):
             cfg = toy_config(paths=paths)
             serial, par = tmp_path / f"serial{paths}", tmp_path / f"par{paths}"
@@ -251,6 +255,43 @@ class TestRunExperiment:
             run_experiment(cfg, threads=2, out_dir=str(par))
             for name in ("paths.csv", "aggregate.csv"):
                 assert (serial / name).read_bytes() == (par / name).read_bytes()
+
+    def test_workers_capped_at_usable_cpus(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = toy_config(paths=5)
+        run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        for cpus, expected in ((2, [2]), (1, [2]), (8, [2, 5])):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            run_experiment(cfg, threads=64, out_dir=str(out))
+            assert sizes == expected
+            for name in ("paths.csv", "aggregate.csv"):
+                assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert harness._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert harness._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
     def test_batch_cap_matches_one_batch(self, tmp_path, monkeypatch):
         cfg = toy_config(paths=5)
