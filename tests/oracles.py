@@ -3,9 +3,9 @@
 The library computes these quantities only as curves over a recording grid
 (metrics.build_metric_series) or in the pacing loop (pace.run_pace_paths);
 these direct forms, terminal values, a per-step pacing loop on Python
-floats and a generic averaging loop, run only in the tests. The dual solver's tangent takes the smoothed gradient's
-derivative in the temperature from Euler's identity; dgrad_dmu takes it
-from the bids.
+floats and a generic averaging loop, run only in the tests. The dual
+solver's tangent takes the smoothed gradient's derivative in the
+temperature from Euler's identity; dgrad_dmu takes it from the bids.
 """
 
 import math

@@ -244,8 +244,9 @@ class TestReferenceLoop:
             (inst, [ItemSequence(rng.integers(0, inst.m, size=t)) for _ in range(paths)])
             for inst in markets
         ]
+        lo = pacing_box(1, 0.7)[0]
         lone = paced_reference(markets[1], runs[1][1][0], 0.7, [t]).betas
-        assert np.isin(pacing_box(1, 0.7)[0], lone) and np.any(lone > pacing_box(1, 0.7)[0])
+        assert np.isin(lo, lone) and np.any(lone > lo)
         assert has_bid_tie(markets[2], runs[2][1][0], 0.7)
         assert all(np.isin(2, seq.items) for seq in runs[3][1])
         for inst, seqs in runs:
