@@ -34,6 +34,7 @@ from .harness import (
 )
 from .inputs import model_from_dict, sample_sequence
 from .market import market_from_dict, market_to_dict, read_json, sequence_from_dict, sequence_to_dict
+from .pace import MAX_DELTA0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,8 +93,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if not (0.0 < args.delta0 < float("inf") and args.tol > 0.0):
-        raise ConfigError("--delta0 must be positive and finite and --tol positive")
+    if not (0.0 < args.delta0 <= MAX_DELTA0 and args.tol > 0.0):
+        raise ConfigError(
+            f"--delta0 must be positive and at most {MAX_DELTA0:g} and --tol positive"
+        )
     instance = market_from_dict(read_json(args.market, "market"))
     seq = sequence_from_dict(read_json(args.sequence, "sequence"))
     solution = hindsight_solution(instance, seq, delta0=args.delta0, tol=args.tol)

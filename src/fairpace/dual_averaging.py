@@ -7,24 +7,20 @@ coordinatewise reciprocal clamp(1 / (n g_bar_i)), with a zero average
 mapping to the upper bound. No stepsize parameter exists anywhere.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class LogBarrierRegularizer:
     """Psi(w) = -(1/n) sum(log w_i) restricted to the box [lo, hi]^n."""
 
-    n: int
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, lo: float, hi: float):
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not 0.0 < self.lo < self.hi:
+        if not 0.0 < lo < hi:
             raise ValueError("box must satisfy 0 < lo < hi")
+        self.n, self.lo, self.hi = n, lo, hi
 
     @property
     def modulus(self) -> float:
@@ -36,8 +32,7 @@ class LogBarrierRegularizer:
         return np.full(self.n, self.hi)
 
 
-@dataclass(frozen=True)
-class DaState:
+class DaState(NamedTuple):
     """Step counter, running subgradient average, and current iterate."""
 
     tau: int
@@ -68,8 +63,7 @@ def da_step(state: DaState, g, reg: LogBarrierRegularizer) -> DaState:
     return DaState(tau=tau, g_bar=g_bar, w=composite_argmin(g_bar, reg))
 
 
-@dataclass(frozen=True)
-class RegretBoundResult:
+class RegretBoundResult(NamedTuple):
     """Both sides of the suboptimality bound for one run and one reference."""
 
     lhs: float

@@ -81,9 +81,8 @@ converges to an optimal allocation only as the temperature vanishes.
 """
 
 import warnings
-from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,32 +91,25 @@ from .market import ItemSequence, MarketInstance, ReferenceDistribution
 from .pace import pacing_box
 
 
-@dataclass(frozen=True)
 class DualProblem:
     """Valuations, item weights summing to 1, and the multiplier box."""
 
-    valuations: np.ndarray
-    weights: np.ndarray
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        v = np.asarray(self.valuations, dtype=np.float64)
+    def __init__(self, valuations: np.ndarray, weights: np.ndarray, lo: float, hi: float):
+        v = np.asarray(valuations, dtype=np.float64)
         if v.flags.writeable:  # a read-only array is kept, not copied
             v = v.copy()
-        w = np.array(self.weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("valuations must be a 2-d matrix")
         if w.shape != (v.shape[1],):
             raise ValueError("weights length must match the item count")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if not 0.0 < self.lo < self.hi:
+        if not 0.0 < lo < hi:
             raise ValueError("box must satisfy 0 < lo < hi")
         v.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "valuations", v)
-        object.__setattr__(self, "weights", w)
+        self.valuations, self.weights, self.lo, self.hi = v, w, lo, hi
 
     @property
     def n(self) -> int:
@@ -140,8 +132,7 @@ def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> Du
     return DualProblem(instance.valuations, w, lo, hi)
 
 
-@dataclass(frozen=True)
-class StageCounts:
+class StageCounts(NamedTuple):
     """Work of one temperature stage.
 
     evaluations counts evaluations of the smoothed objective, rejected
@@ -156,8 +147,7 @@ class StageCounts:
     predicted: bool
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     """Minimizer estimate with its objective, fixed-point residual, and cost.
 
     stages holds each temperature stage's counts; iterations and
@@ -972,7 +962,7 @@ def solution_to_dict(solution: DualSolution) -> dict:
         "iterations": solution.iterations,
         "converged": solution.converged,
         "evaluations": solution.evaluations,
-        "stages": [asdict(stage) for stage in solution.stages],
+        "stages": [stage._asdict() for stage in solution.stages],
         "certified_mu": solution.certified_mu,
         "crossover_attempts": solution.crossover_attempts,
         "pivots": solution.pivots,

@@ -16,9 +16,8 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .market import (
     read_json,
 )
 from .metrics import METRIC_NAMES, MetricSeries, build_metric_series, recording_grid
-from .pace import run_pace_paths
+from .pace import MAX_DELTA0, run_pace_paths
 from .prng import derive_path_seed, make_generator
 
 CONFIG_SCHEMA = 1
@@ -47,8 +46,7 @@ CONFIG_SCHEMA = 1
 LOCKSTEP_PATHS = 16
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated experiment description; `raw` keeps the original document."""
 
     market: dict
@@ -60,7 +58,7 @@ class ExperimentConfig:
     dense_until: int
     grid_factor: float
     out_dir: Optional[str]
-    raw: dict = field(repr=False)
+    raw: dict
 
 
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentConfig:
@@ -78,8 +76,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     if t < 1 or paths < 1:
         raise ConfigError("t and paths must be positive")
     delta0 = read_field(float, doc, "delta0", 1.0)
-    if not 0.0 < delta0 < np.inf:
-        raise ConfigError(f"delta0 must be positive and finite, got {delta0!r}")
+    if not 0.0 < delta0 <= MAX_DELTA0:
+        raise ConfigError(f"delta0 must be positive and at most {MAX_DELTA0:g}, got {delta0!r}")
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
@@ -169,7 +167,8 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
         raise ConfigError("market spec must be an object")
     if "path" in doc:
         instance = market_from_dict(read_json(doc["path"], "market"))
-        return MarketInstance(normalize_valuations(instance.valuations, ref))
+        with as_config_error("bad market"):
+            return MarketInstance(normalize_valuations(instance.valuations, ref))
     if "generator" in doc:
         g = doc["generator"]
         with as_config_error("bad market generator spec"):
@@ -189,8 +188,7 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     raise ConfigError("market spec needs either 'path' or 'generator'")
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     """Across-path means and standard errors on the shared grid.
 
     solver holds the dual solves' counts (see _solve_counts): the reference
@@ -202,8 +200,8 @@ class AggregateReport:
     means: Dict[str, np.ndarray]
     stderrs: Optional[Dict[str, np.ndarray]]
     paths: int
-    provenance: Dict[str, object] = field(default_factory=dict)
-    solver: Dict[str, object] = field(default_factory=dict)
+    provenance: Dict[str, object]
+    solver: Dict[str, object]
 
     def terminal(self) -> Dict[str, Dict[str, Optional[float]]]:
         out = {}
@@ -233,7 +231,9 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
         means[name] = stack.mean(axis=0)
         if k > 1:
             stderrs[name] = stack.std(axis=0, ddof=1) / np.sqrt(k)
-    return AggregateReport(times=times, means=means, stderrs=stderrs, paths=k)
+    return AggregateReport(
+        times=times, means=means, stderrs=stderrs, paths=k, provenance={}, solver={}
+    )
 
 
 def _solve_counts(solution: DualSolution) -> dict:
@@ -344,8 +344,7 @@ def run_experiment(
     else:
         batches = [_run_paths(job) for job in jobs]
     series_list = [series for batch in batches for series, _ in batch]
-    report = replace(
-        summarize(series_list),
+    report = summarize(series_list)._replace(
         solver={
             "reference": _solve_counts(star),
             "hindsight": [counts for batch in batches for _, counts in batch],

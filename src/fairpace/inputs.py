@@ -20,8 +20,7 @@ horizon-t sequence.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .prng import categorical_cdf, make_generator, sample_categorical
 KINDS = ("iid", "corrupted", "markov", "periodic")
 
 
-@dataclass(frozen=True)
 class CorruptionSchedule:
     """Rule producing the per-step distributions of a corrupted model.
 
@@ -46,17 +44,14 @@ class CorruptionSchedule:
               corruption then equals `target` exactly.
     """
 
-    kind: str
-    scale: float = 1.0
-    target: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("decaying", "budgeted"):
-            raise ValueError(f"unknown corruption schedule kind {self.kind!r}")
-        if self.kind == "decaying" and not 0.0 <= self.scale < np.inf:
+    def __init__(self, kind: str, scale: float = 1.0, target: float = 0.0):
+        if kind not in ("decaying", "budgeted"):
+            raise ValueError(f"unknown corruption schedule kind {kind!r}")
+        if kind == "decaying" and not 0.0 <= scale < np.inf:
             raise ValueError("scale must be nonnegative and finite")
-        if self.kind == "budgeted" and not 0.0 <= self.target < 1.0:
+        if kind == "budgeted" and not 0.0 <= target < 1.0:
             raise ValueError("target must lie in [0, 1)")
+        self.kind, self.scale, self.target = kind, scale, target
 
 
 def _row_stochastic(matrix, name: str) -> np.ndarray:
@@ -71,7 +66,6 @@ def _row_stochastic(matrix, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class InputModel:
     """Tagged description of an arrival process over m items.
 
@@ -80,42 +74,36 @@ class InputModel:
     corner's headroom reaches is refused here, before any sampling.
     """
 
-    kind: str
-    base: Optional[ReferenceDistribution] = None
-    transition: Optional[np.ndarray] = None
-    period_dists: Optional[np.ndarray] = None
-    corruption: Optional[CorruptionSchedule] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown input model kind {self.kind!r}")
-        if self.kind in ("iid", "corrupted", "markov") and self.base is None:
-            raise ValueError(f"{self.kind} model requires a base distribution")
-        if self.base is not None and not isinstance(self.base, ReferenceDistribution):
-            object.__setattr__(self, "base", ReferenceDistribution(self.base))
-        if self.kind == "corrupted":
-            sched = self.corruption
-            if sched is None:
+    def __init__(
+        self, kind: str, base=None, transition=None, period_dists=None, corruption=None, seed=0
+    ):
+        if kind not in KINDS:
+            raise ValueError(f"unknown input model kind {kind!r}")
+        if kind in ("iid", "corrupted", "markov") and base is None:
+            raise ValueError(f"{kind} model requires a base distribution")
+        if base is not None and not isinstance(base, ReferenceDistribution):
+            base = ReferenceDistribution(base)
+        if kind == "corrupted":
+            if corruption is None:
                 raise ValueError("corrupted model requires a corruption schedule")
-            if sched.kind == "budgeted" and sched.target > 0.0:
-                _feasible_corners(1.0 - self.base.probs, sched.target)
-        if self.kind == "markov":
-            if self.transition is None:
+            if corruption.kind == "budgeted" and corruption.target > 0.0:
+                _feasible_corners(1.0 - base.probs, corruption.target)
+        if kind == "markov":
+            if transition is None:
                 raise ValueError("markov model requires a transition matrix")
-            tr = _row_stochastic(self.transition, "transition")
-            if tr.shape[0] != tr.shape[1]:
+            transition = _row_stochastic(transition, "transition")
+            if transition.shape[0] != transition.shape[1]:
                 raise ValueError("transition matrix must be square")
-            if tr.shape[0] != self.base.m:
+            if transition.shape[0] != base.m:
                 raise ValueError("transition size must match the base distribution")
-            object.__setattr__(self, "transition", tr)
-        if self.kind == "periodic":
-            if self.period_dists is None:
+        if kind == "periodic":
+            if period_dists is None:
                 raise ValueError("periodic model requires per-position distributions")
-            pd = _row_stochastic(self.period_dists, "period_dists")
-            if pd.shape[0] < 1:
+            period_dists = _row_stochastic(period_dists, "period_dists")
+            if period_dists.shape[0] < 1:
                 raise ValueError("period length must be at least 1")
-            object.__setattr__(self, "period_dists", pd)
+        self.kind, self.base, self.corruption, self.seed = kind, base, corruption, seed
+        self.transition, self.period_dists = transition, period_dists
 
     @property
     def m(self) -> int:

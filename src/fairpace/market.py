@@ -1,7 +1,7 @@
 """Market instances: agents with equal budgets, a finite item universe, valuations.
 
-All types are immutable value data; the backing arrays are marked read-only
-so instances can be shared freely across worker threads or processes.
+Instances are not modified after construction, and their arrays are
+read-only, so they can be shared freely across worker threads or processes.
 
 `read_json`, `read_field` and `as_config_error` are the one input boundary
 of every JSON document the package reads: configs, markets, sequences and
@@ -10,7 +10,6 @@ input models.
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +60,11 @@ def as_config_error(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class ReferenceDistribution:
     """Categorical distribution over the item universe."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
+    def __init__(self, probs):
+        probs = np.array(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0):
@@ -76,14 +72,13 @@ class ReferenceDistribution:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
         probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        self.probs = probs
 
     @property
     def m(self) -> int:
         return self.probs.size
 
 
-@dataclass(frozen=True)
 class MarketInstance:
     """n agents valuing m items, each agent holding a per-step budget of 1/n.
 
@@ -93,10 +88,8 @@ class MarketInstance:
     uniform 1/n, which sums to 1 per time step.
     """
 
-    valuations: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.valuations, dtype=np.float64)
+    def __init__(self, valuations):
+        v = np.array(valuations, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("valuations must be a nonempty 2-d matrix")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
@@ -104,7 +97,7 @@ class MarketInstance:
         if np.any(v.max(axis=1) <= 0):
             raise ValueError("every agent needs at least one positive valuation")
         v.setflags(write=False)
-        object.__setattr__(self, "valuations", v)
+        self.valuations = v
 
     @property
     def n(self) -> int:
@@ -115,14 +108,11 @@ class MarketInstance:
         return self.valuations.shape[1]
 
 
-@dataclass(frozen=True)
 class ItemSequence:
     """Realized arrival order of items, stored as indices into the universe."""
 
-    items: np.ndarray
-
-    def __post_init__(self):
-        items = np.array(self.items)
+    def __init__(self, items):
+        items = np.array(items)
         if items.ndim != 1 or items.size == 0:
             raise ValueError("items must be a nonempty 1-d vector")
         if not np.issubdtype(items.dtype, np.integer):
@@ -131,7 +121,7 @@ class ItemSequence:
             raise ValueError("item indices must be nonnegative 64-bit integers")
         items = items.astype(np.int64)
         items.setflags(write=False)
-        object.__setattr__(self, "items", items)
+        self.items = items
 
     @property
     def t(self) -> int:
@@ -153,7 +143,10 @@ def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     if np.any(expected <= 0):
         bad = np.flatnonzero(expected <= 0)
         raise ZeroExpectedValue(f"rows {bad.tolist()} have zero expected value")
-    return v / expected[:, None]
+    # a row whose expected value is tiny beside its entries overflows here;
+    # MarketInstance refuses the result, and the warning would only repeat that
+    with np.errstate(over="ignore"):
+        return v / expected[:, None]
 
 
 def market_to_dict(instance: MarketInstance) -> dict:

@@ -1,6 +1,5 @@
 """Performance metrics of a run relative to equilibrium benchmarks."""
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -64,20 +63,17 @@ def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.nd
     return np.asarray(times, dtype=np.int64)
 
 
-@dataclass(frozen=True)
 class MetricSeries:
     """Named error curves over the recording grid of one run."""
 
-    times: np.ndarray
-    values: Dict[str, np.ndarray]
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, vals in self.values.items():
-            if len(vals) != len(self.times):
+    def __init__(self, times: np.ndarray, values: Dict[str, np.ndarray], metadata=None):
+        for name, vals in values.items():
+            if len(vals) != len(times):
                 raise DimensionMismatch(f"metric {name} is not aligned with times")
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"metric {name} contains non-finite values")
+        self.times, self.values = times, values
+        self.metadata = {} if metadata is None else metadata
 
 
 def build_metric_series(

@@ -20,13 +20,17 @@ operand is an array, with tau - 1 and tau as 0-d views into one float64
 range; the values, and so every result's bits, are unchanged.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch
 from .market import ItemSequence, MarketInstance
+
+
+# Largest delta0 that a config or `fairpace solve` accepts. The dual solve
+# squares the box's upper end 1 + delta0, which overflows above about 1.3e154.
+MAX_DELTA0 = 1e150
 
 
 def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
@@ -36,8 +40,7 @@ def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
     return 1.0 / ((1.0 + delta0) * n), 1.0 + delta0
 
 
-@dataclass(frozen=True)
-class PaceTrace:
+class PaceTrace(NamedTuple):
     """Per-step record of one run plus snapshots on a recording grid.
 
     Snapshots taken "at step tau" hold the multiplier vector produced by

@@ -19,6 +19,7 @@ from fairpace.inputs import (
 )
 from fairpace.market import market_to_dict
 from fairpace.metrics import METRIC_NAMES
+from fairpace.pace import MAX_DELTA0
 
 
 @pytest.fixture
@@ -202,6 +203,8 @@ def test_config_error_exit_code(tmp_path):
         # a grid that would record nearly every step of a long horizon
         ({"t": 20000, "grid": {"factor": 1.0001}}, "MAX_GRID_POINTS = 1000"),
         ({"t": 10**12, "grid": {"dense_until": 10**12}}, "MAX_GRID_POINTS = 1000"),
+        # the dual solve would square 1 + delta0 past the float range
+        ({"delta0": 1e300}, "delta0 must be positive and at most 1e+150, got 1e+300"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -378,6 +381,13 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "rows name more than one model: ['iid', 'markov']",
         ),
         (lambda p: _run(p, MARKET_2x3) + ["--threads", "-3"], "threads must be at least 1, got -3"),
+        (lambda p: _solve(p) + ["--delta0", "1e300"], "--delta0 must be positive and at most 1e+150"),
+        # normalized against a base with a subnormal entry, the first row overflows
+        (
+            lambda p: _run(p, {"n": 2, "m": 2, "valuations": [[1, 0], [1, 1]]},
+                           {"kind": "iid", "base": [1e-320, 1.0]}),
+            "bad market: valuations must be finite and nonnegative",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
@@ -389,6 +399,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
     assert err.startswith(("config error: ", "error: ")) and message in err
     # refused before any output is written
     assert sorted(tmp_path.rglob("*")) == files
+
+
+def test_largest_delta0_runs(tmp_path):
+    assert main(_run(tmp_path, MARKET_2x3, delta0=MAX_DELTA0)) == 0
+    assert main(_solve(tmp_path) + ["--delta0", repr(MAX_DELTA0)]) == 0
 
 
 def test_run_reads_market_file_relative_to_config(tmp_path):
@@ -466,4 +481,11 @@ def test_cli_holds_blas_to_one_thread_unless_set():
 def test_cli_import_leaves_dual_averaging_unloaded():
     # only the tests' equivalence and regret checks use it
     loaded = "import sys, fairpace.cli; print('fairpace.dual_averaging' in sys.modules)"
+    assert run_python(loaded) == ["False"]
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the library's types are NamedTuples and plain classes: building
+    # dataclasses cost every run start-up time
+    loaded = "import sys, fairpace.cli, fairpace.harness; print('dataclasses' in sys.modules)"
     assert run_python(loaded) == ["False"]

@@ -11,7 +11,9 @@ from fairpace.market import (
     market_to_dict,
     normalize_valuations,
 )
+from fairpace.eg import DualProblem
 from fairpace.errors import ConfigError, DimensionMismatch, ZeroExpectedValue
+from fairpace.inputs import InputModel
 from tests.oracles import proportional_share_utilities
 
 
@@ -32,10 +34,31 @@ def test_market_instance_defaults_and_invariants():
         MarketInstance(np.array([[1.0, -0.5]]))
 
 
-def test_market_arrays_are_read_only():
-    inst = MarketInstance(np.array([[1.0, 2.0]]))
+PROBLEM = (np.ones((2, 2)), np.array([0.5, 0.5]), 0.25, 2.0)
+VALUE_ARRAYS = {
+    "MarketInstance.valuations": lambda: MarketInstance(np.array([[1.0, 2.0]])).valuations,
+    "ItemSequence.items": lambda: ItemSequence(np.array([0, 1])).items,
+    "ReferenceDistribution.probs": lambda: ReferenceDistribution(np.array([0.25, 0.75])).probs,
+    "InputModel.transition": lambda: InputModel(
+        "markov", [0.5, 0.5], transition=[[0.5, 0.5], [1.0, 0.0]]
+    ).transition,
+    "InputModel.period_dists": lambda: InputModel(
+        "periodic", period_dists=[[0.5, 0.5], [1.0, 0.0]]
+    ).period_dists,
+    "DualProblem.valuations": lambda: DualProblem(*PROBLEM).valuations,
+    "DualProblem.weights": lambda: DualProblem(*PROBLEM).weights,
+}
+
+
+@pytest.mark.parametrize("name", VALUE_ARRAYS)
+def test_market_arrays_are_read_only(name):
+    # the value types are not frozen: their arrays being read-only is what
+    # keeps an instance unchanged after construction
+    array = VALUE_ARRAYS[name]()
     with pytest.raises(ValueError):
-        inst.valuations[0, 0] = 5.0
+        array[(0,) * array.ndim] = 5
+    with pytest.raises(ValueError):
+        array *= 2
 
 
 def test_item_sequence_validation():

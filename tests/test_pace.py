@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ def assert_same_traces(actual, expected):
     """Every field of each trace equal, arrays byte for byte."""
     assert len(actual) == len(expected)
     for a, b in zip(actual, expected):
-        for name in a.__dataclass_fields__:
+        for name in a._fields:
             x, y = getattr(a, name), getattr(b, name)
             if isinstance(y, np.ndarray):
                 assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -254,7 +252,7 @@ class TestReferenceLoop:
                 traces = run_pace_paths(inst, seqs, 0.7, times, record_betas)
                 expected = [paced_reference(inst, seq, 0.7, times) for seq in seqs]
                 if not record_betas:
-                    expected = [replace(trace, betas=None) for trace in expected]
+                    expected = [trace._replace(betas=None) for trace in expected]
                 assert_same_traces(traces, expected)
 
 
