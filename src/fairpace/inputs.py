@@ -71,7 +71,8 @@ class InputModel:
 
     The base is converted to a ReferenceDistribution and the matrices to
     read-only row-stochastic arrays. A budgeted corruption whose target no
-    corner's headroom reaches is refused here, before any sampling.
+    corner's headroom reaches, and a decaying one whose first row's sum could
+    overflow, are refused here, before any sampling.
     """
 
     def __init__(
@@ -88,6 +89,15 @@ class InputModel:
                 raise ValueError("corrupted model requires a corruption schedule")
             if corruption.kind == "budgeted" and corruption.target > 0.0:
                 _feasible_corners(1.0 - base.probs, corruption.target)
+            if corruption.kind == "decaying":
+                # step 1's row sums to under 1 + m * scale; half the float
+                # range leaves room for the rounding of that sum
+                limit = float(np.finfo(np.float64).max) / (2 * base.m)
+                if corruption.scale > limit:
+                    raise ValueError(
+                        f"decaying corruption scale {corruption.scale!r} overflows the row "
+                        f"sum of m={base.m} items; the largest is {limit!r}"
+                    )
         if kind == "markov":
             if transition is None:
                 raise ValueError("markov model requires a transition matrix")

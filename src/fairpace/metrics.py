@@ -22,10 +22,10 @@ METRIC_NAMES = (
 )
 
 
-# build_metric_series builds the envy sum's flat indices for at most this
-# many entries at once, 128 KiB of them. Built for a whole grid chunk, up to
-# 182 000 entries at t=20000 and n=100, they raised the peak RSS of
-# `fairpace run` on that shape by 3.6 MB.
+# build_metric_series gathers the item values of at most this many (step,
+# agent) entries at once, with their envy-sum flat indices: 128 KiB of each.
+# Gathered for a whole grid chunk, which spans about 9% of t, the values
+# alone took 13.5 MB at t = 2e5 and n = 100, so the metric layer grew with t.
 _ENVY_BLOCK = 16384
 
 
@@ -109,30 +109,39 @@ def build_metric_series(
     values["mse_expenditure"] = ((trace.spend_avg_at - 1.0 / n) ** 2).sum(axis=1)
     values["regret_max"] = times * np.max(hs_u - trace.u_bar_at, axis=1)
 
-    # prefix walks shared by the envy and baseline curves, one grid chunk
-    # of (steps, n) item values at a time. S gathers the chunk's rows by
-    # flat index, winner * n + agent: the 1-d np.add.at is several times
-    # faster than the 2-d one and adds to each entry in the same step order
+    # prefix walks shared by the envy and baseline curves, one block of
+    # (steps, n) item values at a time. S gathers each block's rows by flat
+    # index, winner * n + agent: the 1-d np.add.at is several times faster
+    # than the 2-d one and adds to each entry in the same step order. A
+    # block is gathered under row 0 of `rows`, which carries the grid
+    # chunk's running sum from the block before (a chunk's first block
+    # leaves it out), so that sum adds the chunk's rows one after another,
+    # as the axis-0 sum of the whole chunk does
+    if seq.items.max() >= instance.m:
+        raise DimensionMismatch("sequence references items outside the universe")
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
     S = np.zeros((n, n))
     block_steps = max(1, _ENVY_BLOCK // n)
+    rows = np.empty((block_steps + 1, n))
     agents = np.arange(n)
     value_totals = np.zeros(n)
     envy_max = np.empty(times.size)
     baseline = np.empty(times.size)
     start = 0
     for k, stop in enumerate(times):
-        chunk = VT[seq.items[start:stop]]
-        winners = trace.winners[start:stop]
-        for b in range(0, stop - start, block_steps):
-            flat = (winners[b : b + block_steps, None] * n + agents).ravel()
-            np.add.at(S.reshape(-1), flat, chunk[b : b + block_steps].ravel())
-        value_totals += chunk.sum(axis=0)
+        for lo in range(start, stop, block_steps):
+            hi = min(lo + block_steps, stop)
+            block = rows[1 : hi - lo + 1]
+            # items are checked above; mode="clip" writes `block` unbuffered
+            VT.take(seq.items[lo:hi], axis=0, out=block, mode="clip")
+            flat = (trace.winners[lo:hi, None] * n + agents).ravel()
+            np.add.at(S.reshape(-1), flat, block.ravel())
+            rows[0] = rows[int(lo == start) : hi - lo + 1].sum(axis=0)
+        value_totals += rows[0]
         envy_max[k] = np.max(S.max(axis=0) - np.diag(S))
         baseline_u = (1.0 / n) * value_totals / stop
         baseline[k] = np.max(np.abs(baseline_u - hs_u) / hs_u)
         start = stop
-        del chunk  # free it before the next chunk is built
     values["envy_max"] = envy_max
     values["baseline_rel_u_hs"] = baseline
 

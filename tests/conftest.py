@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ def tie_free_run(rng, n, m, t, delta0=1.0, attempts=50):
         if not has_bid_tie(inst, seq, delta0):
             return inst, seq
     raise AssertionError("could not draw a tie-free run")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes tracemalloc saw allocated in it."""
+    tracemalloc.start()
+    try:
+        value = fn(*args, **kwargs)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -205,6 +205,12 @@ def test_config_error_exit_code(tmp_path):
         ({"t": 10**12, "grid": {"dense_until": 10**12}}, "MAX_GRID_POINTS = 1000"),
         # the dual solve would square 1 + delta0 past the float range
         ({"delta0": 1e300}, "delta0 must be positive and at most 1e+150, got 1e+300"),
+        # step 1's row of per-item weights would sum past the float range
+        (
+            {"model": {"kind": "corrupted", "random": {"m": 3, "seed": 4},
+                       "corruption": {"kind": "decaying", "scale": 1e308}}},
+            "bad random model directive: decaying corruption scale 1e+308 overflows",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -329,6 +335,20 @@ def _run(tmp_path, market_file=None, model=None, **fields):
                     "corruption": {"kind": "budgeted", "target": 0.5}}
             ),
             "bad random model directive: corruption target 0.5 exceeds the headroom",
+        ),
+        # a decaying scale whose first row sums past the float range, in both forms
+        (
+            lambda p: _sample(
+                p, {"kind": "corrupted", "random": {"m": 4, "seed": 2},
+                    "corruption": {"kind": "decaying", "scale": 1e308}}
+            ),
+            "bad random model directive: decaying corruption scale 1e+308 overflows",
+        ),
+        (
+            lambda p: _sample(
+                p, {**IID_3, "kind": "corrupted", "corruption": {"kind": "decaying", "scale": 1e308}}
+            ),
+            "bad model spec: decaying corruption scale 1e+308 overflows the row sum of m=3 items",
         ),
         (lambda p: _sample(p, "[1, 2"), "model is not valid JSON"),
         (lambda p: _solve(p, market={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),

@@ -1,6 +1,5 @@
 import itertools
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from fairpace.errors import (
 )
 from fairpace.inputs import reference_distribution
 from fairpace.market import ItemSequence, MarketInstance
-from tests.conftest import random_instance
+from tests.conftest import random_instance, traced_peak
 from tests.oracles import dgrad_dmu
 
 
@@ -190,12 +189,7 @@ class TestSolveDual:
         rng = np.random.default_rng(3)
         n, m = 100, 1500
         prob = market_problem(random_instance(rng, n, m), rng.dirichlet(np.ones(m)))
-        tracemalloc.start()
-        try:
-            sol = solve_dual(prob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sol, peak = traced_peak(solve_dual, prob)
         assert sol.converged
         assert peak < 4.0 * n * m * 8
 

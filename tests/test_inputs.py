@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ from fairpace.inputs import (
 )
 from fairpace.market import ReferenceDistribution
 from fairpace.prng import make_generator
+from tests.conftest import traced_peak
 
 
 def point_mass(m, j):
@@ -115,6 +114,20 @@ class TestCorruption:
         assert drift[0] > 10 * drift[-1]
         assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [4, 1500])
+    def test_largest_decaying_scale_samples(self, m):
+        # step 1's row sums to under 1 + m * scale, which overflowed for a
+        # scale of 1e308: the row came out all zeros, with a RuntimeWarning
+        limit = np.finfo(np.float64).max / (2 * m)
+        model = random_corrupted_model(m, CorruptionSchedule("decaying", scale=limit), seed=2)
+        dists = np.concatenate(list(corruption_step_distributions(model, 5)))
+        assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-12)
+        sample_sequence(model, 5, path_seed=3)
+        with pytest.raises(ValueError, match="overflows the row sum"):
+            random_corrupted_model(
+                m, CorruptionSchedule("decaying", scale=np.nextafter(limit, np.inf)), seed=2
+            )
+
     def test_budgeted_infeasible_target(self):
         base = point_mass(3, 0)
         model = InputModel(
@@ -194,12 +207,7 @@ class TestCorruptedBlocks:
         # one (t, m) float table at t = 20000, m = 300 is 48 MB, and sampling
         # from such tables peaked at 96 MB
         model = random_corrupted_model(300, schedule, seed=2)
-        tracemalloc.start()
-        try:
-            sample_sequence(model, 20000, path_seed=9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sample_sequence, model, 20000, path_seed=9)
         assert peak < 8e6
 
 

@@ -7,7 +7,7 @@ from fairpace.market import ItemSequence, MarketInstance
 from fairpace.metrics import METRIC_NAMES, build_metric_series, recording_grid
 from fairpace.errors import DimensionMismatch
 from fairpace.pace import PaceTrace, run_pace
-from tests.conftest import random_instance, tie_free_run
+from tests.conftest import random_instance, tie_free_run, traced_peak
 from tests.oracles import (
     NonpositiveReference,
     envy,
@@ -251,22 +251,65 @@ class TestMetricSeries:
             relative_error_max(baseline_u, hs_u)
         )
 
+    def test_item_outside_universe(self, rng):
+        # the blocks are gathered unchecked, so an item past m would read
+        # the last item's values
+        inst = random_instance(rng, 2, 3)
+        trace = run_pace(inst, ItemSequence(np.array([0, 1, 2])))
+        ones = np.ones(2)
+        with pytest.raises(DimensionMismatch):
+            build_metric_series(
+                trace, inst, ItemSequence(np.array([0, 1, 3])), ones, ones, ones, ones
+            )
+
     @pytest.mark.parametrize("block", [16384, 70, 7, 1])
     def test_envy_curve_matches_two_dimensional_sum(self, rng, monkeypatch, block):
         # the flat-index np.add.at adds each step to S in the order the 2-d
         # form np.add.at(S, winners, values) does, in index blocks of any
-        # size, so the curve is bit-identical
+        # size, so the curve is bit-identical. The blocks' value sums carry
+        # each grid chunk's running sum, so they add its rows in the order of
+        # the whole chunk's axis-0 sum and the baseline curve keeps its bits
         monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
         inst = random_instance(rng, 7, 9)
         seq = ItemSequence(rng.integers(0, 9, size=900))
         grid = recording_grid(900, dense_until=20, factor=1.3)
         trace = run_pace(inst, seq, record_times=grid)
         ones = np.ones(7)
-        series = build_metric_series(trace, inst, seq, ones, ones, ones, ones)
+        # a small hindsight utility keeps the baseline's low bits in its
+        # relative error, which a utility near it would cancel
+        hs_u = np.full(7, 1e-3)
+        series = build_metric_series(trace, inst, seq, ones, hs_u, ones, ones)
         S = np.zeros((7, 7))
-        expected, start = [], 0
+        value_totals = np.zeros(7)
+        envy, baseline, start = [], [], 0
         for stop in grid:
-            np.add.at(S, trace.winners[start:stop], inst.valuations.T[seq.items[start:stop]])
-            expected.append(np.max(S.max(axis=0) - np.diag(S)))
+            chunk = inst.valuations.T[seq.items[start:stop]]
+            np.add.at(S, trace.winners[start:stop], chunk)
+            envy.append(np.max(S.max(axis=0) - np.diag(S)))
+            value_totals += chunk.sum(axis=0)
+            baseline_u = (1.0 / 7) * value_totals / stop
+            baseline.append(np.max(np.abs(baseline_u - hs_u) / hs_u))
             start = stop
-        assert np.array_equal(series.values["envy_max"], expected)
+        assert np.array_equal(series.values["envy_max"], envy)
+        assert np.array_equal(series.values["baseline_rel_u_hs"], baseline)
+
+    def test_peak_allocation_is_flat_in_the_horizon(self):
+        # the item values of a grid chunk, about 9% of t, were gathered at
+        # once: 1.9 MB at t = 2e4 and 14 MB at t = 2e5. Gathered a block of
+        # metrics._ENVY_BLOCK entries at a time, they take 0.66 MB at both
+        n, m = 100, 50
+        peaks = []
+        for t in (20_000, 200_000):
+            rng = np.random.default_rng(3)
+            inst = MarketInstance(rng.random((n, m)) + 0.05)
+            seq = ItemSequence(rng.integers(0, m, size=t))
+            # random winners and snapshots stand in for a pacing run
+            grid = recording_grid(t)
+            snaps = rng.random((grid.size, n)) + 0.5
+            empty = np.zeros(t)
+            winners = rng.integers(0, n, size=t)
+            trace = PaceTrace(n, t, winners, empty, empty, grid, snaps, snaps, snaps / n)
+            ones = np.ones(n)
+            _, peak = traced_peak(build_metric_series, trace, inst, seq, ones, ones, ones, ones)
+            peaks.append(peak)
+        assert max(peaks) < 1e6, peaks
