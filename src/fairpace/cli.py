@@ -83,7 +83,10 @@ def _cmd_run(args) -> int:
     if isinstance(doc, dict):
         doc.update((key, value) for key, value in overrides.items() if value is not None)
     config = config_from_dict(doc, base_dir=Path(args.config).parent)
-    report = run_experiment(config, threads=args.threads, out_dir=args.out)
+    target = args.out or config.out_dir
+    if target is not None:
+        _check_out_dir(target, directory=True)
+    report = run_experiment(config, threads=args.threads, out_dir=target)
     terminal = report.terminal()
     for name in sorted(terminal):
         entry = terminal[name]
@@ -141,17 +144,30 @@ _COMMANDS = {
 }
 
 
-def _check_out_dir(out) -> None:
-    """Refuse an --out whose directory is missing, before any work is done."""
-    parent = Path(out).parent
-    if not parent.is_dir():
-        raise ConfigError(f"output directory {str(parent)!r} does not exist")
+def _check_out_dir(out, directory: bool = False) -> None:
+    """Refuse an output path that cannot be written, before any work is done.
+
+    An output file needs an existing directory and must not be one itself.
+    A run's output directory is created with its parents, so the nearest of
+    them that exists must be a directory.
+    """
+    path = Path(out)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {out!r} cannot be made: {str(existing)!r} is a file")
+        return
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {str(path.parent)!r} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"output file {out!r} is a directory")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # `run --out` names a directory, which the run creates
+        # `run --out` names a directory, which the run creates; _cmd_run
+        # checks it once the config, which may name it too, is read
         if args.command != "run" and args.out is not None:
             _check_out_dir(args.out)
         return _COMMANDS[args.command](args)

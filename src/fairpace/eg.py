@@ -51,15 +51,15 @@ half an ulp of its item's mass, so the value and every kept share equal a
 plain exp's, and no weight, share or Hessian entry is subnormal. At small
 temperatures nearly every weight is that far down, so each stage first
 builds, at its start point, a working set of the pairs near their item's
-top bid and evaluates on it while the multipliers stay within a trust
-radius in which that is exact (see _WorkingSet); its Hessian's cross term
-sums over the pairs of agents that split an item. Outside the radius the
-set's value is a lower bound on the dense one: a point, trial or
-predicted, whose bound already fails its test is rejected, and any other
-is evaluated on a set built at it, which the stage keeps if it takes the
-point. So a stage on a set passes over the whole matrix only to build
-sets. A stage whose set would hold 40% of the pairs or more runs dense; on
-the benchmark's shapes those are the stages above mu ~ 1e-4.
+top bid and evaluates every point of the stage on it (see _WorkingSet);
+its Hessian's cross term sums over the pairs of agents that split an item.
+So a stage on a set passes over the whole matrix once, to build it. At its
+start point the set's value and shares are the dense ones; elsewhere the
+set may miss a pair that carries weight, and its value is a lower bound on
+the dense one. The crossover's certificate, which prices every item over
+all agents, is the solve's one exactness gate. A stage whose set would
+hold 40% of the pairs or more runs dense; on the benchmark's shapes those
+are the stages above mu ~ 1e-4.
 
 Once the temperature has fallen to 1e-4 times the first stage's, each
 stage is followed by an exact crossover (see _crossover), the crossover
@@ -76,8 +76,9 @@ The reported residual is the fixed-point gap
 For a certified point that allocation is the certificate's, exact up to
 rounding, so the residual is of rounding size (1e-15 to 1e-13 on the
 benchmark's problems) and the point is the exact minimizer. For a point the
-stages end on, u comes from the last temperature's softmax tie split, which
-converges to an optimal allocation only as the temperature vanishes.
+stages end on, u comes from the last temperature's softmax tie split over
+every pair, which converges to an optimal allocation only as the
+temperature vanishes.
 """
 
 import warnings
@@ -136,7 +137,7 @@ class StageCounts(NamedTuple):
     """Work of one temperature stage.
 
     evaluations counts evaluations of the smoothed objective, rejected
-    trial points and working-set bounds included. predicted says whether
+    trial points included. predicted says whether
     the stage started from the tangent predictor's point (see
     _newton_stage).
     """
@@ -205,17 +206,16 @@ def dual_objective(beta, prob: DualProblem) -> float:
 _EXP_CUTOFF = -100.0
 
 # A working set holds the pairs within _SET_WIDTH mu of their column's top
-# bid. Past the 100 mu that can carry weight, the slack sets the trust
-# radius: an excluded bid must close a gap of at least (_SET_WIDTH - 101) mu
-# before its weight can be nonzero. A narrower set is left sooner, and each
-# exit costs an evaluation on the set and, when that does not rule the trial
-# point out, a dense one; a wider one runs its stage dense (_DENSE_SHARE).
-# At 600 the mu ~ 1e-4 stage's set holds 9-10% of the pairs on the
-# benchmark's shapes and the mu ~ 1e-5 stage's 1.4-1.7%. Median solve time
-# at seeds 5 and 11, over that of a cutoff of -690 with width 3000: widths
-# 250, 400, 600 and 1000 took 0.76, 0.67, 0.65 and 0.73 of it on
-# wide_market and 0.80, 0.74, 0.76 and 0.80 on paper; the cutoff alone, at
-# width 3000, took 0.90 and 0.88.
+# bid at its stage's start point. Past the 100 mu that can carry weight, the
+# slack covers the stage's moves: a pair left out must close a gap of about
+# (_SET_WIDTH - 100) mu before its weight can be nonzero. A wider set runs
+# its stage dense sooner (_DENSE_SHARE). At 600 the mu ~ 1e-4 stage's set
+# holds 9-10% of the pairs on the benchmark's shapes and the mu ~ 1e-5
+# stage's 1.4-1.7%. Median solve time at seeds 5 and 11, over that of a
+# cutoff of -690 with width 3000, measured when a stage also rebuilt its set
+# at points that moved too far: widths 250, 400, 600 and 1000 took 0.76,
+# 0.67, 0.65 and 0.73 of it on wide_market and 0.80, 0.74, 0.76 and 0.80 on
+# paper; the cutoff alone, at width 3000, took 0.90 and 0.88.
 _SET_WIDTH = 600.0
 
 # A set holding this share of the n m pairs or more is not used and its
@@ -236,28 +236,22 @@ _MAX_STAGE_STEPS = 200
 
 
 class _WorkingSet:
-    """The pairs that can carry softmax weight while beta stays near a center.
+    """The pairs that can carry softmax weight near the point a set is
+    built at.
 
-    Holds the (agent, item) pairs whose bid at the center lies within
-    _SET_WIDTH mu of their column's top bid, grouped by column with agents
-    ascending, and the trust radius
-
-        r = min over excluded pairs of (gap_ij - 101 mu) / (v_ij + v_wj)
-
-    where gap_ij is the pair's distance below its column's top bid and w
-    the column's top bidder, both at the center. While
-    |beta - center|_inf <= r every excluded pair's exponent stays a unit
-    below the cutoff, more than the rounding of the bids can make up, and
-    each column's top bid is one of the set's, so the value and shares
-    computed on the set are the dense ones bit for bit (each column's mass
-    sums its agents in the same order, less terms of exactly 0), and the
-    utilities and Hessian equal the dense ones up to summation order.
-    Outside r the set's value is still a lower bound on the dense one (see
-    _bound_rejects).
+    Holds the (agent, item) pairs that inside, an (n, m) mask, names,
+    grouped by column with agents ascending. Built at a point from the
+    pairs whose bid lies within _SET_WIDTH mu of their column's top bid,
+    every excluded pair's exponent there is below the cutoff and each
+    column's top bid is one of the set's, so at that point the value and
+    shares computed on the set are the dense ones bit for bit (each
+    column's mass sums its agents in the same order, less terms of exactly
+    0), and the utilities and Hessian equal the dense ones up to summation
+    order. At any point the set's value sums a subset of each column's
+    terms, a lower bound on the dense one.
     """
 
-    def __init__(self, center, radius: float, inside, prob: DualProblem):
-        self.center, self.radius = center, radius
+    def __init__(self, inside, prob: DualProblem):
         # the transposed mask's flat order is by item, agents ascending
         self.cols, self.rows = np.divmod(np.flatnonzero(inside.T), prob.n)
         self.values = prob.valuations[self.rows, self.cols]
@@ -266,29 +260,21 @@ class _WorkingSet:
         counts = np.bincount(self.cols, minlength=prob.m)
         self.starts = np.cumsum(counts) - counts
 
-    def covers(self, beta) -> bool:
-        return float(np.abs(beta - self.center).max()) <= self.radius
 
-
-def _working_set(center, prob: DualProblem, mu: float):
-    """The working set at center, or None when it would hold _DENSE_SHARE
-    of the pairs or more: at once when the largest multiplier times the
+def _working_set(beta, prob: DualProblem, mu: float):
+    """The working set at beta, or None when it would hold _DENSE_SHARE of
+    the pairs or more: at once when the largest multiplier times the
     largest valuation lies within the set's width.
     """
     V = prob.valuations
-    if _SET_WIDTH * mu >= center.max() * V.max() and 1.0 >= _DENSE_SHARE:
+    if _SET_WIDTH * mu >= beta.max() * V.max():
         return None
-    z = center[:, None] * V
+    z = beta[:, None] * V
     z -= z.max(axis=0)
     inside = z >= -_SET_WIDTH * mu
     if np.count_nonzero(inside) / inside.size >= _DENSE_SHARE:
         return None
-    # the first agent whose bid is the top one, as its gap is exactly 0
-    top_values = V[z.argmax(axis=0), np.arange(prob.m)]
-    np.subtract((_EXP_CUTOFF - 1.0) * mu, z, out=z)
-    np.putmask(z, inside, np.inf)
-    z /= V + top_values
-    return _WorkingSet(center, float(z.min()), inside, prob)
+    return _WorkingSet(inside, prob)
 
 
 def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
@@ -299,7 +285,7 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     without calling exp, so the value is that of a plain exp, and at small
     temperatures nearly every entry is that far below its column's top bid.
     Given a working set, the weights are those of the set's pairs, in its
-    order; they are the dense ones when the set covers beta.
+    order; at the point the set was built at they are the dense ones.
     """
     if working is None:
         z = beta[:, None] * prob.valuations
@@ -386,23 +372,6 @@ def _smoothed_hessian(prob: DualProblem, mu: float, root, working=None):
     return H
 
 
-def _bound_rejects(candidate, prob: DualProblem, mu: float, working, flat: float) -> bool:
-    """Whether the working set's value at candidate shows that the dense
-    value exceeds flat, so that the line search would reject the point.
-
-    The set's value sums a subset of each column's exponential terms, so
-    wherever candidate lies it is at most the dense value, up to rounding.
-    Each value rounds by at most (m + n + 4) eps times its price term plus
-    the magnitude of its log barrier. The box bounds the barrier by
-    max |log beta|, and the price term by the value plus that; the bound
-    must clear flat by the two values' rounding together.
-    """
-    bound = _smoothed_value(candidate, prob, mu, working)[0]
-    barrier = max(abs(np.log(prob.lo)), abs(np.log(prob.hi)))
-    margin = 2.0 * (prob.m + prob.n + 4) * np.finfo(float).eps * (abs(flat) + 2.0 * barrier)
-    return bound > flat + margin
-
-
 def _projected_gradient(beta, grad, lo, hi) -> np.ndarray:
     pg = grad.copy()
     pg[(beta <= lo * (1 + 1e-12)) & (grad > 0)] = 0.0
@@ -417,7 +386,8 @@ def _norm(x) -> float:
 def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     """Damped projected Newton on the mu-smoothed objective.
 
-    The stage first builds its working set at beta, then evaluates there.
+    The stage first builds its working set at beta and evaluates every
+    point of the stage on it, beta first (dense when no set is built).
     Given slope, the pair (mu0, d beta / d mu at beta) that _tangent
     returns for the stage at mu0 that ended at beta, it then predicts its
     point on the central path, clip(beta + (mu - mu0) slope), and starts
@@ -442,41 +412,20 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     projected gradient is within gtol, after _MAX_STAGE_STEPS steps, or
     when no trial point is accepted.
 
-    Points within the set's trust radius are evaluated on it. At a point
-    outside it the set's value is a lower bound on the dense one, and a
-    bound above the point's threshold (the start value for the predicted
-    point, the acceptance threshold for a trial point) rejects it; any
-    other such point is evaluated on a set built at it, or densely if none
-    is built, and only taking the point adopts that set. Returns the new
-    point, its utilities under this stage's tie split, its root array (see
-    _smoothed_state) with the working set it lies on (None for a dense one)
-    and the stage's StageCounts.
+    Returns the new point, its utilities under this stage's tie split over
+    the set's pairs, its root array (see _smoothed_state) with the stage's
+    working set (None for a dense stage) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    evaluations = 0
-
-    def evaluate(point, threshold=np.inf):
-        """The smoothed value at point with the working set it was taken on,
-        or None when the stage's set does not cover point and its bound
-        shows the value above threshold."""
-        nonlocal evaluations
-        on = working
-        if working is not None and not working.covers(point):
-            evaluations += 1
-            if _bound_rejects(point, prob, mu, working, threshold):
-                return None
-            on = _working_set(point, prob, mu)
-        evaluations += 1
-        return _smoothed_value(point, prob, mu, on), on
-
     working = _working_set(beta, prob, mu)
-    value = evaluate(beta)[0]
-    predicted = False
+    value = _smoothed_value(beta, prob, mu, working)
+    evaluations, predicted = 1, False
     if slope is not None:
         guess = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
-        found = evaluate(guess, value[0])
-        if found is not None and found[0][0] < value[0]:
-            beta, (value, working), predicted = guess, found, True
+        found = _smoothed_value(guess, prob, mu, working)
+        evaluations += 1
+        if found[0] < value[0]:
+            beta, value, predicted = guess, found, True
         del found
     obj, grad, utilities, root = _smoothed_state(beta, prob, mu, value, working)
     del value
@@ -503,17 +452,18 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
                 continue
             # a rejected point's dense arrays go before the next evaluation
             found = state = None
-            found = evaluate(candidate, flat)
-            if found is not None and found[0][0] <= flat:
-                state = _smoothed_state(candidate, prob, mu, *found)
+            found = _smoothed_value(candidate, prob, mu, working)
+            evaluations += 1
+            if found[0] <= flat:
+                state = _smoothed_state(candidate, prob, mu, found, working)
                 cand_pg = _projected_gradient(candidate, state[1], lo, hi)
                 if state[0] < obj or _norm(cand_pg) < 0.9 * pg_norm:
-                    accepted = (candidate, state, cand_pg, found[1])
+                    accepted = (candidate, state, cand_pg)
                     last = alpha
                     break
         if accepted is None:
             break
-        beta, (obj, grad, utilities, root), pg, working = accepted
+        beta, (obj, grad, utilities, root), pg = accepted
     return beta, utilities, (root, working), StageCounts(mu, steps, evaluations, predicted)
 
 
@@ -826,7 +776,9 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     certify the exact optimum the stage's softmax flow implies, and the
     first point it certifies is returned with its certificate's residual.
     Otherwise the residual of the last stage's point is the fixed-point gap
-    under that temperature's tie split, whose utilities the stage returns.
+    under that temperature's tie split over every pair, one dense
+    evaluation: the stage's working set may miss a pair that carries
+    weight there.
     If the residual exceeds 10 tol a NoConvergenceWarning is emitted and the
     best iterate is still returned.
 
@@ -902,6 +854,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         del root
 
     if certified_mu is None:
+        utilities = _smoothed_state(beta, prob, mu)[2]
         with np.errstate(divide="ignore"):
             fixed_point = np.clip(1.0 / (n * utilities), prob.lo, prob.hi)
         residual = float(np.max(np.abs(beta - fixed_point)))

@@ -132,6 +132,8 @@ def generate_market(
     negatives clip to zero. A row left without positive expected value under
     the reference is redrawn. Defaults to the uniform reference.
     """
+    if n < 1 or m < 1:
+        raise ConfigError(f"n and m must be at least 1, got n={n}, m={m}")
     if not 1 <= rank <= min(n, m):
         raise InvalidRank(f"rank must lie in [1, {min(n, m)}]")
     if not 0.0 <= noise < np.inf:

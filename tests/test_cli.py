@@ -211,6 +211,10 @@ def test_config_error_exit_code(tmp_path):
                        "corruption": {"kind": "decaying", "scale": 1e308}}},
             "bad random model directive: decaying corruption scale 1e+308 overflows",
         ),
+        (
+            {"market": {"generator": {"n": 0, "m": 3, "rank": 1}}},
+            "bad market generator spec: n and m must be at least 1, got n=0, m=3",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -408,6 +412,11 @@ def _run(tmp_path, market_file=None, model=None, **fields):
                            {"kind": "iid", "base": [1e-320, 1.0]}),
             "bad market: valuations must be finite and nonnegative",
         ),
+        # the rank's range used to read [1, 0]
+        (
+            lambda p: ["gen-market", "--n", "0", "--m", "3", "--rank", "1", "--out", str(p / "m.json")],
+            "n and m must be at least 1, got n=0, m=3",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
@@ -458,21 +467,43 @@ def test_numeric_strings_read_as_numbers_in_every_model_form(tmp_path):
         assert main(_sample(tmp_path, model)) == 0
 
 
-@pytest.mark.parametrize("command", ["sample", "solve", "gen-market", "summarize"])
-def test_missing_out_directory_exits_2_before_work(tmp_path, capsys, command):
-    out = str(tmp_path / "missing" / "out.json")
+FILE_COMMANDS = ("sample", "solve", "gen-market", "summarize")
+
+
+@pytest.mark.parametrize(
+    "command, taken, message",
+    [pytest.param(c, None, "does not exist", id=c) for c in FILE_COMMANDS]
+    + [pytest.param(c, "directory", "is a directory", id=f"{c}-directory") for c in FILE_COMMANDS]
+    # a run creates its output directory, with its parents, after the work
+    + [
+        pytest.param("run", "file", "is a file", id="run-file"),
+        pytest.param("run-config", "file", "is a file", id="run-config-file"),
+        pytest.param("run", "parent-file", "is a file", id="run-parent-file"),
+    ],
+)
+def test_missing_out_directory_exits_2_before_work(tmp_path, capsys, command, taken, message):
+    out = tmp_path / "missing" / "out.json"
+    if taken is not None:
+        out = tmp_path / "taken"
+        out.mkdir() if taken == "directory" else out.write_text("kept")
+        out = out / "sub" if taken == "parent-file" else out
+    out = str(out)
     argv = {
         "sample": lambda: _sample(tmp_path, IID_3)[:-1] + [out],
         "solve": lambda: _solve(tmp_path) + ["--out", out],
         "gen-market": lambda: ["gen-market", "--n", "3", "--m", "4", "--rank", "2", "--out", out],
         # the paths CSV does not exist either: the output check comes first
         "summarize": lambda: ["summarize", "--paths-csv", str(tmp_path / "no.csv"), "--out", out],
+        "run": lambda: _run(tmp_path, MARKET_2x3)[:-1] + [out],
+        "run-config": lambda: _run(tmp_path, MARKET_2x3, out=out)[:-2],
     }[command]()
+    files = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("config error: output directory ") and "does not exist" in err
-    assert not (tmp_path / "missing").exists()
+    assert err.startswith("config error: output ") and message in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
+    assert sorted(tmp_path.rglob("*")) == sorted(files) + [tmp_path / "taken"] * (taken == "directory")
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
