@@ -38,12 +38,13 @@ predictor follows the central path: the smoothed price term, its cutoff
 included, is jointly homogeneous of degree 1 in (beta, mu), so by Euler's
 identity the gradient's derivative in mu is -H_p beta / mu, H_p the price
 term's Hessian, and one linear solve with the full Hessian gives
-d beta / d mu. The next stage starts from the predicted point if its
-smoothed value there is lower. Stages before the first crossover only hand
-their point on and stop at a projected gradient of 0.1 mu; the others stop
-at 1e-3 mu and the last at a floor set by the tolerance. The crossover
-fixes its point from the forest alone, so a shorter path that reaches the
-same forest ends at the same point bit for bit.
+d beta / d mu. As in predictor-corrector path following, the prediction,
+clipped to the box, is where the next stage starts. Every stage but the
+last only hands its point on, to the next stage or to a crossover, and
+stops at a projected gradient of 0.1 mu; the last stops at a floor set by
+the tolerance. The crossover fixes its point from the forest alone, so a
+shorter path that reaches the same forest ends at the same point bit for
+bit.
 
 A softmax weight whose bid lies more than 100 mu below its item's top bid,
 mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF): it is below
@@ -136,10 +137,10 @@ def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> Du
 class StageCounts(NamedTuple):
     """Work of one temperature stage.
 
-    evaluations counts evaluations of the smoothed objective, rejected
-    trial points included. predicted says whether
-    the stage started from the tangent predictor's point (see
-    _newton_stage).
+    evaluations counts evaluations of the smoothed objective, the start
+    point's and rejected trial points' included. predicted says whether the
+    stage was given a slope and so started from the tangent predictor's
+    point (see _newton_stage).
     """
 
     mu: float
@@ -155,11 +156,10 @@ class DualSolution(NamedTuple):
     evaluations are their totals of Newton steps and objective evaluations.
     certified_mu is the temperature of the stage after which the exact
     crossover certified beta_hat, or None when the solve ran all its stages
-    and beta_hat is the last stage's point. Each stage at or below
-    crossover_mu, the temperature of the cold ladder's stage
-    _CROSSOVER_STAGE or of its last stage if it has fewer, was followed by
-    a crossover attempt: crossover_attempts counts them, and pivots the
-    forest pivots made over all of them.
+    and beta_hat is the last stage's point. crossover_attempts counts the
+    crossover attempts, one after each stage from the cold ladder's stage
+    _CROSSOVER_STAGE on and one after the last, and pivots the forest
+    pivots made over all of them.
     """
 
     beta_hat: np.ndarray
@@ -168,12 +168,8 @@ class DualSolution(NamedTuple):
     converged: bool
     stages: tuple
     certified_mu: Optional[float]
+    crossover_attempts: int
     pivots: int
-    crossover_mu: float
-
-    @property
-    def crossover_attempts(self) -> int:
-        return sum(s.mu <= self.crossover_mu for s in self.stages)
 
     @property
     def iterations(self) -> int:
@@ -263,13 +259,8 @@ class _WorkingSet:
 
 def _working_set(beta, prob: DualProblem, mu: float):
     """The working set at beta, or None when it would hold _DENSE_SHARE of
-    the pairs or more: at once when the largest multiplier times the
-    largest valuation lies within the set's width.
-    """
-    V = prob.valuations
-    if _SET_WIDTH * mu >= beta.max() * V.max():
-        return None
-    z = beta[:, None] * V
+    the pairs or more."""
+    z = beta[:, None] * prob.valuations
     z -= z.max(axis=0)
     inside = z >= -_SET_WIDTH * mu
     if np.count_nonzero(inside) / inside.size >= _DENSE_SHARE:
@@ -281,8 +272,8 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     """Softmax relaxation of the objective, with the softmax weights behind it.
 
     Returns the value, each agent's unnormalized softmax weight per item and
-    each item's total weight. Exponents below the cutoff are left at 0
-    without calling exp, so the value is that of a plain exp, and at small
+    each item's total weight. Exponents below the cutoff give weights of
+    exactly 0, so the value is that of a plain exp, and at small
     temperatures nearly every entry is that far below its column's top bid.
     Given a working set, the weights are those of the set's pairs, in its
     order; at the point the set was built at they are the dense ones.
@@ -298,17 +289,15 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     z /= mu
     # exp of every entry, raised first to 10 below the cutoff so that none
     # turns subnormal, then zeroed below the cutoff: the same weights as exp
-    # taken where the exponent reaches the cutoff, on numpy's vector path.
-    # A dense array with no exponent below the cutoff skips those passes
-    cut = working is not None or z.min() < _EXP_CUTOFF
-    if cut:
-        keep = z >= _EXP_CUTOFF
-        np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
+    # taken where the exponent reaches the cutoff, on numpy's vector path
+    keep = z >= _EXP_CUTOFF
+    np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
     weights_exp = np.exp(z, out=z)
-    if cut:
-        weights_exp *= keep
+    weights_exp *= keep
     if working is None:
-        mass = weights_exp.sum(axis=0)
+        # agent by agent, as numpy sums the rows of a wider array and as
+        # bincount sums a set's columns; one column it would sum pairwise
+        mass = weights_exp.sum(axis=0) if prob.m > 1 else np.cumsum(weights_exp, axis=0)[-1]
     else:
         mass = np.bincount(working.cols, weights_exp, prob.m)
     prices = mu * np.log(mass) + top
@@ -386,13 +375,12 @@ def _norm(x) -> float:
 def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     """Damped projected Newton on the mu-smoothed objective.
 
-    The stage first builds its working set at beta and evaluates every
-    point of the stage on it, beta first (dense when no set is built).
     Given slope, the pair (mu0, d beta / d mu at beta) that _tangent
-    returns for the stage at mu0 that ended at beta, it then predicts its
-    point on the central path, clip(beta + (mu - mu0) slope), and starts
-    there if the smoothed value at mu is strictly below beta's, else from
-    beta; both evaluations count in the stage's.
+    returns for the stage at mu0 that ended at beta, the stage starts from
+    its predicted point on the central path, clip(beta + (mu - mu0) slope);
+    without one, from beta. It builds its working set at the start point
+    and evaluates every point of the stage on it, the start first (dense
+    when no set is built).
 
     Bound-active coordinates whose gradient points outward are frozen; the
     Newton system is solved on the free block. One backtracking search
@@ -417,20 +405,12 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     working set (None for a dense stage) and the stage's StageCounts.
     """
     lo, hi = prob.lo, prob.hi
-    working = _working_set(beta, prob, mu)
-    value = _smoothed_value(beta, prob, mu, working)
-    evaluations, predicted = 1, False
     if slope is not None:
-        guess = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
-        found = _smoothed_value(guess, prob, mu, working)
-        evaluations += 1
-        if found[0] < value[0]:
-            beta, value, predicted = guess, found, True
-        del found
-    obj, grad, utilities, root = _smoothed_state(beta, prob, mu, value, working)
-    del value
+        beta = np.clip(beta + (mu - slope[0]) * slope[1], lo, hi)
+    working = _working_set(beta, prob, mu)
+    obj, grad, utilities, root = _smoothed_state(beta, prob, mu, working=working)
     pg = _projected_gradient(beta, grad, lo, hi)
-    steps, last = 0, 1.0
+    steps, evaluations, last = 0, 1, 1.0
     while steps < _MAX_STAGE_STEPS and np.abs(pg).max() > gtol:
         free = pg != 0.0
         H = _smoothed_hessian(prob, mu, root, working)
@@ -464,7 +444,7 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
         if accepted is None:
             break
         beta, (obj, grad, utilities, root), pg = accepted
-    return beta, utilities, (root, working), StageCounts(mu, steps, evaluations, predicted)
+    return beta, utilities, (root, working), StageCounts(mu, steps, evaluations, slope is not None)
 
 
 def _tangent(beta, prob: DualProblem, mu: float, utilities, root, working):
@@ -511,21 +491,25 @@ def _temperatures(start: float, end: float) -> list:
 # after each stage from _CROSSOVER_STAGE on, where the temperature has
 # fallen to 1e-4 times the first stage's, and pivots its forest in at most
 # _PIVOT_ROUNDS rounds per attempt. On the benchmark's shapes, after that
-# stage, the forest of the flow at 1e-3 named the optimum's ties in every
+# stage, the forest of the stage's flow named the optimum's ties in every
 # solve of seeds 5, 11 and 12 within 5 pivots and 6 certificates, each
 # 0.75-0.9 ms at n = 100 and 730 items of positive weight.
 _SHARE_FLOOR = 1e-3
 _CROSSOVER_STAGE = 4
 _PIVOT_ROUNDS = 8
 
-# Stages before _CROSSOVER_STAGE only hand their point to the next stage, so
-# they stop at a projected gradient of _LOOSE_GTOL mu; the stages that feed a
-# crossover stop at 1e-3 mu, and the last at the tolerance's floor. On the
-# benchmark's solves at seeds 5, 11 and 12 (warm-started, with the
-# predictor, interleaved in one process), 0.1 mu took 0.93-0.95 of the solve
+# Every stage but the last only hands its point on, to the next stage or to
+# a crossover, so it stops at a projected gradient of _LOOSE_GTOL mu; the
+# last stops at the tolerance's floor. On the benchmark's solves at seeds 5,
+# 11 and 12 (warm-started, with the predictor, interleaved in one process),
+# 0.1 mu in the stages before _CROSSOVER_STAGE took 0.93-0.95 of the solve
 # time of 1e-3 mu on paper and 0.91-0.97 on wide_market, with beta_hat
 # bit-identical; 0.3 mu was no faster than 0.1 within the noise, and 1.0 mu
-# took 1.2-1.4 times as long as 0.1 on wide_market.
+# took 1.2-1.4 times as long as 0.1 on wide_market. The stages that feed a
+# crossover need no tighter stop: moving them from 1e-3 mu to 0.1 mu, with
+# each stage started at its predicted point, kept those solves' beta_hat bit
+# for bit and cut their Newton steps from 474 to 458 on paper and from 293
+# to 284 on wide_market.
 _LOOSE_GTOL = 0.1
 
 
@@ -767,11 +751,11 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
 
     Only items of positive weight enter the solve. The softmax temperature
     starts near the bid scale and decays by factors of ten down to the
-    tolerance; each stage takes at most _MAX_STAGE_STEPS Newton steps and
-    starts from the tangent predictor's point or, if that is no lower, from
-    the last stage's (see _newton_stage and _tangent). Stages before
-    _CROSSOVER_STAGE stop at a projected gradient of _LOOSE_GTOL mu, the
-    others at 1e-3 mu, and the last at the tolerance's gradient floor. From
+    tolerance; each stage takes at most _MAX_STAGE_STEPS Newton steps, and
+    each after the first starts from the tangent predictor's point unless
+    the tangent's linear solve failed (see _newton_stage and _tangent).
+    Every stage but the last stops at a projected gradient of
+    _LOOSE_GTOL mu, and the last at the tolerance's gradient floor. From
     stage _CROSSOVER_STAGE on, and after the last stage, _crossover tries to
     certify the exact optimum the stage's softmax flow implies, and the
     first point it certifies is returned with its certificate's residual.
@@ -832,17 +816,15 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         while first < last and mus[first] > distance * mus[0]:
             first += 1
     stages, certified_mu = [], None
-    pivots, slope = 0, None
+    attempts, pivots, slope = 0, 0, None
     for k in range(first, last + 1):
         mu = mus[k]
-        if k == last:
-            gtol = gtol_final
-        else:
-            gtol = max((_LOOSE_GTOL if k < _CROSSOVER_STAGE else 1e-3) * mu, gtol_final)
+        gtol = gtol_final if k == last else max(_LOOSE_GTOL * mu, gtol_final)
         beta, utilities, root, counts = _newton_stage(beta, prob, mu, gtol, slope)
         stages.append(counts)
         if k >= _CROSSOVER_STAGE or k == last:
             exact, made = _crossover(beta, prob, tol, *root)
+            attempts += 1
             pivots += made
             if exact is not None:
                 (beta, residual), certified_mu = exact, mu
@@ -869,8 +851,8 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         converged=residual <= 10.0 * tol,
         stages=tuple(stages),
         certified_mu=certified_mu,
+        crossover_attempts=attempts,
         pivots=pivots,
-        crossover_mu=mus[min(_CROSSOVER_STAGE, last)],
     )
     if not solution.converged:
         warnings.warn(

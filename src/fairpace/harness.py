@@ -87,14 +87,19 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         raise ConfigError("grid.dense_until must be positive and grid.factor finite and above 1")
     with as_config_error("bad grid"):
         recording_grid(t, dense_until, grid_factor)
+    # the market file and the output directory a config names are relative
+    # to the config's own directory
     if isinstance(market, dict) and "path" in market:
         if not isinstance(market["path"], str):
             raise ConfigError("market path must be a string")
         if base_dir is not None:
             market = {**market, "path": str(base_dir / market["path"])}
     out_dir = doc.get("out")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out must be a string")
+    if out_dir is not None:
+        if not isinstance(out_dir, str):
+            raise ConfigError("out must be a string")
+        if base_dir is not None:
+            out_dir = str(base_dir / out_dir)
     return ExperimentConfig(
         market=market,
         model=model,

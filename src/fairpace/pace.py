@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import ConfigError, DimensionMismatch, LengthMismatch
 from .market import ItemSequence, MarketInstance
 
 
@@ -34,10 +34,19 @@ MAX_DELTA0 = 1e150
 
 
 def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
-    """Multiplier bounds [1/((1+delta0) n), 1+delta0]."""
+    """Multiplier bounds [1/((1+delta0) n), 1+delta0].
+
+    Raises ConfigError if the box is empty, as for one agent when 1 + delta0
+    rounds to 1 (delta0 below about 1.1e-16).
+    """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    return 1.0 / ((1.0 + delta0) * n), 1.0 + delta0
+    lo, hi = 1.0 / ((1.0 + delta0) * n), 1.0 + delta0
+    if not lo < hi:
+        raise ConfigError(
+            f"delta0 {delta0!r} leaves an empty pacing box for n={n}: 1 + delta0 rounds to 1"
+        )
+    return lo, hi
 
 
 class PaceTrace(NamedTuple):

@@ -215,6 +215,11 @@ def test_config_error_exit_code(tmp_path):
             {"market": {"generator": {"n": 0, "m": 3, "rank": 1}}},
             "bad market generator spec: n and m must be at least 1, got n=0, m=3",
         ),
+        # for one agent 1 + delta0 rounds to 1, so the pacing box is empty
+        (
+            {"delta0": 1e-17, "market": {"generator": {"n": 1, "m": 3, "rank": 1}}},
+            "delta0 1e-17 leaves an empty pacing box for n=1",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -417,6 +422,11 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             lambda p: ["gen-market", "--n", "0", "--m", "3", "--rank", "1", "--out", str(p / "m.json")],
             "n and m must be at least 1, got n=0, m=3",
         ),
+        (
+            lambda p: _solve(p, market={"n": 1, "m": 3, "valuations": [[1.0, 0.5, 0.2]]})
+            + ["--delta0", "1e-17"],
+            "delta0 1e-17 leaves an empty pacing box for n=1",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
@@ -438,6 +448,20 @@ def test_largest_delta0_runs(tmp_path):
 def test_run_reads_market_file_relative_to_config(tmp_path):
     assert main(_run(tmp_path, MARKET_2x3)) == 0
     assert (tmp_path / "out" / "paths.csv").exists()
+
+
+def test_run_writes_config_out_relative_to_config(tmp_path, monkeypatch):
+    # a config's out, like its market.path, is relative to the config's
+    # directory; --out stays relative to the working directory
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    _run(sub, MARKET_2x3, out="res")
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--config", str(Path("sub") / "config.json")]
+    assert main(argv) == 0
+    assert (sub / "res" / "paths.csv").exists() and not (tmp_path / "res").exists()
+    assert main(argv + ["--out", "cli"]) == 0
+    assert (tmp_path / "cli" / "paths.csv").exists()
 
 
 def test_run_reads_uniform_budgets_of_older_market_files(tmp_path):
