@@ -42,25 +42,42 @@ d beta / d mu. As in predictor-corrector path following, the prediction,
 clipped to the box, is where the next stage starts. Every stage but the
 last only hands its point on, to the next stage or to a crossover, and
 stops at a projected gradient of 0.1 mu; the last stops at a floor set by
-the tolerance. The crossover fixes its point from the forest alone, so a
-shorter path that reaches the same forest ends at the same point bit for
-bit.
+the tolerance.
 
-A softmax weight whose bid lies more than 100 mu below its item's top bid,
-mu the temperature, is taken as exactly 0 (see _EXP_CUTOFF): it is below
-half an ulp of its item's mass, so the value and every kept share equal a
-plain exp's, and no weight, share or Hessian entry is subnormal. At small
-temperatures nearly every weight is that far down, so each stage first
-builds, at its start point, a working set of the pairs near their item's
-top bid and evaluates every point of the stage on it (see _WorkingSet);
-its Hessian's cross term sums over the pairs of agents that split an item.
-So a stage on a set passes over the whole matrix once, to build it. At its
-start point the set's value and shares are the dense ones; elsewhere the
-set may miss a pair that carries weight, and its value is a lower bound on
-the dense one. The crossover's certificate, which prices every item over
-all agents, is the solve's one exactness gate. A stage whose set would
-hold 40% of the pairs or more runs dense; on the benchmark's shapes those
-are the stages above mu ~ 1e-4.
+The stages at temperatures down to 1e-2 times the first, unless one is the
+last, run in single precision (mixed-precision refinement, Buttari et al.
+2007; Carson & Higham 2018): on a view of the problem that holds float32 V,
+sqrt(w) and R, with its own exponent cutoff (see _SingleView). beta, the
+objective's sum over the prices, the utilities, the gradient and the n x n
+Newton system stay float64. On the benchmark's shapes these are the stages
+that run dense, and a float32 evaluation, state or Hessian takes about half
+the time of a float64 one. A problem whose bids or Hessian sums would leave
+float32's normal range, as unnormalized valuations can, runs them in double
+too (see _fits_single). Every later stage, every crossover and the
+fallback residual run in double. The crossover fixes its point in double
+from the forest and the multipliers on a bound alone, so the single stages
+reach beta_hat only through the forest: a path that reaches the same
+forest ends at the same point bit for bit, and on the solves checked so far
+the single stages left beta_hat unchanged. At a degenerate optimum,
+though, two forests can both certify, one with a tie pair whose fraction is
+0, and their points can differ in the last bits, so a path that stops
+elsewhere can end a few ulps away.
+
+A softmax weight whose bid lies more than 100 mu below its item's top bid
+(40 mu in the single stages), mu the temperature, is taken as exactly 0
+(see _EXP_CUTOFF): it is below half an ulp of its item's mass, so the value
+and every kept share equal a plain exp's, and no weight, share or Hessian
+entry is subnormal. At small temperatures nearly every weight is that far
+down, so each stage first builds, at its start point, a working set of the
+pairs near their item's top bid and evaluates every point of the stage on
+it (see _WorkingSet); its Hessian's cross term sums over the pairs of
+agents that split an item. So a stage on a set passes over the whole
+matrix once, to build it. At its start point the set's value and shares
+are the dense ones; elsewhere the set may miss a pair that carries weight,
+and its value is a lower bound on the dense one. The crossover's
+certificate, which prices every item over all agents, is the solve's one
+exactness gate. A stage whose set would hold 40% of the pairs or more runs
+dense; on the benchmark's shapes those are the stages above mu ~ 1e-4.
 
 Once the temperature has fallen to 1e-4 times the first stage's, each
 stage is followed by an exact crossover (see _crossover), the crossover
@@ -82,6 +99,7 @@ every pair, which converges to an optimal allocation only as the
 temperature vanishes.
 """
 
+import contextlib
 import warnings
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -122,9 +140,14 @@ class DualProblem:
         return self.valuations.shape[1]
 
     @cached_property
+    def root_weights(self) -> np.ndarray:
+        """sqrt(w), the item side of R."""
+        return np.sqrt(self.weights)
+
+    @cached_property
     def root_factor(self) -> np.ndarray:
         """R = V sqrt(w), built on first use (see the module's docstring)."""
-        return self.valuations * np.sqrt(self.weights)
+        return self.valuations * self.root_weights
 
 
 def market_problem(instance: MarketInstance, weights, delta0: float = 1.0) -> DualProblem:
@@ -198,8 +221,17 @@ def dual_objective(beta, prob: DualProblem) -> float:
 # Hessian's cross term and its LU factors stay far above the subnormal
 # range, on which arithmetic is slow: at a cutoff of -690 the seed-5
 # wide_market Hessians at mu ~ 1e-4 held a median of 202 subnormal entries
-# and np.linalg.solve took 420 us on them, against 170 us at -100.
+# and np.linalg.solve took 420 us on them, against 170 us at -100. The
+# single-precision stages, whose weights are float32, cut at
+# _SINGLE_EXP_CUTOFF instead.
 _EXP_CUTOFF = -100.0
+
+# The cutoff of the single-precision stages (see _SingleView). A dropped
+# weight is below e^-40, about 4.2e-18, of its column's mass: a column's n
+# dropped weights sum to less than half a float32 ulp of it for any n below
+# about 7e9. A product of two kept weights is at least e^-80, about 1.8e-35,
+# above float32's smallest normal, 1.2e-38.
+_SINGLE_EXP_CUTOFF = -40.0
 
 # A working set holds the pairs within _SET_WIDTH mu of their column's top
 # bid at its stage's start point. Past the 100 mu that can carry weight, the
@@ -243,7 +275,9 @@ class _WorkingSet:
     shares computed on the set are the dense ones bit for bit (each
     column's mass sums its agents in the same order, less terms of exactly
     0), and the utilities and Hessian equal the dense ones up to summation
-    order. At any point the set's value sums a subset of each column's
+    order. On the single-precision view a set sums each column's mass in
+    float64 and the dense pass in float32, so there they agree to float32
+    rounding. At any point the set's value sums a subset of each column's
     terms, a lower bound on the dense one.
     """
 
@@ -251,16 +285,63 @@ class _WorkingSet:
         # the transposed mask's flat order is by item, agents ascending
         self.cols, self.rows = np.divmod(np.flatnonzero(inside.T), prob.n)
         self.values = prob.valuations[self.rows, self.cols]
-        self.roots = prob.root_factor[self.rows, self.cols]
-        self.root_weights = np.sqrt(prob.weights)[self.cols]
+        # R's entries bit for bit, without building R
+        self.root_weights = prob.root_weights[self.cols]
+        self.roots = self.values * self.root_weights
         counts = np.bincount(self.cols, minlength=prob.m)
         self.starts = np.cumsum(counts) - counts
+
+
+class _SingleView:
+    """The arrays of a problem in single precision, for the early stages.
+
+    Holds float32 V, sqrt(w) and R = V sqrt(w), and the problem's float64
+    weights, which weigh the prices in the objective. The kernels run on it
+    as on the problem: they cast beta to the arrays' dtype where it meets V,
+    take their exponent cutoff from it (_SINGLE_EXP_CUTOFF for float32),
+    and return the objective, utilities and Hessian in float64 (see
+    solve_dual). Only a problem that _fits_single passes gets a view.
+    """
+
+    def __init__(self, prob: DualProblem):
+        self.n, self.m, self.lo, self.hi = prob.n, prob.m, prob.lo, prob.hi
+        self.weights = prob.weights
+        self.valuations = prob.valuations.astype(np.float32)
+        self.root_weights = prob.root_weights.astype(np.float32)
+        self.root_factor = self.valuations * self.root_weights
+
+
+def _fits_single(prob: DualProblem) -> bool:
+    """Whether every number a stage forms on prob's single-precision view
+    stays within float32's normal range.
+
+    On the view a bid beta V reaches hi max V, which also bounds a
+    utility, at most an agent's expected value, and a price. A Hessian
+    entry or diagonal term sums m products of root entries, each at most
+    max R^2. Those must stay below half of float32's largest number, about
+    3.4e38, since a sum that overflows turns to inf and a difference of
+    two to NaN. Every positive bid, at least lo V, and the largest R^2
+    must stay above float32's smallest normal, about 1.2e-38, below which
+    digits are lost. A problem outside runs every stage in double: its
+    valuations need not be normalized (fairpace solve passes a market
+    file's as they are).
+    """
+    limits = np.finfo(np.float32)
+    v = prob.valuations
+    tops = v.max(axis=0)
+    v_max = float(tops.max())
+    v_min = float(np.min(v, where=v > 0.0, initial=np.inf))
+    r_max = float((tops * prob.root_weights).max())
+    return (
+        max(prob.hi * v_max, prob.m * r_max * r_max) <= 0.5 * float(limits.max)
+        and min(prob.lo * v_min, r_max * r_max) >= float(limits.tiny)
+    )
 
 
 def _working_set(beta, prob: DualProblem, mu: float):
     """The working set at beta, or None when it would hold _DENSE_SHARE of
     the pairs or more."""
-    z = beta[:, None] * prob.valuations
+    z = beta.astype(prob.valuations.dtype, copy=False)[:, None] * prob.valuations
     z -= z.max(axis=0)
     inside = z >= -_SET_WIDTH * mu
     if np.count_nonzero(inside) / inside.size >= _DENSE_SHARE:
@@ -272,26 +353,31 @@ def _smoothed_value(beta, prob: DualProblem, mu: float, working=None):
     """Softmax relaxation of the objective, with the softmax weights behind it.
 
     Returns the value, each agent's unnormalized softmax weight per item and
-    each item's total weight. Exponents below the cutoff give weights of
+    each item's total weight. Exponents below the cutoff of their dtype
+    (_EXP_CUTOFF, or _SINGLE_EXP_CUTOFF for float32) give weights of
     exactly 0, so the value is that of a plain exp, and at small
     temperatures nearly every entry is that far below its column's top bid.
+    The weights have the dtype of the problem's arrays; the value is summed
+    over the prices in float64.
     Given a working set, the weights are those of the set's pairs, in its
     order; at the point the set was built at they are the dense ones.
     """
+    bid_beta = beta.astype(prob.valuations.dtype, copy=False)
     if working is None:
-        z = beta[:, None] * prob.valuations
+        z = bid_beta[:, None] * prob.valuations
         top = z.max(axis=0)
         z -= top
     else:
-        z = beta[working.rows] * working.values
+        z = bid_beta[working.rows] * working.values
         top = np.maximum.reduceat(z, working.starts)
         z -= top[working.cols]
     z /= mu
     # exp of every entry, raised first to 10 below the cutoff so that none
     # turns subnormal, then zeroed below the cutoff: the same weights as exp
     # taken where the exponent reaches the cutoff, on numpy's vector path
-    keep = z >= _EXP_CUTOFF
-    np.maximum(z, _EXP_CUTOFF - 10.0, out=z)
+    cut = _SINGLE_EXP_CUTOFF if z.dtype == np.float32 else _EXP_CUTOFF
+    keep = z >= cut
+    np.maximum(z, cut - 10.0, out=z)
     weights_exp = np.exp(z, out=z)
     weights_exp *= keep
     if working is None:
@@ -315,7 +401,12 @@ def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None
     if working is None:
         root /= mass
         root *= prob.root_factor
-        utilities = root @ np.sqrt(prob.weights)
+        # OpenBLAS's float32 matrix-vector product can raise the invalid
+        # flag on finite operands, from lanes it discards: about a third of
+        # fresh processes did so on one 6 x 5 stage, whose result was right
+        single = root.dtype == np.float32
+        with np.errstate(invalid="ignore") if single else contextlib.nullcontext():
+            utilities = (root @ prob.root_weights).astype(np.float64, copy=False)
     else:
         root /= mass[working.cols]
         root *= working.roots
@@ -325,8 +416,9 @@ def _smoothed_state(beta, prob: DualProblem, mu: float, value=None, working=None
 
 
 def _smoothed_hessian(prob: DualProblem, mu: float, root, working=None):
-    """Exact Hessian of the smoothed price term; adding the barrier's
-    diagonal 1 / (n beta^2) makes it the objective's, positive definite.
+    """Exact Hessian of the smoothed price term, in float64; adding the
+    barrier's diagonal 1 / (n beta^2) makes it the objective's, positive
+    definite.
 
     On a working set a column enters only if two or more of its pairs have
     nonzero root, or one has a share below 1 (other shares lie on pairs of
@@ -340,7 +432,7 @@ def _smoothed_hessian(prob: DualProblem, mu: float, root, working=None):
         diag_term = np.einsum("ij,ij->i", root, prob.root_factor)
         # a product of a matrix with its own transpose runs as a symmetric
         # rank-k update, half the flops of a general product
-        H = root @ root.T
+        H = (root @ root.T).astype(np.float64, copy=False)
     else:
         nonzero = root > 0
         per_column = np.bincount(working.cols[nonzero], minlength=prob.m)
@@ -387,7 +479,8 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
     clips each trial step to the box and evaluates each trial point by
     value alone unless the value could pass. It accepts the first trial
     point whose objective strictly decreases, or whose objective is flat to
-    rounding (within 64 eps of the current value) while its projected
+    rounding (within 64 eps of the current value, eps that of the problem's
+    arrays, float32's on the single-precision view) while its projected
     gradient norm drops below 0.9 times the current one. Near the optimum
     the improvement in stiff directions falls below the floating-point
     resolution of the objective; the second test lets the quadratic phase
@@ -423,7 +516,7 @@ def _newton_stage(beta, prob: DualProblem, mu: float, gtol: float, slope=None):
             direction[free] = -grad[free]
         steps += 1
         pg_norm = _norm(pg)
-        flat = obj + 64.0 * np.finfo(float).eps * max(1.0, abs(obj))
+        flat = obj + 64.0 * np.finfo(prob.valuations.dtype).eps * max(1.0, abs(obj))
         first, accepted = min(1.0, 4.0 * last), None
         for k in range(40):
             alpha = first * 0.5**k
@@ -497,6 +590,17 @@ def _temperatures(start: float, end: float) -> list:
 _SHARE_FLOOR = 1e-3
 _CROSSOVER_STAGE = 4
 _PIVOT_ROUNDS = 8
+
+# The stages before this one in the cold ladder, at temperatures down to
+# 1e-2 times the first, run on the problem in single precision unless they
+# are the last (see solve_dual). It lies below _CROSSOVER_STAGE, so every
+# crossover runs in double. A float32 exponent (bid - top) / mu rounds by
+# about eps top / mu, tenfold more with each stage while the stage's stop,
+# 0.1 mu, shrinks tenfold: with the 1e-3 stage in single precision too, 135
+# of the 1763 stages of the cold and warm solves of
+# test_every_stage_ends_at_its_gradient_tolerance ended above their stop, all
+# of them single, against none at 3.
+_DOUBLE_STAGE = 3
 
 # Every stage but the last only hands its point on, to the next stage or to
 # a crossover, so it stops at a projected gradient of _LOOSE_GTOL mu; the
@@ -755,14 +859,18 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     each after the first starts from the tangent predictor's point unless
     the tangent's linear solve failed (see _newton_stage and _tangent).
     Every stage but the last stops at a projected gradient of
-    _LOOSE_GTOL mu, and the last at the tolerance's gradient floor. From
-    stage _CROSSOVER_STAGE on, and after the last stage, _crossover tries to
+    _LOOSE_GTOL mu, and the last at the tolerance's gradient floor. The
+    stages before _DOUBLE_STAGE, unless one is the last, run on a
+    _SingleView of the problem, built when the first of them starts and
+    dropped when the first double stage starts, if the problem's numbers
+    fit float32 (see _fits_single); otherwise they run in double. From stage
+    _CROSSOVER_STAGE on, and after the last stage, _crossover tries to
     certify the exact optimum the stage's softmax flow implies, and the
     first point it certifies is returned with its certificate's residual.
     Otherwise the residual of the last stage's point is the fixed-point gap
     under that temperature's tie split over every pair, one dense
-    evaluation: the stage's working set may miss a pair that carries
-    weight there.
+    evaluation in double: the stage's working set may miss a pair that
+    carries weight there.
     If the residual exceeds 10 tol a NoConvergenceWarning is emitted and the
     best iterate is still returned.
 
@@ -816,11 +924,21 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         while first < last and mus[first] > distance * mus[0]:
             first += 1
     stages, certified_mu = [], None
-    attempts, pivots, slope = 0, 0, None
+    attempts, pivots, slope, single = 0, 0, None, None
+    # the stages before this one, unless one is the last, run in single
+    # precision; every stage runs in double on a problem outside float32
+    double_from = _DOUBLE_STAGE if first < _DOUBLE_STAGE and _fits_single(prob) else 0
     for k in range(first, last + 1):
         mu = mus[k]
         gtol = gtol_final if k == last else max(_LOOSE_GTOL * mu, gtol_final)
-        beta, utilities, root, counts = _newton_stage(beta, prob, mu, gtol, slope)
+        # the stage's problem: the single-precision view or, from the first
+        # double stage on, the problem itself
+        if k >= double_from or k == last:
+            single = None
+        elif single is None:
+            single = _SingleView(prob)
+        on = prob if single is None else single
+        beta, utilities, root, counts = _newton_stage(beta, on, mu, gtol, slope)
         stages.append(counts)
         if k >= _CROSSOVER_STAGE or k == last:
             exact, made = _crossover(beta, prob, tol, *root)
@@ -830,7 +948,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
                 (beta, residual), certified_mu = exact, mu
                 break
         if k < last:
-            tangent = _tangent(beta, prob, mu, utilities, *root)
+            tangent = _tangent(beta, on, mu, utilities, *root)
             slope = None if tangent is None else (mu, tangent)
         # a dense root array is an (n, m) array the next stage must not hold
         del root

@@ -200,7 +200,10 @@ class AggregateReport(NamedTuple):
 
     solver holds the dual solves' counts (see _solve_counts): the reference
     solve's under "reference" and each path's hindsight solve's, in path
-    order, under "hindsight".
+    order, under "hindsight". timings holds their process seconds, which
+    vary from run to run: the reference solve's under "reference_solve_s"
+    and each hindsight solve's, in path order, under "hindsight_solve_s",
+    taken in the process that ran it.
     """
 
     times: np.ndarray
@@ -209,6 +212,7 @@ class AggregateReport(NamedTuple):
     paths: int
     provenance: Dict[str, object]
     solver: Dict[str, object]
+    timings: Dict[str, object]
 
     def terminal(self) -> Dict[str, Dict[str, Optional[float]]]:
         out = {}
@@ -239,7 +243,7 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
         if k > 1:
             stderrs[name] = stack.std(axis=0, ddof=1) / np.sqrt(k)
     return AggregateReport(
-        times=times, means=means, stderrs=stderrs, paths=k, provenance={}, solver={}
+        times=times, means=means, stderrs=stderrs, paths=k, provenance={}, solver={}, timings={}
     )
 
 
@@ -254,12 +258,13 @@ def _solve_counts(solution: DualSolution) -> dict:
     }
 
 
-def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
+def _run_paths(args) -> List[Tuple[MetricSeries, dict, float]]:
     """Score one batch of paths, with their pacing runs in lockstep.
 
-    Returns each path's metric series with its hindsight solve's counts.
-    Each hindsight solve starts from the reference optimum star_beta, the
-    optimum of the same market under the reference weights ref_weights.
+    Returns each path's metric series with its hindsight solve's counts and
+    process seconds. Each hindsight solve starts from the reference optimum
+    star_beta, the optimum of the same market under the reference weights
+    ref_weights.
     """
     (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs, ref_weights) = args
     seqs = sample_sequences(model, t, path_seeds)
@@ -267,7 +272,9 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
     star_beta, star_u = star_refs
     scored = []
     for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
+        solve_started = time.process_time()
         hs = hindsight_solution(instance, seq, delta0, tol=hs_tol, warm=(star_beta, ref_weights))
+        solve_s = time.process_time() - solve_started
         if not hs.converged:
             raise NoConvergence(
                 f"hindsight solve failed on path {path_index} (seed {path_seed}): "
@@ -284,7 +291,7 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict]]:
             star_u,
             metadata={"model": model.kind, "path_id": path_index},
         )
-        scored.append((series, _solve_counts(hs)))
+        scored.append((series, _solve_counts(hs), solve_s))
     return scored
 
 
@@ -314,7 +321,9 @@ def run_experiment(
     model = resolve_model(config)
     ref = reference_distribution(model)
     instance = resolve_market(config, ref)
+    solve_started = time.process_time()
     star = solve_dual(market_problem(instance, ref, config.delta0), tol=solver_tol)
+    reference_solve_s = time.process_time() - solve_started
     if not star.converged:
         raise NoConvergence(
             f"reference solve failed: residual {star.residual:.3g}"
@@ -350,11 +359,16 @@ def run_experiment(
             batches = list(pool.map(_run_paths, jobs))
     else:
         batches = [_run_paths(job) for job in jobs]
-    series_list = [series for batch in batches for series, _ in batch]
+    scored = [path for batch in batches for path in batch]
+    series_list = [series for series, _, _ in scored]
     report = summarize(series_list)._replace(
         solver={
             "reference": _solve_counts(star),
-            "hindsight": [counts for batch in batches for _, counts in batch],
+            "hindsight": [counts for _, counts, _ in scored],
+        },
+        timings={
+            "reference_solve_s": reference_solve_s,
+            "hindsight_solve_s": [solve_s for _, _, solve_s in scored],
         },
         provenance={
             "config": config.raw,
@@ -429,6 +443,7 @@ def write_outputs(
         "provenance": report.provenance,
         "terminal": report.terminal(),
         "solver": report.solver,
+        "timings": report.timings,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 

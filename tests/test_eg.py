@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -248,12 +249,119 @@ class TestSolveDual:
         assert len(ends) > 1500
         assert all(pg <= gtol for pg, gtol in ends)
 
+    def test_single_precision_stages_keep_beta_hat(self):
+        # the crossover fixes beta_hat from the forest in double, so on these
+        # problems, cold and warm-started, the solve gives the same bits as
+        # one with every stage in double
+        checked = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(2, 30)), int(rng.integers(4, 160))
+            prob = boxed_problem(seed, n, m, 10.0 ** rng.uniform(-2.0, 1.0), seed % 2 == 1)
+            if prob is None:
+                continue
+            weights = other_weights(prob, seed)
+            start = solve_dual(DualProblem(prob.valuations, weights, prob.lo, prob.hi)).beta_hat
+            for warm in (None, (start, weights)):
+                sol = solve_dual(prob, warm=warm)
+                with mock.patch.object(eg, "_DOUBLE_STAGE", 0):
+                    double = solve_dual(prob, warm=warm)
+                assert np.array_equal(sol.beta_hat, double.beta_hat)
+                assert sol.certified_mu == double.certified_mu and sol.converged == double.converged
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-20, 1e20, 1e39])
+    def test_single_precision_only_where_float32_fits(self, monkeypatch, scale):
+        # valuations scaled by 1e-40 give float32 bids below its smallest
+        # normal, by 1e-20 a largest R^2 below it, by 1e20 Hessian sums
+        # above float32's largest number and by 1e39 valuations above it:
+        # those solves, cold and warm, build no single-precision view and
+        # give the bits of a solve with every stage in double. Unscaled, the
+        # same problems build one
+        views = []
+        view = eg._SingleView
+        monkeypatch.setattr(eg, "_SingleView", lambda prob: views.append(prob.n) or view(prob))
+        for seed in range(6):
+            prob = boxed_problem(seed, 4 + seed, 12 + 5 * seed, 1.0, seed % 2 == 1)
+            if prob is None:
+                continue
+            weights = other_weights(prob, seed)
+            solve_dual(prob)
+            assert views and eg._fits_single(prob)
+            views.clear()
+            scaled = DualProblem(scale * prob.valuations, prob.weights, prob.lo, prob.hi)
+            assert not eg._fits_single(scaled)
+            with warnings.catch_warnings():
+                # scaled far from 1 a solve may stop short of the tolerance
+                warnings.simplefilter("ignore", NoConvergenceWarning)
+                other = DualProblem(scaled.valuations, weights, prob.lo, prob.hi)
+                start = solve_dual(other).beta_hat
+                for warm in (None, (start, weights)):
+                    sol = solve_dual(scaled, warm=warm)
+                    with mock.patch.object(eg, "_DOUBLE_STAGE", 0):
+                        double = solve_dual(scaled, warm=warm)
+                    assert np.array_equal(sol.beta_hat, double.beta_hat)
+                    assert sol.certified_mu == double.certified_mu
+                    assert sol.converged == double.converged
+            assert not views
+
+    def test_early_stages_run_in_single_precision(self, monkeypatch):
+        # the stages at temperatures of at least 1e-2 times the cold
+        # ladder's first that are not the last run on float32 arrays, every
+        # other stage and the fallback residual on float64: in a cold solve,
+        # in a warm solve that starts at 1e-2 times the first temperature,
+        # and in a solve at tol 1e-3 whose last stage is the third
+        stage, state = eg._newton_stage, eg._smoothed_state
+        seen, states = [], []
+
+        def recorded_stage(beta, prob, mu, gtol, slope=None):
+            out = stage(beta, prob, mu, gtol, slope)
+            seen.append((mu, prob.valuations.dtype, out[2][0].dtype))
+            return out
+
+        def recorded_state(beta, prob, mu, value=None, working=None):
+            out = state(beta, prob, mu, value, working)
+            states.append((prob.valuations.dtype, working is None, out[2].dtype))
+            return out
+
+        monkeypatch.setattr(eg, "_newton_stage", recorded_stage)
+        monkeypatch.setattr(eg, "_smoothed_state", recorded_state)
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, 5, 8)
+        weights = rng.dirichlet(np.ones(8))
+        other = 0.95 * weights + 0.05 * rng.dirichlet(np.ones(8))
+        prob = market_problem(inst, weights)
+        start = solve_dual(market_problem(inst, other)).beta_hat
+        # tolerance, warm start, first stage and single stages of each solve
+        solves = [(1e-8, None, 0, 3), (1e-8, (start, other), 2, 1), (1e-3, None, 0, 2)]
+        for tol, warm, first, singles in solves:
+            mus = ladder(prob, tol)
+            for crossover in (eg._crossover, lambda *args: (None, 0)):
+                seen.clear()
+                states.clear()
+                with mock.patch.object(eg, "_crossover", crossover):
+                    sol = solve_dual(prob, tol=tol, warm=warm)
+                assert [mu for mu, _, _ in seen] == mus[first : first + len(seen)]
+                for mu, dtype, root_dtype in seen:
+                    single = mu >= 1e-2 * (1.0 - 1e-12) * mus[0] and mu != mus[-1]
+                    assert dtype == root_dtype == (np.float32 if single else np.float64)
+                assert sum(dtype == np.float32 for _, dtype, _ in seen) == singles
+                assert len(seen) > singles and sol.converged
+                assert all(utilities == np.float64 for _, _, utilities in states)
+                if sol.certified_mu is None:
+                    # the fallback residual: one dense evaluation in double
+                    assert seen[-1][0] == mus[-1] and states[-1][:2] == (np.float64, True)
+            # the tol 1e-3 ladder ends at its third stage
+            assert len(mus) == 3 if tol == 1e-3 else len(mus) > 4
+
 
 class TestSmoothedState:
     @staticmethod
     def plain_exp(beta, prob, mu):
-        """Objective, weights and shares with exp taken of every entry."""
-        bids = beta[:, None] * prob.valuations
+        """Objective, weights and shares with exp taken of every entry, in
+        the dtype of the problem's arrays."""
+        bids = beta.astype(prob.valuations.dtype)[:, None] * prob.valuations
         top = bids.max(axis=0)
         weights_exp = np.exp((bids - top) / mu)
         mass = weights_exp.sum(axis=0)
@@ -265,58 +373,76 @@ class TestSmoothedState:
         # exponents (bid - top) / mu of exactly 0, at and around the cutoff,
         # around -690, between it and -708.4 where exp turns subnormal,
         # around -708.4, around -745.13 where exp underflows to 0, and far
-        # below
-        cut = -eg._EXP_CUTOFF
-        gaps = np.array(
-            [
-                [0.0, 0.0, 744.4, 0.0, cut - 1e-9, 690.0],
-                [745.0, 0.0, 0.0, 745.13, 0.0, 0.0],
-                [745.2, 745.9, 746.0, 745.14, cut, 689.5],
-                [746.5, 800.0, 1e4, 3.0, cut + 1e-9, 0.0],
-                [cut - 0.5, cut + 0.5, 708.0, 709.0, 1.0, 690.5],
-            ]
-        )
-        beta = 0.5 + rng.random(5)
-        cases = [(np.ones(5), 1000.0 - gaps, 1.0)]
-        cases += [(beta, (1.0 - mu * gaps) / beta[:, None], mu) for mu in (1e-5, 1e-8)]
-        gaps = rng.uniform(0.0, 800.0, size=(8, 50))
-        beta = 0.5 + rng.random(8)
-        cases.append((beta, (1.0 - 1e-6 * gaps) / beta[:, None], 1e-6))
-        floor = np.exp(eg._EXP_CUTOFF)
-        for beta, v, mu in cases:
-            prob = DualProblem(v, np.full(v.shape[1], 1.0 / v.shape[1]), 0.1, 2.0)
-            obj, weights, mass = eg._smoothed_value(beta, prob, mu)
-            shares = weights / mass
-            ref_obj, ref_weights, ref_shares = self.plain_exp(beta, prob, mu)
-            assert obj == ref_obj
-            kept = ref_weights >= floor
-            assert np.array_equal(shares[kept], ref_shares[kept])
-            assert np.all(shares[~kept] == 0.0)
-            assert np.all(ref_shares[~kept] < floor)
-            # the state's root array is the shares times R
-            root = eg._smoothed_state(beta, prob, mu)[3]
-            assert np.array_equal(root, shares * prob.root_factor)
+        # below; the same on the single-precision view, with its cutoff and
+        # exponents around -87.3, where float32's exp turns subnormal, and
+        # -103.97, where it underflows
+        for single in (False, True):
+            cut = -(eg._SINGLE_EXP_CUTOFF if single else eg._EXP_CUTOFF)
+            gaps = np.array(
+                [
+                    [0.0, 0.0, 744.4, 0.0, cut - 1e-9, 690.0, 87.0],
+                    [745.0, 0.0, 0.0, 745.13, 0.0, 0.0, 0.0],
+                    [745.2, 745.9, 746.0, 745.14, cut, 689.5, 87.5],
+                    [746.5, 800.0, 1e4, 3.0, cut + 1e-9, 0.0, 103.9],
+                    [cut - 0.5, cut + 0.5, 708.0, 709.0, 1.0, 690.5, 104.1],
+                ]
+            )
+            beta = 0.5 + rng.random(5)
+            cases = [(np.ones(5), 1000.0 - gaps, 1.0)]
+            cases += [(beta, (1.0 - mu * gaps) / beta[:, None], mu) for mu in (1e-5, 1e-8)]
+            gaps = rng.uniform(0.0, 800.0, size=(8, 50))
+            beta = 0.5 + rng.random(8)
+            cases.append((beta, (1.0 - 1e-6 * gaps) / beta[:, None], 1e-6))
+            for beta, v, mu in cases:
+                prob = DualProblem(v, np.full(v.shape[1], 1.0 / v.shape[1]), 0.1, 2.0)
+                if single:
+                    prob = eg._SingleView(prob)
+                floor = np.exp(prob.valuations.dtype.type(-cut))
+                obj, weights, mass = eg._smoothed_value(beta, prob, mu)
+                assert weights.dtype == prob.valuations.dtype
+                shares = weights / mass
+                ref_obj, ref_weights, ref_shares = self.plain_exp(beta, prob, mu)
+                assert obj == ref_obj
+                kept = ref_weights >= floor
+                assert np.array_equal(shares[kept], ref_shares[kept])
+                assert np.all(shares[~kept] == 0.0)
+                assert np.all(ref_shares[~kept] < floor)
+                # the state's root array is the shares times R
+                root = eg._smoothed_state(beta, prob, mu)[3]
+                assert np.array_equal(root, shares * prob.root_factor)
 
     def test_masked_exp_is_exp_where_the_cutoff_is_reached(self):
         # exponents from -800 to 0, at and around the cutoff, at -690, where
         # exp turns subnormal (-708.4) and where it underflows (-745): the
         # clamped exp times the mask gives the weights of exp taken only
-        # where the exponent reaches the cutoff, bit for bit
-        gaps = np.concatenate((np.linspace(0.0, 800.0, 8001), [690.0, 708.4, 745.0]))
-        cut = -eg._EXP_CUTOFF
-        near = [np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), cut - 1e-9, cut + 1e-9]
-        gaps = np.concatenate((gaps, near, [cut - 0.5, cut + 0.5]))
-        v = np.vstack((np.full(gaps.size, 1000.0), 1000.0 - gaps))
-        prob = DualProblem(v, np.full(gaps.size, 1.0 / gaps.size), 0.1, 2.0)
-        beta = np.ones(2)
-        weights = eg._smoothed_value(beta, prob, 1.0)[1]
-        z = beta[:, None] * v
-        z -= z.max(axis=0)
-        z /= 1.0
-        expected = np.exp(z, out=np.zeros_like(z), where=z >= eg._EXP_CUTOFF)
-        assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
-        assert {-690.0, -745.0, -cut - 0.5, -cut + 0.5} <= set(z[1].tolist())
-        assert np.any(weights[1] > 0.0) and np.any((weights[1] == 0.0) & (z[1] > -746.0))
+        # where the exponent reaches the cutoff, bit for bit. The same on the
+        # single-precision view, around its cutoff and where float32's exp
+        # turns subnormal (-87.3) and underflows (-103.97); there the top
+        # bid is 0, so that every exponent is exactly its float32 gap
+        cases = ((False, 1000.0, [690.0, 745.0]), (True, 0.0, [87.5, 104.0]))
+        for single, top, landmarks in cases:
+            dtype = np.float32 if single else np.float64
+            cut = -(eg._SINGLE_EXP_CUTOFF if single else eg._EXP_CUTOFF)
+            gaps = np.concatenate((np.linspace(0.0, 800.0, 8001), [690.0, 708.4, 745.0, 87.5, 104.0]))
+            near = [np.nextafter(dtype(cut), dtype(0)), np.nextafter(dtype(cut), dtype(np.inf))]
+            gaps = np.concatenate((gaps, near, [cut - 1e-9, cut + 1e-9, cut - 0.5, cut + 0.5]))
+            v = np.vstack((np.full(gaps.size, top), top - gaps))
+            prob = DualProblem(v, np.full(gaps.size, 1.0 / gaps.size), 0.1, 2.0)
+            if single:
+                prob = eg._SingleView(prob)
+            beta = np.ones(2)
+            weights = eg._smoothed_value(beta, prob, 1.0)[1]
+            z = beta.astype(dtype)[:, None] * prob.valuations
+            z -= z.max(axis=0)
+            z /= 1.0
+            expected = np.exp(z, out=np.zeros_like(z), where=z >= -cut)
+            assert weights.dtype == dtype
+            assert np.array_equal(weights.view(np.uint8), expected.view(np.uint8))
+            # with a top of 1000 the float64 gaps next to the cutoff round
+            reached = [-x for x in landmarks + [cut - 0.5, cut + 0.5] + (near if single else [])]
+            assert set(np.array(reached, dtype).tolist()) <= set(z[1].tolist())
+            below = (weights[1] == 0.0) & (z[1] > -landmarks[-1] - 1.0)
+            assert np.any(weights[1] > 0.0) and np.any(below)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -329,6 +455,53 @@ class TestSmoothedState:
         mu = 10.0**log_mu
         prob, center = tied_problem(seed, n, m, mu)
         assert_no_subnormal(prob, center, mu)
+        # on the single-precision view, with half the near ties within its
+        # cutoff: no float32 weight, share or root entry, nor any Hessian
+        # entry, lies below float32's smallest normal
+        prob, center = tied_problem(seed, n, m, mu, eg._SINGLE_EXP_CUTOFF)
+        assert_no_subnormal(eg._SingleView(prob), center, mu)
+
+    def test_single_precision_view_agrees_with_double(self):
+        # at random points and temperatures from 1e-4 to 1e-1, dense and on
+        # the working set there, the single-precision view's value, gradient
+        # and Hessian lie within bounds from float32's unit roundoff u of
+        # the double ones. A bid rounds by 3u of itself, so the exponent of a
+        # kept weight, (bid - top) / mu, by at most 7u top / mu + 42u, and the
+        # weight by that plus 2u; a column's mass adds n u and a share
+        # doubles it. A price, mu log(mass) + top, so rounds by 14u of its top
+        # bid and mu u (45 + n + 3 log n); R and the sums over items add
+        # (m + 8) u to the utilities and the Hessian, whose entries are at
+        # most twice its largest diagonal term. Weights the view drops, below
+        # e^-40, move a share by at most n e^-40, and the float64 gradient
+        # rounds by eps / (n beta)
+        u = np.finfo(np.float32).eps / 2
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            mu = 10.0 ** rng.uniform(-4.0, -1.0)
+            prob, center = tied_problem(seed, n, m, mu, eg._SINGLE_EXP_CUTOFF)
+            view = eg._SingleView(prob)
+            top = (center[:, None] * prob.valuations).max(axis=0)
+            share = 2.0 * u * (7.0 * top.max() / mu + 44.0) + (n + 1) * u
+            summed = share + (m + 8) * u
+            dropped = n * np.exp(-40.0)
+            value_bound = u * (14.0 * (top @ prob.weights) + mu * (45.0 + n + 3.0 * np.log(n + 1)))
+            _, _, utilities, root = eg._smoothed_state(center, prob, mu)
+            grad_bound = summed * utilities + dropped * (prob.valuations @ prob.weights)
+            grad_bound += np.finfo(float).eps / (n * center)
+            terms = np.einsum("ij,ij->i", root, prob.root_factor).max()
+            hessian_bound = 2.0 * (share + summed) * terms + dropped * m * prob.root_factor.max() ** 2
+            hessian_bound /= mu
+            for on_set in (False, True):
+                working = working_set(center, prob, mu) if on_set else None
+                view_working = working_set(center, view, mu) if on_set else None
+                obj, grad, _, root = eg._smoothed_state(center, prob, mu, working=working)
+                view_state = eg._smoothed_state(center, view, mu, working=view_working)
+                assert abs(view_state[0] - obj) <= value_bound
+                assert np.all(np.abs(view_state[1] - grad) <= grad_bound)
+                H = eg._smoothed_hessian(prob, mu, root, working)
+                view_H = eg._smoothed_hessian(view, mu, view_state[3], view_working)
+                assert np.all(np.abs(view_H - H) <= hessian_bound)
 
     def test_no_subnormal_hessian_beside_a_tied_column(self):
         # in column 0 agent 0 bids on top and agents 1 and 2 bid 365 mu
@@ -350,25 +523,27 @@ def working_set(center, prob, mu):
 
 
 def assert_no_subnormal(prob, center, mu):
-    """No softmax weight, share or Hessian entry at center is subnormal,
-    dense or on the working set there."""
+    """No softmax weight, share or Hessian entry at center is subnormal in
+    the dtype of the problem's arrays, dense or on the working set there."""
     working = working_set(center, prob, mu)
+    tiny = np.finfo(prob.valuations.dtype).tiny
     for on in (None, working):
         obj, weights, mass = eg._smoothed_value(center, prob, mu, on)
-        shares = weights / (mass if on is None else mass[on.cols])
+        shares = (weights / (mass if on is None else mass[on.cols])).astype(weights.dtype)
         root = eg._smoothed_state(center, prob, mu, (obj, weights.copy(), mass), on)[3]
         H = eg._smoothed_hessian(prob, mu, root, on)
+        assert weights.dtype == root.dtype == prob.valuations.dtype and H.dtype == np.float64
         for x in (weights, shares, root, np.abs(H)):
-            assert not np.any((0.0 < x) & (x < np.finfo(float).tiny))
+            assert not np.any((0.0 < x) & (x < tiny))
 
 
-def tied_problem(seed, n, m, mu):
+def tied_problem(seed, n, m, mu, cutoff=eg._EXP_CUTOFF):
     """Random problem and center in the box with near-tied top bids.
 
     About half the columns get a second bid within _SET_WIDTH mu of the top,
     so the working set at center holds it. Half of those bids lie within
-    -_EXP_CUTOFF mu of the top, so their column's shares split. A fifth of
-    the valuations are zero.
+    -cutoff mu of the top, so their column's shares split. A fifth of the
+    valuations are zero.
     """
     rng = np.random.default_rng(seed)
     v = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) > 0.2)
@@ -379,7 +554,7 @@ def tied_problem(seed, n, m, mu):
         top = bids[:, j].max()
         k = rng.integers(n)
         if bids[k, j] < top and top > eg._SET_WIDTH * mu:
-            width = eg._SET_WIDTH if rng.random() < 0.5 else -eg._EXP_CUTOFF
+            width = eg._SET_WIDTH if rng.random() < 0.5 else -cutoff
             v[k, j] = (top - rng.uniform(0, width) * mu) / center[k]
     w = rng.random(m) + 0.01
     return DualProblem(v, w / w.sum(), lo, hi), center
@@ -622,8 +797,10 @@ def stage_points(prob, tol=1e-8, predict=False):
     utilities and its root array with its working set.
 
     With predict these are the stages a cold solve_dual runs: each after
-    the first starts at the tangent predictor's point, and each but the
-    last stops at _LOOSE_GTOL mu. Without it each stage starts from the last
+    the first starts at the tangent predictor's point, each but the last
+    stops at _LOOSE_GTOL mu, and those before _DOUBLE_STAGE but the last
+    run on the problem's single-precision view, so their root arrays are
+    float32. Without it each stage runs in double, starts from the last
     one's point and stops at 1e-3 mu, the plain continuation the crossover
     tests below take their points from."""
     # the bid scale from the whole problem, as solve_dual takes it
@@ -637,13 +814,16 @@ def stage_points(prob, tol=1e-8, predict=False):
     gtol_final = max(tol / (prob.n * prob.hi**2) * 0.1, 1e-13)
     mu_end = max(tol, 1e-12)
     slope = None
-    for k, mu in enumerate(eg._temperatures(0.1 * max(scale, 1e-6), mu_end)):
+    mus = eg._temperatures(0.1 * max(scale, 1e-6), mu_end)
+    for k, mu in enumerate(mus):
         factor = eg._LOOSE_GTOL if predict else 1e-3
         gtol = gtol_final if mu <= mu_end else max(factor * mu, gtol_final)
-        beta, utilities, root, _ = eg._newton_stage(beta, prob, mu, gtol, slope)
+        single = predict and k < min(eg._DOUBLE_STAGE, len(mus) - 1)
+        on = eg._SingleView(prob) if single else prob
+        beta, utilities, root, _ = eg._newton_stage(beta, on, mu, gtol, slope)
         yield prob, mu, beta, utilities, root
         if predict:
-            tangent = eg._tangent(beta, prob, mu, utilities, *root)
+            tangent = eg._tangent(beta, on, mu, utilities, *root)
             slope = None if tangent is None else (mu, tangent)
 
 

@@ -191,6 +191,24 @@ class TestRunExperiment:
         assert len(summary["provenance"]["path_seeds"]) == 2
         assert report.paths == 2
 
+    def test_summary_reports_solve_timings(self, tmp_path, monkeypatch):
+        # process seconds of the reference solve and of each hindsight solve,
+        # in path order, beside the solver block; a pooled run times its
+        # hindsight solves in the workers
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = toy_config()
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            report = run_experiment(cfg, threads=threads, out_dir=str(out))
+            summary = json.loads((out / "summary.json").read_text())
+            timings = summary["timings"]
+            assert timings == json.loads(json.dumps(report.timings))
+            assert set(timings) == {"reference_solve_s", "hindsight_solve_s"}
+            assert len(timings["hindsight_solve_s"]) == cfg.paths
+            for seconds in [timings["reference_solve_s"], *timings["hindsight_solve_s"]]:
+                assert isinstance(seconds, float) and 0.0 <= seconds < 60.0
+            assert "timings" not in summary["solver"]
+
     def test_summary_reports_solver_counts(self, tmp_path):
         cfg = toy_config()
         report = run_experiment(cfg, out_dir=str(tmp_path))
