@@ -7,8 +7,9 @@ Subcommands:
   sample     draw an item sequence from a saved input model
   summarize  aggregate a per-path metrics CSV into mean/stderr curves
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure in a
-required solve.
+Exit codes: 0 success; 2 on a ConfigError, with one line `config error: ...`
+on stderr; 3 on a NoConvergence of a required solve, with one line
+`numerical failure: ...`. Any other exception is a bug and propagates.
 """
 
 import argparse
@@ -23,7 +24,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 from .eg import hindsight_solution, solution_to_dict
-from .errors import ConfigError, FairpaceError, NoConvergence
+from .errors import ConfigError, NoConvergence
 from .harness import (
     config_from_dict,
     generate_market,
@@ -177,9 +178,6 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FairpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -53,15 +53,16 @@ Newton system stay float64. On the benchmark's shapes these are the stages
 that run dense, and a float32 evaluation, state or Hessian takes about half
 the time of a float64 one. A problem whose bids or Hessian sums would leave
 float32's normal range, as unnormalized valuations can, runs them in double
-too (see _fits_single). Every later stage, every crossover and the
-fallback residual run in double. The crossover fixes its point in double
-from the forest and the multipliers on a bound alone, so the single stages
-reach beta_hat only through the forest: a path that reaches the same
-forest ends at the same point bit for bit, and on the solves checked so far
-the single stages left beta_hat unchanged. At a degenerate optimum,
-though, two forests can both certify, one with a tie pair whose fraction is
-0, and their points can differ in the last bits, so a path that stops
-elsewhere can end a few ulps away.
+too (see _fits), and one whose numbers would overflow float64 is refused.
+Every later stage, every crossover and the fallback residual run in
+double. The crossover fixes its point in double from the forest and the
+multipliers on a bound alone, so the single stages reach beta_hat only
+through the forest: a path that reaches the same forest ends at the same
+point bit for bit, and on the solves checked so far the single stages left
+beta_hat unchanged. At a degenerate optimum, though, two forests can both
+certify, one with a tie pair whose fraction is 0, and their points can
+differ in the last bits, so a path that stops elsewhere can end a few ulps
+away.
 
 A softmax weight whose bid lies more than 100 mu below its item's top bid
 (40 mu in the single stages), mu the temperature, is taken as exactly 0
@@ -106,7 +107,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonpositiveBeta, NoConvergenceWarning, ZeroExpectedValue
+from .errors import ConfigError, NoConvergenceWarning
 from .market import ItemSequence, MarketInstance, ReferenceDistribution
 from .pace import pacing_box
 
@@ -207,7 +208,7 @@ def dual_objective(beta, prob: DualProblem) -> float:
     """Weighted winning-bid mass plus the log barrier, at a positive point."""
     beta = np.asarray(beta, dtype=np.float64)
     if np.any(beta <= 0):
-        raise NonpositiveBeta("dual objective requires strictly positive beta")
+        raise ConfigError("dual objective requires strictly positive beta")
     winning = (beta[:, None] * prob.valuations).max(axis=0)
     return float(winning @ prob.weights - np.log(beta).sum() / prob.n)
 
@@ -300,7 +301,7 @@ class _SingleView:
     as on the problem: they cast beta to the arrays' dtype where it meets V,
     take their exponent cutoff from it (_SINGLE_EXP_CUTOFF for float32),
     and return the objective, utilities and Hessian in float64 (see
-    solve_dual). Only a problem that _fits_single passes gets a view.
+    solve_dual). Only a problem that _fits in float32 gets a view.
     """
 
     def __init__(self, prob: DualProblem):
@@ -311,31 +312,32 @@ class _SingleView:
         self.root_factor = self.valuations * self.root_weights
 
 
-def _fits_single(prob: DualProblem) -> bool:
-    """Whether every number a stage forms on prob's single-precision view
-    stays within float32's normal range.
+def _fits(prob: DualProblem, dtype, tops) -> bool:
+    """Whether every number a stage forms on prob in dtype stays within
+    dtype's range; tops are V's column maxima.
 
-    On the view a bid beta V reaches hi max V, which also bounds a
-    utility, at most an agent's expected value, and a price. A Hessian
-    entry or diagonal term sums m products of root entries, each at most
-    max R^2. Those must stay below half of float32's largest number, about
-    3.4e38, since a sum that overflows turns to inf and a difference of
-    two to NaN. Every positive bid, at least lo V, and the largest R^2
-    must stay above float32's smallest normal, about 1.2e-38, below which
-    digits are lost. A problem outside runs every stage in double: its
-    valuations need not be normalized (fairpace solve passes a market
-    file's as they are).
+    A bid beta V reaches hi max V, which also bounds a utility, at most an
+    agent's expected value, and a price. A Hessian entry or diagonal term
+    sums m products of root entries, each at most max R^2. Those must stay
+    below half of dtype's largest number, about 3.4e38 for float32 and
+    9e307 for float64, since a sum that overflows turns to inf and a
+    difference of two to NaN. In float32 every positive bid, at least lo V,
+    and the largest R^2 must also stay above its smallest normal, about
+    1.2e-38, below which digits are lost. A problem outside float32 runs
+    every stage in double; one outside float64 is refused (see solve_dual).
+    Valuations need not be normalized: fairpace solve passes a market
+    file's as they are. Double has no such floor: its stages solved cold
+    problems with valuations scaled by 1e-300.
     """
-    limits = np.finfo(np.float32)
-    v = prob.valuations
-    tops = v.max(axis=0)
-    v_max = float(tops.max())
-    v_min = float(np.min(v, where=v > 0.0, initial=np.inf))
+    limits = np.finfo(dtype)
     r_max = float((tops * prob.root_weights).max())
-    return (
-        max(prob.hi * v_max, prob.m * r_max * r_max) <= 0.5 * float(limits.max)
-        and min(prob.lo * v_min, r_max * r_max) >= float(limits.tiny)
-    )
+    if max(prob.hi * float(tops.max()), prob.m * r_max * r_max) > 0.5 * float(limits.max):
+        return False
+    if dtype == np.float64:
+        return True
+    v = prob.valuations
+    v_min = float(np.min(v, where=v > 0.0, initial=np.inf))
+    return min(prob.lo * v_min, r_max * r_max) >= float(limits.tiny)
 
 
 def _working_set(beta, prob: DualProblem, mu: float):
@@ -863,7 +865,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     stages before _DOUBLE_STAGE, unless one is the last, run on a
     _SingleView of the problem, built when the first of them starts and
     dropped when the first double stage starts, if the problem's numbers
-    fit float32 (see _fits_single); otherwise they run in double. From stage
+    fit float32 (see _fits); otherwise they run in double. From stage
     _CROSSOVER_STAGE on, and after the last stage, _crossover tries to
     certify the exact optimum the stage's softmax flow implies, and the
     first point it certifies is returned with its certificate's residual.
@@ -872,7 +874,9 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     evaluation in double: the stage's working set may miss a pair that
     carries weight there.
     If the residual exceeds 10 tol a NoConvergenceWarning is emitted and the
-    best iterate is still returned.
+    best iterate is still returned. A problem whose bids or Hessian sums
+    would overflow float64 (see _fits) raises ConfigError before the first
+    stage.
 
     warm, if given, is (beta, weights): the optimum of the same market under
     other item weights summing to 1. The solve then starts from beta,
@@ -886,7 +890,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     expected = prob.valuations @ prob.weights
     if np.any(expected <= 0):
         bad = np.flatnonzero(expected <= 0)
-        raise ZeroExpectedValue(f"agents {bad.tolist()} have zero weighted value")
+        raise ConfigError(f"agents {bad.tolist()} have zero weighted value")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if warm is not None:
@@ -903,6 +907,12 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
         valuations = np.compress(positive, prob.valuations, axis=1)
         valuations.setflags(write=False)
         prob = DualProblem(valuations, prob.weights[positive], prob.lo, prob.hi)
+    tops = prob.valuations.max(axis=0)
+    if not _fits(prob, np.float64, tops):
+        raise ConfigError(
+            f"valuations up to {float(tops.max()):.3g} overflow the dual solve in double "
+            "precision; rescale them"
+        )
     n = prob.n
     if warm is None:
         init = np.full(n, prob.hi)
@@ -927,7 +937,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     attempts, pivots, slope, single = 0, 0, None, None
     # the stages before this one, unless one is the last, run in single
     # precision; every stage runs in double on a problem outside float32
-    double_from = _DOUBLE_STAGE if first < _DOUBLE_STAGE and _fits_single(prob) else 0
+    double_from = _DOUBLE_STAGE if first < _DOUBLE_STAGE and _fits(prob, np.float32, tops) else 0
     for k in range(first, last + 1):
         mu = mus[k]
         gtol = gtol_final if k == last else max(_LOOSE_GTOL * mu, gtol_final)
@@ -985,7 +995,7 @@ def equilibrium_utilities(solution, n: int) -> np.ndarray:
     """Average utilities implied by the dual point: u_i = 1 / (n beta_i)."""
     beta = solution.beta_hat if isinstance(solution, DualSolution) else np.asarray(solution)
     if np.any(beta <= 0):
-        raise NonpositiveBeta("utilities require strictly positive beta")
+        raise ConfigError("utilities require strictly positive beta")
     return 1.0 / (n * beta)
 
 
@@ -1002,7 +1012,7 @@ def hindsight_solution(
     such as the reference distribution's, with those weights.
     """
     if seq.items.max() >= instance.m:
-        raise DimensionMismatch("sequence references items outside the universe")
+        raise ConfigError("sequence references items outside the universe")
     weights = np.bincount(seq.items, minlength=instance.m) / seq.t
     return solve_dual(market_problem(instance, weights, delta0), tol=tol, warm=warm)
 

@@ -1,44 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line maps each error to one exit code (see fairpace.cli):
+ConfigError to 2 and NoConvergence to 3. Any other exception is a bug.
+"""
 
 
 class FairpaceError(Exception):
-    """Base class for all package errors."""
-
-
-class ZeroExpectedValue(FairpaceError):
-    """A valuation row has zero expected value under the reference distribution."""
-
-
-class InvalidHorizon(FairpaceError):
-    """Requested sequence horizon is not a positive integer."""
-
-
-class LengthMismatch(FairpaceError):
-    """Sequences paced in lockstep have different lengths."""
-
-
-class DimensionMismatch(FairpaceError):
-    """Inputs describe inconsistent agent or item dimensions."""
-
-
-class NoConvergence(FairpaceError):
-    """An iterative routine failed to reach its tolerance."""
-
-
-class NonpositiveBeta(FairpaceError):
-    """Dual objective evaluated at a vector with nonpositive entries."""
-
-
-class InvalidRank(FairpaceError):
-    """Market generator rank outside [1, min(n, m)]."""
-
-
-class GridMismatch(FairpaceError):
-    """Metric series with different time grids or metric sets were aggregated."""
+    """Base class of the package's errors, for callers that catch either."""
 
 
 class ConfigError(FairpaceError):
-    """Experiment configuration is missing or malformed."""
+    """Input the package refuses: a malformed or inconsistent configuration,
+    document, argument or problem. The command line exits 2 on it, with one
+    line starting `config error: `."""
+
+
+class NoConvergence(FairpaceError):
+    """A required iterative routine failed to reach its tolerance. The
+    command line exits 3 on it, with one line starting `numerical failure: `."""
 
 
 class NoConvergenceWarning(UserWarning):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .eg import DualSolution, equilibrium_utilities, hindsight_solution, market_problem, solve_dual
-from .errors import ConfigError, GridMismatch, InvalidRank, NoConvergence
+from .errors import ConfigError, NoConvergence
 from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequences
 from .market import (
     MarketInstance,
@@ -140,7 +140,7 @@ def generate_market(
     if n < 1 or m < 1:
         raise ConfigError(f"n and m must be at least 1, got n={n}, m={m}")
     if not 1 <= rank <= min(n, m):
-        raise InvalidRank(f"rank must lie in [1, {min(n, m)}]")
+        raise ConfigError(f"rank must lie in [1, {min(n, m)}]")
     if not 0.0 <= noise < np.inf:
         raise ConfigError(f"noise must be nonnegative and finite, got {noise!r}")
     if ref is None:
@@ -228,12 +228,12 @@ def summarize(series_list: Sequence[MetricSeries]) -> AggregateReport:
     The standard error is reported absent (None) for a single path.
     """
     if not series_list:
-        raise GridMismatch("cannot summarize an empty collection")
+        raise ConfigError("cannot summarize an empty collection")
     times = series_list[0].times
     names = sorted(series_list[0].values)
     for s in series_list[1:]:
         if not np.array_equal(s.times, times) or sorted(s.values) != names:
-            raise GridMismatch("series disagree on times or metric names")
+            raise ConfigError("series disagree on times or metric names")
     k = len(series_list)
     means = {}
     stderrs = {} if k > 1 else None
@@ -478,7 +478,7 @@ def read_paths_csv(path) -> List[MetricSeries]:
             values = {}
             for name, by_t in metrics.items():
                 if sorted(by_t) != times.tolist():
-                    raise GridMismatch(f"path {pid} metric {name} has a different grid")
+                    raise ConfigError(f"path {pid} metric {name} has a different grid")
                 values[name] = np.asarray([by_t[int(tau)] for tau in times])
             series_list.append(
                 MetricSeries(

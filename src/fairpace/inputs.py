@@ -24,7 +24,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, InvalidHorizon, NoConvergence
+from .errors import ConfigError, NoConvergence
 from .market import ItemSequence, ReferenceDistribution, as_config_error, read_field
 from .prng import categorical_cdf, make_generator, sample_categorical
 
@@ -179,7 +179,7 @@ def corruption_step_distributions(model: InputModel, t: int):
 
 def _horizon(t) -> int:
     if not isinstance(t, (int, np.integer)) or t < 1:
-        raise InvalidHorizon(f"horizon must be a positive integer, got {t!r}")
+        raise ConfigError(f"horizon must be a positive integer, got {t!r}")
     return int(t)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, FairpaceError, ZeroExpectedValue
+from .errors import ConfigError, FairpaceError
 
 
 def read_json(path, what: str):
@@ -131,18 +131,18 @@ class ItemSequence:
 def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     """Scale each row so its expected value under ref equals 1.
 
-    Raises ZeroExpectedValue if some agent values nothing in the support
+    Raises ConfigError if some agent values nothing in the support
     of the reference distribution.
     """
     v = np.asarray(valuations, dtype=np.float64)
     if v.shape[1] != ref.m:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"valuations have {v.shape[1]} items but reference has {ref.m}"
         )
     expected = v @ ref.probs
     if np.any(expected <= 0):
         bad = np.flatnonzero(expected <= 0)
-        raise ZeroExpectedValue(f"rows {bad.tolist()} have zero expected value")
+        raise ConfigError(f"rows {bad.tolist()} have zero expected value")
     # a row whose expected value is tiny beside its entries overflows here;
     # MarketInstance refuses the result, and the warning would only repeat that
     with np.errstate(over="ignore"):
@@ -168,7 +168,7 @@ def market_from_dict(doc: dict) -> MarketInstance:
         n, m = read_field(int, doc, "n"), read_field(int, doc, "m")
         v = np.asarray(doc["valuations"], dtype=np.float64)
         if v.shape != (n, m):
-            raise DimensionMismatch(f"valuations shape {v.shape} does not match n={n}, m={m}")
+            raise ConfigError(f"valuations shape {v.shape} does not match n={n}, m={m}")
         instance = MarketInstance(v)
         if "budgets" in doc:
             b = np.asarray(doc["budgets"], dtype=np.float64)

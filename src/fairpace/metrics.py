@@ -4,7 +4,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError
 from .market import ItemSequence, MarketInstance
 from .pace import PaceTrace
 
@@ -69,7 +69,7 @@ class MetricSeries:
     def __init__(self, times: np.ndarray, values: Dict[str, np.ndarray], metadata=None):
         for name, vals in values.items():
             if len(vals) != len(times):
-                raise DimensionMismatch(f"metric {name} is not aligned with times")
+                raise ConfigError(f"metric {name} is not aligned with times")
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"metric {name} contains non-finite values")
         self.times, self.values = times, values
@@ -118,7 +118,7 @@ def build_metric_series(
     # leaves it out), so that sum adds the chunk's rows one after another,
     # as the axis-0 sum of the whole chunk does
     if seq.items.max() >= instance.m:
-        raise DimensionMismatch("sequence references items outside the universe")
+        raise ConfigError("sequence references items outside the universe")
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
     S = np.zeros((n, n))
     block_steps = max(1, _ENVY_BLOCK // n)

@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LengthMismatch
+from .errors import ConfigError
 from .market import ItemSequence, MarketInstance
 
 
@@ -92,10 +92,10 @@ def run_pace_paths(
         raise ValueError("need at least one sequence")
     t = seqs[0].t
     if any(seq.t != t for seq in seqs):
-        raise LengthMismatch("lockstep sequences must have equal lengths")
+        raise ConfigError("lockstep sequences must have equal lengths")
     items = np.stack([seq.items for seq in seqs], axis=1)  # (t, P) row per step
     if items.max() >= instance.m:
-        raise DimensionMismatch("sequence references items outside the universe")
+        raise ConfigError("sequence references items outside the universe")
     times = np.asarray([t] if record_times is None else record_times, dtype=np.int64)
     bounded = times.ndim == 1 and times.size > 0 and times[0] >= 1 and times[-1] == t
     if not bounded or np.any(np.diff(times) <= 0):

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairpace.dual_averaging import LogBarrierRegularizer, da_step, initial_state
-from fairpace.errors import DimensionMismatch, FairpaceError
+from fairpace.errors import ConfigError
 from fairpace.market import ItemSequence, MarketInstance
 from fairpace.pace import PaceTrace, pacing_box
-
-
-class NonpositiveReference(FairpaceError):
-    """Relative error requested against a reference with nonpositive entries."""
 
 
 def realized_total_utilities(trace: PaceTrace) -> np.ndarray:
@@ -32,9 +28,9 @@ def regret(trace: PaceTrace, hindsight_u, t: int) -> np.ndarray:
     """Signed shortfall t * hindsight_u_i - (realized total utility of i)."""
     hindsight_u = np.asarray(hindsight_u, dtype=np.float64)
     if trace.t != t:
-        raise DimensionMismatch(f"trace has {trace.t} steps, expected {t}")
+        raise ConfigError(f"trace has {trace.t} steps, expected {t}")
     if hindsight_u.shape != (trace.n,):
-        raise DimensionMismatch("hindsight utilities must have one entry per agent")
+        raise ConfigError("hindsight utilities must have one entry per agent")
     return t * hindsight_u - realized_total_utilities(trace)
 
 
@@ -45,12 +41,12 @@ def envy(trace: PaceTrace, instance: MarketInstance, seq: ItemSequence) -> np.nd
     (winner, item) counts, so no (t, n) matrix is built.
     """
     if trace.t != seq.t:
-        raise DimensionMismatch("trace and sequence lengths differ")
+        raise ConfigError("trace and sequence lengths differ")
     if trace.n != instance.n:
-        raise DimensionMismatch("trace and instance agent counts differ")
+        raise ConfigError("trace and instance agent counts differ")
     n, m = instance.n, instance.m
     if seq.items.max() >= m:
-        raise DimensionMismatch("sequence references items outside the universe")
+        raise ConfigError("sequence references items outside the universe")
     counts = np.bincount(trace.winners * m + seq.items, minlength=n * m).reshape(n, m)
     S = counts @ instance.valuations.T
     return S.max(axis=0) - np.diag(S)
@@ -69,7 +65,7 @@ def mean_square_errors(trace: PaceTrace, ref_beta, ref_u, n: int) -> SquaredErro
     ref_beta = np.asarray(ref_beta, dtype=np.float64)
     ref_u = np.asarray(ref_u, dtype=np.float64)
     if ref_beta.shape != (n,) or ref_u.shape != (n,) or trace.n != n:
-        raise DimensionMismatch("reference vectors must have one entry per agent")
+        raise ConfigError("reference vectors must have one entry per agent")
     return SquaredErrors(
         beta=float(((trace.beta_at[-1] - ref_beta) ** 2).sum()),
         utility=float(((trace.u_bar_at[-1] - ref_u) ** 2).sum()),
@@ -82,9 +78,9 @@ def relative_error_max(actual, reference) -> float:
     actual = np.asarray(actual, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if actual.shape != reference.shape:
-        raise DimensionMismatch("vectors must share a shape")
+        raise ConfigError("vectors must share a shape")
     if np.any(reference <= 0):
-        raise NonpositiveReference("reference entries must be strictly positive")
+        raise ConfigError("reference entries must be strictly positive")
     return float(np.max(np.abs(actual - reference) / reference))
 
 
@@ -92,7 +88,7 @@ def proportional_share_utilities(instance: MarketInstance, seq: ItemSequence) ->
     """Average utility when every arriving item is split equally, each agent
     taking their budget's share 1/n of it."""
     if seq.items.max() >= instance.m:
-        raise DimensionMismatch("sequence references items outside the universe")
+        raise ConfigError("sequence references items outside the universe")
     counts = np.bincount(seq.items, minlength=instance.m)
     return (1.0 / instance.n) * (instance.valuations @ counts) / seq.t
 

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairpace
-from fairpace import harness
+from fairpace import cli, errors, harness
 from fairpace.cli import main
 from fairpace.eg import hindsight_solution, market_problem, solve_dual
+from fairpace.errors import ConfigError, FairpaceError, NoConvergence
 from fairpace.harness import generate_market, load_config, resolve_market, resolve_model
 from fairpace.inputs import (
     model_to_dict,
@@ -265,6 +267,12 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 MARKET_2x3 = {"n": 2, "m": 3, "valuations": [[1.0, 0.5, 0.2], [0.3, 1.0, 0.6]]}
+# valuations near 1e300, whose float64 Hessian sums overflow in the dual solve
+MARKET_6x20_HUGE = {
+    "n": 6,
+    "m": 20,
+    "valuations": ((np.random.default_rng(0).random((6, 20)) + 0.05) * 1e300).tolist(),
+}
 IID_3 = {"kind": "iid", "base": [0.2, 0.3, 0.5]}
 
 
@@ -427,6 +435,13 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             + ["--delta0", "1e-17"],
             "delta0 1e-17 leaves an empty pacing box for n=1",
         ),
+        # the overflowing Hessian used to leave the next stage's working set
+        # empty, and the solve ended in an IndexError traceback
+        (
+            lambda p: _solve(p, market=MARKET_6x20_HUGE, items=[k % 20 for k in range(40)])
+            + ["--out", str(p / "solution.json")],
+            "overflow the dual solve in double precision",
+        ),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
@@ -435,7 +450,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith(("config error: ", "error: ")) and message in err
+    assert err.startswith("config error: ") and message in err
     # refused before any output is written
     assert sorted(tmp_path.rglob("*")) == files
 
@@ -528,6 +543,40 @@ def test_missing_out_directory_exits_2_before_work(tmp_path, capsys, command, ta
     assert err.startswith("config error: output ") and message in err
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == files
     assert sorted(tmp_path.rglob("*")) == sorted(files) + [tmp_path / "taken"] * (taken == "directory")
+
+
+def test_errors_define_one_type_per_exit_code():
+    defined = {
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, FairpaceError) and value is not FairpaceError
+    }
+    assert defined == {ConfigError, NoConvergence}
+
+
+def _failing_summarize(monkeypatch, tmp_path, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "summarize", fail)
+    return ["summarize", "--paths-csv", str(tmp_path / "paths.csv"), "--out", str(tmp_path / "agg.csv")]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(ConfigError, 2, "config error: "), (NoConvergence, 3, "numerical failure: ")],
+)
+def test_each_error_type_exits_with_its_code(monkeypatch, tmp_path, capsys, error, code, prefix):
+    assert main(_failing_summarize(monkeypatch, tmp_path, error("what went wrong"))) == code
+    assert capsys.readouterr().err == f"{prefix}what went wrong\n"
+
+
+@pytest.mark.parametrize("exc", [FairpaceError("bare base"), ValueError("bug"), IndexError("bug")])
+def test_other_exceptions_propagate(monkeypatch, tmp_path, capsys, exc):
+    # anything but the two exit-code types is a bug and keeps its traceback
+    with pytest.raises(type(exc)):
+        main(_failing_summarize(monkeypatch, tmp_path, exc))
+    assert capsys.readouterr().err == ""
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -18,12 +18,7 @@ from fairpace.eg import (
     solution_to_dict,
     solve_dual,
 )
-from fairpace.errors import (
-    DimensionMismatch,
-    NonpositiveBeta,
-    NoConvergenceWarning,
-    ZeroExpectedValue,
-)
+from fairpace.errors import ConfigError, NoConvergenceWarning
 from fairpace.inputs import reference_distribution
 from fairpace.market import ItemSequence, MarketInstance
 from tests.conftest import random_instance, traced_peak
@@ -48,7 +43,7 @@ class TestDualObjective:
 
     def test_rejects_nonpositive(self):
         prob = market_problem(MarketInstance(np.array([[1.0]])), np.array([1.0]))
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(ConfigError, match="strictly positive beta"):
             dual_objective(np.array([0.0]), prob)
 
 
@@ -79,8 +74,71 @@ class TestSolveDual:
     def test_zero_weighted_value_rejected(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
         prob = market_problem(MarketInstance(v), np.array([1.0, 0.0]))
-        with pytest.raises(ZeroExpectedValue):
+        with pytest.raises(ConfigError, match="zero weighted value"):
             solve_dual(prob)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_refuses_valuations_that_overflow_double(self, scale):
+        # their float64 Hessian sums overflowed, the Newton step turned NaN
+        # and the next stage's empty working set raised an IndexError
+        for seed in range(6):
+            prob = boxed_problem(seed, 4 + seed, 12 + 5 * seed, 1.0, seed % 2 == 1)
+            if prob is None:
+                continue
+            scaled = DualProblem(scale * prob.valuations, prob.weights, prob.lo, prob.hi)
+            with pytest.raises(ConfigError, match="overflow the dual solve in double precision"):
+                solve_dual(scaled)
+
+    def test_solves_valuations_below_float64_normals(self):
+        # float32's underflow test does not apply in double
+        for seed in range(6):
+            prob = boxed_problem(seed, 4 + seed, 12 + 5 * seed, 1.0, seed % 2 == 1)
+            if prob is None:
+                continue
+            scaled = DualProblem(1e-300 * prob.valuations, prob.weights, prob.lo, prob.hi)
+            assert solve_dual(scaled).converged
+
+    @staticmethod
+    def fail_first_solve_in(monkeypatch, name):
+        """Make the first np.linalg.solve called inside eg.<name> raise
+        LinAlgError. Returns a record of whether it raised and of what each
+        call of eg.<name> returned."""
+        solve, wrapped = np.linalg.solve, getattr(eg, name)
+        record = {"inside": False, "raised": False, "results": []}
+
+        def failing_solve(a, b):
+            if record["inside"] and not record["raised"]:
+                record["raised"] = True
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        def wrapper(*args, **kwargs):
+            record["inside"] = True
+            try:
+                record["results"].append(wrapped(*args, **kwargs))
+            finally:
+                record["inside"] = False
+            return record["results"][-1]
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        monkeypatch.setattr(eg, name, wrapper)
+        return record
+
+    def test_singular_newton_system_takes_a_gradient_step(self, rng, monkeypatch):
+        prob = market_problem(random_instance(rng, 5, 8), rng.dirichlet(np.ones(8)))
+        record = self.fail_first_solve_in(monkeypatch, "_newton_stage")
+        sol = solve_dual(prob)
+        assert record["raised"] and sol.converged
+
+    def test_singular_tangent_system_starts_the_next_stage_unpredicted(self, rng, monkeypatch):
+        prob = market_problem(random_instance(rng, 5, 8), rng.dirichlet(np.ones(8)))
+        record = self.fail_first_solve_in(monkeypatch, "_tangent")
+        sol = solve_dual(prob)
+        slopes = record["results"]
+        assert record["raised"] and slopes[0] is None
+        assert all(slope is not None for slope in slopes[1:])
+        assert [stage.predicted for stage in sol.stages[:3]] == [False, False, True]
+        assert sol.converged
 
     def test_optimality_sandwich(self, rng):
         inst = random_instance(rng, 4, 6)
@@ -156,7 +214,7 @@ class TestSolveDual:
         # first would leave an all-zero row instead of the error
         v = np.array([[1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0], [0.5, 1.0, 0.0, 1.0]])
         prob = market_problem(MarketInstance(v), np.array([0.5, 0.5, 0.0, 0.0]))
-        with pytest.raises(ZeroExpectedValue, match=r"\[1\]"):
+        with pytest.raises(ConfigError, match=r"\[1\]"):
             solve_dual(prob)
 
     def test_evaluations_counted(self, monkeypatch):
@@ -288,10 +346,10 @@ class TestSolveDual:
                 continue
             weights = other_weights(prob, seed)
             solve_dual(prob)
-            assert views and eg._fits_single(prob)
+            assert views and eg._fits(prob, np.float32, prob.valuations.max(axis=0))
             views.clear()
             scaled = DualProblem(scale * prob.valuations, prob.weights, prob.lo, prob.hi)
-            assert not eg._fits_single(scaled)
+            assert not eg._fits(scaled, np.float32, scaled.valuations.max(axis=0))
             with warnings.catch_warnings():
                 # scaled far from 1 a solve may stop short of the tolerance
                 warnings.simplefilter("ignore", NoConvergenceWarning)
@@ -1233,7 +1291,7 @@ class TestEquilibriumUtilities:
         assert np.allclose(equilibrium_utilities(np.array([1.0]), 1), [1.0])
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveBeta):
+        with pytest.raises(ConfigError, match="strictly positive beta"):
             equilibrium_utilities(np.array([0.0, 1.0]), 2)
 
 
@@ -1263,7 +1321,7 @@ class TestHindsight:
 
     def test_item_outside_universe(self):
         inst = MarketInstance(np.array([[1.0, 0.5], [0.2, 1.0]]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="outside the universe"):
             hindsight_solution(inst, ItemSequence(np.array([0, 5])))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairpace import harness
-from fairpace.errors import ConfigError, GridMismatch, InvalidRank
+from fairpace.errors import ConfigError
 from fairpace.harness import (
     config_from_dict,
     config_hash,
@@ -23,7 +23,7 @@ from fairpace.eg import hindsight_solution, market_problem, solve_dual
 from fairpace.inputs import reference_distribution, sample_sequences
 from fairpace.market import ReferenceDistribution, market_to_dict
 from fairpace.metrics import METRIC_NAMES, MetricSeries
-from fairpace.prng import derive_path_seed
+from fairpace.prng import derive_path_seed, make_generator
 
 
 def toy_config(**overrides):
@@ -99,10 +99,23 @@ class TestGenerateMarket:
         inst = generate_market(3, 4, rank=2, noise=0.2, seed=1, ref=ref)
         assert np.allclose(inst.valuations @ ref.probs, 1.0, atol=1e-12)
 
+    def test_redraws_rows_without_expected_value(self):
+        # with noise far above the factors and the reference on item 0,
+        # about half the first draw's rows value item 0 at 0; each is
+        # redrawn until it is positive there, the same way for a seed
+        ref = ReferenceDistribution([1.0, 0.0, 0.0, 0.0])
+        rng = make_generator(0)
+        first = rng.random((40, 1)) @ rng.random((4, 1)).T + 50.0 * (rng.random((40, 4)) - 0.5)
+        assert np.count_nonzero(first[:, 0] <= 0) == 20
+        inst = generate_market(40, 4, rank=1, noise=50.0, seed=0, ref=ref)
+        assert np.all(inst.valuations[:, 0] == 1.0)
+        again = generate_market(40, 4, rank=1, noise=50.0, seed=0, ref=ref)
+        assert np.array_equal(inst.valuations, again.valuations)
+
     def test_invalid_rank(self):
-        with pytest.raises(InvalidRank):
+        with pytest.raises(ConfigError, match=r"rank must lie in \[1, 3\]"):
             generate_market(3, 4, rank=5)
-        with pytest.raises(InvalidRank):
+        with pytest.raises(ConfigError, match=r"rank must lie in \[1, 3\]"):
             generate_market(3, 4, rank=0)
 
     def test_negative_or_non_finite_noise(self):
@@ -173,10 +186,10 @@ class TestSummarize:
     def test_grid_mismatch(self):
         a = self._series([1.0, 2.0])
         b = MetricSeries(times=np.array([1, 3]), values={"x": np.array([1.0, 2.0])})
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ConfigError, match="disagree on times"):
             summarize([a, b])
         c = MetricSeries(times=np.array([1, 2]), values={"y": np.array([1.0, 2.0])})
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ConfigError, match="disagree on times"):
             summarize([a, c])
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairpace.errors import InvalidHorizon, NoConvergence
+from fairpace.errors import ConfigError, NoConvergence
 from fairpace.inputs import (
     CorruptionSchedule,
     InputModel,
@@ -50,7 +50,7 @@ class TestSampling:
         assert sorted(seq.items[2:].tolist()) == [1, 2]
 
     def test_invalid_horizon(self):
-        with pytest.raises(InvalidHorizon):
+        with pytest.raises(ConfigError, match="horizon must be a positive integer"):
             sample_sequence(InputModel("iid", base=point_mass(2, 0)), 0, path_seed=1)
 
     def test_determinism(self):

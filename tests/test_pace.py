@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairpace import pace
 from fairpace.eg import hindsight_solution
 from fairpace.market import ItemSequence, MarketInstance
 from fairpace.pace import (
@@ -10,7 +11,7 @@ from fairpace.pace import (
     run_pace,
     run_pace_paths,
 )
-from fairpace.errors import DimensionMismatch, LengthMismatch
+from fairpace.errors import ConfigError
 from fairpace.inputs import random_iid_model, random_markov_model, sample_sequence
 from tests.conftest import has_bid_tie, random_instance, tie_free_run
 from tests.oracles import paced_reference
@@ -123,7 +124,7 @@ class TestRunPace:
 
     def test_dimension_mismatch(self, rng):
         inst = random_instance(rng, 2, 3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="outside the universe"):
             run_pace(inst, ItemSequence(np.array([0, 3])))
 
     def test_permutation_symmetry(self, rng):
@@ -196,7 +197,7 @@ class TestLockstep:
     def test_unequal_lengths(self, rng):
         inst = random_instance(rng, 2, 3)
         seqs = [ItemSequence(np.array([0, 1, 2])), ItemSequence(np.array([0, 1]))]
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="equal lengths"):
             run_pace_paths(inst, seqs)
 
     def test_refuses_grids_that_do_not_end_at_t(self, rng):
@@ -213,7 +214,7 @@ class TestLockstep:
     def test_dimension_mismatch_on_any_path(self, rng):
         inst = random_instance(rng, 2, 3)
         seqs = [ItemSequence(np.array([0, 1])), ItemSequence(np.array([0, 3]))]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="outside the universe"):
             run_pace_paths(inst, seqs)
 
 
@@ -275,6 +276,33 @@ class TestDaEquivalence:
         model = random_iid_model(10, seed=3)
         seq = sample_sequence(model, 1000, path_seed=17)
         assert equivalence_with_da(inst, seq)
+
+    # a power of two: shifted by it, the multipliers in (1/16, 2] differ
+    # from the averaging loop's by exactly TOL
+    TOL = 2.0**-30
+
+    @pytest.mark.parametrize(
+        "steps, shift, equal",
+        [
+            (3, 10 * TOL, False),  # caught mid-run
+            (-1, 10 * TOL, False),  # caught only at the final state
+            (slice(None), TOL, True),  # within tolerance everywhere
+        ],
+    )
+    def test_detects_shifted_trajectory(self, rng, monkeypatch, steps, shift, equal):
+        inst = random_instance(rng, 3, 4)
+        seq = ItemSequence(rng.integers(0, 4, size=50))
+        run = pace.run_pace
+
+        def shifted(*args, **kwargs):
+            trace = run(*args, **kwargs)
+            betas = trace.betas.copy()
+            betas[steps] += shift
+            assert np.all(betas[steps] - trace.betas[steps] == shift)
+            return trace._replace(betas=betas)
+
+        monkeypatch.setattr(pace, "run_pace", shifted)
+        assert equivalence_with_da(inst, seq, tol=self.TOL) is equal
 
 
 class TestRegretDiagnostic:
