@@ -700,9 +700,12 @@ def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound):
     The allocation then satisfies the dual's optimality conditions at the
     point, which is therefore the exact minimizer. Returns the point and
     its residual, or None, then the pivots that would mend a failed check:
-    the pairs of each outbid item's top bidder, to force into the forest,
-    else the forest's pairs of negative fraction, to ban from it. Both are
-    empty when the point is certified or fails a check no pivot mends.
+    to force into the forest, the pair of each agent off the bounds whom
+    the forest gives no item with the first item their bid would tie
+    inside the box (an agent who ties none takes the upper bound), or
+    else the pairs of each outbid item's top bidder; else, to ban from it,
+    the forest's pairs of negative fraction. Both are empty when the point
+    is certified or fails a check no pivot mends.
     """
     n, V, w = prob.n, prob.valuations, prob.weights
     lo, hi = prob.lo, prob.hi
@@ -754,7 +757,25 @@ def _certificate(beta, prob: DualProblem, tol: float, forest, whole, at_bound):
     unit_spend = np.bincount(tree[rows[first]], unit_spend, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.bincount(tree, minlength=n) / (n * unit_spend)
-    bound_root = at_bound & (tree == np.arange(n))
+    is_root = tree == np.arange(n)
+    bound_root = at_bound & is_root
+    # a tree that holds no item is one agent whom the forest gives nothing,
+    # so no scale meets their budget. Off the bounds at beta, such an agent
+    # either ties for an item through a pair whose share lies below
+    # _SHARE_FLOOR, as when prices dwarf the budgets, or wins nothing and
+    # belongs on the upper bound. Where their bid reaches an item's top at
+    # a multiplier inside the box, their pair on the first such item is
+    # forced; otherwise they take the upper bound
+    itemless = np.flatnonzero((unit_spend == 0) & is_root & ~at_bound)
+    if itemless.size:
+        own = V[itemless]
+        tops = (beta[:, None] * V).max(axis=0)
+        reach = np.divide(tops, own, out=np.full_like(own, np.inf), where=own > 0)
+        nearest = reach.argmin(axis=1)
+        ties = reach[np.arange(itemless.size), nearest] < hi
+        if np.any(ties):
+            return None, list(zip(itemless[ties].tolist(), nearest[ties].tolist())), []
+        scale[itemless] = hi
     scale[bound_root] = beta[bound_root]
     beta_hat = scale[tree] * ratio
     if not np.all((beta_hat >= lo) & (beta_hat <= hi)):
@@ -818,12 +839,13 @@ def _crossover(beta, prob: DualProblem, tol: float, root, working):
     Builds the forest of the candidates' flow (see _flow_forest) and checks
     the point and allocation it implies (see _certificate). Each failed
     check that a pivot mends pivots the forest, for at most _PIVOT_ROUNDS
-    rounds: an outbid item forces its pair with its top bidder into the
-    forest, and a negative fraction bans its pair, each undoing an earlier
-    pivot on the same pair. A forest an earlier round already checked, with
-    the same shared items, ends the attempt: its certificate would fail
-    again. Returns the certified point and its residual, or None, with the
-    number of pivots made.
+    rounds: an agent off the bounds left without an item, or an outbid
+    item's top bidder, forces a pair into the forest, and a negative
+    fraction bans its pair, each undoing an earlier pivot on the same pair.
+    A forest an earlier round already checked, with the same shared items,
+    ends the attempt: its certificate would fail again. Returns the
+    certified point and its residual, or None, with the number of pivots
+    made.
     """
     n, m = prob.n, prob.m
     rows, cols, values, flow = _candidates(prob, root, working)

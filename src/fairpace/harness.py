@@ -148,18 +148,30 @@ def generate_market(
     rng = make_generator(seed)
     A = rng.random((n, rank))
     B = rng.random((m, rank))
-    E = rng.random((n, m)) - 0.5
-    V = np.maximum(0.0, A @ B.T + noise * E)
+
+    def rows(A):
+        # max(0, A B^T + noise (E - 0.5)) for noise E drawn after A, finished
+        # in E's buffer: entry for entry the same IEEE operations, with no
+        # other array of its size live but the product A B^T
+        V = rng.random((A.shape[0], m))
+        V -= 0.5
+        V *= noise
+        V += A @ B.T
+        return np.maximum(0.0, V, out=V)
+
+    V = rows(A)
     for _ in range(100):
         bad = np.flatnonzero(V @ ref.probs <= 0)
         if bad.size == 0:
             break
-        A_new = rng.random((bad.size, rank))
-        E_new = rng.random((bad.size, m)) - 0.5
-        V[bad] = np.maximum(0.0, A_new @ B.T + noise * E_new)
+        V[bad] = rows(rng.random((bad.size, rank)))
     else:
         raise ValueError("could not draw a market with positive rows")
-    return MarketInstance(normalize_valuations(V, ref))
+    # rebinding V frees the drawn matrix; the normalized one is handed over
+    # read-only, so MarketInstance keeps it without a copy
+    V = normalize_valuations(V, ref)
+    V.setflags(write=False)
+    return MarketInstance(V)
 
 
 def resolve_model(config: ExperimentConfig) -> InputModel:
@@ -175,7 +187,9 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     if "path" in doc:
         instance = market_from_dict(read_json(doc["path"], "market"))
         with as_config_error("bad market"):
-            return MarketInstance(normalize_valuations(instance.valuations, ref))
+            valuations = normalize_valuations(instance.valuations, ref)
+            valuations.setflags(write=False)
+            return MarketInstance(valuations)
     if "generator" in doc:
         g = doc["generator"]
         with as_config_error("bad market generator spec"):

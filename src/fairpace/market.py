@@ -86,10 +86,23 @@ class MarketInstance:
     every row must have at least one strictly positive entry. The budgets
     are not stored: pacing, the dual solves and the metrics all assume the
     uniform 1/n, which sums to 1 per time step.
+
+    A read-only float64 array that owns its memory is kept, not copied, as
+    DualProblem keeps a read-only array: whoever hands one over gives it up
+    and must not make it writeable again. Any other input, a writeable
+    array or a view of one included, is copied, so a caller's later writes
+    cannot reach the instance.
     """
 
     def __init__(self, valuations):
-        v = np.array(valuations, dtype=np.float64)
+        v = valuations
+        if not (
+            type(v) is np.ndarray
+            and v.dtype == np.float64
+            and v.flags.owndata
+            and not v.flags.writeable
+        ):
+            v = np.array(v, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("valuations must be a nonempty 2-d matrix")
         if not np.all(np.isfinite(v)) or np.any(v < 0):

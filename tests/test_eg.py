@@ -89,6 +89,20 @@ class TestSolveDual:
             with pytest.raises(ConfigError, match="overflow the dual solve in double precision"):
                 solve_dual(scaled)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+    def test_converges_on_valuations_far_above_one(self, scale):
+        # at 1e5 the box's lower bound holds all but a few agents, whose
+        # prices dwarf their budgets, and an agent off it takes about 3e-4
+        # of one tied item, a share below the crossover's floor: the
+        # certificate then forces that agent's pair on the first item their
+        # bid would tie inside the box (2 of 12 converged without it)
+        converged = 0
+        for seed in range(12):
+            prob = boxed_problem(seed, 6 + seed, 20 + 3 * seed, 1.0, seed % 2 == 1)
+            scaled = DualProblem(scale * prob.valuations, prob.weights, prob.lo, prob.hi)
+            converged += solve_dual(scaled).converged
+        assert converged == 12
+
     def test_solves_valuations_below_float64_normals(self):
         # float32's underflow test does not apply in double
         for seed in range(6):
@@ -1225,6 +1239,9 @@ class TestShorterPaths:
         heavy=st.booleans(),
     )
     @example(seed=7249, n=7, m=4, delta0=0.02, heavy=False)
+    # an agent who wins nothing ends the warm stages a rounding below the
+    # upper bound: the certificate puts them on it
+    @example(seed=2**32 - 2, n=8, m=6, delta0=1.0, heavy=True)
     def test_warm_start_finds_the_cold_optimum(self, seed, n, m, delta0, heavy):
         # warm-started from the optimum of other weights on the same market,
         # the solve runs the cold ladder's stages from the first at or below

@@ -21,9 +21,10 @@ from fairpace.harness import (
 )
 from fairpace.eg import hindsight_solution, market_problem, solve_dual
 from fairpace.inputs import reference_distribution, sample_sequences
-from fairpace.market import ReferenceDistribution, market_to_dict
+from fairpace.market import ReferenceDistribution, market_to_dict, normalize_valuations
 from fairpace.metrics import METRIC_NAMES, MetricSeries
 from fairpace.prng import derive_path_seed, make_generator
+from tests.conftest import traced_peak
 
 
 def toy_config(**overrides):
@@ -112,6 +113,40 @@ class TestGenerateMarket:
         again = generate_market(40, 4, rank=1, noise=50.0, seed=0, ref=ref)
         assert np.array_equal(inst.valuations, again.valuations)
 
+    @pytest.mark.parametrize(
+        "n, m, rank, noise, seed, probs",
+        [
+            (4, 5, 1, 0.0, 3, None),
+            (5, 6, 2, 0.1, 11, None),
+            (3, 4, 2, 0.2, 1, [0.7, 0.1, 0.1, 0.1]),
+            (30, 70, 10, 0.1, 7, None),
+            (100, 1500, 10, 0.1, 1, None),
+            (40, 4, 1, 50.0, 0, [1.0, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_matches_out_of_place_expression(self, n, m, rank, noise, seed, probs):
+        # the market built in the noise's buffer is, bit for bit, the one of
+        # max(0, A B^T + noise E) with each row redrawn the same way,
+        # the last case's 20 redrawn rows included
+        ref = ReferenceDistribution(np.full(m, 1.0 / m) if probs is None else probs)
+        rng = make_generator(seed)
+        A, B = rng.random((n, rank)), rng.random((m, rank))
+        V = np.maximum(0.0, A @ B.T + noise * (rng.random((n, m)) - 0.5))
+        while np.any(V @ ref.probs <= 0):
+            bad = np.flatnonzero(V @ ref.probs <= 0)
+            A_new = rng.random((bad.size, rank))
+            V[bad] = np.maximum(0.0, A_new @ B.T + noise * (rng.random((bad.size, m)) - 0.5))
+        inst = generate_market(n, m, rank=rank, noise=noise, seed=seed, ref=ref)
+        assert np.array_equal(inst.valuations, normalize_valuations(V, ref))
+
+    def test_peak_holds_two_matrices(self):
+        # the noise's buffer becomes V, and normalizing it makes a second
+        # (n, m) array that the instance keeps; nothing else of that size is
+        # live at once (the out-of-place build peaked at 4.86 MB here)
+        inst, peak = traced_peak(generate_market, 100, 1500, rank=10, noise=0.1, seed=1)
+        assert peak <= 1.1 * 2 * inst.valuations.nbytes
+        assert inst.valuations.flags.owndata and not inst.valuations.flags.writeable
+
     def test_invalid_rank(self):
         with pytest.raises(ConfigError, match=r"rank must lie in \[1, 3\]"):
             generate_market(3, 4, rank=5)
@@ -145,6 +180,23 @@ class TestResolvers:
         )
         loaded = resolve_market(cfg2, reference_distribution(resolve_model(cfg2)))
         assert loaded.n == 2
+
+    def test_markets_keep_the_normalized_array(self, tmp_path, monkeypatch):
+        # a generated and a loaded market both hand normalize_valuations'
+        # fresh result over read-only, and the instance keeps it uncopied
+        made = []
+        normalize = harness.normalize_valuations
+        monkeypatch.setattr(
+            harness, "normalize_valuations", lambda *args: made.append(normalize(*args)) or made[-1]
+        )
+        generated = resolve_market(toy_config(), ReferenceDistribution(np.full(4, 0.25)))
+        assert generated.valuations is made[-1]
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(market_to_dict(generated)))
+        cfg = toy_config(market={"path": str(path)})
+        loaded = resolve_market(cfg, reference_distribution(resolve_model(cfg)))
+        assert loaded.valuations is made[-1]
+        assert not loaded.valuations.flags.writeable
 
     def test_model_explicit_arrays(self):
         cfg = toy_config(model={"kind": "iid", "base": [0.25, 0.25, 0.25, 0.25], "seed": 2})

@@ -34,6 +34,30 @@ def test_market_instance_defaults_and_invariants():
         MarketInstance(np.array([[1.0, -0.5]]))
 
 
+def test_market_instance_copies_a_writeable_array():
+    v = np.array([[1.0, 2.0], [3.0, 0.5]])
+    inst = MarketInstance(v)
+    v[0, 0] = 7.0
+    assert inst.valuations[0, 0] == 1.0
+    assert not np.shares_memory(inst.valuations, v)
+
+
+def test_market_instance_keeps_a_read_only_array_that_owns_its_data():
+    v = np.array([[1.0, 2.0], [3.0, 0.5]])
+    v.setflags(write=False)
+    assert MarketInstance(v).valuations is v
+
+
+def test_market_instance_copies_a_read_only_view_of_a_writeable_array():
+    base = np.array([[1.0, 2.0, 4.0], [3.0, 0.5, 1.0]])
+    view = base[:, :2]
+    view.setflags(write=False)
+    inst = MarketInstance(view)
+    base[0, 0] = 7.0
+    assert inst.valuations[0, 0] == 1.0
+    assert not np.shares_memory(inst.valuations, base)
+
+
 PROBLEM = (np.ones((2, 2)), np.array([0.5, 0.5]), 0.25, 2.0)
 VALUE_ARRAYS = {
     "MarketInstance.valuations": lambda: MarketInstance(np.array([[1.0, 2.0]])).valuations,
