@@ -108,28 +108,27 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, NoConvergenceWarning
-from .market import ItemSequence, MarketInstance, ReferenceDistribution
+from .market import (
+    ItemSequence, MarketInstance, ReferenceDistribution, as_read_only, check_probabilities
+)
 from .pace import pacing_box
 
 
 class DualProblem:
-    """Valuations, item weights summing to 1, and the multiplier box."""
+    """Valuations, item weights summing to 1, and the multiplier box.
+
+    Both arrays are kept or copied as `market.as_read_only` says.
+    """
 
     def __init__(self, valuations: np.ndarray, weights: np.ndarray, lo: float, hi: float):
-        v = np.asarray(valuations, dtype=np.float64)
-        if v.flags.writeable:  # a read-only array is kept, not copied
-            v = v.copy()
-        w = np.array(weights, dtype=np.float64)
+        v, w = as_read_only(valuations), as_read_only(weights)
         if v.ndim != 2:
             raise ValueError("valuations must be a 2-d matrix")
         if w.shape != (v.shape[1],):
             raise ValueError("weights length must match the item count")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        check_probabilities(w, "weights")
         if not 0.0 < lo < hi:
             raise ValueError("box must satisfy 0 < lo < hi")
-        v.setflags(write=False)
-        w.setflags(write=False)
         self.valuations, self.weights, self.lo, self.hi = v, w, lo, hi
 
     @property

@@ -83,8 +83,6 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         raise ConfigError("grid must be an object")
     dense_until = read_field(int, grid, "dense_until", 100)
     grid_factor = read_field(float, grid, "factor", 1.1)
-    if dense_until < 1 or not 1.0 < grid_factor < np.inf:
-        raise ConfigError("grid.dense_until must be positive and grid.factor finite and above 1")
     with as_config_error("bad grid"):
         recording_grid(t, dense_until, grid_factor)
     # the market file and the output directory a config names are relative
@@ -167,10 +165,9 @@ def generate_market(
         V[bad] = rows(rng.random((bad.size, rank)))
     else:
         raise ValueError("could not draw a market with positive rows")
-    # rebinding V frees the drawn matrix; the normalized one is handed over
-    # read-only, so MarketInstance keeps it without a copy
+    # rebinding V frees the drawn matrix before the instance checks the
+    # normalized one, which it keeps without a copy
     V = normalize_valuations(V, ref)
-    V.setflags(write=False)
     return MarketInstance(V)
 
 
@@ -187,9 +184,7 @@ def resolve_market(config: ExperimentConfig, ref: ReferenceDistribution) -> Mark
     if "path" in doc:
         instance = market_from_dict(read_json(doc["path"], "market"))
         with as_config_error("bad market"):
-            valuations = normalize_valuations(instance.valuations, ref)
-            valuations.setflags(write=False)
-            return MarketInstance(valuations)
+            return MarketInstance(normalize_valuations(instance.valuations, ref))
     if "generator" in doc:
         g = doc["generator"]
         with as_config_error("bad market generator spec"):

@@ -25,7 +25,10 @@ from typing import List
 import numpy as np
 
 from .errors import ConfigError, NoConvergence
-from .market import ItemSequence, ReferenceDistribution, as_config_error, read_field
+from .market import (
+    ItemSequence, ReferenceDistribution, as_config_error, as_read_only, check_probabilities,
+    read_field,
+)
 from .prng import categorical_cdf, make_generator, sample_categorical
 
 KINDS = ("iid", "corrupted", "markov", "periodic")
@@ -54,25 +57,22 @@ class CorruptionSchedule:
         self.kind, self.scale, self.target = kind, scale, target
 
 
-def _row_stochastic(matrix, name: str) -> np.ndarray:
-    arr = np.array(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError(f"{name} entries must be finite and nonnegative")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError(f"{name} rows must sum to 1")
-    arr.setflags(write=False)
-    return arr
+def _transition_matrix(matrix) -> np.ndarray:
+    """matrix kept or copied as `market.as_read_only` says, checked square and row-stochastic."""
+    P = as_read_only(matrix)
+    if P.ndim != 2 or not 0 < P.shape[0] == P.shape[1]:
+        raise ValueError("transition matrix must be square and nonempty")
+    return check_probabilities(P, "transition")
 
 
 class InputModel:
     """Tagged description of an arrival process over m items.
 
-    The base is converted to a ReferenceDistribution and the matrices to
-    read-only row-stochastic arrays. A budgeted corruption whose target no
-    corner's headroom reaches, and a decaying one whose first row's sum could
-    overflow, are refused here, before any sampling.
+    The base is converted to a ReferenceDistribution; the matrices are kept
+    or copied as `market.as_read_only` says and checked row-stochastic. A
+    budgeted corruption whose target no corner's headroom reaches, and a
+    decaying one whose first row's sum could overflow, are refused here,
+    before any sampling.
     """
 
     def __init__(
@@ -101,17 +101,16 @@ class InputModel:
         if kind == "markov":
             if transition is None:
                 raise ValueError("markov model requires a transition matrix")
-            transition = _row_stochastic(transition, "transition")
-            if transition.shape[0] != transition.shape[1]:
-                raise ValueError("transition matrix must be square")
+            transition = _transition_matrix(transition)
             if transition.shape[0] != base.m:
                 raise ValueError("transition size must match the base distribution")
         if kind == "periodic":
             if period_dists is None:
                 raise ValueError("periodic model requires per-position distributions")
-            period_dists = _row_stochastic(period_dists, "period_dists")
-            if period_dists.shape[0] < 1:
-                raise ValueError("period length must be at least 1")
+            period_dists = as_read_only(period_dists)
+            if period_dists.ndim != 2 or period_dists.shape[0] < 1:
+                raise ValueError("period_dists must be a 2-d matrix of at least one row")
+            check_probabilities(period_dists, "period_dists")
         self.kind, self.base, self.corruption, self.seed = kind, base, corruption, seed
         self.transition, self.period_dists = transition, period_dists
 
@@ -203,6 +202,8 @@ def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence
             # row-wise inverse CDF with lower-index ties, one uniform per step
             path_items[start:stop] = (cdf < u[start:stop, None]).sum(axis=1)
         start = stop
+    for path_items in items:
+        path_items.setflags(write=False)
     return [ItemSequence(path_items) for path_items in items]
 
 
@@ -244,7 +245,8 @@ def _sample_path(model: InputModel, t: int, path_seed: int) -> ItemSequence:
         # uniform within-block shuffle via random sort keys
         order = np.argsort(u[:, q:], axis=1)
         items = np.take_along_axis(drawn, order, axis=1).reshape(-1)[:t]
-    return ItemSequence(items.astype(np.int64))
+    items.setflags(write=False)
+    return ItemSequence(items)
 
 
 # Power iterations before a chain is declared periodic or reducible.
@@ -260,9 +262,7 @@ def stationary_distribution(transition, tol: float = 1e-12) -> ReferenceDistribu
     fixed point (for example the identity transition) converge immediately
     to uniform; that degenerate acceptance is by design.
     """
-    P = _row_stochastic(transition, "transition")
-    if P.shape[0] != P.shape[1]:
-        raise ValueError("transition matrix must be square")
+    P = _transition_matrix(transition)
     pi = np.full(P.shape[0], 1.0 / P.shape[0])
     for _ in range(_POWER_ITERATIONS):
         nxt = pi @ P
@@ -305,16 +305,19 @@ def random_corrupted_model(m: int, corruption: CorruptionSchedule, seed: int = 0
 def random_markov_model(m: int, seed: int = 0) -> InputModel:
     """Dense random chain (row-normalized uniforms) with a random start."""
     rng = make_generator(seed)
-    raw = rng.random((m, m))
-    transition = raw / raw.sum(axis=1, keepdims=True)
+    transition = rng.random((m, m))
+    transition /= transition.sum(axis=1, keepdims=True)
+    transition.setflags(write=False)
     start = rng.random(m)
     return InputModel("markov", base=start / start.sum(), transition=transition, seed=seed)
 
 
 def random_periodic_model(m: int, q: int, seed: int = 0) -> InputModel:
     """q random per-position distributions (row-normalized uniforms)."""
-    raw = make_generator(seed).random((q, m))
-    return InputModel("periodic", period_dists=raw / raw.sum(axis=1, keepdims=True), seed=seed)
+    dists = make_generator(seed).random((q, m))
+    dists /= dists.sum(axis=1, keepdims=True)
+    dists.setflags(write=False)
+    return InputModel("periodic", period_dists=dists, seed=seed)
 
 
 def model_to_dict(model: InputModel) -> dict:

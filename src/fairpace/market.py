@@ -60,19 +60,47 @@ def as_config_error(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def as_read_only(array, dtype=np.float64) -> np.ndarray:
+    """array if it is a read-only ndarray of dtype owning its memory, else a read-only copy.
+
+    The one keep-or-copy rule of every array the package's value types
+    hold. Whoever hands over a kept array gives it up and must not make it
+    writeable again. Anything else, a writeable array or a read-only view of
+    one included, is copied, so a caller's later writes cannot reach the
+    holder.
+    """
+    if not (
+        type(array) is np.ndarray
+        and array.dtype == dtype
+        and array.flags.owndata
+        and not array.flags.writeable
+    ):
+        array = np.array(array, dtype=dtype)
+        array.setflags(write=False)
+    return array
+
+
+def check_probabilities(probs: np.ndarray, name: str) -> np.ndarray:
+    """probs, once every entry is finite and nonnegative and each row sums to 1.
+
+    Rows lie along the last axis, and sum to 1 within 1e-12; a vector is
+    one row. Raises ValueError otherwise.
+    """
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError(f"{name} entries must be finite and nonnegative")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-12):
+        raise ValueError(f"{name} must sum to 1 along each row")
+    return probs
+
+
 class ReferenceDistribution:
     """Categorical distribution over the item universe."""
 
     def __init__(self, probs):
-        probs = np.array(probs, dtype=np.float64)
+        probs = as_read_only(probs)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise ValueError("probs must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1, got {probs.sum()!r}")
-        probs.setflags(write=False)
-        self.probs = probs
+        self.probs = check_probabilities(probs, "probs")
 
     @property
     def m(self) -> int:
@@ -85,31 +113,18 @@ class MarketInstance:
     valuations is an (n, m) nonnegative matrix of utility-per-unit-item;
     every row must have at least one strictly positive entry. The budgets
     are not stored: pacing, the dual solves and the metrics all assume the
-    uniform 1/n, which sums to 1 per time step.
-
-    A read-only float64 array that owns its memory is kept, not copied, as
-    DualProblem keeps a read-only array: whoever hands one over gives it up
-    and must not make it writeable again. Any other input, a writeable
-    array or a view of one included, is copied, so a caller's later writes
-    cannot reach the instance.
+    uniform 1/n, which sums to 1 per time step. The matrix is kept or
+    copied as `as_read_only` says.
     """
 
     def __init__(self, valuations):
-        v = valuations
-        if not (
-            type(v) is np.ndarray
-            and v.dtype == np.float64
-            and v.flags.owndata
-            and not v.flags.writeable
-        ):
-            v = np.array(v, dtype=np.float64)
+        v = as_read_only(valuations)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("valuations must be a nonempty 2-d matrix")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("valuations must be finite and nonnegative")
         if np.any(v.max(axis=1) <= 0):
             raise ValueError("every agent needs at least one positive valuation")
-        v.setflags(write=False)
         self.valuations = v
 
     @property
@@ -125,16 +140,14 @@ class ItemSequence:
     """Realized arrival order of items, stored as indices into the universe."""
 
     def __init__(self, items):
-        items = np.array(items)
+        items = np.asarray(items)
         if items.ndim != 1 or items.size == 0:
             raise ValueError("items must be a nonempty 1-d vector")
         if not np.issubdtype(items.dtype, np.integer):
             raise ValueError("items must be integer indices")
         if items.min() < 0 or items.max() > np.iinfo(np.int64).max:
             raise ValueError("item indices must be nonnegative 64-bit integers")
-        items = items.astype(np.int64)
-        items.setflags(write=False)
-        self.items = items
+        self.items = as_read_only(items, np.int64)
 
     @property
     def t(self) -> int:
@@ -144,7 +157,8 @@ class ItemSequence:
 def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     """Scale each row so its expected value under ref equals 1.
 
-    Raises ConfigError if some agent values nothing in the support
+    The result is a fresh read-only array, which a MarketInstance keeps
+    uncopied. Raises ConfigError if some agent values nothing in the support
     of the reference distribution.
     """
     v = np.asarray(valuations, dtype=np.float64)
@@ -159,7 +173,9 @@ def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     # a row whose expected value is tiny beside its entries overflows here;
     # MarketInstance refuses the result, and the warning would only repeat that
     with np.errstate(over="ignore"):
-        return v / expected[:, None]
+        v = v / expected[:, None]
+    v.setflags(write=False)
+    return v
 
 
 def market_to_dict(instance: MarketInstance) -> dict:
@@ -179,9 +195,10 @@ def market_from_dict(doc: dict) -> MarketInstance:
     """
     with as_config_error("bad market"):
         n, m = read_field(int, doc, "n"), read_field(int, doc, "m")
-        v = np.asarray(doc["valuations"], dtype=np.float64)
+        v = np.array(doc["valuations"], dtype=np.float64)
         if v.shape != (n, m):
             raise ConfigError(f"valuations shape {v.shape} does not match n={n}, m={m}")
+        v.setflags(write=False)  # fresh from the document, so kept uncopied
         instance = MarketInstance(v)
         if "budgets" in doc:
             b = np.asarray(doc["budgets"], dtype=np.float64)

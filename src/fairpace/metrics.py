@@ -45,6 +45,8 @@ def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.nd
     """
     if t < 1:
         raise ValueError("horizon must be positive")
+    if dense_until < 1:
+        raise ValueError(f"grid.dense_until must be positive, got {dense_until!r}")
     if not 1.0 < factor < np.inf:
         raise ValueError(f"need grid.factor finite and above 1, got {factor!r}")
     too_long = ValueError(

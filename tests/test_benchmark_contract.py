@@ -2,7 +2,8 @@
 
 `perfbench/probe.py` imports harness, inputs, eg, pace, metrics and prng
 functions by name; this runs its `setup` and `trace` modes as the benchmark
-does, so a change that breaks one of those calls fails here. The text that
+does, so a change that breaks one of those calls fails here, and checks the
+traced replay's files against `fairpace run`'s. The text that
 `perfbench/selftest.py` patches into copies of the library is checked too.
 """
 
@@ -30,7 +31,8 @@ CONFIG = {
 }
 
 
-def _probe(tmp_path, *args):
+def _child(tmp_path, *args):
+    """The last stdout line of `python *args --config <CONFIG>`, run as the benchmark runs it."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -41,11 +43,15 @@ def _probe(tmp_path, *args):
         "OMP_NUM_THREADS": "1",
     }
     proc = subprocess.run(
-        [sys.executable, str(PROBE), *args, "--config", str(config)],
+        [sys.executable, *args, "--config", str(config)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def _probe(tmp_path, *args):
+    return json.loads(_child(tmp_path, str(PROBE), *args))
 
 
 def test_probe_setup_checks_the_claim(tmp_path):
@@ -60,6 +66,12 @@ def test_probe_trace_writes_the_run_outputs(tmp_path):
     result = _probe(tmp_path, "trace", "--out", str(out))
     assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "paths.csv", "summary.json"]
     assert len(result["hindsight"]) == CONFIG["paths"]
+    # the traced replay must write what `fairpace run` writes, byte for byte:
+    # `perfbench/run.py --trace 1` fails a run whose files differ
+    run_out = tmp_path / "run"
+    _child(tmp_path, "-m", "fairpace.cli", "run", "--out", str(run_out), "--threads", "1")
+    for name in ("paths.csv", "aggregate.csv"):
+        assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
 def test_selftest_patches_still_apply():

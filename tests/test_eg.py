@@ -1365,3 +1365,6 @@ def test_dual_problem_validation():
         DualProblem(np.ones((2, 2)), np.array([0.5, 0.5]), 0.0, 2.0)
     with pytest.raises(ValueError):
         DualProblem(np.ones((2, 2)), np.array([1.0]), 0.25, 2.0)
+    # NaN weights used to pass the sum check and crash solve_dual with an IndexError
+    with pytest.raises(ValueError, match="weights entries must be finite"):
+        DualProblem(np.ones((2, 2)), np.array([np.nan, 1.0]), 0.25, 2.0)

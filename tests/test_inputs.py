@@ -245,6 +245,19 @@ class TestStationary:
         with pytest.raises(NoConvergence):
             stationary_distribution(P, tol=1e-10)
 
+    def test_refuses_a_matrix_that_is_not_square_and_nonempty(self):
+        # the empty matrix used to end in a ZeroDivisionError
+        for P in (np.zeros((0, 0)), np.full((2, 3), 1 / 3), np.array([1.0])):
+            with pytest.raises(ValueError, match="square and nonempty"):
+                stationary_distribution(P)
+
+    def test_keeps_a_models_matrix(self):
+        # the model has checked its matrix and holds it read-only, so the
+        # solve copies nothing of its size (the copy peaked above 1.1 x it)
+        P = random_markov_model(400, seed=2).transition
+        _, peak = traced_peak(stationary_distribution, P)
+        assert peak < P.nbytes / 4
+
 
 def test_reference_distribution_per_kind():
     base = ReferenceDistribution(np.array([0.6, 0.4]))

@@ -34,43 +34,22 @@ def test_market_instance_defaults_and_invariants():
         MarketInstance(np.array([[1.0, -0.5]]))
 
 
-def test_market_instance_copies_a_writeable_array():
-    v = np.array([[1.0, 2.0], [3.0, 0.5]])
-    inst = MarketInstance(v)
-    v[0, 0] = 7.0
-    assert inst.valuations[0, 0] == 1.0
-    assert not np.shares_memory(inst.valuations, v)
-
-
-def test_market_instance_keeps_a_read_only_array_that_owns_its_data():
-    v = np.array([[1.0, 2.0], [3.0, 0.5]])
-    v.setflags(write=False)
-    assert MarketInstance(v).valuations is v
-
-
-def test_market_instance_copies_a_read_only_view_of_a_writeable_array():
-    base = np.array([[1.0, 2.0, 4.0], [3.0, 0.5, 1.0]])
-    view = base[:, :2]
-    view.setflags(write=False)
-    inst = MarketInstance(view)
-    base[0, 0] = 7.0
-    assert inst.valuations[0, 0] == 1.0
-    assert not np.shares_memory(inst.valuations, base)
-
-
-PROBLEM = (np.ones((2, 2)), np.array([0.5, 0.5]), 0.25, 2.0)
+PROBLEM = ([[1.0, 1.0], [1.0, 1.0]], [0.5, 0.5], 0.25, 2.0)
+# each kept array's constructor, with a valid value for it
 VALUE_ARRAYS = {
-    "MarketInstance.valuations": lambda: MarketInstance(np.array([[1.0, 2.0]])).valuations,
-    "ItemSequence.items": lambda: ItemSequence(np.array([0, 1])).items,
-    "ReferenceDistribution.probs": lambda: ReferenceDistribution(np.array([0.25, 0.75])).probs,
-    "InputModel.transition": lambda: InputModel(
-        "markov", [0.5, 0.5], transition=[[0.5, 0.5], [1.0, 0.0]]
-    ).transition,
-    "InputModel.period_dists": lambda: InputModel(
-        "periodic", period_dists=[[0.5, 0.5], [1.0, 0.0]]
-    ).period_dists,
-    "DualProblem.valuations": lambda: DualProblem(*PROBLEM).valuations,
-    "DualProblem.weights": lambda: DualProblem(*PROBLEM).weights,
+    "MarketInstance.valuations": (lambda a: MarketInstance(a).valuations, [[1.0, 2.0], [3.0, 0.5]]),
+    "ItemSequence.items": (lambda a: ItemSequence(a).items, [0, 1]),
+    "ReferenceDistribution.probs": (lambda a: ReferenceDistribution(a).probs, [0.25, 0.75]),
+    "InputModel.transition": (
+        lambda a: InputModel("markov", [0.5, 0.5], transition=a).transition,
+        [[0.5, 0.5], [1.0, 0.0]],
+    ),
+    "InputModel.period_dists": (
+        lambda a: InputModel("periodic", period_dists=a).period_dists,
+        [[0.5, 0.5], [1.0, 0.0]],
+    ),
+    "DualProblem.valuations": (lambda a: DualProblem(a, *PROBLEM[1:]).valuations, PROBLEM[0]),
+    "DualProblem.weights": (lambda a: DualProblem(PROBLEM[0], a, *PROBLEM[2:]).weights, PROBLEM[1]),
 }
 
 
@@ -78,11 +57,43 @@ VALUE_ARRAYS = {
 def test_market_arrays_are_read_only(name):
     # the value types are not frozen: their arrays being read-only is what
     # keeps an instance unchanged after construction
-    array = VALUE_ARRAYS[name]()
+    make, value = VALUE_ARRAYS[name]
+    array = make(value)
     with pytest.raises(ValueError):
         array[(0,) * array.ndim] = 5
     with pytest.raises(ValueError):
         array *= 2
+
+
+@pytest.mark.parametrize("name", VALUE_ARRAYS)
+def test_market_arrays_copy_a_writeable_array(name):
+    make, value = VALUE_ARRAYS[name]
+    v = np.array(value)
+    kept = make(v)
+    v[(0,) * v.ndim] = 7
+    assert np.array_equal(kept, value)
+    assert not np.shares_memory(kept, v)
+
+
+@pytest.mark.parametrize("name", VALUE_ARRAYS)
+def test_market_arrays_keep_a_read_only_array_that_owns_its_data(name):
+    make, value = VALUE_ARRAYS[name]
+    v = np.array(value)
+    v.setflags(write=False)
+    assert make(v) is v
+
+
+@pytest.mark.parametrize("name", VALUE_ARRAYS)
+def test_market_arrays_copy_a_read_only_view_of_a_writeable_array(name):
+    make, value = VALUE_ARRAYS[name]
+    value = np.array(value)
+    base = np.concatenate([value, value], axis=-1)
+    view = base[..., : value.shape[-1]]
+    view.setflags(write=False)
+    kept = make(view)
+    base[(0,) * base.ndim] = 7
+    assert np.array_equal(kept, value)
+    assert not np.shares_memory(kept, base)
 
 
 def test_item_sequence_validation():
