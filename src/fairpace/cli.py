@@ -23,7 +23,7 @@ from pathlib import Path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-from .eg import hindsight_solution, solution_to_dict
+from .eg import hindsight_solution, require_converged, required_solve, solution_to_dict
 from .errors import ConfigError, NoConvergence
 from .harness import (
     config_from_dict,
@@ -35,7 +35,6 @@ from .harness import (
 )
 from .inputs import model_from_dict, sample_sequence
 from .market import market_from_dict, market_to_dict, read_json, sequence_from_dict, sequence_to_dict
-from .pace import MAX_DELTA0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,20 +96,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if not (0.0 < args.delta0 <= MAX_DELTA0 and args.tol > 0.0):
-        raise ConfigError(
-            f"--delta0 must be positive and at most {MAX_DELTA0:g} and --tol positive"
-        )
     instance = market_from_dict(read_json(args.market, "market"))
     seq = sequence_from_dict(read_json(args.sequence, "sequence"))
-    solution = hindsight_solution(instance, seq, delta0=args.delta0, tol=args.tol)
+    with required_solve():
+        solution = hindsight_solution(instance, seq, delta0=args.delta0, tol=args.tol)
     doc = json.dumps(solution_to_dict(solution), indent=2)
     if args.out:
         Path(args.out).write_text(doc)
     else:
         print(doc)
-    if not solution.converged:
-        raise NoConvergence(f"hindsight solve residual {solution.residual:.3g}")
+    require_converged(solution, "hindsight solve failed")
     return 0
 
 

@@ -22,8 +22,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .eg import DualSolution, equilibrium_utilities, hindsight_solution, market_problem, solve_dual
-from .errors import ConfigError, NoConvergence
+from .eg import (
+    DualSolution, equilibrium_utilities, hindsight_solution, market_problem, require_converged,
+    required_solve, solve_dual,
+)
+from .errors import ConfigError
 from .inputs import InputModel, model_from_dict, reference_distribution, sample_sequences
 from .market import (
     MarketInstance,
@@ -35,7 +38,7 @@ from .market import (
     read_json,
 )
 from .metrics import METRIC_NAMES, MetricSeries, build_metric_series, recording_grid
-from .pace import MAX_DELTA0, run_pace_paths
+from .pace import check_delta0, run_pace_paths
 from .prng import derive_path_seed, make_generator
 
 CONFIG_SCHEMA = 1
@@ -75,9 +78,6 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
         raise ConfigError(f"config missing required field {exc}") from exc
     if t < 1 or paths < 1:
         raise ConfigError("t and paths must be positive")
-    delta0 = read_field(float, doc, "delta0", 1.0)
-    if not 0.0 < delta0 <= MAX_DELTA0:
-        raise ConfigError(f"delta0 must be positive and at most {MAX_DELTA0:g}, got {delta0!r}")
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
@@ -85,29 +85,25 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     grid_factor = read_field(float, grid, "factor", 1.1)
     with as_config_error("bad grid"):
         recording_grid(t, dense_until, grid_factor)
-    # the market file and the output directory a config names are relative
-    # to the config's own directory
+
+    def relative(path, name: str) -> str:
+        """A path the config names, which is relative to the config's own directory."""
+        if not isinstance(path, str):
+            raise ConfigError(f"{name} must be a string")
+        return path if base_dir is None else str(base_dir / path)
+
     if isinstance(market, dict) and "path" in market:
-        if not isinstance(market["path"], str):
-            raise ConfigError("market path must be a string")
-        if base_dir is not None:
-            market = {**market, "path": str(base_dir / market["path"])}
-    out_dir = doc.get("out")
-    if out_dir is not None:
-        if not isinstance(out_dir, str):
-            raise ConfigError("out must be a string")
-        if base_dir is not None:
-            out_dir = str(base_dir / out_dir)
+        market = {**market, "path": relative(market["path"], "market path")}
     return ExperimentConfig(
         market=market,
         model=model,
         t=t,
         paths=paths,
-        delta0=delta0,
+        delta0=check_delta0(read_field(float, doc, "delta0", 1.0)),
         base_seed=read_field(int, doc, "base_seed", 0),
         dense_until=dense_until,
         grid_factor=grid_factor,
-        out_dir=out_dir,
+        out_dir=None if doc.get("out") is None else relative(doc["out"], "out"),
         raw=doc,
     )
 
@@ -282,13 +278,10 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict, float]]:
     scored = []
     for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
         solve_started = time.process_time()
-        hs = hindsight_solution(instance, seq, delta0, tol=hs_tol, warm=(star_beta, ref_weights))
+        with required_solve():
+            hs = hindsight_solution(instance, seq, delta0, tol=hs_tol, warm=(star_beta, ref_weights))
         solve_s = time.process_time() - solve_started
-        if not hs.converged:
-            raise NoConvergence(
-                f"hindsight solve failed on path {path_index} (seed {path_seed}): "
-                f"residual {hs.residual:.3g}"
-            )
+        require_converged(hs, f"hindsight solve failed on path {path_index} (seed {path_seed})")
         hs_u = equilibrium_utilities(hs, instance.n)
         series = build_metric_series(
             trace,
@@ -331,12 +324,10 @@ def run_experiment(
     ref = reference_distribution(model)
     instance = resolve_market(config, ref)
     solve_started = time.process_time()
-    star = solve_dual(market_problem(instance, ref, config.delta0), tol=solver_tol)
+    with required_solve():
+        star = solve_dual(market_problem(instance, ref, config.delta0), tol=solver_tol)
     reference_solve_s = time.process_time() - solve_started
-    if not star.converged:
-        raise NoConvergence(
-            f"reference solve failed: residual {star.residual:.3g}"
-        )
+    require_converged(star, "reference solve failed")
     star_u = equilibrium_utilities(star, instance.n)
     grid = recording_grid(config.t, config.dense_until, config.grid_factor)
     seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]

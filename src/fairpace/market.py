@@ -135,6 +135,13 @@ class MarketInstance:
     def m(self) -> int:
         return self.valuations.shape[1]
 
+    def check_items(self, items: np.ndarray) -> np.ndarray:
+        """items, an array of a sequence's indices, once each names one of the
+        m items; raises ConfigError otherwise."""
+        if items.max() >= self.m:
+            raise ConfigError("sequence references items outside the universe")
+        return items
+
 
 class ItemSequence:
     """Realized arrival order of items, stored as indices into the universe."""
@@ -215,4 +222,6 @@ def sequence_to_dict(seq: ItemSequence) -> dict:
 
 def sequence_from_dict(doc: dict) -> ItemSequence:
     with as_config_error("bad sequence"):
-        return ItemSequence(doc["items"])
+        items = np.array(doc["items"])
+        items.setflags(write=False)  # fresh from the document, so kept uncopied
+        return ItemSequence(items)

@@ -119,8 +119,7 @@ def build_metric_series(
     # chunk's running sum from the block before (a chunk's first block
     # leaves it out), so that sum adds the chunk's rows one after another,
     # as the axis-0 sum of the whole chunk does
-    if seq.items.max() >= instance.m:
-        raise ConfigError("sequence references items outside the universe")
+    instance.check_items(seq.items)
     VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
     S = np.zeros((n, n))
     block_steps = max(1, _ENVY_BLOCK // n)

@@ -28,19 +28,26 @@ from .errors import ConfigError
 from .market import ItemSequence, MarketInstance
 
 
-# Largest delta0 that a config or `fairpace solve` accepts. The dual solve
-# squares the box's upper end 1 + delta0, which overflows above about 1.3e154.
+# Largest delta0 the package accepts. The dual solve squares the box's
+# upper end 1 + delta0, which overflows above about 1.3e154.
 MAX_DELTA0 = 1e150
+
+
+def check_delta0(delta0: float) -> float:
+    """delta0, once 0 < delta0 <= MAX_DELTA0 (NaN fails); else ConfigError."""
+    if not 0.0 < delta0 <= MAX_DELTA0:
+        raise ConfigError(f"delta0 must be positive and at most {MAX_DELTA0:g}, got {delta0!r}")
+    return delta0
 
 
 def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
     """Multiplier bounds [1/((1+delta0) n), 1+delta0].
 
-    Raises ConfigError if the box is empty, as for one agent when 1 + delta0
-    rounds to 1 (delta0 below about 1.1e-16).
+    Raises ConfigError if delta0 fails `check_delta0` or the box is empty,
+    as for one agent when 1 + delta0 rounds to 1 (delta0 below about
+    1.1e-16).
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
+    check_delta0(delta0)
     lo, hi = 1.0 / ((1.0 + delta0) * n), 1.0 + delta0
     if not lo < hi:
         raise ConfigError(
@@ -93,9 +100,8 @@ def run_pace_paths(
     t = seqs[0].t
     if any(seq.t != t for seq in seqs):
         raise ConfigError("lockstep sequences must have equal lengths")
-    items = np.stack([seq.items for seq in seqs], axis=1)  # (t, P) row per step
-    if items.max() >= instance.m:
-        raise ConfigError("sequence references items outside the universe")
+    # (t, P), a row per step
+    items = instance.check_items(np.stack([seq.items for seq in seqs], axis=1))
     times = np.asarray([t] if record_times is None else record_times, dtype=np.int64)
     bounded = times.ndim == 1 and times.size > 0 and times[0] >= 1 and times[-1] == t
     if not bounded or np.any(np.diff(times) <= 0):

@@ -74,17 +74,44 @@ def test_probe_trace_writes_the_run_outputs(tmp_path):
         assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
 
+# the function of the library that each perfbench/selftest.py case breaks:
+# the case patches the first occurrence of its literal, so that occurrence
+# must lie there
+PATCHED_IN = {
+    "test_non_finite_value": "write_paths_csv",
+    "test_missing_rows": "write_paths_csv",
+    "test_nonzero_exit": "_cmd_run",
+    "test_claim_broken": "composite_argmin",
+    "test_replay_differs": "_run_paths",
+}
+
+
+def _enclosing_function(source, offset):
+    """Name of the innermost function whose lines hold source[offset]."""
+    line = source.count("\n", 0, offset) + 1
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.lineno <= line <= node.end_lineno
+    ][-1]
+
+
 def test_selftest_patches_still_apply():
     # perfbench/selftest.py breaks copies of the library by replacing literal
-    # text; a literal that no longer occurs makes that slow self-test fail,
+    # text; a literal that no longer occurs, or whose first occurrence moved
+    # to another function, makes that slow self-test fail or test nothing,
     # so each one is checked here against its module
     tree = ast.parse((ROOT / "perfbench" / "selftest.py").read_text())
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "run_broken"
-    ]
-    assert len(calls) >= 5
-    for call in calls:
+    patches = {
+        case.name: call
+        for case in ast.walk(tree)
+        if isinstance(case, ast.FunctionDef)
+        for call in ast.walk(case)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "run_broken"
+    }
+    assert set(patches) == set(PATCHED_IN)
+    for case, call in patches.items():
         module, old = (ast.literal_eval(arg) for arg in call.args[:2])
-        assert old in (ROOT / "src" / "fairpace" / module).read_text(), (module, old)
+        source = (ROOT / "src" / "fairpace" / module).read_text()
+        assert old in source, (module, old)
+        assert _enclosing_function(source, source.index(old)) == PATCHED_IN[case], (module, old)

@@ -238,14 +238,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, override, message):
     cfg_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
 
 
 def test_solve_missing_file_exit_code(tmp_path, market_file):
     assert main(["solve", "--market", str(market_file), "--sequence", str(tmp_path / "no.json")]) == 2
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capsys):
     # periodic two-phase chain with unequal phase sizes: the stationary
     # solve inside the experiment cannot settle, a required-solve failure
     config = {
@@ -264,6 +264,8 @@ def test_numerical_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: ")
 
 
 MARKET_2x3 = {"n": 2, "m": 3, "valuations": [[1.0, 0.5, 0.2], [0.3, 1.0, 0.6]]}
@@ -379,7 +381,10 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         (lambda p: _solve(p, items=(0, 5)), "sequence references items outside the universe"),
         (lambda p: _solve(p, items=(2**63, 2**63 + 1)), "nonnegative 64-bit integers"),
         (lambda p: _solve(p, items="{}"), "bad sequence: missing field 'items'"),
-        (lambda p: _solve(p) + ["--delta0", "-1"], "--delta0 must be positive"),
+        # solve meets the library's delta0 and tol rules, before any output
+        (lambda p: _solve(p) + ["--delta0", "-1"], "at most 1e+150, got -1.0"),
+        (lambda p: _solve(p) + ["--delta0", "nan"], "at most 1e+150, got nan"),
+        (lambda p: _solve(p) + ["--tol", "nan"], "tol must be positive, got nan"),
         (lambda p: _run(p, market_file="{not json"), "market is not valid JSON"),
         (lambda p: _run(p, market_file={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _run(p), "market file not found"),
@@ -418,7 +423,7 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "rows name more than one model: ['iid', 'markov']",
         ),
         (lambda p: _run(p, MARKET_2x3) + ["--threads", "-3"], "threads must be at least 1, got -3"),
-        (lambda p: _solve(p) + ["--delta0", "1e300"], "--delta0 must be positive and at most 1e+150"),
+        (lambda p: _solve(p) + ["--delta0", "1e300"], "at most 1e+150, got 1e+300"),
         # normalized against a base with a subnormal entry, the first row overflows
         (
             lambda p: _run(p, {"n": 2, "m": 2, "valuations": [[1, 0], [1, 1]]},
@@ -453,6 +458,31 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
     assert err.startswith("config error: ") and message in err
     # refused before any output is written
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_failed_solve_prints_one_line(tmp_path, capsys, monkeypatch, command):
+    # solve_dual warns of a failed solve, and the tests' warning filter would
+    # raise that warning: the command line reports the failure once, as its
+    # exit-3 line
+    if command == "solve":
+        # valuations of order 1e7 stop the continuation short
+        rng = np.random.default_rng(13)
+        v = (rng.random((9, 29)) + 0.05) * (rng.random((9, 29)) > 0.3) * 1e7
+        market = {"n": 9, "m": 29, "valuations": v.tolist()}
+        argv = _solve(tmp_path, market, rng.integers(0, 29, 200).tolist())
+        expected = "numerical failure: hindsight solve failed: residual"
+    else:
+        # a tolerance no hindsight solve meets
+        real = harness.hindsight_solution
+        monkeypatch.setattr(
+            harness, "hindsight_solution", lambda *a, **k: real(*a, **{**k, "tol": 1e-300})
+        )
+        argv = _run(tmp_path, MARKET_2x3, paths=2)
+        expected = "numerical failure: hindsight solve failed on path 0"
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(expected)
 
 
 def test_largest_delta0_runs(tmp_path):

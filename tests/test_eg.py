@@ -1358,6 +1358,14 @@ def test_solution_json_round_trip(rng):
     assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_solve_dual_refuses_a_tol_that_is_not_positive(tol):
+    # a NaN tol used to end the solve after 0 Newton steps
+    prob = market_problem(MarketInstance(np.array([[1.0, 0.5], [0.2, 1.0]])), np.full(2, 0.5))
+    with pytest.raises(ConfigError, match="tol must be positive"):
+        solve_dual(prob, tol=tol)
+
+
 def test_dual_problem_validation():
     with pytest.raises(ValueError):
         DualProblem(np.ones((2, 2)), np.array([0.5, 0.6]), 0.25, 2.0)

@@ -10,10 +10,12 @@ from fairpace.market import (
     market_from_dict,
     market_to_dict,
     normalize_valuations,
+    sequence_from_dict,
 )
 from fairpace.eg import DualProblem
 from fairpace.errors import ConfigError
 from fairpace.inputs import InputModel
+from tests.conftest import traced_peak
 from tests.oracles import proportional_share_utilities
 
 
@@ -156,6 +158,26 @@ def test_market_json_round_trip(rng):
     assert np.array_equal(back.valuations, inst.valuations)
     assert set(doc) == {"n", "m", "valuations"}
     assert doc["n"] == 3 and doc["m"] == 4
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (
+            lambda doc: market_from_dict(doc).valuations,
+            {"n": 100, "m": 1000, "valuations": [[1.0] * 1000] * 100},
+        ),
+        # items used to be copied once more, from np.asarray's array: a peak
+        # of twice the kept array
+        (lambda doc: sequence_from_dict(doc).items, {"items": list(range(10**5))}),
+    ],
+    ids=["market", "sequence"],
+)
+def test_documents_keep_their_parsed_array(parse, doc):
+    kept, peak = traced_peak(parse, doc)
+    assert kept.flags.owndata and not kept.flags.writeable
+    # the checks' one-byte masks are the only other arrays
+    assert peak <= 1.2 * kept.nbytes
 
 
 def test_market_budgets_must_be_uniform(rng):

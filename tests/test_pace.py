@@ -100,6 +100,13 @@ class TestPaceUpdate:
         assert np.all(trace.u_bar_at >= 0)
 
 
+@pytest.mark.parametrize("delta0", [np.nan, -1.0, 0.0, 1e300])
+def test_pacing_box_refuses_delta0_out_of_range(delta0):
+    # 1e300 used to overflow the dual solve, and NaN to read as an empty box
+    with pytest.raises(ConfigError, match=r"delta0 must be positive and at most 1e\+150, got"):
+        pacing_box(3, delta0)
+
+
 class TestRunPace:
     def test_two_step_hand_example(self):
         inst = MarketInstance(np.array([[0.5, 1.0], [1.0, 0.2]]).T)
