@@ -899,9 +899,10 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     evaluation in double: the stage's working set may miss a pair that
     carries weight there.
     If the residual exceeds 10 tol a NoConvergenceWarning is emitted and the
-    best iterate is still returned. A tol that is not positive (NaN
-    included), or a problem whose bids or Hessian sums would overflow
-    float64 (see _fits), raises ConfigError before the first stage.
+    best iterate is still returned. A tol that is not both positive and
+    below (hi - lo) / 10 (NaN and inf fail), or a problem whose bids or
+    Hessian sums would overflow float64 (see _fits), raises ConfigError
+    before the first stage.
 
     warm, if given, is (beta, weights): the optimum of the same market under
     other item weights summing to 1. The solve then starts from beta,
@@ -912,8 +913,13 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
     objective never exceeds the starting point's objective (the box's upper
     corner for a cold solve).
     """
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol!r}")
+    # a residual gate of 10 tol as wide as the box passes every point
+    width = prob.hi - prob.lo
+    if not 0.0 < 10.0 * tol < width:
+        raise ConfigError(
+            f"tol must be positive and below {width / 10.0:g}, got {tol!r}: "
+            f"the residual gate is 10 tol, and the pacing box is {width:g} wide"
+        )
     expected = prob.valuations @ prob.weights
     if np.any(expected <= 0):
         bad = np.flatnonzero(expected <= 0)

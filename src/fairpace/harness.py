@@ -32,6 +32,7 @@ from .market import (
     MarketInstance,
     ReferenceDistribution,
     as_config_error,
+    check_horizon,
     market_from_dict,
     normalize_valuations,
     read_field,
@@ -72,12 +73,12 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> ExperimentCo
     try:
         market = doc["market"]
         model = doc["model"]
-        t = read_field(int, doc, "t")
+        t = check_horizon(read_field(int, doc, "t"))
         paths = read_field(int, doc, "paths")
     except KeyError as exc:
         raise ConfigError(f"config missing required field {exc}") from exc
-    if t < 1 or paths < 1:
-        raise ConfigError("t and paths must be positive")
+    if paths < 1:
+        raise ConfigError(f"paths must be positive, got {paths!r}")
     grid = doc.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, NoConvergence
 from .market import (
-    ItemSequence, ReferenceDistribution, as_config_error, as_read_only, check_probabilities,
-    read_field,
+    ItemSequence, ReferenceDistribution, as_config_error, as_read_only, check_horizon,
+    check_probabilities, read_field,
 )
 from .prng import categorical_cdf, make_generator, sample_categorical
 
@@ -176,12 +176,6 @@ def corruption_step_distributions(model: InputModel, t: int):
             yield dists
 
 
-def _horizon(t) -> int:
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise ConfigError(f"horizon must be a positive integer, got {t!r}")
-    return int(t)
-
-
 def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence]:
     """Draw a length-t item sequence per path seed, each from its own stream.
 
@@ -189,7 +183,7 @@ def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence
     per-step distributions of a corrupted model, and their CDFs, depend on
     the model alone, so each block of them is built once for all the paths.
     """
-    t = _horizon(t)
+    t = check_horizon(t)
     if model.kind != "corrupted":
         return [_sample_path(model, t, seed) for seed in path_seeds]
     uniforms = [make_generator(seed).random(t) for seed in path_seeds]

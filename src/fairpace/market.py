@@ -143,6 +143,17 @@ class MarketInstance:
         return items
 
 
+def check_horizon(t) -> int:
+    """t as an int once it is an integer of at least 1; else ConfigError.
+
+    The one rule on a horizon: a config's `t`, `fairpace sample --t` and a
+    recording grid meet it before any work.
+    """
+    if not isinstance(t, (int, np.integer)) or t < 1:
+        raise ConfigError(f"horizon must be a positive integer, got {t!r}")
+    return int(t)
+
+
 class ItemSequence:
     """Realized arrival order of items, stored as indices into the universe."""
 

@@ -5,7 +5,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .market import ItemSequence, MarketInstance
+from .market import ItemSequence, MarketInstance, check_horizon
 from .pace import PaceTrace
 
 METRIC_NAMES = (
@@ -41,10 +41,10 @@ def recording_grid(t: int, dense_until: int = 100, factor: float = 1.1) -> np.nd
     """Every step up to dense_until, then geometric spacing, always ending at t.
 
     Raises ValueError for a grid of more than MAX_GRID_POINTS points, before
-    building more of it than that.
+    building more of it than that, and ConfigError for a horizon that fails
+    `check_horizon`.
     """
-    if t < 1:
-        raise ValueError("horizon must be positive")
+    t = check_horizon(t)
     if dense_until < 1:
         raise ValueError(f"grid.dense_until must be positive, got {dense_until!r}")
     if not 1.0 < factor < np.inf:

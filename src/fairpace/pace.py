@@ -16,8 +16,9 @@ The loop's time is per numpy call, and a Python scalar operand adds to
 each call: the ufunc converts it anew every time (NEP 50 promotion). With
 numpy 2.4 on (4, 100) arrays a call took 0.67-0.82 us with a scalar and
 0.43-0.63 us with a 0-d float64 array of the same value. So every per-step
-operand is an array, with tau - 1 and tau as 0-d views into one float64
-range; the values, and so every result's bits, are unchanged.
+operand is an array, with tau - 1 and tau as 0-d views into a float64
+range per chunk of steps; the values, and so every result's bits, are
+unchanged.
 """
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -57,25 +58,40 @@ def pacing_box(n: int, delta0: float) -> Tuple[float, float]:
 
 
 class PaceTrace(NamedTuple):
-    """Per-step record of one run plus snapshots on a recording grid.
+    """Winners of one run plus snapshots on a recording grid.
 
-    Snapshots taken "at step tau" hold the multiplier vector produced by
-    that step (the one that will bid on the next item), the running average
-    utility over the first tau steps, and the average expenditure over the
-    first tau steps. The grid ends at t, so the last snapshot is the final
-    state.
+    Every trace holds `winners`, the winning agent of each of the t steps
+    (int64), and the snapshots. Snapshots taken "at step tau" hold the
+    multiplier vector produced by that step (the one that will bid on the
+    next item), the running average utility over the first tau steps, and
+    the average expenditure over the first tau steps. The grid ends at t,
+    so the last snapshot is the final state.
+
+    A trace recorded with record_betas=True also holds the full trajectory:
+    `betas`, the t + 1 multiplier vectors from the start point on, and each
+    step's `winning_bids` (beta_w v_w,item, the price paid) and
+    `winner_values` (v_w,item). Otherwise those three are None. So pacing
+    keeps 8 bytes per path-step plus the snapshots; the full trajectory adds
+    8 (n + 2) more.
     """
 
     n: int
     t: int
     winners: np.ndarray
-    winner_values: np.ndarray
-    winning_bids: np.ndarray
+    winner_values: Optional[np.ndarray]
+    winning_bids: Optional[np.ndarray]
     record_times: np.ndarray
     beta_at: np.ndarray
     u_bar_at: np.ndarray
     spend_avg_at: np.ndarray
     betas: Optional[np.ndarray] = None
+
+
+# Most steps one pass of the loop buffers before it adds their winning bids
+# to spend and copies out their winners. Chunks end at every recording time
+# and every multiple of _CHUNK, so the buffers stay (_CHUNK, P) at any
+# horizon and grid.
+_CHUNK = 1024
 
 
 def run_pace_paths(
@@ -100,8 +116,8 @@ def run_pace_paths(
     t = seqs[0].t
     if any(seq.t != t for seq in seqs):
         raise ConfigError("lockstep sequences must have equal lengths")
-    # (t, P), a row per step
-    items = instance.check_items(np.stack([seq.items for seq in seqs], axis=1))
+    for seq in seqs:
+        instance.check_items(seq.items)
     times = np.asarray([t] if record_times is None else record_times, dtype=np.int64)
     bounded = times.ndim == 1 and times.size > 0 and times[0] >= 1 and times[-1] == t
     if not bounded or np.any(np.diff(times) <= 0):
@@ -119,64 +135,77 @@ def run_pace_paths(
     values_flat, bids_flat = values.reshape(-1), bids.reshape(-1)
     row_start = np.arange(P) * n
     flat_w = np.empty(P, dtype=np.intp)
-    # per-step records, one row per step, transposed to one row per path below
-    winners = np.empty((t, P), dtype=np.intp)
-    winning_bids = np.empty((t, P))
-    betas = None
+    grid = times.tolist()
+    stops = sorted({*grid, *range(_CHUNK, t, _CHUNK)})
+    longest = max(stop - start for start, stop in zip([0, *stops], stops))
+    # one row per step of the current chunk
+    chunk_items = np.empty((longest, P), dtype=np.int64)
+    chunk_winners = np.empty((longest, P), dtype=np.intp)
+    chunk_bids = np.empty((longest, P))
+    winners = np.empty((P, t), dtype=np.int64)
+    winning_bids = betas = None
     if record_betas:
+        winning_bids = np.empty((P, t))
         betas = np.empty((P, t + 1, n))
         betas[:, 0] = beta
     beta_at = np.empty((P, times.size, n))
     u_bar_at = np.empty((P, times.size, n))
     spend_avg_at = np.empty((P, times.size, n))
-    # 0-d operands (module docstring); counts[s] is tau - 1 at step s
+    # 0-d operands (module docstring)
     n_, one, lo_, hi_ = (np.array(x, dtype=np.float64) for x in (n, 1.0, lo, hi))
-    counts = np.arange(t + 1, dtype=np.float64)
     multiply, divide, add = np.multiply, np.divide, np.add
     maximum, minimum = np.maximum, np.minimum
     take, argmax = VT.take, bids.argmax
 
-    start = 0
+    start = rec = 0
     with np.errstate(divide="ignore"):
-        for rec, stop in enumerate(times.tolist()):
-            for s in range(start, stop):
+        for stop in stops:
+            steps = stop - start
+            np.stack([seq.items[start:stop] for seq in seqs], axis=1, out=chunk_items[:steps])
+            # counts[i] is tau - 1 at the chunk's step i
+            counts = np.arange(start, stop + 1, dtype=np.float64)
+            for i in range(steps):
                 # items are checked above; mode="clip" writes `values` unbuffered
-                take(items[s], axis=0, out=values, mode="clip")
+                take(chunk_items[i], axis=0, out=values, mode="clip")
                 multiply(beta, values, out=bids)
-                add(row_start, argmax(axis=1, out=winners[s]), out=flat_w)
-                winning_bids[s] = bids_flat[flat_w]
-                multiply(u_bar, counts[s, ...], out=u_bar)
+                add(row_start, argmax(axis=1, out=chunk_winners[i]), out=flat_w)
+                chunk_bids[i] = bids_flat[flat_w]
+                multiply(u_bar, counts[i, ...], out=u_bar)
                 u_flat[flat_w] += values_flat[flat_w]
-                divide(u_bar, counts[s + 1, ...], out=u_bar)
+                divide(u_bar, counts[i + 1, ...], out=u_bar)
                 multiply(u_bar, n_, out=beta)
                 divide(one, beta, out=beta)
                 maximum(beta, lo_, out=beta)
                 minimum(beta, hi_, out=beta)
                 if record_betas:
-                    betas[:, s + 1] = beta
-            # spend is only read at the recording times, so it is summed
-            # there: add.at adds each path's winning bids in step order, the
-            # same sums a running total makes
+                    betas[:, start + i + 1] = beta
+            # add.at adds each path's winning bids in step order, the same
+            # sums a running total makes
             np.add.at(
                 spend_flat,
-                (winners[start:stop] + row_start).reshape(-1),
-                winning_bids[start:stop].reshape(-1),
+                (chunk_winners[:steps] + row_start).reshape(-1),
+                chunk_bids[:steps].reshape(-1),
             )
-            beta_at[:, rec] = beta
-            u_bar_at[:, rec] = u_bar
-            divide(spend, stop, out=spend_avg_at[:, rec])
+            winners[:, start:stop] = chunk_winners[:steps].T
+            if record_betas:
+                winning_bids[:, start:stop] = chunk_bids[:steps].T
+            if stop == grid[rec]:
+                beta_at[:, rec] = beta
+                u_bar_at[:, rec] = u_bar
+                divide(spend, stop, out=spend_avg_at[:, rec])
+                rec += 1
             start = stop
 
-    winners = np.ascontiguousarray(winners.T, dtype=np.int64)
-    winning_bids = np.ascontiguousarray(winning_bids.T)
-    winner_values = VT[items.T, winners]
+    winner_values = None
+    if record_betas:
+        winner_values = VT[np.stack([seq.items for seq in seqs]), winners]
     return [
         PaceTrace(
             n=n,
             t=t,
             winners=winners[p],
-            winner_values=winner_values[p],
-            winning_bids=winning_bids[p],
+            winner_values=None if winner_values is None else winner_values[p],
+            winning_bids=None if winning_bids is None else winning_bids[p],
             record_times=times,
             beta_at=beta_at[p],
             u_bar_at=u_bar_at[p],

@@ -222,6 +222,9 @@ def test_config_error_exit_code(tmp_path):
             {"delta0": 1e-17, "market": {"generator": {"n": 1, "m": 3, "rank": 1}}},
             "delta0 1e-17 leaves an empty pacing box for n=1",
         ),
+        # one rule and one message for the horizon, shared with `sample --t`
+        ({"t": 0}, "horizon must be a positive integer, got 0"),
+        ({"paths": 0}, "paths must be positive, got 0"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -370,6 +373,7 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "bad model spec: decaying corruption scale 1e+308 overflows the row sum of m=3 items",
         ),
         (lambda p: _sample(p, "[1, 2"), "model is not valid JSON"),
+        (lambda p: _sample(p, IID_3) + ["--t", "0"], "horizon must be a positive integer, got 0"),
         (lambda p: _solve(p, market={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _solve(p, market={**MARKET_2x3, "n": 3}), "does not match n=3, m=3"),
         (
@@ -384,7 +388,10 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         # solve meets the library's delta0 and tol rules, before any output
         (lambda p: _solve(p) + ["--delta0", "-1"], "at most 1e+150, got -1.0"),
         (lambda p: _solve(p) + ["--delta0", "nan"], "at most 1e+150, got nan"),
-        (lambda p: _solve(p) + ["--tol", "nan"], "tol must be positive, got nan"),
+        # a tenth of the width of MARKET_2x3's pacing box [1/4, 2]
+        (lambda p: _solve(p) + ["--tol", "nan"], "tol must be positive and below 0.175, got nan"),
+        (lambda p: _solve(p) + ["--tol", "inf"], "tol must be positive and below 0.175, got inf"),
+        (lambda p: _solve(p) + ["--tol", "1e300"], "tol must be positive and below 0.175, got 1e+300"),
         (lambda p: _run(p, market_file="{not json"), "market is not valid JSON"),
         (lambda p: _run(p, market_file={"n": 2, "valuations": [[1.0]]}), "missing field 'm'"),
         (lambda p: _run(p), "market file not found"),

@@ -1358,9 +1358,11 @@ def test_solution_json_round_trip(rng):
     assert doc["evaluations"] == sum(stage["evaluations"] for stage in doc["stages"])
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, 1e300])
 def test_solve_dual_refuses_a_tol_that_is_not_positive(tol):
-    # a NaN tol used to end the solve after 0 Newton steps
+    # a NaN tol used to end the solve after 0 Newton steps, and an infinite
+    # or huge one to return the start point as converged: its residual gate
+    # of 10 tol passed every point of the box
     prob = market_problem(MarketInstance(np.array([[1.0, 0.5], [0.2, 1.0]])), np.full(2, 0.5))
     with pytest.raises(ConfigError, match="tol must be positive"):
         solve_dual(prob, tol=tol)

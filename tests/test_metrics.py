@@ -57,6 +57,12 @@ class TestRecordingGrid:
         for t in (99, 100, 101, 1234):
             assert recording_grid(t)[-1] == t
 
+    @pytest.mark.parametrize("t", [0, -3])
+    def test_refuses_a_horizon_below_one(self, t):
+        # the rule and message of a config's t and of `fairpace sample --t`
+        with pytest.raises(ConfigError, match=f"horizon must be a positive integer, got {t}"):
+            recording_grid(t)
+
     def test_length_is_bounded(self):
         # the default grid at paper scale; a grid exactly at the bound; a
         # factor just above 1 and a huge dense part, refused before they are
@@ -72,14 +78,14 @@ class TestRegret:
     def test_zero_when_realized_matches(self, rng):
         inst = random_instance(rng, 2, 3)
         seq = ItemSequence(rng.integers(0, 3, size=40))
-        trace = run_pace(inst, seq)
+        trace = run_pace(inst, seq, record_betas=True)
         realized_avg = realized_total_utilities(trace) / seq.t
         assert np.allclose(regret(trace, realized_avg, seq.t), 0.0, atol=1e-9)
 
     def test_identity_with_realized_total(self, rng):
         inst = random_instance(rng, 3, 4)
         seq = ItemSequence(rng.integers(0, 4, size=60))
-        trace = run_pace(inst, seq)
+        trace = run_pace(inst, seq, record_betas=True)
         hs = hindsight_solution(inst, seq)
         hs_u = equilibrium_utilities(hs, 3)
         reg = regret(trace, hs_u, seq.t)
@@ -214,7 +220,7 @@ class TestMetricSeries:
         inst = random_instance(rng, 3, 4)
         seq = ItemSequence(rng.integers(0, 4, size=150))
         grid = recording_grid(150)
-        trace = run_pace(inst, seq, record_times=grid)
+        trace = run_pace(inst, seq, record_times=grid, record_betas=True)
         hs = hindsight_solution(inst, seq)
         hs_u = equilibrium_utilities(hs, 3)
         star_beta = hs.beta_hat

@@ -13,7 +13,8 @@ from fairpace.pace import (
 )
 from fairpace.errors import ConfigError
 from fairpace.inputs import random_iid_model, random_markov_model, sample_sequence
-from tests.conftest import has_bid_tie, random_instance, tie_free_run
+from fairpace.metrics import recording_grid
+from tests.conftest import has_bid_tie, random_instance, tie_free_run, traced_peak
 from tests.oracles import paced_reference
 
 
@@ -30,6 +31,10 @@ def assert_same_traces(actual, expected):
                 assert x == y, name
 
 
+# the fields only a trace recorded with record_betas=True holds
+FULL_TRAJECTORY = {"winner_values": None, "winning_bids": None, "betas": None}
+
+
 def each_item_once(values):
     """Market with one item per column of `values` and a sequence visiting each in order."""
     values = np.asarray(values, dtype=np.float64)
@@ -39,7 +44,7 @@ def each_item_once(values):
 class TestAuctionStep:
     def test_highest_bid_wins(self):
         inst, seq = each_item_once([[0.5], [1.0]])
-        trace = run_pace(inst, seq, delta0=1.0)
+        trace = run_pace(inst, seq, delta0=1.0, record_betas=True)
         assert trace.winners.tolist() == [1]
         assert trace.winning_bids[0] == 2.0
         assert np.allclose(trace.u_bar_at[-1], [0.0, 1.0])
@@ -51,7 +56,7 @@ class TestAuctionStep:
 
     def test_single_agent(self):
         inst, seq = each_item_once([[0.7]])
-        trace = run_pace(inst, seq, delta0=0.5)
+        trace = run_pace(inst, seq, delta0=0.5, record_betas=True)
         assert trace.winners.tolist() == [0]
         assert trace.winning_bids[0] == pytest.approx(1.05)
 
@@ -125,7 +130,7 @@ class TestRunPace:
         v[2, 1] = 1e-12
         inst = MarketInstance(v)
         seq = ItemSequence(np.array([0, 1] * 10))
-        trace = run_pace(inst, seq)
+        trace = run_pace(inst, seq, record_betas=True)
         realized = np.bincount(trace.winners, weights=trace.winner_values, minlength=3)
         assert realized[0] == pytest.approx(realized.sum(), rel=1e-9)
 
@@ -155,7 +160,7 @@ class TestRunPace:
     def test_spend_identity_along_run(self, rng):
         inst = random_instance(rng, 3, 4)
         seq = ItemSequence(rng.integers(0, 4, size=80))
-        trace = run_pace(inst, seq)
+        trace = run_pace(inst, seq, record_betas=True)
         spend_total = trace.winning_bids.sum()
         assert trace.spend_avg_at[-1].sum() * seq.t == pytest.approx(spend_total, rel=1e-12)
 
@@ -181,6 +186,23 @@ class TestLockstep:
         assert all(has_bid_tie(inst, seq) for seq in seqs)
         self.run_both(inst, seqs, record_times=np.arange(1, 201), record_betas=True)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_default_trace_is_the_full_trace_without_its_trajectory(self, rng, tied, grid):
+        # longer than a chunk, so the chunks end at recording times and at
+        # multiples of pace._CHUNK
+        t = 2 * pace._CHUNK + 300
+        v = rng.random((4, 5)) + 0.05
+        if tied:
+            v[1] = v[0]
+        inst = MarketInstance(v)
+        seqs = [ItemSequence(rng.integers(0, 5, size=t)) for _ in range(3)]
+        assert not tied or all(has_bid_tie(inst, seq) for seq in seqs)
+        times = recording_grid(t) if grid else None
+        default = run_pace_paths(inst, seqs, 0.7, times)
+        full = run_pace_paths(inst, seqs, 0.7, times, record_betas=True)
+        assert_same_traces(default, [trace._replace(**FULL_TRAJECTORY) for trace in full])
+
     def test_paths_are_independent(self, rng):
         inst = random_instance(rng, 3, 4)
         seqs = [ItemSequence(rng.integers(0, 4, size=60)) for _ in range(3)]
@@ -192,7 +214,7 @@ class TestLockstep:
         inst = random_instance(rng, 4, 6)
         seqs = [ItemSequence(rng.integers(0, 6, size=50)) for _ in range(3)]
         times = [2, 9, 30, 50]
-        for trace in run_pace_paths(inst, seqs, record_times=times):
+        for trace in run_pace_paths(inst, seqs, record_times=times, record_betas=True):
             spend = np.zeros(4)
             for s, (w, bid) in enumerate(zip(trace.winners, trace.winning_bids)):
                 spend[w] += bid
@@ -260,8 +282,38 @@ class TestReferenceLoop:
                 traces = run_pace_paths(inst, seqs, 0.7, times, record_betas)
                 expected = [paced_reference(inst, seq, 0.7, times) for seq in seqs]
                 if not record_betas:
-                    expected = [trace._replace(betas=None) for trace in expected]
+                    expected = [trace._replace(**FULL_TRAJECTORY) for trace in expected]
                 assert_same_traces(traces, expected)
+
+    @pytest.mark.parametrize("record_betas", [False, True])
+    def test_chunks_leave_the_traces_unchanged(self, rng, monkeypatch, record_betas):
+        # chunks of 7 steps end between recording times, at them and inside
+        # the dense start of the grid
+        monkeypatch.setattr(pace, "_CHUNK", 7)
+        inst = random_instance(rng, 5, 6)
+        seqs = [ItemSequence(rng.integers(0, 6, size=150)) for _ in range(3)]
+        for times in (recording_grid(150, dense_until=10), [3, 7, 8, 21, 150], None):
+            traces = run_pace_paths(inst, seqs, 0.7, times, record_betas)
+            grid = [150] if times is None else times
+            expected = [paced_reference(inst, seq, 0.7, grid) for seq in seqs]
+            if not record_betas:
+                expected = [trace._replace(**FULL_TRAJECTORY) for trace in expected]
+            assert_same_traces(traces, expected)
+
+
+def test_peak_memory_is_the_winners_and_the_snapshots():
+    # a default trace keeps each step's int64 winners, 8 bytes per
+    # path-step, beside the snapshots; the chunk buffers are of fixed size.
+    # Holding the items, the winning bids and values and transposed copies
+    # of them, pacing took 36.6 bytes per path-step here
+    n, m, t, P = 100, 50, 50_000, 2
+    rng = np.random.default_rng(3)
+    inst = MarketInstance(rng.random((n, m)) + 0.05)
+    seqs = [ItemSequence(rng.integers(0, m, size=t)) for _ in range(P)]
+    grid = recording_grid(t)
+    _, peak = traced_peak(run_pace_paths, inst, seqs, record_times=grid)
+    snapshots = 3 * P * grid.size * n * 8  # beta_at, u_bar_at and spend_avg_at
+    assert peak < snapshots + 12 * P * t, (peak - snapshots) / (P * t)
 
 
 class TestDaEquivalence:
