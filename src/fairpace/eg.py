@@ -109,7 +109,8 @@ import numpy as np
 
 from .errors import ConfigError, NoConvergence, NoConvergenceWarning
 from .market import (
-    ItemSequence, MarketInstance, ReferenceDistribution, as_read_only, check_probabilities
+    ItemSequence, MarketInstance, ReferenceDistribution, as_read_only, check_probabilities,
+    expected_values,
 )
 from .pace import pacing_box
 
@@ -920,10 +921,7 @@ def solve_dual(prob: DualProblem, tol: float = 1e-8, warm=None) -> DualSolution:
             f"tol must be positive and below {width / 10.0:g}, got {tol!r}: "
             f"the residual gate is 10 tol, and the pacing box is {width:g} wide"
         )
-    expected = prob.valuations @ prob.weights
-    if np.any(expected <= 0):
-        bad = np.flatnonzero(expected <= 0)
-        raise ConfigError(f"agents {bad.tolist()} have zero weighted value")
+    expected = expected_values(prob.valuations, prob.weights)
     if warm is not None:
         warm_beta, warm_weights = (np.asarray(x, dtype=np.float64) for x in warm)
         if warm_beta.shape != (prob.n,) or warm_weights.shape != (prob.m,):
@@ -1059,7 +1057,10 @@ def hindsight_solution(
     warm is solve_dual's: the optimum of the market under other weights,
     such as the reference distribution's, with those weights.
     """
-    weights = np.bincount(instance.check_items(seq.items), minlength=instance.m) / seq.t
+    # np.bincount would copy the read-only items, 8 bytes per step
+    counts = np.zeros(instance.m)
+    np.add.at(counts, instance.check_items(seq.items), 1.0)
+    weights = counts / seq.t
     return solve_dual(market_problem(instance, weights, delta0), tol=tol, warm=warm)
 
 

@@ -38,16 +38,19 @@ from .market import (
     read_field,
     read_json,
 )
-from .metrics import METRIC_NAMES, MetricSeries, build_metric_series, recording_grid
-from .pace import check_delta0, run_pace_paths
+from .metrics import METRIC_NAMES, BatchScorer, MetricSeries, recording_grid
+from .pace import check_delta0, pace_lockstep
 from .prng import derive_path_seed, make_generator
 
 CONFIG_SCHEMA = 1
 
 # Most paths one lockstep pacing run holds at once. Pacing cost per path
-# step stops falling much beyond this, and each path's trace stays live
-# until its batch is scored, so the cap bounds memory on many-path runs.
+# step stops falling much beyond this.
 LOCKSTEP_PATHS = 16
+# Most bytes of envy sums, paths x n x n doubles, one batch holds while it
+# is scored: n = 100 keeps LOCKSTEP_PATHS paths (1.28 MB), and from n = 363
+# on a batch is one path, which needs n^2 doubles however it is batched.
+LOCKSTEP_ENVY_BYTES = 2**21
 
 
 class ExperimentConfig(NamedTuple):
@@ -264,8 +267,25 @@ def _solve_counts(solution: DualSolution) -> dict:
     }
 
 
+def _hindsight(instance, seq, delta0, tol, warm, path_index, path_seed):
+    """A path's hindsight solve: its optimum's multipliers and utilities,
+    its counts and its process seconds. warm is (star_beta, ref_weights)."""
+    solve_started = time.process_time()
+    with required_solve():
+        hs = hindsight_solution(instance, seq, delta0, tol=tol, warm=warm)
+    solve_s = time.process_time() - solve_started
+    require_converged(hs, f"hindsight solve failed on path {path_index} (seed {path_seed})")
+    return (
+        hs.beta_hat,
+        equilibrium_utilities(hs, instance.n),
+        _solve_counts(hs),
+        solve_s,
+    )
+
+
 def _run_paths(args) -> List[Tuple[MetricSeries, dict, float]]:
-    """Score one batch of paths, with their pacing runs in lockstep.
+    """Score one batch of paths: sample them, solve each path's hindsight
+    dual, then pace the batch in lockstep and score it as it paces.
 
     Returns each path's metric series with its hindsight solve's counts and
     process seconds. Each hindsight solve starts from the reference optimum
@@ -274,28 +294,16 @@ def _run_paths(args) -> List[Tuple[MetricSeries, dict, float]]:
     """
     (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs, ref_weights) = args
     seqs = sample_sequences(model, t, path_seeds)
-    traces = run_pace_paths(instance, seqs, delta0, record_times=grid)
     star_beta, star_u = star_refs
-    scored = []
-    for path_index, path_seed, seq, trace in zip(path_ids, path_seeds, seqs, traces):
-        solve_started = time.process_time()
-        with required_solve():
-            hs = hindsight_solution(instance, seq, delta0, tol=hs_tol, warm=(star_beta, ref_weights))
-        solve_s = time.process_time() - solve_started
-        require_converged(hs, f"hindsight solve failed on path {path_index} (seed {path_seed})")
-        hs_u = equilibrium_utilities(hs, instance.n)
-        series = build_metric_series(
-            trace,
-            instance,
-            seq,
-            hs.beta_hat,
-            hs_u,
-            star_beta,
-            star_u,
-            metadata={"model": model.kind, "path_id": path_index},
-        )
-        scored.append((series, _solve_counts(hs), solve_s))
-    return scored
+    solves = [
+        _hindsight(instance, seq, delta0, hs_tol, (star_beta, ref_weights), path_index, path_seed)
+        for path_index, path_seed, seq in zip(path_ids, path_seeds, seqs)
+    ]
+    hs_beta, hs_u, counts, solve_s = zip(*solves)
+    scorer = BatchScorer(instance, grid, hs_beta, hs_u, star_beta, star_u)
+    pace_lockstep(instance, seqs, delta0, grid, scorer)
+    metadata = [{"model": model.kind, "path_id": path_index} for path_index in path_ids]
+    return list(zip(scorer.series(metadata), counts, solve_s))
 
 
 def _usable_cpus() -> int:
@@ -332,10 +340,12 @@ def run_experiment(
     star_u = equilibrium_utilities(star, instance.n)
     grid = recording_grid(config.t, config.dense_until, config.grid_factor)
     seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
-    # contiguous batches of at most LOCKSTEP_PATHS paths, one per worker when
-    # the pool is used; each batch is paced in lockstep
+    # contiguous batches of at most LOCKSTEP_PATHS paths, and of envy sums
+    # within LOCKSTEP_ENVY_BYTES, one per worker when the pool is used; each
+    # batch is paced in lockstep
     workers = min(threads, config.paths, _usable_cpus())
-    size = min(-(-config.paths // workers), LOCKSTEP_PATHS)
+    envy_paths = max(1, LOCKSTEP_ENVY_BYTES // (8 * instance.n**2))
+    size = min(-(-config.paths // workers), LOCKSTEP_PATHS, envy_paths)
     jobs = [
         (
             instance,

@@ -185,7 +185,14 @@ def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence
     """
     t = check_horizon(t)
     if model.kind != "corrupted":
-        return [_sample_path(model, t, seed) for seed in path_seeds]
+        # the inverse-CDF tables depend on the model alone: one per call
+        if model.kind == "iid":
+            cdf = categorical_cdf(model.base.probs)
+        elif model.kind == "markov":
+            cdf = (categorical_cdf(model.base.probs), categorical_cdf(model.transition))
+        else:
+            cdf = categorical_cdf(model.period_dists)
+        return [_sample_path(model, t, seed, cdf) for seed in path_seeds]
     uniforms = [make_generator(seed).random(t) for seed in path_seeds]
     items = [np.empty(t, dtype=np.int64) for _ in uniforms]
     start = 0
@@ -206,21 +213,23 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     return sample_sequences(model, t, [path_seed])[0]
 
 
-def _sample_path(model: InputModel, t: int, path_seed: int) -> ItemSequence:
-    """One path of an iid, markov or periodic model."""
+def _sample_path(model: InputModel, t: int, path_seed: int, cdf) -> ItemSequence:
+    """One path of an iid, markov or periodic model, given the model's
+    inverse-CDF table: the base distribution's for iid, the base's and the
+    transition rows' for markov, one row per period for periodic."""
     rng = make_generator(path_seed)
     if model.kind == "iid":
-        items = sample_categorical(categorical_cdf(model.base.probs), rng.random(t))
+        items = sample_categorical(cdf, rng.random(t))
     elif model.kind == "markov":
         u = rng.random(t)
-        row_cdfs = categorical_cdf(model.transition)
+        base_cdf, row_cdfs = cdf
         m = model.m
         # bisect_left over row `state` of the flat CDF table is searchsorted
         # with side="left", without a numpy call per step
         flat = memoryview(row_cdfs.reshape(-1))
         items = np.empty(t, dtype=np.int64)
         out = memoryview(items)
-        state = int(sample_categorical(categorical_cdf(model.base.probs), u[0]))
+        state = int(sample_categorical(base_cdf, u[0]))
         out[0] = state
         for tau, x in enumerate(memoryview(u[1:]), 1):
             lo = state * m
@@ -234,8 +243,7 @@ def _sample_path(model: InputModel, t: int, path_seed: int) -> ItemSequence:
         u = rng.random((blocks, 2 * q))
         drawn = np.empty((blocks, q), dtype=np.int64)
         for k in range(q):
-            cdf = categorical_cdf(model.period_dists[k])
-            drawn[:, k] = sample_categorical(cdf, u[:, k])
+            drawn[:, k] = sample_categorical(cdf[k], u[:, k])
         # uniform within-block shuffle via random sort keys
         order = np.argsort(u[:, q:], axis=1)
         items = np.take_along_axis(drawn, order, axis=1).reshape(-1)[:t]

@@ -10,6 +10,7 @@ input models.
 
 import json
 from contextlib import contextmanager
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,15 @@ class MarketInstance:
     def m(self) -> int:
         return self.valuations.shape[1]
 
+    @cached_property
+    def by_item(self) -> np.ndarray:
+        """The valuations item-major, (m, n) in C order: row j holds every
+        agent's value for item j. Built on first use and kept read-only, so
+        pacing and scoring share one copy."""
+        VT = np.ascontiguousarray(self.valuations.T)
+        VT.setflags(write=False)
+        return VT
+
     def check_items(self, items: np.ndarray) -> np.ndarray:
         """items, an array of a sequence's indices, once each names one of the
         m items; raises ConfigError otherwise."""
@@ -172,6 +182,19 @@ class ItemSequence:
         return self.items.size
 
 
+def expected_values(valuations: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each agent's value under the item weights, valuations @ weights.
+
+    The one rule that every agent values the weighted items: raises
+    ConfigError, naming the agents, if a value is not positive.
+    """
+    expected = valuations @ weights
+    if np.any(expected <= 0):
+        bad = np.flatnonzero(expected <= 0)
+        raise ConfigError(f"agents {bad.tolist()} have no positive value under the item weights")
+    return expected
+
+
 def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
     """Scale each row so its expected value under ref equals 1.
 
@@ -184,10 +207,7 @@ def normalize_valuations(valuations, ref: ReferenceDistribution) -> np.ndarray:
         raise ConfigError(
             f"valuations have {v.shape[1]} items but reference has {ref.m}"
         )
-    expected = v @ ref.probs
-    if np.any(expected <= 0):
-        bad = np.flatnonzero(expected <= 0)
-        raise ConfigError(f"rows {bad.tolist()} have zero expected value")
+    expected = expected_values(v, ref.probs)
     # a row whose expected value is tiny beside its entries overflows here;
     # MarketInstance refuses the result, and the warning would only repeat that
     with np.errstate(over="ignore"):

@@ -1,6 +1,6 @@
 """Performance metrics of a run relative to equilibrium benchmarks."""
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -22,18 +22,21 @@ METRIC_NAMES = (
 )
 
 
-# build_metric_series gathers the item values of at most this many (step,
+# A BatchScorer gathers the item values of at most this many (step, path,
 # agent) entries at once, with their envy-sum flat indices: 128 KiB of each.
 # Gathered for a whole grid chunk, which spans about 9% of t, the values
 # alone took 13.5 MB at t = 2e5 and n = 100, so the metric layer grew with t.
 _ENVY_BLOCK = 16384
 
 
-# Most points a recording grid may have. A pacing trace keeps three
-# (points x n) snapshot arrays per path until its batch is scored, 2.4 MB
-# per path at n = 100 and this many points. The default grid (dense to 100,
-# factor 1.1) has 156 points at t = 20000 and 197 at t = 1e6, while a factor
-# just above 1 records nearly every step: 20 000 points at t = 20000.
+# Most points a recording grid may have. `fairpace run` keeps no snapshots:
+# per batch it holds the sequences, the (paths, n, n) envy sums, the pacing
+# and scoring buffers of fixed size, and each curve's (paths, points)
+# values. A recorded trace (`pace.run_pace_paths`) keeps three (points x n)
+# snapshot arrays per path, 2.4 MB at n = 100 and this many points. The
+# default grid (dense to 100, factor 1.1) has 156 points at t = 20000 and
+# 197 at t = 1e6, while a factor just above 1 records nearly every step:
+# 20 000 points at t = 20000.
 MAX_GRID_POINTS = 1000
 
 
@@ -78,6 +81,115 @@ class MetricSeries:
         self.metadata = {} if metadata is None else metadata
 
 
+class BatchScorer:
+    """All METRIC_NAMES curves of P paths, scored while they are paced.
+
+    A consumer of `pace.pace_lockstep`, which hands it each finished chunk
+    of steps and the state at each recording time. hs_beta and hs_u hold a
+    row per path; star_beta and star_u are shared.
+
+    Multiplier errors compare the post-step multiplier against the
+    benchmark; utility, spend, regret, envy, and baseline curves use the
+    prefix of steps up to each grid point. Beside the curves, the scorer
+    keeps the envy sums S, (P, n, n), where S[p, w, a] is agent a's total
+    value for the items path p gave to w, and buffers of fixed size: its
+    memory grows with neither t nor the grid.
+    """
+
+    def __init__(self, instance: MarketInstance, times, hs_beta, hs_u, star_beta, star_u):
+        self.times = np.asarray(times, dtype=np.int64)
+        self.hs_beta, self.hs_u = (np.asarray(x, dtype=np.float64) for x in (hs_beta, hs_u))
+        self.star_beta = np.asarray(star_beta, dtype=np.float64)
+        self.star_u = np.asarray(star_u, dtype=np.float64)
+        P, n = self.hs_u.shape
+        self.VT = instance.by_item
+        self.values = {name: np.empty((P, self.times.size)) for name in METRIC_NAMES}
+        self.S = np.zeros((P, n, n))
+        # S's flat index of (path p, winner w, agent a) is p n^2 + w n + a
+        self.path_start = np.arange(P) * (n * n)
+        self.agents = np.arange(n)
+        # a block of steps' item values, (steps, P, n), is gathered under
+        # row 0 of `rows`, which carries the grid chunk's running sum from
+        # the block before (a chunk's first block leaves it out), so that sum
+        # adds the chunk's rows one after another, as the axis-0 sum of the
+        # whole chunk does
+        self.block_steps = max(1, _ENVY_BLOCK // (P * n))
+        self.rows = np.empty((self.block_steps + 1, P, n))
+        self.flat = np.empty((self.block_steps, P, n), dtype=np.intp)
+        self.chunk_open = False
+        self.value_totals = np.zeros((P, n))
+        # each column's largest envy sum, S.max(axis=1), as of the last grid
+        # point, and the winners since then while they are at most n steps
+        self.col_max = np.zeros((P, n))
+        self.recent = np.empty((n, P), dtype=np.intp)
+        self.recent_steps = 0
+
+    def steps(self, start, items, winners, bids=None):
+        """Add a chunk of steps, (steps, P) items and winners, to the sums."""
+        P, n = self.hs_u.shape
+        count = self.recent_steps + len(winners)
+        if count <= n:
+            self.recent[self.recent_steps : count] = winners
+        self.recent_steps = count
+        S_flat = self.S.reshape(-1)
+        for lo in range(0, len(winners), self.block_steps):
+            hi = min(lo + self.block_steps, len(winners))
+            block = self.rows[1 : hi - lo + 1]
+            # items are checked before pacing; mode="clip" writes `block` unbuffered
+            self.VT.take(items[lo:hi], axis=0, out=block, mode="clip")
+            flat = self.flat[: hi - lo]
+            np.add((winners[lo:hi] * n + self.path_start)[:, :, None], self.agents, out=flat)
+            # the flat np.add.at is several times faster than the 3-d one and
+            # adds to each entry in the same step order
+            np.add.at(S_flat, flat.reshape(-1), block.reshape(-1))
+            rows = self.rows[int(not self.chunk_open) : hi - lo + 1]
+            # numpy sums rows of one entry pairwise, which depends on the blocks
+            self.rows[0] = rows.sum(axis=0) if P * n > 1 else rows.cumsum(axis=0)[-1]
+            self.chunk_open = True
+
+    def snapshot(self, rec, beta, u_bar, spend_avg):
+        """Score every path at grid point rec from its (P, n) state."""
+        P, n = self.hs_u.shape
+        stop = self.times[rec]
+        hs_beta, hs_u, star_beta, star_u = self.hs_beta, self.hs_u, self.star_beta, self.star_u
+        values = self.values
+        values["rel_beta_hs"][:, rec] = np.max(np.abs(beta - hs_beta) / hs_beta, axis=1)
+        values["rel_u_hs"][:, rec] = np.max(np.abs(u_bar - hs_u) / hs_u, axis=1)
+        values["rel_beta_star"][:, rec] = np.max(np.abs(beta - star_beta) / star_beta, axis=1)
+        values["rel_u_star"][:, rec] = np.max(np.abs(u_bar - star_u) / star_u, axis=1)
+        values["mse_beta_star"][:, rec] = ((beta - star_beta) ** 2).sum(axis=1)
+        values["mse_u_star"][:, rec] = ((u_bar - star_u) ** 2).sum(axis=1)
+        values["mse_expenditure"][:, rec] = ((spend_avg - 1.0 / n) ** 2).sum(axis=1)
+        values["regret_max"][:, rec] = stop * np.max(hs_u - u_bar, axis=1)
+
+        # envy sums only grow, valuations being nonnegative, so the rows the
+        # chunk's winners changed update each column's maximum; a chunk of
+        # more than n steps takes the maxima afresh
+        if self.recent_steps <= n:
+            changed = self.S[np.arange(P), self.recent[: self.recent_steps]]
+            np.maximum(self.col_max, changed.max(axis=0), out=self.col_max)
+        else:
+            self.S.max(axis=1, out=self.col_max)
+        self.recent_steps = 0
+        diagonal = self.S.reshape(P, n * n)[:, :: n + 1]
+        values["envy_max"][:, rec] = np.max(self.col_max - diagonal, axis=1)
+        self.value_totals += self.rows[0]
+        self.chunk_open = False
+        baseline_u = (1.0 / n) * self.value_totals / stop
+        values["baseline_rel_u_hs"][:, rec] = np.max(np.abs(baseline_u - hs_u) / hs_u, axis=1)
+
+    def series(self, metadata) -> List[MetricSeries]:
+        """Each path's curves, given one metadata dict per path."""
+        return [
+            MetricSeries(
+                times=self.times,
+                values={name: curves[p] for name, curves in self.values.items()},
+                metadata=dict(meta or {}),
+            )
+            for p, meta in enumerate(metadata)
+        ]
+
+
 def build_metric_series(
     trace: PaceTrace,
     instance: MarketInstance,
@@ -88,62 +200,18 @@ def build_metric_series(
     star_u,
     metadata: Optional[Dict[str, object]] = None,
 ) -> MetricSeries:
-    """All standard error curves of one run on its recording grid.
+    """All standard error curves of one recorded run on its recording grid.
 
-    Multiplier errors compare the post-step multiplier against the
-    benchmark; utility, spend, regret, envy, and baseline curves use the
-    prefix of steps up to each grid point.
+    Feeds the trace through a one-path `BatchScorer`, a grid chunk at a
+    time, so the curves are bit for bit those of scoring while pacing.
     """
-    times = trace.record_times
-    n = trace.n
-    hs_beta = np.asarray(hs_beta, dtype=np.float64)
-    hs_u = np.asarray(hs_u, dtype=np.float64)
-    star_beta = np.asarray(star_beta, dtype=np.float64)
-    star_u = np.asarray(star_u, dtype=np.float64)
-
-    values: Dict[str, np.ndarray] = {}
-    values["rel_beta_hs"] = np.max(np.abs(trace.beta_at - hs_beta) / hs_beta, axis=1)
-    values["rel_u_hs"] = np.max(np.abs(trace.u_bar_at - hs_u) / hs_u, axis=1)
-    values["rel_beta_star"] = np.max(np.abs(trace.beta_at - star_beta) / star_beta, axis=1)
-    values["rel_u_star"] = np.max(np.abs(trace.u_bar_at - star_u) / star_u, axis=1)
-    values["mse_beta_star"] = ((trace.beta_at - star_beta) ** 2).sum(axis=1)
-    values["mse_u_star"] = ((trace.u_bar_at - star_u) ** 2).sum(axis=1)
-    values["mse_expenditure"] = ((trace.spend_avg_at - 1.0 / n) ** 2).sum(axis=1)
-    values["regret_max"] = times * np.max(hs_u - trace.u_bar_at, axis=1)
-
-    # prefix walks shared by the envy and baseline curves, one block of
-    # (steps, n) item values at a time. S gathers each block's rows by flat
-    # index, winner * n + agent: the 1-d np.add.at is several times faster
-    # than the 2-d one and adds to each entry in the same step order. A
-    # block is gathered under row 0 of `rows`, which carries the grid
-    # chunk's running sum from the block before (a chunk's first block
-    # leaves it out), so that sum adds the chunk's rows one after another,
-    # as the axis-0 sum of the whole chunk does
     instance.check_items(seq.items)
-    VT = np.ascontiguousarray(instance.valuations.T)  # (m, n)
-    S = np.zeros((n, n))
-    block_steps = max(1, _ENVY_BLOCK // n)
-    rows = np.empty((block_steps + 1, n))
-    agents = np.arange(n)
-    value_totals = np.zeros(n)
-    envy_max = np.empty(times.size)
-    baseline = np.empty(times.size)
+    hs_beta, hs_u = (np.asarray(x, dtype=np.float64)[None] for x in (hs_beta, hs_u))
+    scorer = BatchScorer(instance, trace.record_times, hs_beta, hs_u, star_beta, star_u)
+    state = (trace.beta_at, trace.u_bar_at, trace.spend_avg_at)
     start = 0
-    for k, stop in enumerate(times):
-        for lo in range(start, stop, block_steps):
-            hi = min(lo + block_steps, stop)
-            block = rows[1 : hi - lo + 1]
-            # items are checked above; mode="clip" writes `block` unbuffered
-            VT.take(seq.items[lo:hi], axis=0, out=block, mode="clip")
-            flat = (trace.winners[lo:hi, None] * n + agents).ravel()
-            np.add.at(S.reshape(-1), flat, block.ravel())
-            rows[0] = rows[int(lo == start) : hi - lo + 1].sum(axis=0)
-        value_totals += rows[0]
-        envy_max[k] = np.max(S.max(axis=0) - np.diag(S))
-        baseline_u = (1.0 / n) * value_totals / stop
-        baseline[k] = np.max(np.abs(baseline_u - hs_u) / hs_u)
+    for rec, stop in enumerate(trace.record_times.tolist()):
+        scorer.steps(start, seq.items[start:stop, None], trace.winners[start:stop, None])
+        scorer.snapshot(rec, *(x[rec : rec + 1] for x in state))
         start = stop
-    values["envy_max"] = envy_max
-    values["baseline_rel_u_hs"] = baseline
-
-    return MetricSeries(times=times, values=values, metadata=dict(metadata or {}))
+    return scorer.series([metadata])[0]

@@ -6,9 +6,12 @@ realized value feeds a running average utility, and each multiplier is the
 clamped reciprocal beta_i = clamp(1 / (n u_bar_i)) over the box
 [1 / ((1 + delta0) n), 1 + delta0].
 
-`run_pace_paths` is the one implementation of the auction and the update;
-it runs many sample paths in lockstep, and `run_pace` is its one-path
-case. The update is exactly composite dual averaging with the log-barrier
+One loop implements the auction and the update. It runs many sample
+paths in lockstep and hands each chunk of steps and each snapshot to a
+consumer: `pace_lockstep` takes the consumer (`fairpace run` passes a
+`metrics.BatchScorer`, which scores the paths as they pace), and
+`run_pace_paths` records traces, with `run_pace` its one-path case. The
+update is exactly composite dual averaging with the log-barrier
 regularizer, and `equivalence_with_da` checks it step by step against the
 generic `dual_averaging.da_step`, the independent reference.
 
@@ -70,9 +73,10 @@ class PaceTrace(NamedTuple):
     A trace recorded with record_betas=True also holds the full trajectory:
     `betas`, the t + 1 multiplier vectors from the start point on, and each
     step's `winning_bids` (beta_w v_w,item, the price paid) and
-    `winner_values` (v_w,item). Otherwise those three are None. So pacing
+    `winner_values` (v_w,item). Otherwise those three are None. So a trace
     keeps 8 bytes per path-step plus the snapshots; the full trajectory adds
-    8 (n + 2) more.
+    8 (n + 2) more. `fairpace run` keeps no trace: it scores each batch as
+    it paces (`pace_lockstep`).
     """
 
     n: int
@@ -88,30 +92,15 @@ class PaceTrace(NamedTuple):
 
 
 # Most steps one pass of the loop buffers before it adds their winning bids
-# to spend and copies out their winners. Chunks end at every recording time
-# and every multiple of _CHUNK, so the buffers stay (_CHUNK, P) at any
-# horizon and grid.
+# to spend and hands them on. Chunks end at every recording time and every
+# multiple of _CHUNK, so the buffers stay (_CHUNK, P) at any horizon and
+# grid.
 _CHUNK = 1024
 
 
-def run_pace_paths(
-    instance: MarketInstance,
-    seqs: Sequence[ItemSequence],
-    delta0: float = 1.0,
-    record_times: Optional[Sequence[int]] = None,
-    record_betas: bool = False,
-) -> List[PaceTrace]:
-    """Run the dynamics over P equal-length sequences in lockstep.
-
-    Path p's state is row p of (P, n) arrays, and every step applies the
-    same elementwise operations to each row that a single run would, so
-    each returned trace is bit-identical to running its sequence alone.
-    The recording grid must strictly increase from at least 1 and end at
-    t; None records only step t.
-    """
-    n = instance.n
-    P = len(seqs)
-    if P == 0:
+def _lockstep_times(instance: MarketInstance, seqs: Sequence[ItemSequence], record_times):
+    """The recording grid of a lockstep run, once its inputs are valid."""
+    if len(seqs) == 0:
         raise ValueError("need at least one sequence")
     t = seqs[0].t
     if any(seq.t != t for seq in seqs):
@@ -122,12 +111,44 @@ def run_pace_paths(
     bounded = times.ndim == 1 and times.size > 0 and times[0] >= 1 and times[-1] == t
     if not bounded or np.any(np.diff(times) <= 0):
         raise ValueError("record_times must strictly increase from at least 1 and end at t")
+    return times
+
+
+def pace_lockstep(
+    instance: MarketInstance,
+    seqs: Sequence[ItemSequence],
+    delta0: float,
+    record_times: Optional[Sequence[int]],
+    consumer,
+) -> None:
+    """Run the dynamics over P equal-length sequences in lockstep, handing
+    each chunk and snapshot to consumer; nothing is kept.
+
+    After each chunk of steps the loop calls consumer.steps(start, items,
+    winners, bids): the chunk's first step and its (steps, P) items,
+    winners and winning bids. At each recording time, after its chunk, it
+    calls consumer.snapshot(rec, beta, u_bar, spend_avg): the grid index
+    and the (P, n) multipliers, average utilities and average expenditure.
+    The arrays are the loop's own and change as it goes on.
+
+    The recording grid must strictly increase from at least 1 and end at
+    t; None records only step t.
+    """
+    _pace(instance, seqs, delta0, _lockstep_times(instance, seqs, record_times), consumer)
+
+
+def _pace(instance, seqs, delta0, times, consumer, betas=None) -> None:
+    """The lockstep loop on checked inputs; fills betas (P, t + 1, n) if given."""
+    n = instance.n
+    P = len(seqs)
+    t = seqs[0].t
     lo, hi = pacing_box(n, delta0)
-    VT = np.ascontiguousarray(instance.valuations.T)  # (m, n) row per item
+    VT = instance.by_item
 
     beta = np.full((P, n), hi)
     u_bar = np.zeros((P, n))
     spend = np.zeros((P, n))
+    spend_avg = np.empty((P, n))
     values = np.empty((P, n))
     bids = np.empty((P, n))
     # flat views: row p's winner w sits at p * n + w
@@ -142,15 +163,8 @@ def run_pace_paths(
     chunk_items = np.empty((longest, P), dtype=np.int64)
     chunk_winners = np.empty((longest, P), dtype=np.intp)
     chunk_bids = np.empty((longest, P))
-    winners = np.empty((P, t), dtype=np.int64)
-    winning_bids = betas = None
-    if record_betas:
-        winning_bids = np.empty((P, t))
-        betas = np.empty((P, t + 1, n))
+    if betas is not None:
         betas[:, 0] = beta
-    beta_at = np.empty((P, times.size, n))
-    u_bar_at = np.empty((P, times.size, n))
-    spend_avg_at = np.empty((P, times.size, n))
     # 0-d operands (module docstring)
     n_, one, lo_, hi_ = (np.array(x, dtype=np.float64) for x in (n, 1.0, lo, hi))
     multiply, divide, add = np.multiply, np.divide, np.add
@@ -177,7 +191,7 @@ def run_pace_paths(
                 divide(one, beta, out=beta)
                 maximum(beta, lo_, out=beta)
                 minimum(beta, hi_, out=beta)
-                if record_betas:
+                if betas is not None:
                     betas[:, start + i + 1] = beta
             # add.at adds each path's winning bids in step order, the same
             # sums a running total makes
@@ -186,30 +200,69 @@ def run_pace_paths(
                 (chunk_winners[:steps] + row_start).reshape(-1),
                 chunk_bids[:steps].reshape(-1),
             )
-            winners[:, start:stop] = chunk_winners[:steps].T
-            if record_betas:
-                winning_bids[:, start:stop] = chunk_bids[:steps].T
+            consumer.steps(start, chunk_items[:steps], chunk_winners[:steps], chunk_bids[:steps])
             if stop == grid[rec]:
-                beta_at[:, rec] = beta
-                u_bar_at[:, rec] = u_bar
-                divide(spend, stop, out=spend_avg_at[:, rec])
+                divide(spend, stop, out=spend_avg)
+                consumer.snapshot(rec, beta, u_bar, spend_avg)
                 rec += 1
             start = stop
 
+
+class _TraceRecorder:
+    """The consumer that keeps each path's winners and snapshots."""
+
+    def __init__(self, P: int, n: int, t: int, times: np.ndarray, record_betas: bool):
+        self.winners = np.empty((P, t), dtype=np.int64)
+        self.winning_bids = np.empty((P, t)) if record_betas else None
+        self.beta_at, self.u_bar_at, self.spend_avg_at = np.empty((3, P, times.size, n))
+
+    def steps(self, start, items, winners, bids):
+        stop = start + len(winners)
+        self.winners[:, start:stop] = winners.T
+        if self.winning_bids is not None:
+            self.winning_bids[:, start:stop] = bids.T
+
+    def snapshot(self, rec, beta, u_bar, spend_avg):
+        self.beta_at[:, rec] = beta
+        self.u_bar_at[:, rec] = u_bar
+        self.spend_avg_at[:, rec] = spend_avg
+
+
+def run_pace_paths(
+    instance: MarketInstance,
+    seqs: Sequence[ItemSequence],
+    delta0: float = 1.0,
+    record_times: Optional[Sequence[int]] = None,
+    record_betas: bool = False,
+) -> List[PaceTrace]:
+    """Run the dynamics over P equal-length sequences in lockstep.
+
+    Path p's state is row p of (P, n) arrays, and every step applies the
+    same elementwise operations to each row that a single run would, so
+    each returned trace is bit-identical to running its sequence alone.
+    The recording grid must strictly increase from at least 1 and end at
+    t; None records only step t.
+    """
+    times = _lockstep_times(instance, seqs, record_times)
+    n, P, t = instance.n, len(seqs), seqs[0].t
+    recorder = _TraceRecorder(P, n, t, times, record_betas)
+    betas = np.empty((P, t + 1, n)) if record_betas else None
+    _pace(instance, seqs, delta0, times, recorder, betas)
     winner_values = None
     if record_betas:
-        winner_values = VT[np.stack([seq.items for seq in seqs]), winners]
+        items = np.stack([seq.items for seq in seqs])
+        winner_values = instance.by_item[items, recorder.winners]
     return [
         PaceTrace(
             n=n,
             t=t,
-            winners=winners[p],
+            winners=recorder.winners[p],
             winner_values=None if winner_values is None else winner_values[p],
-            winning_bids=None if winning_bids is None else winning_bids[p],
+            winning_bids=None if recorder.winning_bids is None else recorder.winning_bids[p],
             record_times=times,
-            beta_at=beta_at[p],
-            u_bar_at=u_bar_at[p],
-            spend_avg_at=spend_avg_at[p],
+            beta_at=recorder.beta_at[p],
+            u_bar_at=recorder.u_bar_at[p],
+            spend_avg_at=recorder.spend_avg_at[p],
             betas=None if betas is None else betas[p],
         )
         for p in range(P)

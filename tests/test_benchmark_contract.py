@@ -82,7 +82,7 @@ PATCHED_IN = {
     "test_missing_rows": "write_paths_csv",
     "test_nonzero_exit": "_cmd_run",
     "test_claim_broken": "composite_argmin",
-    "test_replay_differs": "_run_paths",
+    "test_replay_differs": "_hindsight",
 }
 
 

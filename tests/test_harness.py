@@ -19,10 +19,10 @@ from fairpace.harness import (
     run_experiment,
     summarize,
 )
-from fairpace.eg import hindsight_solution, market_problem, solve_dual
-from fairpace.inputs import reference_distribution, sample_sequences
+from fairpace.eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
+from fairpace.inputs import random_iid_model, reference_distribution, sample_sequences
 from fairpace.market import ReferenceDistribution, market_to_dict, normalize_valuations
-from fairpace.metrics import METRIC_NAMES, MetricSeries
+from fairpace.metrics import METRIC_NAMES, MetricSeries, recording_grid
 from fairpace.prng import derive_path_seed, make_generator
 from tests.conftest import traced_peak
 
@@ -385,6 +385,55 @@ class TestRunExperiment:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "capped" / name
             ).read_bytes()
+
+    def test_large_markets_split_their_batches(self, tmp_path, monkeypatch):
+        # a batch's envy sums hold paths x n^2 doubles: at n = 300 the byte
+        # budget keeps two paths in a batch, and the run writes the CSVs of
+        # a run with one path per batch
+        n = 300
+        assert harness.LOCKSTEP_ENVY_BYTES // (8 * n * n) == 2
+        cfg = toy_config(
+            # rank 1 without noise keeps the 300-agent solves quick
+            market={"generator": {"n": n, "m": 3, "rank": 1, "noise": 0.0, "seed": 5}},
+            model={"kind": "iid", "random": {"m": 3, "seed": 7}},
+            t=200,
+            paths=3,
+        )
+        sizes = []
+        run_paths = harness._run_paths
+        monkeypatch.setattr(
+            harness, "_run_paths", lambda job: sizes.append(len(job[5])) or run_paths(job)
+        )
+        run_experiment(cfg, out_dir=str(tmp_path / "split"))
+        assert sizes == [2, 1]
+        monkeypatch.setattr(harness, "LOCKSTEP_PATHS", 1)
+        run_experiment(cfg, out_dir=str(tmp_path / "single"))
+        assert sizes == [2, 1, 1, 1, 1]
+        for name in ("paths.csv", "aggregate.csv"):
+            assert (tmp_path / "split" / name).read_bytes() == (
+                tmp_path / "single" / name
+            ).read_bytes()
+
+    def test_batch_peak_is_flat_in_the_horizon(self, monkeypatch):
+        # a batch is scored while it paces, so above its sequences it keeps
+        # no (paths, t) or (paths, grid, n) array: two paths' int64 winners
+        # alone would add 2.9 MB from t = 2e4 to 2e5
+        n, m, P = 20, 30, 2
+        model = random_iid_model(m, seed=3)
+        ref = reference_distribution(model)
+        inst = generate_market(n, m, rank=5, seed=4, ref=ref)
+        star = solve_dual(market_problem(inst, ref))
+        star_u = equilibrium_utilities(star, n)
+        seeds = [derive_path_seed(8, p) for p in range(P)]
+        peaks = []
+        for t in (1000, 20_000, 200_000):  # the first warms up
+            seqs = sample_sequences(model, t, seeds)
+            # sampled outside the trace, so the peak is that above them
+            monkeypatch.setattr(harness, "sample_sequences", lambda *args: seqs)
+            job = (inst, model, t, 1.0, recording_grid(t), range(P), seeds, 1e-8,
+                   (star.beta_hat, star_u), ref.probs)
+            peaks.append(traced_peak(harness._run_paths, job)[1])
+        assert peaks[2] < peaks[1] + 64 * 1024, peaks
 
 
 class TestCsvRoundTrip:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairpace import inputs
 from fairpace.errors import ConfigError, NoConvergence
 from fairpace.inputs import (
     CorruptionSchedule,
@@ -314,3 +315,26 @@ def test_markov_sampler_matches_searchsorted(m, model_seed, path_seed):
     for x in u[1:]:
         expected.append(int(np.searchsorted(rows[expected[-1]], x, side="left")))
     assert sample_sequence(model, t, path_seed).items.tolist() == expected
+
+
+def test_inverse_cdf_tables_are_built_once_per_call(monkeypatch):
+    # a Markov model's (m, m) transition table was built once per path
+    shapes = []
+    categorical_cdf = inputs.categorical_cdf
+
+    def counted(probs):
+        shapes.append(np.shape(probs))
+        return categorical_cdf(probs)
+
+    monkeypatch.setattr(inputs, "categorical_cdf", counted)
+    seeds = [1, 2, 3]
+    for model, built in (
+        (random_markov_model(40, seed=4), [(40,), (40, 40)]),
+        (random_periodic_model(30, q=7, seed=5), [(7, 30)]),
+    ):
+        shapes.clear()
+        seqs = sample_sequences(model, 500, seeds)
+        assert sorted(shapes) == built
+        for seed, seq in zip(seeds, seqs):
+            assert np.array_equal(seq.items, sample_sequence(model, 500, seed).items)
+

@@ -121,7 +121,8 @@ def test_normalize_valuations_postcondition_and_errors(rng):
     v = rng.random((4, 3)) + 0.01
     out = normalize_valuations(v, ref)
     assert np.allclose(out @ ref.probs, 1.0, atol=1e-12)
-    with pytest.raises(ConfigError, match="zero expected value"):
+    refused = r"agents \[0\] have no positive value under the item weights"
+    with pytest.raises(ConfigError, match=refused):
         normalize_valuations([[0.0, 0.0, 1.0]], ReferenceDistribution([0.5, 0.5, 0.0]))
 
 

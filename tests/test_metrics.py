@@ -4,9 +4,10 @@ import pytest
 from fairpace import metrics
 from fairpace.eg import equilibrium_utilities, hindsight_solution
 from fairpace.market import ItemSequence, MarketInstance
-from fairpace.metrics import METRIC_NAMES, build_metric_series, recording_grid
+from fairpace.metrics import METRIC_NAMES, BatchScorer, build_metric_series, recording_grid
 from fairpace.errors import ConfigError
-from fairpace.pace import PaceTrace, run_pace
+from fairpace import pace
+from fairpace.pace import PaceTrace, pace_lockstep, run_pace, run_pace_paths
 from tests.conftest import random_instance, tie_free_run, traced_peak
 from tests.oracles import (
     envy,
@@ -318,3 +319,41 @@ class TestMetricSeries:
             _, peak = traced_peak(build_metric_series, trace, inst, seq, ones, ones, ones, ones)
             peaks.append(peak)
         assert max(peaks) < 1e6, peaks
+
+
+class TestBatchScorer:
+    @pytest.mark.parametrize("n", [7, 1])
+    @pytest.mark.parametrize("block", [16384, 70, 7, 1])
+    def test_equals_per_path_series(self, rng, monkeypatch, block, n):
+        # scoring three paths while they pace gives each path the curves
+        # build_metric_series gives its recorded trace, bit for bit, though
+        # the blocks of steps differ: the baseline's running sums carry
+        # across blocks and pacing chunks, and each column's envy maximum
+        # is updated from the rows a grid chunk of at most n steps changed.
+        # With one agent, numpy would sum a one-path block's rows pairwise
+        monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
+        m, t, P = 9, 5000, 3
+        inst = random_instance(rng, n, m)
+        seqs = [ItemSequence(rng.integers(0, m, size=t)) for _ in range(P)]
+        # a dense head, a 7-step chunk across the end of a pacing chunk,
+        # and chunks longer than a pacing chunk
+        grid = np.array([*range(1, 21), 25, 40, 1020, 1027, 2100, 3500, t])
+        assert 1020 < pace._CHUNK < 1027 and 3500 - 2100 > pace._CHUNK
+        hs_beta = rng.random((P, n)) + 0.5
+        # small hindsight utilities keep the baseline's low bits in its
+        # relative error
+        hs_u = 1e-3 * (1.0 + rng.random((P, n)))
+        star_beta, star_u = rng.random(n) + 0.5, rng.random(n) + 0.5
+        scorer = BatchScorer(inst, grid, hs_beta, hs_u, star_beta, star_u)
+        pace_lockstep(inst, seqs, 1.0, grid, scorer)
+        batch = scorer.series([{"path_id": p} for p in range(P)])
+        traces = run_pace_paths(inst, seqs, record_times=grid)
+        for p, (seq, trace) in enumerate(zip(seqs, traces)):
+            single = build_metric_series(
+                trace, inst, seq, hs_beta[p], hs_u[p], star_beta, star_u
+            )
+            assert batch[p].metadata == {"path_id": p}
+            assert np.array_equal(batch[p].times, grid)
+            for name in METRIC_NAMES:
+                assert np.array_equal(batch[p].values[name], single.values[name]), (p, name)
+
