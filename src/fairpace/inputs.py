@@ -185,14 +185,7 @@ def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence
     """
     t = check_horizon(t)
     if model.kind != "corrupted":
-        # the inverse-CDF tables depend on the model alone: one per call
-        if model.kind == "iid":
-            cdf = categorical_cdf(model.base.probs)
-        elif model.kind == "markov":
-            cdf = (categorical_cdf(model.base.probs), categorical_cdf(model.transition))
-        else:
-            cdf = categorical_cdf(model.period_dists)
-        return [_sample_path(model, t, seed, cdf) for seed in path_seeds]
+        return _sample_paths(model, t, path_seeds)
     uniforms = [make_generator(seed).random(t) for seed in path_seeds]
     items = [np.empty(t, dtype=np.int64) for _ in uniforms]
     start = 0
@@ -213,42 +206,48 @@ def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
     return sample_sequences(model, t, [path_seed])[0]
 
 
-def _sample_path(model: InputModel, t: int, path_seed: int, cdf) -> ItemSequence:
-    """One path of an iid, markov or periodic model, given the model's
-    inverse-CDF table: the base distribution's for iid, the base's and the
-    transition rows' for markov, one row per period for periodic."""
-    rng = make_generator(path_seed)
+def _sample_paths(model: InputModel, t: int, path_seeds) -> List[ItemSequence]:
+    """The paths of an iid, markov or periodic model, one per seed. The
+    inverse-CDF tables depend on the model alone: each is built once."""
+    streams = [make_generator(seed) for seed in path_seeds]
+    paths = []
     if model.kind == "iid":
-        items = sample_categorical(cdf, rng.random(t))
+        cdf = categorical_cdf(model.base.probs)
+        paths = [sample_categorical(cdf, rng.random(t)) for rng in streams]
     elif model.kind == "markov":
-        u = rng.random(t)
-        base_cdf, row_cdfs = cdf
+        base_cdf = categorical_cdf(model.base.probs)
         m = model.m
         # bisect_left over row `state` of the flat CDF table is searchsorted
         # with side="left", without a numpy call per step
-        flat = memoryview(row_cdfs.reshape(-1))
-        items = np.empty(t, dtype=np.int64)
-        out = memoryview(items)
-        state = int(sample_categorical(base_cdf, u[0]))
-        out[0] = state
-        for tau, x in enumerate(memoryview(u[1:]), 1):
-            lo = state * m
-            state = bisect_left(flat, x, lo, lo + m) - lo
-            out[tau] = state
+        flat = memoryview(categorical_cdf(model.transition).reshape(-1))
+        for rng in streams:
+            u = rng.random(t)
+            items = np.empty(t, dtype=np.int64)
+            out = memoryview(items)
+            state = int(sample_categorical(base_cdf, u[0]))
+            out[0] = state
+            for tau, x in enumerate(memoryview(u[1:]), 1):
+                lo = state * m
+                state = bisect_left(flat, x, lo, lo + m) - lo
+                out[tau] = state
+            paths.append(items)
     else:
         q, m = model.period_dists.shape
+        cdfs = categorical_cdf(model.period_dists)
         blocks = math.ceil(t / q)
-        # each block consumes q item uniforms then q shuffle keys, so the
-        # stream is prefix-stable across horizons
-        u = rng.random((blocks, 2 * q))
-        drawn = np.empty((blocks, q), dtype=np.int64)
-        for k in range(q):
-            drawn[:, k] = sample_categorical(cdf[k], u[:, k])
-        # uniform within-block shuffle via random sort keys
-        order = np.argsort(u[:, q:], axis=1)
-        items = np.take_along_axis(drawn, order, axis=1).reshape(-1)[:t]
-    items.setflags(write=False)
-    return ItemSequence(items)
+        for rng in streams:
+            # each block consumes q item uniforms then q shuffle keys, so the
+            # stream is prefix-stable across horizons
+            u = rng.random((blocks, 2 * q))
+            drawn = np.empty((blocks, q), dtype=np.int64)
+            for k in range(q):
+                drawn[:, k] = sample_categorical(cdfs[k], u[:, k])
+            # uniform within-block shuffle via random sort keys
+            order = np.argsort(u[:, q:], axis=1)
+            paths.append(np.take_along_axis(drawn, order, axis=1).reshape(-1)[:t])
+    for items in paths:
+        items.setflags(write=False)
+    return [ItemSequence(items) for items in paths]
 
 
 # Power iterations before a chain is declared periodic or reducible.

@@ -118,19 +118,12 @@ class BatchScorer:
         self.flat = np.empty((self.block_steps, P, n), dtype=np.intp)
         self.chunk_open = False
         self.value_totals = np.zeros((P, n))
-        # each column's largest envy sum, S.max(axis=1), as of the last grid
-        # point, and the winners since then while they are at most n steps
-        self.col_max = np.zeros((P, n))
-        self.recent = np.empty((n, P), dtype=np.intp)
-        self.recent_steps = 0
+        self.col_max = np.empty((P, n))
 
-    def steps(self, start, items, winners, bids=None):
-        """Add a chunk of steps, (steps, P) items and winners, to the sums."""
+    def steps(self, start, items, winners, bids):
+        """Add a chunk of steps, (steps, P) items and winners, to the sums;
+        start and bids, the chunk's first step and winning bids, are unused."""
         P, n = self.hs_u.shape
-        count = self.recent_steps + len(winners)
-        if count <= n:
-            self.recent[self.recent_steps : count] = winners
-        self.recent_steps = count
         S_flat = self.S.reshape(-1)
         for lo in range(0, len(winners), self.block_steps):
             hi = min(lo + self.block_steps, len(winners))
@@ -143,7 +136,9 @@ class BatchScorer:
             # adds to each entry in the same step order
             np.add.at(S_flat, flat.reshape(-1), block.reshape(-1))
             rows = self.rows[int(not self.chunk_open) : hi - lo + 1]
-            # numpy sums rows of one entry pairwise, which depends on the blocks
+            # numpy sums the rows of a single entry (P = n = 1) pairwise, in
+            # an order that depends on the blocks; cumsum adds them one
+            # after another, as the axis-0 sum does for more entries
             self.rows[0] = rows.sum(axis=0) if P * n > 1 else rows.cumsum(axis=0)[-1]
             self.chunk_open = True
 
@@ -162,15 +157,7 @@ class BatchScorer:
         values["mse_expenditure"][:, rec] = ((spend_avg - 1.0 / n) ** 2).sum(axis=1)
         values["regret_max"][:, rec] = stop * np.max(hs_u - u_bar, axis=1)
 
-        # envy sums only grow, valuations being nonnegative, so the rows the
-        # chunk's winners changed update each column's maximum; a chunk of
-        # more than n steps takes the maxima afresh
-        if self.recent_steps <= n:
-            changed = self.S[np.arange(P), self.recent[: self.recent_steps]]
-            np.maximum(self.col_max, changed.max(axis=0), out=self.col_max)
-        else:
-            self.S.max(axis=1, out=self.col_max)
-        self.recent_steps = 0
+        self.S.max(axis=1, out=self.col_max)
         diagonal = self.S.reshape(P, n * n)[:, :: n + 1]
         values["envy_max"][:, rec] = np.max(self.col_max - diagonal, axis=1)
         self.value_totals += self.rows[0]
@@ -211,7 +198,8 @@ def build_metric_series(
     state = (trace.beta_at, trace.u_bar_at, trace.spend_avg_at)
     start = 0
     for rec, stop in enumerate(trace.record_times.tolist()):
-        scorer.steps(start, seq.items[start:stop, None], trace.winners[start:stop, None])
+        items, winners = seq.items[start:stop, None], trace.winners[start:stop, None]
+        scorer.steps(start, items, winners, None)
         scorer.snapshot(rec, *(x[rec : rec + 1] for x in state))
         start = stop
     return scorer.series([metadata])[0]

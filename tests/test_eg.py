@@ -1337,6 +1337,16 @@ class TestHindsight:
         direct = solve_dual(market_problem(inst, weights))
         assert np.allclose(sol.beta_hat, direct.beta_hat, atol=1e-12)
 
+    @pytest.mark.parametrize("block", [7, 500, 8192])
+    def test_blocked_counts_keep_the_weights(self, rng, monkeypatch, block):
+        # the items are counted a block at a time, to bound bincount's copy
+        monkeypatch.setattr(eg, "_COUNT_BLOCK", block)
+        inst = random_instance(rng, 3, 4)
+        seq = ItemSequence(rng.integers(0, 4, size=500))
+        weights = np.bincount(np.array(seq.items), minlength=4) / seq.t
+        direct = solve_dual(market_problem(inst, weights))
+        assert np.array_equal(hindsight_solution(inst, seq).beta_hat, direct.beta_hat)
+
     def test_item_outside_universe(self):
         inst = MarketInstance(np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ConfigError, match="outside the universe"):

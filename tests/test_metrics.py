@@ -328,9 +328,8 @@ class TestBatchScorer:
         # scoring three paths while they pace gives each path the curves
         # build_metric_series gives its recorded trace, bit for bit, though
         # the blocks of steps differ: the baseline's running sums carry
-        # across blocks and pacing chunks, and each column's envy maximum
-        # is updated from the rows a grid chunk of at most n steps changed.
-        # With one agent, numpy would sum a one-path block's rows pairwise
+        # across blocks and pacing chunks. With one agent, numpy would sum
+        # a one-path block's rows pairwise
         monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
         m, t, P = 9, 5000, 3
         inst = random_instance(rng, n, m)
@@ -357,3 +356,33 @@ class TestBatchScorer:
             for name in METRIC_NAMES:
                 assert np.array_equal(batch[p].values[name], single.values[name]), (p, name)
 
+    def test_one_agent_baseline_adds_steps_in_order(self, rng):
+        # with one agent the baseline adds a grid chunk's item values one
+        # after another, then the chunk's sum to the running total, for a
+        # batch of paths and for one recorded trace alike. numpy's axis-0
+        # sum of a one-path block would add them pairwise, as the per-path
+        # scoring before the batch scorer did, so those low bits differ
+        m, t, P = 9, 5000, 3
+        inst = random_instance(rng, 1, m)
+        seqs = [ItemSequence(rng.integers(0, m, size=t)) for _ in range(P)]
+        grid = np.array([1, 2, 3, 40, 1500, 3500, t])
+        ones = np.ones((P, 1))
+        hs_u = 1e-3 * (1.0 + rng.random((P, 1)))
+        scorer = BatchScorer(inst, grid, ones, hs_u, ones[0], ones[0])
+        pace_lockstep(inst, seqs, 1.0, grid, scorer)
+        batch = scorer.series([None] * P)
+        traces = run_pace_paths(inst, seqs, record_times=grid)
+        for p, (seq, trace) in enumerate(zip(seqs, traces)):
+            values = inst.valuations[0, seq.items].tolist()
+            h = float(hs_u[p, 0])
+            expected, total, start = [], 0.0, 0
+            for stop in grid.tolist():
+                chunk = 0.0
+                for v in values[start:stop]:
+                    chunk += v
+                total += chunk
+                expected.append(abs(1.0 * total / stop - h) / h)
+                start = stop
+            single = build_metric_series(trace, inst, seq, ones[p], hs_u[p], ones[0], ones[0])
+            assert batch[p].values["baseline_rel_u_hs"].tolist() == expected
+            assert single.values["baseline_rel_u_hs"].tolist() == expected
