@@ -180,40 +180,26 @@ def sample_sequences(model: InputModel, t: int, path_seeds) -> List[ItemSequence
     """Draw a length-t item sequence per path seed, each from its own stream.
 
     Each path equals sample_sequence(model, t, seed) for its seed. The
-    per-step distributions of a corrupted model, and their CDFs, depend on
-    the model alone, so each block of them is built once for all the paths.
+    inverse-CDF tables, and a corrupted model's per-step distributions,
+    depend on the model alone: each is built once for all the paths.
     """
     t = check_horizon(t)
-    if model.kind != "corrupted":
-        return _sample_paths(model, t, path_seeds)
-    uniforms = [make_generator(seed).random(t) for seed in path_seeds]
-    items = [np.empty(t, dtype=np.int64) for _ in uniforms]
-    start = 0
-    for dists in corruption_step_distributions(model, t):
-        stop = start + len(dists)
-        cdf = categorical_cdf(dists)
-        for path_items, u in zip(items, uniforms):
-            # row-wise inverse CDF with lower-index ties, one uniform per step
-            path_items[start:stop] = (cdf < u[start:stop, None]).sum(axis=1)
-        start = stop
-    for path_items in items:
-        path_items.setflags(write=False)
-    return [ItemSequence(path_items) for path_items in items]
-
-
-def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
-    """Draw a length-t item sequence from the model using the path stream."""
-    return sample_sequences(model, t, [path_seed])[0]
-
-
-def _sample_paths(model: InputModel, t: int, path_seeds) -> List[ItemSequence]:
-    """The paths of an iid, markov or periodic model, one per seed. The
-    inverse-CDF tables depend on the model alone: each is built once."""
     streams = [make_generator(seed) for seed in path_seeds]
     paths = []
     if model.kind == "iid":
         cdf = categorical_cdf(model.base.probs)
         paths = [sample_categorical(cdf, rng.random(t)) for rng in streams]
+    elif model.kind == "corrupted":
+        uniforms = [rng.random(t) for rng in streams]
+        paths = [np.empty(t, dtype=np.int64) for _ in uniforms]
+        start = 0
+        for dists in corruption_step_distributions(model, t):
+            stop = start + len(dists)
+            cdf = categorical_cdf(dists)
+            for items, u in zip(paths, uniforms):
+                # row-wise inverse CDF with lower-index ties, one uniform per step
+                items[start:stop] = (cdf < u[start:stop, None]).sum(axis=1)
+            start = stop
     elif model.kind == "markov":
         base_cdf = categorical_cdf(model.base.probs)
         m = model.m
@@ -248,6 +234,11 @@ def _sample_paths(model: InputModel, t: int, path_seeds) -> List[ItemSequence]:
     for items in paths:
         items.setflags(write=False)
     return [ItemSequence(items) for items in paths]
+
+
+def sample_sequence(model: InputModel, t: int, path_seed: int) -> ItemSequence:
+    """Draw a length-t item sequence from the model using the path stream."""
+    return sample_sequences(model, t, [path_seed])[0]
 
 
 # Power iterations before a chain is declared periodic or reducible.

@@ -93,7 +93,11 @@ class BatchScorer:
     prefix of steps up to each grid point. Beside the curves, the scorer
     keeps the envy sums S, (P, n, n), where S[p, w, a] is agent a's total
     value for the items path p gave to w, and buffers of fixed size: its
-    memory grows with neither t nor the grid.
+    memory grows with neither t nor the grid. The envy curve compares S's
+    column maxima with its diagonal, and the baseline takes S's sum over
+    winners, each agent's value for every item so far. S adds each entry
+    in step order whatever the blocks, so the curves do not depend on how
+    the steps are batched.
     """
 
     def __init__(self, instance: MarketInstance, times, hs_beta, hs_u, star_beta, star_u):
@@ -108,26 +112,20 @@ class BatchScorer:
         # S's flat index of (path p, winner w, agent a) is p n^2 + w n + a
         self.path_start = np.arange(P) * (n * n)
         self.agents = np.arange(n)
-        # a block of steps' item values, (steps, P, n), is gathered under
-        # row 0 of `rows`, which carries the grid chunk's running sum from
-        # the block before (a chunk's first block leaves it out), so that sum
-        # adds the chunk's rows one after another, as the axis-0 sum of the
-        # whole chunk does
+        # a block of steps' item values, (steps, P, n), and their flat indices
         self.block_steps = max(1, _ENVY_BLOCK // (P * n))
-        self.rows = np.empty((self.block_steps + 1, P, n))
+        self.block = np.empty((self.block_steps, P, n))
         self.flat = np.empty((self.block_steps, P, n), dtype=np.intp)
-        self.chunk_open = False
-        self.value_totals = np.zeros((P, n))
         self.col_max = np.empty((P, n))
 
-    def steps(self, start, items, winners, bids):
+    def steps(self, start, items, winners):
         """Add a chunk of steps, (steps, P) items and winners, to the sums;
-        start and bids, the chunk's first step and winning bids, are unused."""
-        P, n = self.hs_u.shape
+        start, the chunk's first step, is unused."""
+        n = self.hs_u.shape[1]
         S_flat = self.S.reshape(-1)
         for lo in range(0, len(winners), self.block_steps):
             hi = min(lo + self.block_steps, len(winners))
-            block = self.rows[1 : hi - lo + 1]
+            block = self.block[: hi - lo]
             # items are checked before pacing; mode="clip" writes `block` unbuffered
             self.VT.take(items[lo:hi], axis=0, out=block, mode="clip")
             flat = self.flat[: hi - lo]
@@ -135,12 +133,6 @@ class BatchScorer:
             # the flat np.add.at is several times faster than the 3-d one and
             # adds to each entry in the same step order
             np.add.at(S_flat, flat.reshape(-1), block.reshape(-1))
-            rows = self.rows[int(not self.chunk_open) : hi - lo + 1]
-            # numpy sums the rows of a single entry (P = n = 1) pairwise, in
-            # an order that depends on the blocks; cumsum adds them one
-            # after another, as the axis-0 sum does for more entries
-            self.rows[0] = rows.sum(axis=0) if P * n > 1 else rows.cumsum(axis=0)[-1]
-            self.chunk_open = True
 
     def snapshot(self, rec, beta, u_bar, spend_avg):
         """Score every path at grid point rec from its (P, n) state."""
@@ -160,9 +152,8 @@ class BatchScorer:
         self.S.max(axis=1, out=self.col_max)
         diagonal = self.S.reshape(P, n * n)[:, :: n + 1]
         values["envy_max"][:, rec] = np.max(self.col_max - diagonal, axis=1)
-        self.value_totals += self.rows[0]
-        self.chunk_open = False
-        baseline_u = (1.0 / n) * self.value_totals / stop
+        # summed over winners, S holds each agent's value for every item so far
+        baseline_u = (1.0 / n) * self.S.sum(axis=1) / stop
         values["baseline_rel_u_hs"][:, rec] = np.max(np.abs(baseline_u - hs_u) / hs_u, axis=1)
 
     def series(self, metadata) -> List[MetricSeries]:
@@ -199,7 +190,7 @@ def build_metric_series(
     start = 0
     for rec, stop in enumerate(trace.record_times.tolist()):
         items, winners = seq.items[start:stop, None], trace.winners[start:stop, None]
-        scorer.steps(start, items, winners, None)
+        scorer.steps(start, items, winners)
         scorer.snapshot(rec, *(x[rec : rec + 1] for x in state))
         start = stop
     return scorer.series([metadata])[0]

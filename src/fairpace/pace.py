@@ -10,10 +10,11 @@ One loop implements the auction and the update. It runs many sample
 paths in lockstep and hands each chunk of steps and each snapshot to a
 consumer: `pace_lockstep` takes the consumer (`fairpace run` passes a
 `metrics.BatchScorer`, which scores the paths as they pace), and
-`run_pace_paths` records traces, with `run_pace` its one-path case. The
-update is exactly composite dual averaging with the log-barrier
-regularizer, and `equivalence_with_da` checks it step by step against the
-generic `dual_averaging.da_step`, the independent reference.
+`run_pace_paths` records traces of the winners and snapshots, with
+`run_pace` its one-path case. The update is exactly composite dual
+averaging with the log-barrier regularizer, and `equivalence_with_da`
+checks it step by step against the generic `dual_averaging.da_step`, the
+independent reference.
 
 The loop's time is per numpy call, and a Python scalar operand adds to
 each call: the ufunc converts it anew every time (NEP 50 promotion). With
@@ -72,11 +73,12 @@ class PaceTrace(NamedTuple):
 
     A trace recorded with record_betas=True also holds the full trajectory:
     `betas`, the t + 1 multiplier vectors from the start point on, and each
-    step's `winning_bids` (beta_w v_w,item, the price paid) and
-    `winner_values` (v_w,item). Otherwise those three are None. So a trace
-    keeps 8 bytes per path-step plus the snapshots; the full trajectory adds
-    8 (n + 2) more. `fairpace run` keeps no trace: it scores each batch as
-    it paces (`pace_lockstep`).
+    step's `winner_values` (v_w,item) and `winning_bids` (beta_w v_w,item,
+    the price paid), formed after the run from the winners and `betas`.
+    Otherwise those three are None. So a trace keeps 8 bytes per path-step
+    plus the snapshots; the full trajectory adds 8 (n + 2) more. `fairpace
+    run` keeps no trace: it scores each batch as it paces
+    (`pace_lockstep`).
     """
 
     n: int
@@ -125,11 +127,12 @@ def pace_lockstep(
     each chunk and snapshot to consumer; nothing is kept.
 
     After each chunk of steps the loop calls consumer.steps(start, items,
-    winners, bids): the chunk's first step and its (steps, P) items,
-    winners and winning bids. At each recording time, after its chunk, it
-    calls consumer.snapshot(rec, beta, u_bar, spend_avg): the grid index
-    and the (P, n) multipliers, average utilities and average expenditure.
-    The arrays are the loop's own and change as it goes on.
+    winners): the chunk's first step and its (steps, P) items and winners.
+    Chunks end at every recording time and every multiple of _CHUNK. At
+    each recording time, after its chunk, it calls consumer.snapshot(rec,
+    beta, u_bar, spend_avg): the grid index and the (P, n) multipliers,
+    average utilities and average expenditure. The arrays are the loop's
+    own and change as it goes on.
 
     The recording grid must strictly increase from at least 1 and end at
     t; None records only step t.
@@ -200,7 +203,7 @@ def _pace(instance, seqs, delta0, times, consumer, betas=None) -> None:
                 (chunk_winners[:steps] + row_start).reshape(-1),
                 chunk_bids[:steps].reshape(-1),
             )
-            consumer.steps(start, chunk_items[:steps], chunk_winners[:steps], chunk_bids[:steps])
+            consumer.steps(start, chunk_items[:steps], chunk_winners[:steps])
             if stop == grid[rec]:
                 divide(spend, stop, out=spend_avg)
                 consumer.snapshot(rec, beta, u_bar, spend_avg)
@@ -211,16 +214,12 @@ def _pace(instance, seqs, delta0, times, consumer, betas=None) -> None:
 class _TraceRecorder:
     """The consumer that keeps each path's winners and snapshots."""
 
-    def __init__(self, P: int, n: int, t: int, times: np.ndarray, record_betas: bool):
+    def __init__(self, P: int, n: int, t: int, times: np.ndarray):
         self.winners = np.empty((P, t), dtype=np.int64)
-        self.winning_bids = np.empty((P, t)) if record_betas else None
         self.beta_at, self.u_bar_at, self.spend_avg_at = np.empty((3, P, times.size, n))
 
-    def steps(self, start, items, winners, bids):
-        stop = start + len(winners)
-        self.winners[:, start:stop] = winners.T
-        if self.winning_bids is not None:
-            self.winning_bids[:, start:stop] = bids.T
+    def steps(self, start, items, winners):
+        self.winners[:, start : start + len(winners)] = winners.T
 
     def snapshot(self, rec, beta, u_bar, spend_avg):
         self.beta_at[:, rec] = beta
@@ -245,20 +244,24 @@ def run_pace_paths(
     """
     times = _lockstep_times(instance, seqs, record_times)
     n, P, t = instance.n, len(seqs), seqs[0].t
-    recorder = _TraceRecorder(P, n, t, times, record_betas)
+    recorder = _TraceRecorder(P, n, t, times)
     betas = np.empty((P, t + 1, n)) if record_betas else None
     _pace(instance, seqs, delta0, times, recorder, betas)
-    winner_values = None
+    winner_values = winning_bids = None
     if record_betas:
         items = np.stack([seq.items for seq in seqs])
         winner_values = instance.by_item[items, recorder.winners]
+        # each step's winning bid is the product the loop formed: the
+        # winner's multiplier before the step times its value
+        bidders = np.take_along_axis(betas[:, :-1], recorder.winners[:, :, None], axis=2)
+        winning_bids = bidders[:, :, 0] * winner_values
     return [
         PaceTrace(
             n=n,
             t=t,
             winners=recorder.winners[p],
             winner_values=None if winner_values is None else winner_values[p],
-            winning_bids=None if recorder.winning_bids is None else recorder.winning_bids[p],
+            winning_bids=None if winning_bids is None else winning_bids[p],
             record_times=times,
             beta_at=recorder.beta_at[p],
             u_bar_at=recorder.u_bar_at[p],

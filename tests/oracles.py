@@ -1,11 +1,13 @@
 """Independent oracles the tests check the library against.
 
 The library computes these quantities only as curves over a recording grid
-(metrics.build_metric_series) or in the pacing loop (pace.run_pace_paths);
-these direct forms, terminal values, a per-step pacing loop on Python
-floats and a generic averaging loop, run only in the tests. The dual
-solver's tangent takes the smoothed gradient's derivative in the
-temperature from Euler's identity; dgrad_dmu takes it from the bids.
+(metrics.BatchScorer, which scores while pace._pace paces, and
+metrics.build_metric_series, which feeds it a recorded trace) or in the
+pacing loop (pace._pace); these direct forms, terminal values, a per-step
+pacing loop on Python floats and a generic averaging loop, run only in the
+tests. The dual solver's tangent takes the smoothed gradient's derivative
+in the temperature from Euler's identity; dgrad_dmu takes it from the
+bids.
 """
 
 import math

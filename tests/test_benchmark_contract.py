@@ -1,9 +1,9 @@
 """The library calls the benchmark's probe makes, run end to end on a tiny config.
 
 `perfbench/probe.py` imports harness, inputs, eg, pace, metrics and prng
-functions by name; this runs its `setup` and `trace` modes as the benchmark
-does, so a change that breaks one of those calls fails here, and checks the
-traced replay's files against `fairpace run`'s. The text that
+functions by name; this runs its `setup`, `memory` and `trace` modes as the
+benchmark does, so a change that breaks one of those calls fails here, and
+checks the traced replay's files against `fairpace run`'s. The text that
 `perfbench/selftest.py` patches into copies of the library is checked too.
 """
 
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = ROOT / "perfbench" / "probe.py"
@@ -54,9 +56,18 @@ def _probe(tmp_path, *args):
     return json.loads(_child(tmp_path, str(PROBE), *args))
 
 
-def test_probe_setup_checks_the_claim(tmp_path):
-    result = _probe(tmp_path, "setup", "--seconds", "0", "--repeats", "1")
-    assert len(result["setup_s"]) >= 1
+@pytest.mark.parametrize(
+    "mode, args, timed",
+    [
+        pytest.param("setup", ["--seconds", "0", "--repeats", "1"], "setup_s", id="setup"),
+        # `perfbench/run.py --trace 1` starts this mode, which paces and
+        # scores the first path under tracemalloc
+        pytest.param("memory", [], "peak_alloc_mb", id="memory"),
+    ],
+)
+def test_probe_setup_checks_the_claim(tmp_path, mode, args, timed):
+    result = _probe(tmp_path, mode, *args)
+    assert len(result[timed]) >= 1
     assert result["claim"]["equivalence_with_da"] is True
     assert result["claim"]["beta_in_box"] is True
 

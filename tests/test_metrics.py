@@ -268,36 +268,47 @@ class TestMetricSeries:
                 trace, inst, ItemSequence(np.array([0, 1, 3])), ones, ones, ones, ones
             )
 
-    @pytest.mark.parametrize("block", [16384, 70, 7, 1])
-    def test_envy_curve_matches_two_dimensional_sum(self, rng, monkeypatch, block):
+    @pytest.mark.parametrize(
+        "block, n",
+        [
+            pytest.param(block, n, id=str(block) if n > 1 else f"{block}-one-agent")
+            for n in (7, 1)
+            for block in (16384, 70, 7, 1)
+        ],
+    )
+    def test_envy_curve_matches_two_dimensional_sum(self, rng, monkeypatch, block, n):
         # the flat-index np.add.at adds each step to S in the order the 2-d
         # form np.add.at(S, winners, values) does, in index blocks of any
-        # size, so the curve is bit-identical. The blocks' value sums carry
-        # each grid chunk's running sum, so they add its rows in the order of
-        # the whole chunk's axis-0 sum and the baseline curve keeps its bits
+        # size, so the envy curve and the baseline, taken from S's sums over
+        # winners, are bit-identical to those of the 2-d S
         monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
-        inst = random_instance(rng, 7, 9)
+        inst = random_instance(rng, n, 9)
         seq = ItemSequence(rng.integers(0, 9, size=900))
         grid = recording_grid(900, dense_until=20, factor=1.3)
         trace = run_pace(inst, seq, record_times=grid)
-        ones = np.ones(7)
+        ones = np.ones(n)
         # a small hindsight utility keeps the baseline's low bits in its
         # relative error, which a utility near it would cancel
-        hs_u = np.full(7, 1e-3)
+        hs_u = np.full(n, 1e-3)
         series = build_metric_series(trace, inst, seq, ones, hs_u, ones, ones)
-        S = np.zeros((7, 7))
-        value_totals = np.zeros(7)
-        envy, baseline, start = [], [], 0
+        S = np.zeros((n, n))
+        value_totals = np.zeros(n)
+        envy, baseline, direct, start = [], [], [], 0
         for stop in grid:
             chunk = inst.valuations.T[seq.items[start:stop]]
             np.add.at(S, trace.winners[start:stop], chunk)
             envy.append(np.max(S.max(axis=0) - np.diag(S)))
-            value_totals += chunk.sum(axis=0)
-            baseline_u = (1.0 / 7) * value_totals / stop
+            baseline_u = (1.0 / n) * S.sum(axis=0) / stop
             baseline.append(np.max(np.abs(baseline_u - hs_u) / hs_u))
+            value_totals += chunk.sum(axis=0)
+            direct_u = (1.0 / n) * value_totals / stop
+            direct.append(np.max(np.abs(direct_u - hs_u) / hs_u))
             start = stop
         assert np.array_equal(series.values["envy_max"], envy)
         assert np.array_equal(series.values["baseline_rel_u_hs"], baseline)
+        # the sums over winners add the items in another order than a
+        # running total of the item values does, so the bits may differ
+        np.testing.assert_allclose(series.values["baseline_rel_u_hs"], direct, rtol=1e-13)
 
     def test_peak_allocation_is_flat_in_the_horizon(self):
         # the item values of a grid chunk, about 9% of t, were gathered at
@@ -327,9 +338,8 @@ class TestBatchScorer:
     def test_equals_per_path_series(self, rng, monkeypatch, block, n):
         # scoring three paths while they pace gives each path the curves
         # build_metric_series gives its recorded trace, bit for bit, though
-        # the blocks of steps differ: the baseline's running sums carry
-        # across blocks and pacing chunks. With one agent, numpy would sum
-        # a one-path block's rows pairwise
+        # the blocks of steps differ: the envy sums, which the envy and
+        # baseline curves read, add each path's steps in order
         monkeypatch.setattr(metrics, "_ENVY_BLOCK", block)
         m, t, P = 9, 5000, 3
         inst = random_instance(rng, n, m)
@@ -355,34 +365,3 @@ class TestBatchScorer:
             assert np.array_equal(batch[p].times, grid)
             for name in METRIC_NAMES:
                 assert np.array_equal(batch[p].values[name], single.values[name]), (p, name)
-
-    def test_one_agent_baseline_adds_steps_in_order(self, rng):
-        # with one agent the baseline adds a grid chunk's item values one
-        # after another, then the chunk's sum to the running total, for a
-        # batch of paths and for one recorded trace alike. numpy's axis-0
-        # sum of a one-path block would add them pairwise, as the per-path
-        # scoring before the batch scorer did, so those low bits differ
-        m, t, P = 9, 5000, 3
-        inst = random_instance(rng, 1, m)
-        seqs = [ItemSequence(rng.integers(0, m, size=t)) for _ in range(P)]
-        grid = np.array([1, 2, 3, 40, 1500, 3500, t])
-        ones = np.ones((P, 1))
-        hs_u = 1e-3 * (1.0 + rng.random((P, 1)))
-        scorer = BatchScorer(inst, grid, ones, hs_u, ones[0], ones[0])
-        pace_lockstep(inst, seqs, 1.0, grid, scorer)
-        batch = scorer.series([None] * P)
-        traces = run_pace_paths(inst, seqs, record_times=grid)
-        for p, (seq, trace) in enumerate(zip(seqs, traces)):
-            values = inst.valuations[0, seq.items].tolist()
-            h = float(hs_u[p, 0])
-            expected, total, start = [], 0.0, 0
-            for stop in grid.tolist():
-                chunk = 0.0
-                for v in values[start:stop]:
-                    chunk += v
-                total += chunk
-                expected.append(abs(1.0 * total / stop - h) / h)
-                start = stop
-            single = build_metric_series(trace, inst, seq, ones[p], hs_u[p], ones[0], ones[0])
-            assert batch[p].values["baseline_rel_u_hs"].tolist() == expected
-            assert single.values["baseline_rel_u_hs"].tolist() == expected

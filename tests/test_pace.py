@@ -203,6 +203,49 @@ class TestLockstep:
         full = run_pace_paths(inst, seqs, 0.7, times, record_betas=True)
         assert_same_traces(default, [trace._replace(**FULL_TRAJECTORY) for trace in full])
 
+    @pytest.mark.parametrize("grid", [[1, 2, 5, 1000, 1030, 2100], "default", []])
+    def test_consumer_sees_chunks_then_snapshots(self, rng, grid):
+        # pace_lockstep's consumer contract: chunks tile [0, t) in order,
+        # none longer than pace._CHUNK or across a recording time; their
+        # items are the sequences' slices; one snapshot per recording time
+        # comes right after the chunk that ends there
+        t = 2 * pace._CHUNK + 300
+        inst = random_instance(rng, 4, 5)
+        seqs = [ItemSequence(rng.integers(0, 5, size=t)) for _ in range(3)]
+        times = recording_grid(t).tolist() if grid == "default" else [*grid, t]
+        calls = []
+
+        class Consumer:
+            def steps(self, start, items, winners):
+                calls.append(("steps", start, items.copy(), winners.copy()))
+
+            def snapshot(self, rec, beta, u_bar, spend_avg):
+                calls.append(("snapshot", rec))
+
+        pace.pace_lockstep(inst, seqs, 0.7, times, Consumer())
+        chunks = [call for call in calls if call[0] == "steps"]
+        traces = run_pace_paths(inst, seqs, 0.7, times)
+        stop, rec = 0, 0
+        for k, call in enumerate(calls):
+            if call[0] == "snapshot":
+                continue
+            _, start, items, winners = call
+            assert start == stop
+            stop = start + len(items)
+            assert 0 < len(items) <= pace._CHUNK
+            assert not any(start < time < stop for time in times)
+            for p, (seq, trace) in enumerate(zip(seqs, traces)):
+                assert np.array_equal(items[:, p], seq.items[start:stop])
+                assert np.array_equal(winners[:, p], trace.winners[start:stop])
+            after = calls[k + 1] if k + 1 < len(calls) else None
+            if stop in times:
+                assert after == ("snapshot", rec)
+                rec += 1
+            else:
+                assert after is None or after[0] == "steps"
+        assert stop == t and rec == len(times)
+        assert len(calls) == len(chunks) + len(times)
+
     def test_paths_are_independent(self, rng):
         inst = random_instance(rng, 3, 4)
         seqs = [ItemSequence(rng.integers(0, 4, size=60)) for _ in range(3)]
