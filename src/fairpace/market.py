@@ -252,7 +252,12 @@ def sequence_to_dict(seq: ItemSequence) -> dict:
 
 
 def sequence_from_dict(doc: dict) -> ItemSequence:
+    """The sequence a document describes. A t, which `sequence_to_dict`
+    writes, may be left out; when present it must be the item count."""
     with as_config_error("bad sequence"):
         items = np.array(doc["items"])
         items.setflags(write=False)  # fresh from the document, so kept uncopied
-        return ItemSequence(items)
+        seq = ItemSequence(items)
+        if "t" in doc and read_field(int, doc, "t") != seq.t:
+            raise ConfigError(f"t={doc['t']!r} does not match the {seq.t} items")
+        return seq

@@ -182,6 +182,8 @@ def build_metric_series(
 
     Feeds the trace through a one-path `BatchScorer`, a grid chunk at a
     time, so the curves are bit for bit those of scoring while pacing.
+    `fairpace run` does not call it; perfbench's replay and the metric
+    tests do.
     """
     instance.check_items(seq.items)
     hs_beta, hs_u = (np.asarray(x, dtype=np.float64)[None] for x in (hs_beta, hs_u))

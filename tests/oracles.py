@@ -8,6 +8,11 @@ pacing loop on Python floats and a generic averaging loop, run only in the
 tests. The dual solver's tangent takes the smoothed gradient's derivative
 in the temperature from Euler's identity; dgrad_dmu takes it from the
 bids.
+
+The direct metric forms serve tests/test_metrics.py, test_properties.py
+and test_market.py. The acceptance criteria that gate the paper's
+claims on the run's curves (4, 5, 7, 8 and 9) use none of them; of the
+criteria that check recorded trajectories, criterion 11 takes `envy`.
 """
 
 import math

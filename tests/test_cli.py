@@ -454,6 +454,9 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             + ["--out", str(p / "solution.json")],
             "overflow the dual solve in double precision",
         ),
+        # a sequence's t used to be ignored, and the 3 items were solved
+        (lambda p: _solve(p, items='{"t": 2, "items": [0, 1, 2]}'),
+         "bad sequence: t=2 does not match the 3 items"),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
