@@ -11,6 +11,7 @@ carries wall-clock provenance.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -267,14 +268,37 @@ def _solve_counts(solution: DualSolution) -> dict:
     }
 
 
+def _required_solve(solve, failure: str) -> Tuple[DualSolution, float]:
+    """Run a solve that must converge: its solution and its process
+    seconds, or NoConvergence naming failure."""
+    started = time.process_time()
+    with required_solve():
+        solution = solve()
+    require_converged(solution, failure)
+    return solution, time.process_time() - started
+
+
+def _set_up(config: ExperimentConfig, solver_tol: float):
+    """What a run builds before its first path: the input model, its
+    reference distribution, the market, and the reference solve with its
+    process seconds."""
+    model = resolve_model(config)
+    ref = reference_distribution(model)
+    instance = resolve_market(config, ref)
+    star, star_s = _required_solve(
+        lambda: solve_dual(market_problem(instance, ref, config.delta0), tol=solver_tol),
+        "reference solve failed",
+    )
+    return model, ref, instance, star, star_s
+
+
 def _hindsight(instance, seq, delta0, tol, warm, path_index, path_seed):
     """A path's hindsight solve: its optimum's multipliers and utilities,
     its counts and its process seconds. warm is (star_beta, ref_weights)."""
-    solve_started = time.process_time()
-    with required_solve():
-        hs = hindsight_solution(instance, seq, delta0, tol=tol, warm=warm)
-    solve_s = time.process_time() - solve_started
-    require_converged(hs, f"hindsight solve failed on path {path_index} (seed {path_seed})")
+    hs, solve_s = _required_solve(
+        lambda: hindsight_solution(instance, seq, delta0, tol=tol, warm=warm),
+        f"hindsight solve failed on path {path_index} (seed {path_seed})",
+    )
     return (
         hs.beta_hat,
         equilibrium_utilities(hs, instance.n),
@@ -283,25 +307,26 @@ def _hindsight(instance, seq, delta0, tol, warm, path_index, path_seed):
     )
 
 
-def _run_paths(args) -> List[Tuple[MetricSeries, dict, float]]:
+def _run_paths(config, model, ref, instance, star, grid, solver_tol, path_ids) -> list:
     """Score one batch of paths: sample them, solve each path's hindsight
     dual, then pace the batch in lockstep and score it as it paces.
 
     Returns each path's metric series with its hindsight solve's counts and
-    process seconds. Each hindsight solve starts from the reference optimum
-    star_beta, the optimum of the same market under the reference weights
-    ref_weights.
+    process seconds. Each path's seed derives from config.base_seed and its
+    id, and each hindsight solve starts from the reference optimum star,
+    the optimum of the same market under the reference distribution ref.
     """
-    (instance, model, t, delta0, grid, path_ids, path_seeds, hs_tol, star_refs, ref_weights) = args
-    seqs = sample_sequences(model, t, path_seeds)
-    star_beta, star_u = star_refs
+    seeds = [derive_path_seed(config.base_seed, p) for p in path_ids]
+    seqs = sample_sequences(model, config.t, seeds)
+    warm = (star.beta_hat, ref.probs)
     solves = [
-        _hindsight(instance, seq, delta0, hs_tol, (star_beta, ref_weights), path_index, path_seed)
-        for path_index, path_seed, seq in zip(path_ids, path_seeds, seqs)
+        _hindsight(instance, seq, config.delta0, solver_tol, warm, path_index, path_seed)
+        for path_index, path_seed, seq in zip(path_ids, seeds, seqs)
     ]
     hs_beta, hs_u, counts, solve_s = zip(*solves)
-    scorer = BatchScorer(instance, grid, hs_beta, hs_u, star_beta, star_u)
-    pace_lockstep(instance, seqs, delta0, grid, scorer)
+    star_u = equilibrium_utilities(star, instance.n)
+    scorer = BatchScorer(instance, grid, hs_beta, hs_u, star.beta_hat, star_u)
+    pace_lockstep(instance, seqs, config.delta0, grid, scorer)
     metadata = [{"model": model.kind, "path_id": path_index} for path_index in path_ids]
     return list(zip(scorer.series(metadata), counts, solve_s))
 
@@ -329,47 +354,25 @@ def run_experiment(
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     started = time.time()
-    model = resolve_model(config)
-    ref = reference_distribution(model)
-    instance = resolve_market(config, ref)
-    solve_started = time.process_time()
-    with required_solve():
-        star = solve_dual(market_problem(instance, ref, config.delta0), tol=solver_tol)
-    reference_solve_s = time.process_time() - solve_started
-    require_converged(star, "reference solve failed")
-    star_u = equilibrium_utilities(star, instance.n)
+    model, ref, instance, star, reference_solve_s = _set_up(config, solver_tol)
     grid = recording_grid(config.t, config.dense_until, config.grid_factor)
-    seeds = [derive_path_seed(config.base_seed, p) for p in range(config.paths)]
     # contiguous batches of at most LOCKSTEP_PATHS paths, and of envy sums
     # within LOCKSTEP_ENVY_BYTES, one per worker when the pool is used; each
     # batch is paced in lockstep
     workers = min(threads, config.paths, _usable_cpus())
     envy_paths = max(1, LOCKSTEP_ENVY_BYTES // (8 * instance.n**2))
     size = min(-(-config.paths // workers), LOCKSTEP_PATHS, envy_paths)
-    jobs = [
-        (
-            instance,
-            model,
-            config.t,
-            config.delta0,
-            grid,
-            range(start, min(start + size, config.paths)),
-            seeds[start : start + size],
-            solver_tol,
-            (star.beta_hat, star_u),
-            ref.probs,
-        )
-        for start in range(0, config.paths, size)
-    ]
+    path_ranges = [range(p, min(p + size, config.paths)) for p in range(0, config.paths, size)]
+    run_batch = functools.partial(_run_paths, config, model, ref, instance, star, grid, solver_tol)
     if workers > 1:
         # imported here: the process pool machinery costs memory and import
         # time that a serial run does not need
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_paths, jobs))
+            batches = list(pool.map(run_batch, path_ranges))
     else:
-        batches = [_run_paths(job) for job in jobs]
+        batches = list(map(run_batch, path_ranges))
     scored = [path for batch in batches for path in batch]
     series_list = [series for series, _, _ in scored]
     report = summarize(series_list)._replace(
@@ -385,7 +388,7 @@ def run_experiment(
             "config": config.raw,
             "config_hash": config_hash(config.raw),
             "base_seed": config.base_seed,
-            "path_seeds": seeds,
+            "path_seeds": [derive_path_seed(config.base_seed, p) for p in range(config.paths)],
             "model_kind": model.kind,
             "n": instance.n,
             "m": instance.m,

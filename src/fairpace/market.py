@@ -231,6 +231,8 @@ def market_from_dict(doc: dict) -> MarketInstance:
     accepted only when every budget is within 1e-12 of the uniform 1/n
     that the package runs: any other would be silently ignored.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError("market must be a JSON object")
     with as_config_error("bad market"):
         n, m = read_field(int, doc, "n"), read_field(int, doc, "m")
         v = np.array(doc["valuations"], dtype=np.float64)
@@ -254,6 +256,8 @@ def sequence_to_dict(seq: ItemSequence) -> dict:
 def sequence_from_dict(doc: dict) -> ItemSequence:
     """The sequence a document describes. A t, which `sequence_to_dict`
     writes, may be left out; when present it must be the item count."""
+    if not isinstance(doc, dict):
+        raise ConfigError("sequence must be a JSON object")
     with as_config_error("bad sequence"):
         items = np.array(doc["items"])
         items.setflags(write=False)  # fresh from the document, so kept uncopied

@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 4, 5, 7, 8 and 9 read their curves from the pass `fairpace run`
-ships: `harness.run_experiment`, or `harness._run_paths`, the batch
-function it maps over its paths, where a criterion needs a grid a config
-cannot name. None of them computes a metric of its own. Criteria 1, 2, 6
-and 11 check recorded trajectories (`pace.run_pace` and `run_pace_paths`
-traces); criterion 3 checks the hindsight solver against a grid oracle and
-criterion 10 the run's reproducibility.
+ships: `harness.run_experiment`, or, where a criterion needs a grid a
+config cannot name, the two functions it is made of: `harness._set_up`,
+which builds the run's model, market and reference solve, and
+`harness._run_paths`, the batch function it maps over its paths. None of
+them computes a metric of its own. Criteria 1, 2, 6 and 11 check recorded
+trajectories (`pace.run_pace` and `run_pace_paths` traces); criterion 3
+checks the hindsight solver against a grid oracle and criterion 10 the
+run's reproducibility.
 
 Run with `pytest tests/test_acceptance.py -s -v` to stream the per-criterion
 lines; under default capture they appear for failing tests only.
@@ -17,8 +19,10 @@ import time
 import numpy as np
 import pytest
 
-from fairpace.eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
-from fairpace.harness import _run_paths, config_from_dict, generate_market, run_experiment, summarize
+from fairpace.eg import hindsight_solution, market_problem
+from fairpace.harness import (
+    _run_paths, _set_up, config_from_dict, generate_market, run_experiment, summarize,
+)
 from fairpace.inputs import (
     CorruptionSchedule,
     random_corrupted_model,
@@ -94,19 +98,12 @@ def _config(n, m, rank, market_seed, model, base_seed):
 
 
 def _batch_means(model, base_seed):
-    """Across-path means of every curve at t = 1000 and 20000 of ten paths
-    on the n=10, m=30 synthetic market, scored by `_run_paths`, the batch
-    pass `run_experiment` maps over its paths, and averaged as it averages."""
-    ref = reference_distribution(model)
-    inst = generate_market(10, 30, rank=5, noise=0.1, seed=202, ref=ref)
-    star = solve_dual(market_problem(inst, ref, DELTA0))
-    assert star.converged
-    star_refs = (star.beta_hat, equilibrium_utilities(star, inst.n))
-    seeds = [derive_path_seed(base_seed, p) for p in range(10)]
-    grid = np.array([1000, 20000])
-    batch = _run_paths(
-        (inst, model, 20000, DELTA0, grid, range(10), seeds, 1e-8, star_refs, ref.probs)
-    )
+    """Across-path means of every curve at t = 1000 and 20000 of the ten
+    paths of `_config`'s run on the n=10, m=30 synthetic market, set up by
+    `_set_up` and scored by `_run_paths` as `run_experiment` does, and
+    averaged as it averages."""
+    config = _config(10, 30, 5, 202, model, base_seed)
+    batch = _run_paths(config, *_set_up(config, 1e-8)[:4], np.array([1000, 20000]), 1e-8, range(10))
     return summarize([series for series, _, _ in batch]).means
 
 
@@ -114,7 +111,7 @@ def _batch_means(model, base_seed):
 def iid_trend():
     """Curve means of the iid model 101's paths, and the seconds they took."""
     started = time.time()
-    means = _batch_means(random_iid_model(30, seed=101), base_seed=7)
+    means = _batch_means({"kind": "iid", "random": {"m": 30, "seed": 101}}, base_seed=7)
     return means, time.time() - started
 
 
@@ -324,7 +321,7 @@ def test_criterion_06_periodic_scaling():
 
 def test_criterion_07_markov_convergence():
     started = time.time()
-    means = _batch_means(random_markov_model(30, seed=505), base_seed=37)
+    means = _batch_means({"kind": "markov", "random": {"m": 30, "seed": 505}}, base_seed=37)
     beta_ratio = means["rel_beta_hs"][1] / means["rel_beta_hs"][0]
     u_ratio = means["rel_u_hs"][1] / means["rel_u_hs"][0]
     elapsed = time.time() - started

@@ -10,15 +10,10 @@ import pytest
 import fairpace
 from fairpace import cli, errors, harness
 from fairpace.cli import main
-from fairpace.eg import hindsight_solution, market_problem, solve_dual
+from fairpace.eg import hindsight_solution
 from fairpace.errors import ConfigError, FairpaceError, NoConvergence
-from fairpace.harness import generate_market, load_config, resolve_market, resolve_model
-from fairpace.inputs import (
-    model_to_dict,
-    random_iid_model,
-    reference_distribution,
-    sample_sequences,
-)
+from fairpace.harness import generate_market, load_config
+from fairpace.inputs import model_to_dict, random_iid_model, sample_sequences
 from fairpace.market import market_to_dict
 from fairpace.metrics import METRIC_NAMES
 from fairpace.pace import MAX_DELTA0
@@ -122,10 +117,7 @@ def test_run_threads_match_serial(tmp_path, monkeypatch):
     assert summaries[0]["solver"] == summaries[1]["solver"]
 
     cfg = load_config(cfg_path)
-    model = resolve_model(cfg)
-    ref = reference_distribution(model)
-    instance = resolve_market(cfg, ref)
-    star = solve_dual(market_problem(instance, ref, cfg.delta0))
+    model, ref, instance, star, _ = harness._set_up(cfg, 1e-8)
     seqs = sample_sequences(model, cfg.t, summaries[1]["provenance"]["path_seeds"])
     warm = [hindsight_solution(instance, seq, warm=(star.beta_hat, ref.probs)) for seq in seqs]
     cold = [hindsight_solution(instance, seq) for seq in seqs]
@@ -225,6 +217,13 @@ def test_config_error_exit_code(tmp_path):
         # one rule and one message for the horizon, shared with `sample --t`
         ({"t": 0}, "horizon must be a positive integer, got 0"),
         ({"paths": 0}, "paths must be positive, got 0"),
+        ({"market": {}}, "market spec needs either 'path' or 'generator'"),
+        ({"model": {"kind": "markov", "base": [0.2, 0.3, 0.5], "transition": [[1.0]]}},
+         "transition size must match the base distribution"),
+        ({"model": {"kind": "markov", "base": [0.2, 0.3, 0.5]}}, "markov model requires a transition matrix"),
+        ({"model": {"kind": "periodic", "period_dists": [0.2, 0.3, 0.5]}},
+         "period_dists must be a 2-d matrix of at least one row"),
+        ({"model": {"kind": "corrupted", "base": [0.2, 0.3, 0.5]}}, "corrupted model requires a corruption schedule"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, override, message):
@@ -385,6 +384,13 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         (lambda p: _solve(p, items=(0, 5)), "sequence references items outside the universe"),
         (lambda p: _solve(p, items=(2**63, 2**63 + 1)), "nonnegative 64-bit integers"),
         (lambda p: _solve(p, items="{}"), "bad sequence: missing field 'items'"),
+        # documents that are not objects, refused as config and model documents are
+        (lambda p: _solve(p, market=[1, 2]), "market must be a JSON object"),
+        (lambda p: _solve(p, market=5), "market must be a JSON object"),
+        (lambda p: _solve(p, market=None), "market must be a JSON object"),
+        (lambda p: _solve(p, items="[1, 2]"), "sequence must be a JSON object"),
+        (lambda p: _solve(p, items="5"), "sequence must be a JSON object"),
+        (lambda p: _solve(p, items="null"), "sequence must be a JSON object"),
         # solve meets the library's delta0 and tol rules, before any output
         (lambda p: _solve(p) + ["--delta0", "-1"], "at most 1e+150, got -1.0"),
         (lambda p: _solve(p) + ["--delta0", "nan"], "at most 1e+150, got nan"),
@@ -399,6 +405,7 @@ def _run(tmp_path, market_file=None, model=None, **fields):
         (lambda p: _run(p, MARKET_2x3, {**IID_3, "seed": 2.5}), "seed must be int, got 2.5"),
         (lambda p: _run(p, MARKET_2x3, market={"path": 5}), "market path must be a string"),
         (lambda p: _run(p, MARKET_2x3, out=5), "out must be a string"),
+        (lambda p: ["run", "--config", str(p)], "cannot read config file"),
         (
             lambda p: ["gen-market", "--n", "3", "--m", "4", "--rank", "2", "--noise", "-1",
                        "--out", str(p / "m.json")],
@@ -419,6 +426,9 @@ def _run(tmp_path, market_file=None, model=None, **fields):
             "metric baseline_rel_u_hs contains non-finite values",
         ),
         (lambda p: _summarize(p, metrics=METRIC_NAMES[:-2]), "has no rows for envy_max, baseline_rel_u_hs"),
+        (lambda p: _summarize(p, metrics=()), "no rows found"),
+        (lambda p: _summarize(p, extra=[f"iid,0,{METRIC_NAMES[1]},2,0.5"]),
+         f"path 0 metric {METRIC_NAMES[1]} has a different grid"),
         # a later row used to overwrite the earlier one, and path 1 was
         # aggregated as the first row's model
         (

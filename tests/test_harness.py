@@ -19,8 +19,7 @@ from fairpace.harness import (
     run_experiment,
     summarize,
 )
-from fairpace.eg import equilibrium_utilities, hindsight_solution, market_problem, solve_dual
-from fairpace.inputs import random_iid_model, reference_distribution, sample_sequences
+from fairpace.inputs import reference_distribution, sample_sequences
 from fairpace.market import ReferenceDistribution, market_to_dict, normalize_valuations
 from fairpace.metrics import METRIC_NAMES, MetricSeries, recording_grid
 from fairpace.prng import derive_path_seed, make_generator
@@ -290,10 +289,11 @@ class TestRunExperiment:
 
     def test_paper_hindsight_solve_steps(self):
         # a hindsight problem of the paper's shape (n = 100, m = 300, one
-        # Markov path of t = 20000), built as run_experiment builds it and
-        # warm-started from the reference optimum. The solver before the
-        # warm start, the tangent predictor and the loose early stages took
-        # parent_newton_steps Newton steps on it
+        # Markov path of t = 20000), set up and solved by the run's own
+        # _set_up and _run_paths, so warm-started from the reference
+        # optimum. The solver before the warm start, the tangent predictor
+        # and the loose early stages took parent_newton_steps Newton steps
+        # on it
         parent_newton_steps = 56
         cfg = config_from_dict(
             {
@@ -305,14 +305,9 @@ class TestRunExperiment:
                 "base_seed": 5,
             }
         )
-        model = resolve_model(cfg)
-        ref = reference_distribution(model)
-        instance = resolve_market(cfg, ref)
-        star = solve_dual(market_problem(instance, ref, cfg.delta0))
-        (seq,) = sample_sequences(model, cfg.t, [derive_path_seed(cfg.base_seed, 0)])
-        hs = hindsight_solution(instance, seq, cfg.delta0, warm=(star.beta_hat, ref.probs))
-        assert hs.converged
-        assert hs.iterations < parent_newton_steps
+        set_up = harness._set_up(cfg, 1e-8)[:4]
+        ((_, counts, _),) = harness._run_paths(cfg, *set_up, np.array([cfg.t]), 1e-8, range(1))
+        assert counts["newton_steps"] < parent_newton_steps
 
     def test_error_improves_from_start(self):
         cfg = toy_config(t=400)
@@ -402,7 +397,7 @@ class TestRunExperiment:
         sizes = []
         run_paths = harness._run_paths
         monkeypatch.setattr(
-            harness, "_run_paths", lambda job: sizes.append(len(job[5])) or run_paths(job)
+            harness, "_run_paths", lambda *args: sizes.append(len(args[-1])) or run_paths(*args)
         )
         run_experiment(cfg, out_dir=str(tmp_path / "split"))
         assert sizes == [2, 1]
@@ -419,20 +414,21 @@ class TestRunExperiment:
         # no (paths, t) or (paths, grid, n) array: two paths' int64 winners
         # alone would add 2.9 MB from t = 2e4 to 2e5
         n, m, P = 20, 30, 2
-        model = random_iid_model(m, seed=3)
-        ref = reference_distribution(model)
-        inst = generate_market(n, m, rank=5, seed=4, ref=ref)
-        star = solve_dual(market_problem(inst, ref))
-        star_u = equilibrium_utilities(star, n)
-        seeds = [derive_path_seed(8, p) for p in range(P)]
+        cfg = toy_config(
+            market={"generator": {"n": n, "m": m, "rank": 5, "noise": 0.1, "seed": 4}},
+            model={"kind": "iid", "random": {"m": m, "seed": 3}},
+            paths=P,
+            base_seed=8,
+        )
+        model, ref, inst, star, _ = harness._set_up(cfg, 1e-8)
+        seeds = [derive_path_seed(cfg.base_seed, p) for p in range(P)]
         peaks = []
         for t in (1000, 20_000, 200_000):  # the first warms up
             seqs = sample_sequences(model, t, seeds)
             # sampled outside the trace, so the peak is that above them
             monkeypatch.setattr(harness, "sample_sequences", lambda *args: seqs)
-            job = (inst, model, t, 1.0, recording_grid(t), range(P), seeds, 1e-8,
-                   (star.beta_hat, star_u), ref.probs)
-            peaks.append(traced_peak(harness._run_paths, job)[1])
+            args = (cfg._replace(t=t), model, ref, inst, star, recording_grid(t), 1e-8, range(P))
+            peaks.append(traced_peak(harness._run_paths, *args)[1])
         assert peaks[2] < peaks[1] + 64 * 1024, peaks
 
 
